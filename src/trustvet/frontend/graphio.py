@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge
-from .lexer import extract_variables, normalize_line
+from .lexer import extract_variables, line_surface, normalize_line
 from .parser import RawDepGraph, RawEdge, RawNode
 
 
@@ -50,27 +50,16 @@ def merge_line_nodes(raw: RawDepGraph, source: str) -> Pdg:
             )
         line_of[node.node_id] = node.line
         lines.add(node.line)
+    edges = _line_edges(raw, line_of)
 
-    seen: set[tuple[int, int, DepKind, str | None]] = set()
-    edges: list[PdgEdge] = []
-    for edge in raw.edges:
-        if edge.src not in line_of or edge.dst not in line_of:
-            raise ImportSchemaError(
-                f"edge {edge.src}->{edge.dst} references an unknown node id"
-            )
-        key = (line_of[edge.src], line_of[edge.dst], edge.kind, edge.variable)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(PdgEdge(key[0], key[1], edge.kind, edge.variable))
-    edges.sort(key=PdgEdge.sort_key)
-
-    line_text = {line: normalize_line(source_lines[line - 1]) for line in lines}
-    line_vars = {line: extract_variables(source_lines[line - 1]) for line in lines}
+    line_text: dict[int, str] = {}
+    line_vars: dict[int, frozenset[str]] = {}
+    for line in lines:
+        line_text[line], line_vars[line] = line_surface(source_lines[line - 1])
     return Pdg(
         function_id=raw.function_id,
         nodes=frozenset(lines),
-        edges=tuple(edges),
+        edges=edges,
         line_text=line_text,
         line_vars=line_vars,
     )
@@ -89,7 +78,26 @@ def merge_imported_nodes(raw: RawDepGraph) -> Pdg:
             raise ImportSchemaError(f"node {node.node_id}: bad line {node.line!r}")
         fragments.setdefault(node.line, []).append(node.code)
 
-    line_of = {node.node_id: node.line for node in raw.nodes}
+    edges = _line_edges(raw, {node.node_id: node.line for node in raw.nodes})
+
+    line_text = {
+        line: normalize_line(max(codes, key=len)) for line, codes in fragments.items()
+    }
+    line_vars = {
+        line: frozenset().union(*(extract_variables(code) for code in codes))
+        for line, codes in fragments.items()
+    }
+    return Pdg(
+        function_id=raw.function_id,
+        nodes=frozenset(fragments),
+        edges=edges,
+        line_text=line_text,
+        line_vars=line_vars,
+    )
+
+
+def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
+    """Re-point statement edges at lines, deduplicated, in canonical order."""
     seen: set[tuple[int, int, DepKind, str | None]] = set()
     edges: list[PdgEdge] = []
     for edge in raw.edges:
@@ -103,21 +111,7 @@ def merge_imported_nodes(raw: RawDepGraph) -> Pdg:
         seen.add(key)
         edges.append(PdgEdge(key[0], key[1], edge.kind, edge.variable))
     edges.sort(key=PdgEdge.sort_key)
-
-    line_text = {
-        line: normalize_line(max(codes, key=len)) for line, codes in fragments.items()
-    }
-    line_vars = {
-        line: frozenset().union(*(extract_variables(code) for code in codes))
-        for line, codes in fragments.items()
-    }
-    return Pdg(
-        function_id=raw.function_id,
-        nodes=frozenset(fragments),
-        edges=tuple(edges),
-        line_text=line_text,
-        line_vars=line_vars,
-    )
+    return tuple(edges)
 
 
 @dataclass
@@ -166,7 +160,7 @@ def import_raw_graph(document: dict) -> ImportedGraph:
         if not isinstance(entry, dict):
             raise ImportSchemaError(f"graph export: edge is not an object: {entry!r}")
         src, dst = entry.get("src"), entry.get("dst")
-        if src not in known or dst not in known:
+        if not (isinstance(src, int) and isinstance(dst, int) and src in known and dst in known):
             raise ImportSchemaError(
                 f"graph export: edge {src!r}->{dst!r} references an unknown node id"
             )

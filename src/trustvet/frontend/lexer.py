@@ -33,7 +33,6 @@ class Token:
 STRING_LITERAL = "STR"
 CHAR_LITERAL = "CHR"
 
-# Multi-character operators first so the scanner can use maximal munch.
 _OPERATORS = [
     ">>=", "<<=",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -41,7 +40,12 @@ _OPERATORS = [
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "?", ":", ".",
 ]
-_PUNCT = set("(){}[],;")
+# Operator tokens by length; the scanner looks up 3, then 2, then 1
+# characters, which is maximal munch. Tokens are immutable, so one is shared.
+_OPS3, _OPS2, _OPS1 = (
+    {op: Token(TokenKind.OPERATOR, op) for op in _OPERATORS if len(op) == n}
+    for n in (3, 2, 1)
+)
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -139,11 +143,10 @@ def tokenize_line(text: str) -> list[Token]:
             tokens.append(Token(kind, word))
             i = j
             continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, op))
-                i += len(op)
-                break
+        op = _OPS3.get(text[i : i + 3]) or _OPS2.get(text[i : i + 2]) or _OPS1.get(ch)
+        if op is not None:
+            tokens.append(op)
+            i += len(op.text)
         else:
             # Punct proper, or any unknown byte as a single-char Punct.
             tokens.append(Token(TokenKind.PUNCT, ch))
@@ -180,7 +183,16 @@ def extract_variables(text: str) -> frozenset[str]:
     names and plain variables both count: the set is the syntactic identifier
     surface of the line, not a dataflow use set.
     """
+    return _variables(tokenize_line(text))
+
+
+def line_surface(text: str) -> tuple[str, frozenset[str]]:
+    """normalize_line(text) and extract_variables(text) from one tokenization."""
     tokens = tokenize_line(text)
+    return " ".join(t.text for t in tokens), _variables(tokens)
+
+
+def _variables(tokens: list[Token]) -> frozenset[str]:
     out = set()
     for idx, t in enumerate(tokens):
         if t.kind is not TokenKind.IDENTIFIER:

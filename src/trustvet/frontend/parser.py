@@ -4,23 +4,36 @@ Supported statement forms: declarations, assignments, expression/call
 statements, if/else, while, for (with a condition), return, and nested
 blocks. Anything else (preprocessor lines, do/switch/goto/break/continue,
 for loops without a condition) raises UnsupportedConstructError naming the
-offending line; structural damage (unbalanced braces, truncated statements)
+offending line, and so does nesting deeper than MAX_NESTING statements or
+subscripts; structural damage (unbalanced braces, truncated statements)
 raises ParseError. Failing loudly is deliberate: a partially parsed function
 would produce a silently wrong dependence graph.
 
 The analysis is classical and intraprocedural:
   - control dependence from the post-dominator tree of the statement CFG,
     so code following an early-return branch is governed by the branch
-    predicate;
+    predicate. Immediate post-dominators come from the Cooper-Harvey-Kennedy
+    iteration ("A Simple, Fast Dominance Algorithm", 2001) on the reversed
+    CFG rooted at the virtual exit, in reverse postorder. It never builds
+    post-dominator sets: a pass does one intersection per CFG edge, each a
+    short walk up the ipdom tree, and loop-free code settles in two passes
+    (loops add a few). The statements each branch governs are found by the
+    Ferrante-Ottenstein-Warren walk up the ipdom tree, which costs the size
+    of its output;
   - data dependence from reaching definitions (def-use chains), tracking the
     base identifier of each written lvalue (writes through "p->f", "p.f" or
-    "p[i]" count as writes to "p").
+    "p[i]" count as writes to "p"). Each (statement, variable) definition is
+    one bit of a Python int, each variable has a kill mask, and a FIFO
+    worklist iterates IN/OUT to the least fixed point, so a pass costs
+    O(E) big-int operations of O(D/64) words for E CFG edges and D
+    definitions.
 There is no aliasing, no interprocedural flow, and address-of arguments are
 treated as plain reads.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ParseError, UnsupportedConstructError
@@ -28,6 +41,12 @@ from ..pdg import DepKind
 from .lexer import Token, TokenKind, tokenize_line
 
 _EXIT = -1  # virtual CFG exit
+
+# Deepest statement or subscript nesting accepted. The statement parser, the
+# CFG wiring and the subscript scan recurse a few frames per level, so the
+# bound keeps them well inside Python's default recursion limit of 1000;
+# real C stays in single digits (an if and its braced body count as two).
+MAX_NESTING = 200
 
 _TYPE_KEYWORDS = {
     "void", "char", "short", "int", "long", "float", "double", "signed",
@@ -162,13 +181,18 @@ def _match_group(tokens: list[Token], i: int, open_text: str, close_text: str) -
     raise ParseError(f"unbalanced '{open_text}' in expression")
 
 
-def _scan_expr(tokens: list[Token]) -> tuple[set[str], set[str]]:
-    """Defs and uses of an expression token slice.
+def _scan_expr(tokens: list[Token], line: int, depth: int = 0) -> tuple[set[str], set[str]]:
+    """Defs and uses of an expression token slice on source line `line`.
 
     An identifier chain (name plus subscripts/member accesses) followed by an
     assignment operator defines its base identifier; compound assignments and
     ++/-- also use it. Called-function names and member names are neither.
+    Subscripts are scanned recursively, `depth` levels down.
     """
+    if depth > MAX_NESTING:
+        raise UnsupportedConstructError(
+            f"subscripts nested more than {MAX_NESTING} deep are not supported", line
+        )
     defs: set[str] = set()
     uses: set[str] = set()
     i = 0
@@ -193,7 +217,7 @@ def _scan_expr(tokens: list[Token]) -> tuple[set[str], set[str]]:
             tj = tokens[j]
             if tj.kind is TokenKind.PUNCT and tj.text == "[":
                 end = _match_group(tokens, j, "[", "]")
-                d2, u2 = _scan_expr(tokens[j + 1 : end - 1])
+                d2, u2 = _scan_expr(tokens[j + 1 : end - 1], line, depth + 1)
                 defs |= d2
                 uses |= u2
                 j = end
@@ -262,7 +286,7 @@ def _is_declaration(tokens: list[Token]) -> bool:
     return False
 
 
-def _scan_decl(tokens: list[Token]) -> tuple[set[str], set[str]]:
+def _scan_decl(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
     """Defs and uses of a declaration (leading type stripped, then one
     declarator per top-level comma)."""
     i = 0
@@ -292,11 +316,11 @@ def _scan_decl(tokens: list[Token]) -> tuple[set[str], set[str]]:
         k += 1
         while k < m and declarator[k].kind is TokenKind.PUNCT and declarator[k].text == "[":
             end = _match_group(declarator, k, "[", "]")
-            _, u2 = _scan_expr(declarator[k + 1 : end - 1])
+            _, u2 = _scan_expr(declarator[k + 1 : end - 1], line, 1)
             uses |= u2
             k = end
         if k < m and declarator[k].kind is TokenKind.OPERATOR and declarator[k].text == "=":
-            d2, u2 = _scan_expr(declarator[k + 1 :])
+            d2, u2 = _scan_expr(declarator[k + 1 :], line)
             defs |= d2
             uses |= u2
     return defs, uses
@@ -311,6 +335,7 @@ class _Parser:
         self.i = 0
         self.next_sid = 0
         self.stmts: list[_Stmt] = []
+        self.depth = 0  # parse_statement calls currently open
 
     def peek(self) -> tuple[int, Token] | None:
         return self.stream[self.i] if self.i < len(self.stream) else None
@@ -336,11 +361,11 @@ class _Parser:
         if role == "entry":
             pass  # defs assigned by caller (parameters)
         elif role == "decl":
-            stmt.defs, stmt.uses = _scan_decl(tokens)
+            stmt.defs, stmt.uses = _scan_decl(tokens, line)
         elif role == "return":
-            _, stmt.uses = _scan_expr(tokens[1:])  # skip the keyword
+            _, stmt.uses = _scan_expr(tokens[1:], line)  # skip the keyword
         else:
-            stmt.defs, stmt.uses = _scan_expr(tokens)
+            stmt.defs, stmt.uses = _scan_expr(tokens, line)
         self.stmts.append(stmt)
         return stmt
 
@@ -411,6 +436,17 @@ class _Parser:
         if item is None:
             raise ParseError("expected a statement but reached end of input")
         line, tok = item
+        if self.depth >= MAX_NESTING:
+            raise UnsupportedConstructError(
+                f"statements nested more than {MAX_NESTING} deep are not supported", line
+            )
+        self.depth += 1
+        try:
+            return self._parse_statement(line, tok)
+        finally:
+            self.depth -= 1
+
+    def _parse_statement(self, line: int, tok: Token):
         if tok.kind is TokenKind.PUNCT and tok.text == "{":
             return ("block", self.parse_block())
         if tok.kind is TokenKind.PUNCT and tok.text == ";":
@@ -534,49 +570,68 @@ def _wire_cfg(items: list, entry_sid: int, cfg_edges: set[tuple[int, int]]) -> N
     connect(final_ends, _EXIT)
 
 
-def _post_dominators(all_sids: list[int], succ: dict[int, set[int]]) -> dict[int, set[int]]:
-    nodes = all_sids + [_EXIT]
-    universe = set(nodes)
-    pdom: dict[int, set[int]] = {n: set(universe) for n in nodes}
-    pdom[_EXIT] = {_EXIT}
+def _immediate_post_dominators(
+    succ: dict[int, set[int]], preds: dict[int, set[int]]
+) -> dict[int, int | None]:
+    """Immediate post-dominator of every statement (None for _EXIT).
+
+    Cooper-Harvey-Kennedy on the reversed CFG: a node's predecessors there
+    are its CFG successors, the root is _EXIT, and nodes are visited in
+    reverse postorder of an iterative depth-first search from the root. The
+    wiring gives every statement a path to _EXIT, so the search reaches all
+    of them.
+    """
+    postorder: list[int] = []
+    visited = {_EXIT}
+    stack = [(_EXIT, iter(preds.get(_EXIT, ())))]
+    while stack:
+        node, pending = stack[-1]
+        for p in pending:
+            if p not in visited:
+                visited.add(p)
+                stack.append((p, iter(preds.get(p, ()))))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    number = {n: i for i, n in enumerate(postorder)}
+    ipdom: dict[int, int | None] = {_EXIT: _EXIT}  # the root is its own, until the end
+    order = postorder[-2::-1]  # reverse postorder without the root
     changed = True
     while changed:
         changed = False
-        for n in all_sids:
-            succs = succ.get(n, set())
-            if succs:
-                new = set.intersection(*(pdom[s] for s in succs))
-            else:
-                new = set()
-            new.add(n)
-            if new != pdom[n]:
-                pdom[n] = new
+        for n in order:
+            new = None
+            for s in succ[n]:
+                if s not in ipdom:
+                    continue
+                if new is None:
+                    new = s
+                    continue
+                # walk both fingers up the tree to their common ancestor
+                a, b = s, new
+                while a != b:
+                    while number[a] < number[b]:
+                        a = ipdom[a]
+                    while number[b] < number[a]:
+                        b = ipdom[b]
+                new = a
+            if ipdom.get(n) != new:
+                ipdom[n] = new
                 changed = True
-    return pdom
-
-
-def _immediate_pdom(pdom: dict[int, set[int]]) -> dict[int, int | None]:
-    ipdom: dict[int, int | None] = {}
-    for n, doms in pdom.items():
-        strict = doms - {n}
-        if not strict:
-            ipdom[n] = None
-            continue
-        # the nearest strict post-dominator has the largest pdom set
-        ipdom[n] = max(strict, key=lambda d: (len(pdom[d]), d))
+    ipdom[_EXIT] = None
     return ipdom
 
 
 def _control_dependence(
-    stmts: list[_Stmt], succ: dict[int, set[int]]
+    stmts: list[_Stmt], succ: dict[int, set[int]], preds: dict[int, set[int]]
 ) -> set[tuple[int, int]]:
     """Pairs (predicate sid, dependent sid) via the classic post-dominance
     frontier walk."""
-    all_sids = [s.sid for s in stmts]
-    pdom = _post_dominators(all_sids, succ)
-    ipdom = _immediate_pdom(pdom)
+    ipdom = _immediate_post_dominators(succ, preds)
     deps: set[tuple[int, int]] = set()
-    for a in all_sids:
+    for stmt in stmts:
+        a = stmt.sid
         succs = succ.get(a, set())
         if len(succs) < 2:
             continue
@@ -595,43 +650,61 @@ def _control_dependence(
 
 
 def _reaching_definitions(
-    stmts: list[_Stmt], succ: dict[int, set[int]]
+    stmts: list[_Stmt], succ: dict[int, set[int]], preds: dict[int, set[int]]
 ) -> set[tuple[int, int, str]]:
-    """Def-use chains as (def sid, use sid, variable)."""
-    by_sid = {s.sid: s for s in stmts}
-    defs_of_var: dict[str, set[int]] = {}
+    """Def-use chains as (def sid, use sid, variable).
+
+    Bit k of a set stands for the definition made by statement def_sid[k];
+    mask[v] holds the bits of every definition of v, which any statement
+    defining v kills.
+    """
+    def_sid: list[int] = []
+    mask: dict[str, int] = {}
+    gen: dict[int, int] = {}
     for s in stmts:
+        g = 0
         for v in s.defs:
-            defs_of_var.setdefault(v, set()).add(s.sid)
-    preds: dict[int, set[int]] = {}
-    for a, bs in succ.items():
-        for b in bs:
-            preds.setdefault(b, set()).add(a)
-    gen = {s.sid: {(v, s.sid) for v in s.defs} for s in stmts}
-    out_sets: dict[int, set[tuple[str, int]]] = {s.sid: set(gen[s.sid]) for s in stmts}
-    in_sets: dict[int, set[tuple[str, int]]] = {s.sid: set() for s in stmts}
-    work = [s.sid for s in stmts]
+            bit = 1 << len(def_sid)
+            def_sid.append(s.sid)
+            mask[v] = mask.get(v, 0) | bit
+            g |= bit
+        gen[s.sid] = g
+    # what a statement lets through: every definition but those it kills
+    keep: dict[int, int] = {}
+    for s in stmts:
+        k = 0
+        for v in s.defs:
+            k |= mask[v]
+        keep[s.sid] = ~k
+    out_sets = dict(gen)
+    in_sets = dict.fromkeys(gen, 0)
+    work = deque(gen)
+    queued = set(gen)
     while work:
-        sid = work.pop(0)
-        new_in = set()
-        for p in preds.get(sid, set()):
-            if p in out_sets:
-                new_in |= out_sets[p]
+        sid = work.popleft()
+        queued.discard(sid)
+        new_in = 0
+        for p in preds.get(sid, ()):
+            new_in |= out_sets[p]
         in_sets[sid] = new_in
-        stmt = by_sid[sid]
-        killed = {(v, d) for (v, d) in new_in if v in stmt.defs}
-        new_out = gen[sid] | (new_in - killed)
+        new_out = gen[sid] | (new_in & keep[sid])
         if new_out != out_sets[sid]:
             out_sets[sid] = new_out
-            for nxt in succ.get(sid, set()):
-                if nxt != _EXIT and nxt not in work:
+            for nxt in succ.get(sid, ()):
+                if nxt != _EXIT and nxt not in queued:
+                    queued.add(nxt)
                     work.append(nxt)
     chains: set[tuple[int, int, str]] = set()
     for s in stmts:
+        reaching = in_sets[s.sid]
+        if not reaching:
+            continue
         for v in s.uses:
-            for (var, d) in in_sets[s.sid]:
-                if var == v:
-                    chains.add((d, s.sid, v))
+            bits = reaching & mask.get(v, 0)
+            while bits:
+                low = bits & -bits
+                chains.add((def_sid[low.bit_length() - 1], s.sid, v))
+                bits ^= low
     return chains
 
 
@@ -683,8 +756,18 @@ def _signature_info(sig: list[tuple[int, Token]]) -> tuple[str, list[str], int]:
 # --- entry point ---------------------------------------------------------------
 
 
-def parse_function(source: str) -> RawDepGraph:
-    """Parse one function and return its statement-level dependence graph."""
+@dataclass
+class _Cfg:
+    """A parsed function's statements and their control-flow graph."""
+
+    name: str
+    cleaned: list[str]
+    stmts: list[_Stmt]
+    succ: dict[int, set[int]]
+    preds: dict[int, set[int]]
+
+
+def _build_cfg(source: str) -> _Cfg:
     cleaned = _clean_source(source)
     stream: list[tuple[int, Token]] = []
     for lineno, text in enumerate(cleaned, start=1):
@@ -712,18 +795,25 @@ def parse_function(source: str) -> RawDepGraph:
     cfg_edges: set[tuple[int, int]] = set()
     _wire_cfg(items, entry.sid, cfg_edges)
     succ: dict[int, set[int]] = {}
+    preds: dict[int, set[int]] = {}
     for a, b in cfg_edges:
         succ.setdefault(a, set()).add(b)
+        preds.setdefault(b, set()).add(a)
+    return _Cfg(name, cleaned, parser.stmts, succ, preds)
 
-    control = _control_dependence(parser.stmts, succ)
-    chains = _reaching_definitions(parser.stmts, succ)
+
+def parse_function(source: str) -> RawDepGraph:
+    """Parse one function and return its statement-level dependence graph."""
+    cfg = _build_cfg(source)
+    control = _control_dependence(cfg.stmts, cfg.succ, cfg.preds)
+    chains = _reaching_definitions(cfg.stmts, cfg.succ, cfg.preds)
 
     # the node carries its whole source line, so an export/import round trip
     # reconstructs the same per-line text and variable surface
-    nodes = [RawNode(s.sid, s.line, cleaned[s.line - 1].strip()) for s in parser.stmts]
+    nodes = [RawNode(s.sid, s.line, cfg.cleaned[s.line - 1].strip()) for s in cfg.stmts]
     edges: list[RawEdge] = []
     for a, w in sorted(control):
         edges.append(RawEdge(a, w, DepKind.CONTROL))
     for d, u, v in sorted(chains):
         edges.append(RawEdge(d, u, DepKind.DATA, v))
-    return RawDepGraph(function_id=name, nodes=nodes, edges=edges)
+    return RawDepGraph(function_id=cfg.name, nodes=nodes, edges=edges)

@@ -78,9 +78,6 @@ class Pdg:
         """Edges whose endpoints merged onto one line (loop constructs)."""
         return tuple(e for e in self.edges if e.src == e.dst)
 
-    def successors(self, line: LineId) -> frozenset[LineId]:
-        return frozenset(e.dst for e in self.edges if e.src == line)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -176,12 +173,6 @@ def build_weighted_pdg(pdg: Pdg, expl: Explanation, normalize: bool = True) -> W
         raise IdentityMismatchError(
             f"graph is for {pdg.function_id!r} but explanation is for {expl.function_id!r}"
         )
-    seen = set()
-    for line, _ in expl.entries:
-        if line in seen:
-            raise MalformedExplanationError(f"duplicate line {line} in explanation")
-        seen.add(line)
-
     weights: dict[LineId, float] = {}
     dropped: list[LineId] = []
     for line, score in expl.entries:

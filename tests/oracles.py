@@ -3,7 +3,11 @@
 Everything here is written from the definitions, deliberately avoiding the
 package's own algorithms: BLEU counts n-grams with Counter, reachability
 uses boolean matrix powers, AUC counts discordant pairs, and threshold
-search sweeps every candidate. Slow and obvious beats fast and shared.
+search sweeps every candidate. The parser's dependence analyses are checked
+against its earlier fixed-point versions: full post-dominator sets
+intersected until stable, and reaching definitions over sets of
+(variable, statement) pairs; the tokenizer against its earlier scan, which
+tried every operator in turn. Slow and obvious beats fast and shared.
 """
 
 from __future__ import annotations
@@ -13,6 +17,19 @@ from collections import Counter
 
 import numpy as np
 
+from trustvet.frontend.lexer import (
+    _IDENT_CONT,
+    _IDENT_START,
+    _OPERATORS,
+    CHAR_LITERAL,
+    STRING_LITERAL,
+    Token,
+    TokenKind,
+    _scan_number,
+    _scan_string,
+    c_keywords,
+)
+from trustvet.frontend.parser import _EXIT
 from trustvet.pdg import DepKind, Pdg
 
 EPSILON = 1e-9
@@ -193,3 +210,162 @@ def oracle_best_threshold(scores, labels):
         if best is None or gmean > best[1]:
             best = (threshold, gmean)
     return best
+
+
+# --- dependence analyses -----------------------------------------------------------
+
+
+def oracle_post_dominators(all_sids: list[int], succ: dict[int, set[int]]) -> dict[int, set[int]]:
+    nodes = all_sids + [_EXIT]
+    universe = set(nodes)
+    pdom: dict[int, set[int]] = {n: set(universe) for n in nodes}
+    pdom[_EXIT] = {_EXIT}
+    changed = True
+    while changed:
+        changed = False
+        for n in all_sids:
+            succs = succ.get(n, set())
+            if succs:
+                new = set.intersection(*(pdom[s] for s in succs))
+            else:
+                new = set()
+            new.add(n)
+            if new != pdom[n]:
+                pdom[n] = new
+                changed = True
+    return pdom
+
+
+def oracle_immediate_pdom(pdom: dict[int, set[int]]) -> dict[int, int | None]:
+    ipdom: dict[int, int | None] = {}
+    for n, doms in pdom.items():
+        strict = doms - {n}
+        if not strict:
+            ipdom[n] = None
+            continue
+        # the nearest strict post-dominator has the largest pdom set
+        ipdom[n] = max(strict, key=lambda d: (len(pdom[d]), d))
+    return ipdom
+
+
+def oracle_control_dependence(
+    stmts, succ: dict[int, set[int]]
+) -> set[tuple[int, int]]:
+    """Pairs (predicate sid, dependent sid) via the classic post-dominance
+    frontier walk."""
+    all_sids = [s.sid for s in stmts]
+    pdom = oracle_post_dominators(all_sids, succ)
+    ipdom = oracle_immediate_pdom(pdom)
+    deps: set[tuple[int, int]] = set()
+    for a in all_sids:
+        succs = succ.get(a, set())
+        if len(succs) < 2:
+            continue
+        stop = ipdom.get(a)
+        for s in succs:
+            runner = s
+            seen: set[int] = set()
+            while runner != stop and runner != _EXIT and runner not in seen:
+                seen.add(runner)
+                deps.add((a, runner))
+                nxt = ipdom.get(runner)
+                if nxt is None:
+                    break
+                runner = nxt
+    return deps
+
+
+def oracle_reaching_definitions(
+    stmts, succ: dict[int, set[int]]
+) -> set[tuple[int, int, str]]:
+    """Def-use chains as (def sid, use sid, variable)."""
+    by_sid = {s.sid: s for s in stmts}
+    defs_of_var: dict[str, set[int]] = {}
+    for s in stmts:
+        for v in s.defs:
+            defs_of_var.setdefault(v, set()).add(s.sid)
+    preds: dict[int, set[int]] = {}
+    for a, bs in succ.items():
+        for b in bs:
+            preds.setdefault(b, set()).add(a)
+    gen = {s.sid: {(v, s.sid) for v in s.defs} for s in stmts}
+    out_sets: dict[int, set[tuple[str, int]]] = {s.sid: set(gen[s.sid]) for s in stmts}
+    in_sets: dict[int, set[tuple[str, int]]] = {s.sid: set() for s in stmts}
+    work = [s.sid for s in stmts]
+    while work:
+        sid = work.pop(0)
+        new_in = set()
+        for p in preds.get(sid, set()):
+            if p in out_sets:
+                new_in |= out_sets[p]
+        in_sets[sid] = new_in
+        stmt = by_sid[sid]
+        killed = {(v, d) for (v, d) in new_in if v in stmt.defs}
+        new_out = gen[sid] | (new_in - killed)
+        if new_out != out_sets[sid]:
+            out_sets[sid] = new_out
+            for nxt in succ.get(sid, set()):
+                if nxt != _EXIT and nxt not in work:
+                    work.append(nxt)
+    chains: set[tuple[int, int, str]] = set()
+    for s in stmts:
+        for v in s.uses:
+            for (var, d) in in_sets[s.sid]:
+                if var == v:
+                    chains.add((d, s.sid, v))
+    return chains
+
+
+# --- tokenizer ---------------------------------------------------------------------
+
+def oracle_tokenize_line(text):
+    """The lexer's former scan, which tries every operator with startswith,
+    longest first."""
+    keywords = c_keywords()
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n\f\v":
+            i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            break
+        if ch == "/" and i + 1 < n and text[i + 1] == "*":
+            end = text.find("*/", i + 2)
+            if end < 0:
+                break
+            i = end + 2
+            continue
+        if ch == '"':
+            i = _scan_string(text, i, '"')
+            tokens.append(Token(TokenKind.LITERAL, STRING_LITERAL))
+            continue
+        if ch == "'":
+            i = _scan_string(text, i, "'")
+            tokens.append(Token(TokenKind.LITERAL, CHAR_LITERAL))
+            continue
+        if ch in "0123456789" or (ch == "." and i + 1 < n and text[i + 1] in "0123456789"):
+            j = _scan_number(text, i)
+            tokens.append(Token(TokenKind.LITERAL, text[i:j]))
+            i = j
+            continue
+        if ch in _IDENT_START:
+            j = i + 1
+            while j < n and text[j] in _IDENT_CONT:
+                j += 1
+            word = text[i:j]
+            kind = TokenKind.KEYWORD if word in keywords else TokenKind.IDENTIFIER
+            tokens.append(Token(kind, word))
+            i = j
+            continue
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                tokens.append(Token(TokenKind.OPERATOR, op))
+                i += len(op)
+                break
+        else:
+            tokens.append(Token(TokenKind.PUNCT, ch))
+            i += 1
+    return tokens

@@ -179,3 +179,85 @@ def random_pdg(rng: random.Random, max_nodes: int = 12, max_edges: int = 30) -> 
                 PdgEdge(src=src, dst=dst, kind=DepKind.DATA, variable=rng.choice(_VAR_POOL))
             )
     return Pdg.build(f"rand_{rng.random():.6f}", nodes, sorted(edges, key=lambda e: e.sort_key()), line_text, line_vars)
+
+
+# --- random functions -------------------------------------------------------------
+
+
+_STATEMENT_FORMS = (
+    "{a} = {b} + {c};",
+    "int {a} = {b} * 2;",
+    "{a} += {b};",
+    "{a}++;",
+    "tab[{a}] = {b};",
+    "p->{a} = {b};",
+    "use({a}, {b});",
+    "{a} = tab[{b}] - p->{c};",
+    "{a} = {b}; {c} = {a};",  # two statements on one line
+)
+
+
+def _simple_statement(rng: random.Random) -> str:
+    a, b, c = (rng.choice(_VAR_POOL) for _ in range(3))
+    return rng.choice(_STATEMENT_FORMS).format(a=a, b=b, c=c)
+
+
+def c_subset_function(rng: random.Random, max_statements: int = 40) -> str:
+    """A random function in the parser's C subset.
+
+    Blocks nest if/else (braced, braceless and else-if), while and for;
+    returns may end a block early and leave dead code after them, so the
+    CFG has statements without predecessors and branches that skip the
+    join.
+    """
+    lines = ["int fuzz(int a, int b)", "{"]
+    budget = max_statements
+
+    def block(depth: int) -> None:
+        nonlocal budget
+        pad = "    " * (depth + 1)
+        for _ in range(rng.randint(1, 5)):
+            if budget <= 0:
+                return
+            budget -= 1
+            roll = rng.random()
+            var = rng.choice(_VAR_POOL)
+            if depth < 4 and roll < 0.15:
+                lines.append(f"{pad}if ({var} > {rng.randint(0, 9)}) {{")
+                block(depth + 1)
+                if rng.random() < 0.5:
+                    if rng.random() < 0.3:
+                        lines.append(f"{pad}}} else if ({rng.choice(_VAR_POOL)}) {{")
+                    else:
+                        lines.append(pad + "} else {")
+                    block(depth + 1)
+                lines.append(pad + "}")
+            elif depth < 4 and roll < 0.22:
+                lines.append(f"{pad}if ({var}) {_simple_statement(rng)}")
+            elif depth < 4 and roll < 0.32:
+                lines.append(f"{pad}while ({var} < {rng.randint(1, 9)}) {{")
+                block(depth + 1)
+                lines.append(pad + "}")
+            elif depth < 4 and roll < 0.40:
+                lines.append(f"{pad}for (i = 0; i < {var}; i++) {{")
+                block(depth + 1)
+                lines.append(pad + "}")
+            elif roll < 0.47:
+                lines.append(f"{pad}return {var};")
+            else:
+                lines.append(pad + _simple_statement(rng))
+
+    block(0)
+    lines.append(f"    return {rng.choice(_VAR_POOL)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def nested_ifs(depth: int) -> str:
+    """A function whose body is `depth` nested braced ifs."""
+    return "int f(int a)\n{\n" + "if (a) {\n" * depth + "x = 1;\n" + "}\n" * depth + "}\n"
+
+
+def nested_subscripts(depth: int) -> str:
+    """A function whose line 3 reads b[c[c[...]]], `depth` subscripts deep."""
+    return "int f(int a)\n{\n    x = b" + "[c" * depth + "]" * depth + ";\n}\n"

@@ -13,6 +13,8 @@ from synth import (
     KIND_ENTRIES,
     lookup_ensemble,
     negative_record,
+    nested_ifs,
+    nested_subscripts,
     planted_corpus,
     worker_record,
     worker_source,
@@ -95,6 +97,14 @@ class TestAssessCommand:
         result = runner.invoke(main, ["assess", *vrrp_args[2:]])
         assert result.exit_code == EXIT_ERROR
         assert "exactly one of" in result.stderr
+
+    @pytest.mark.parametrize("source", [nested_ifs(400), nested_subscripts(1500)])
+    def test_deep_nesting_is_an_error(self, runner, vrrp_args, tmp_path, source):
+        path = tmp_path / "deep.c"
+        path.write_text(source, encoding="utf-8")
+        result = runner.invoke(main, ["assess", "--source", str(path), *vrrp_args[2:]])
+        assert result.exit_code == EXIT_ERROR
+        assert "nested more than" in result.stderr
 
     def test_import_pdg(self, runner, vrrp_args, vrrp_source, tmp_path):
         doc = export_raw_graph(parse_function(vrrp_source))

@@ -9,7 +9,14 @@ import random
 import pytest
 
 from oracles import oracle_auc, oracle_best_threshold, oracle_metrics
-from synth import lookup_ensemble, planted_corpus, synthetic_corpus, worker_record
+from synth import (
+    lookup_ensemble,
+    nested_ifs,
+    nested_subscripts,
+    planted_corpus,
+    synthetic_corpus,
+    worker_record,
+)
 from trustvet.config import RunConfig
 from trustvet.errors import CalibrationError, UndefinedGroundTruthError, UndefinedInputError
 from trustvet.evaluate import (
@@ -269,6 +276,17 @@ class TestRunEvaluation:
         config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
         report = run_evaluation(records + [broken], lookup_ensemble(), config)
         assert report.skipped == {"graph": 1}
+        assert report.taus[0].evaluated == 10
+
+    def test_deeply_nested_sources_are_skipped(self):
+        records, _ = planted_corpus()
+        deep = [
+            dataclasses.replace(records[0], function_id=f"deep_{i}", source=source)
+            for i, source in enumerate([nested_ifs(400), nested_subscripts(1500)])
+        ]
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
+        report = run_evaluation(records + deep, lookup_ensemble(), config)
+        assert report.skipped == {"graph": 2}
         assert report.taus[0].evaluated == 10
 
     def test_tau_sweep_counts_are_monotone(self):

@@ -1,0 +1,146 @@
+"""The frontend's fast analyses against their reference versions, and the
+frontend's failure contract on arbitrary input."""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    oracle_control_dependence,
+    oracle_immediate_pdom,
+    oracle_post_dominators,
+    oracle_reaching_definitions,
+    oracle_tokenize_line,
+)
+from synth import c_subset_function
+from trustvet.errors import TrustvetError
+from trustvet.frontend import import_raw_graph, parse_function, pdg_from_source, tokenize_line
+from trustvet.frontend.parser import (
+    RawEdge,
+    _build_cfg,
+    _control_dependence,
+    _immediate_post_dominators,
+    _reaching_definitions,
+)
+from trustvet.pdg import DepKind
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+sizes = st.integers(min_value=1, max_value=60)
+
+
+def random_cfg(seed: int, size: int):
+    return _build_cfg(c_subset_function(random.Random(seed), size))
+
+
+class TestDependenceAnalyses:
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, sizes)
+    def test_immediate_post_dominators(self, seed, size):
+        cfg = random_cfg(seed, size)
+        pdom = oracle_post_dominators([s.sid for s in cfg.stmts], cfg.succ)
+        assert _immediate_post_dominators(cfg.succ, cfg.preds) == oracle_immediate_pdom(pdom)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, sizes)
+    def test_control_pairs(self, seed, size):
+        cfg = random_cfg(seed, size)
+        assert _control_dependence(cfg.stmts, cfg.succ, cfg.preds) == oracle_control_dependence(
+            cfg.stmts, cfg.succ
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, sizes)
+    def test_def_use_chains(self, seed, size):
+        cfg = random_cfg(seed, size)
+        assert _reaching_definitions(cfg.stmts, cfg.succ, cfg.preds) == oracle_reaching_definitions(
+            cfg.stmts, cfg.succ
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, sizes)
+    def test_raw_graph_edges(self, seed, size):
+        source = c_subset_function(random.Random(seed), size)
+        cfg = _build_cfg(source)
+        control = oracle_control_dependence(cfg.stmts, cfg.succ)
+        chains = oracle_reaching_definitions(cfg.stmts, cfg.succ)
+        expected = [RawEdge(a, w, DepKind.CONTROL) for a, w in sorted(control)]
+        expected += [RawEdge(d, u, DepKind.DATA, v) for d, u, v in sorted(chains)]
+        assert parse_function(source).edges == expected
+
+
+# operator, literal and comment characters, so that runs of them are common
+C_CHARACTERS = "<>=!&|^~?:.+-*/%()[]{};,'\"\\#@$ \t\r\fabex_019"
+
+
+class TestTokenizer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet=C_CHARACTERS)))
+    def test_matches_the_startswith_scan(self, text):
+        assert tokenize_line(text) == oracle_tokenize_line(text)
+
+
+C_PIECES = (
+    "int", "void", "struct", "f", "x", "a", "1", "0x1e+", "(", ")", "{", "}", "[", "]",
+    ";", ",", "=", "+=", "++", "->", ".", "*", "&", "?", ":", "if", "else", "while",
+    "for", "return", "goto", "#", "'", '"', "\\", "/*", "*/", "//", " ", "\n",
+)
+
+
+def function_shell(body: str) -> str:
+    return "int f(int a)\n{\n" + body + "\n}\n"
+
+
+c_soup = st.lists(st.sampled_from(C_PIECES), max_size=60).map("".join)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+ids = st.integers(0, 3)
+
+
+def sometimes(strategy):
+    """Mostly the well-formed values, sometimes any JSON value."""
+    return st.one_of(strategy, strategy, strategy, json_values)
+
+
+node_docs = st.fixed_dictionaries(
+    {"id": sometimes(ids), "line": sometimes(st.integers(1, 4))},
+    optional={"code": sometimes(st.text(alphabet=C_CHARACTERS, max_size=12))},
+)
+edge_docs = st.fixed_dictionaries(
+    {"src": sometimes(ids), "dst": sometimes(ids), "kind": sometimes(st.sampled_from(["CDG", "DDG"]))},
+    optional={"variable": sometimes(st.sampled_from(["a", "x"]))},
+)
+graph_docs = st.fixed_dictionaries(
+    {
+        "function": st.just("f"),
+        "nodes": st.lists(node_docs, max_size=5, unique_by=lambda n: repr(n["id"])),
+        "edges": st.lists(edge_docs, max_size=6),
+    }
+)
+
+
+class TestFailureContract:
+    """Whatever the input, the frontend either succeeds or raises a
+    TrustvetError, which the CLI maps to exit 2 and evaluate to a skip."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), c_soup, c_soup.map(function_shell)))
+    def test_pdg_from_source(self, text):
+        try:
+            pdg_from_source(text)
+        except TrustvetError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(json_values, graph_docs))
+    def test_import_raw_graph(self, document):
+        try:
+            import_raw_graph(document).to_pdg()
+        except TrustvetError:
+            pass

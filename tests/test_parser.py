@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from synth import nested_ifs, nested_subscripts
 from trustvet.errors import ParseError, UnsupportedConstructError
 from trustvet.frontend import parse_function, pdg_from_source
+from trustvet.frontend.parser import MAX_NESTING
 from trustvet.pdg import DepKind
 
 
@@ -190,6 +192,30 @@ class TestRejections:
     def test_empty_source(self):
         with pytest.raises(ParseError):
             parse_function("")
+
+
+class TestNestingLimit:
+    """Deep nesting is refused with a line number instead of exhausting
+    Python's recursion limit."""
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING // 2, 400])
+    def test_deeply_nested_ifs(self, depth):
+        with pytest.raises(UnsupportedConstructError, match="nested more than"):
+            pdg_from_source(nested_ifs(depth))
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1500])
+    def test_deep_subscript_chain(self, depth):
+        with pytest.raises(UnsupportedConstructError, match="line 3: subscripts nested"):
+            pdg_from_source(nested_subscripts(depth))
+
+    def test_nesting_up_to_the_limit_parses(self):
+        # an if and its braced body are two nested statements
+        pdg_from_source(nested_ifs(MAX_NESTING // 2 - 1))
+        pdg_from_source(nested_subscripts(MAX_NESTING))
+        chain = "".join(f"else if (a == {i}) x = {i};\n" for i in range(MAX_NESTING - 2))
+        pdg = pdg_from_source("int f(int a)\n{\nif (a) x = 0;\n" + chain + "return x;\n}\n")
+        # each else-if condition governs the next one, down to the deepest
+        assert (MAX_NESTING, MAX_NESTING + 1, DepKind.CONTROL, None) in edge_set(pdg)
 
 
 class TestNodeCarriesFullLine:
