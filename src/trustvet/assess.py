@@ -16,6 +16,11 @@ Two readings of the Data-edge rule are supported: the default "direct" mode
 asks whether the edge's variable appears at z; "transitive_flow" also
 accepts z when the variable's value can flow from y into z along Data
 edges. The connecting sequence itself may traverse edges of either kind.
+
+The relation is built once per assessment: O(V + E) backward searches from
+the non-benign lines (over all edges, per Data-edge variable, and over Data
+edges in transitive_flow mode) mark the lines an edge may lead to, then one
+BFS per benign candidate over the vulnerable edges gives its distances.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError, PipelineError, TrustvetError, UnknownEdgeError
 from .lineassess.ensemble import BenignVerdict, benign_candidates
@@ -77,6 +83,7 @@ class ReachRecord:
 @dataclass(frozen=True)
 class Assessment:
     function_id: str
+    graph: WeightedPdg
     trust_score: float
     threshold_used: float
     verdict: str
@@ -86,7 +93,7 @@ class Assessment:
     warnings: tuple[str, ...]
 
 
-# --- the vulnerable-dependency predicate ---------------------------------------
+# --- the relate stage ------------------------------------------------------------
 
 
 def _check_mode(mode: str) -> None:
@@ -94,64 +101,92 @@ def _check_mode(mode: str) -> None:
         raise ContractError(f"unknown data-rule mode {mode!r}; use one of {_MODES}")
 
 
-def _closure(adjacency: Mapping[LineId, set[LineId]], start: LineId) -> set[LineId]:
-    """Nodes reachable from start via zero or more edges (start included)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+class _Relation:
+    """The vulnerable-dependency relation of one (graph, benign set, mode).
 
+    Suspects are the non-benign lines, nodes and edge endpoints alike. Each
+    edge condition is one backward search from the suspects it accepts; the
+    per-variable searches run on first use.
+    """
 
-def _adjacency(edges: Sequence[PdgEdge], kind: DepKind | None = None) -> dict[LineId, set[LineId]]:
-    adj: dict[LineId, set[LineId]] = {}
-    for e in edges:
-        if kind is None or e.kind is kind:
-            adj.setdefault(e.src, set()).add(e.dst)
-    return adj
-
-
-class _EdgeOracle:
-    """Shared reachability closures so batch edge checks stay linear-ish."""
-
-    def __init__(self, pdg: Pdg, benign: frozenset[LineId], mode: str):
-        self.pdg = pdg
-        self.benign = benign
+    def __init__(self, g: WeightedPdg, benign: BenignSet, mode: str):
+        self.g = g
+        self.benign = benign.members
         self.mode = mode
-        self._any_adj = _adjacency(pdg.edges)
-        self._data_adj = _adjacency(pdg.edges, DepKind.DATA)
-        self._any_closure: dict[LineId, set[LineId]] = {}
-        self._data_closure: dict[LineId, set[LineId]] = {}
+        self._into: dict[LineId, list[PdgEdge]] = {}
+        lines = set(g.pdg.nodes)
+        for e in g.pdg.edges:
+            lines.update((e.src, e.dst))
+            self._into.setdefault(e.dst, []).append(e)
+        self._suspects = lines - self.benign
+        self._reach_suspect = self._backward(self._suspects)
+        self._reach_holder: dict[str | None, set[LineId]] = {}
 
-    def reachable(self, start: LineId) -> set[LineId]:
-        if start not in self._any_closure:
-            self._any_closure[start] = _closure(self._any_adj, start)
-        return self._any_closure[start]
-
-    def data_reachable(self, start: LineId) -> set[LineId]:
-        if start not in self._data_closure:
-            self._data_closure[start] = _closure(self._data_adj, start)
-        return self._data_closure[start]
+    def _backward(self, seeds: Iterable[LineId], kind: DepKind | None = None) -> set[LineId]:
+        """Lines that reach a seed through zero or more edges (of one kind)."""
+        marked = set(seeds)
+        stack = list(marked)
+        while stack:
+            for e in self._into.get(stack.pop(), ()):
+                if e.src not in marked and (kind is None or e.kind is kind):
+                    marked.add(e.src)
+                    stack.append(e.src)
+        return marked
 
     def vulnerable(self, edge: PdgEdge) -> bool:
-        suspects = self.reachable(edge.dst) - self.benign
-        if not suspects:
+        if edge.dst not in self._reach_suspect:
             return False
         if edge.kind is DepKind.CONTROL:
             return True
         variable = edge.variable
-        for z in suspects:
-            if variable in self.pdg.line_vars.get(z, frozenset()):
-                return True
-        if self.mode == TRANSITIVE_FLOW:
-            # the value computed at dst can flow into a suspect along Data edges
-            if suspects & self.data_reachable(edge.dst):
-                return True
-        return False
+        if variable not in self._reach_holder:
+            line_vars = self.g.pdg.line_vars
+            self._reach_holder[variable] = self._backward(
+                z for z in self._suspects if variable in line_vars.get(z, ())
+            )
+        return edge.dst in self._reach_holder[variable] or (
+            self.mode == TRANSITIVE_FLOW and edge.dst in self._flow_to_suspect
+        )
+
+    @cached_property
+    def _flow_to_suspect(self) -> set[LineId]:
+        return self._backward(self._suspects, DepKind.DATA)
+
+    @cached_property
+    def _adjacency(self) -> dict[LineId, set[LineId]]:
+        # self-loops never shorten a path and never count toward a distance
+        adj: dict[LineId, set[LineId]] = {}
+        for e in self.g.pdg.edges:
+            if e.src != e.dst and self.vulnerable(e):
+                adj.setdefault(e.src, set()).add(e.dst)
+        return adj
+
+    def hops(self, start: LineId) -> dict[LineId, int]:
+        """Edge counts of the shortest vulnerable paths from start, by line."""
+        hops = {start: 0}
+        frontier = deque([start])
+        while frontier:
+            node = frontier.popleft()
+            for nxt in self._adjacency.get(node, ()):
+                if nxt not in hops:
+                    hops[nxt] = hops[node] + 1
+                    frontier.append(nxt)
+        return hops
+
+    def nearest(self, line: LineId, expl: Explanation) -> ReachRecord:
+        """Closest resident non-benign explanation line: fewest hops, then
+        heavier weight, then smaller line."""
+        hops = self.hops(line)
+        weights = self.g.weights
+        keys = [
+            (hops[target], -weights.get(target, 0.0), target)
+            for target, _score in expl.entries
+            if target in hops and target not in self.benign and target in self.g.pdg.nodes
+        ]
+        if not keys:
+            return ReachRecord(line=line, distance=math.inf, target=None, target_score=None)
+        dist, neg_weight, target = min(keys)
+        return ReachRecord(line=line, distance=dist, target=target, target_score=-neg_weight)
 
 
 def is_vulnerable_dependency(
@@ -161,28 +196,14 @@ def is_vulnerable_dependency(
     _check_mode(mode)
     if edge not in g.pdg.edges:
         raise UnknownEdgeError(f"edge {edge.src}->{edge.dst} ({edge.kind.value}) is not in the graph")
-    return _EdgeOracle(g.pdg, benign.members, mode).vulnerable(edge)
+    return _Relation(g, benign, mode).vulnerable(edge)
 
 
 def vulnerable_edges(g: WeightedPdg, benign: BenignSet, mode: str = DIRECT) -> tuple[PdgEdge, ...]:
     """All edges that pass the vulnerable-dependency predicate."""
     _check_mode(mode)
-    oracle = _EdgeOracle(g.pdg, benign.members, mode)
-    return tuple(e for e in g.pdg.edges if oracle.vulnerable(e))
-
-
-# --- reachability distance ------------------------------------------------------
-
-
-def _vulnerable_adjacency(
-    g: WeightedPdg, benign: BenignSet, mode: str
-) -> dict[LineId, set[LineId]]:
-    # self-loops never shorten a path and never count toward a distance
-    adj: dict[LineId, set[LineId]] = {}
-    for e in vulnerable_edges(g, benign, mode):
-        if e.src != e.dst:
-            adj.setdefault(e.src, set()).add(e.dst)
-    return adj
+    relation = _Relation(g, benign, mode)
+    return tuple(e for e in g.pdg.edges if relation.vulnerable(e))
 
 
 def reachability_distance(
@@ -194,24 +215,7 @@ def reachability_distance(
         raise ContractError(f"start line {start} is not a benign candidate")
     if target not in g.pdg.nodes:
         raise ContractError(f"target line {target} is not a graph node")
-    adj = _vulnerable_adjacency(g, benign, mode)
-    return _bfs(adj, start, target)
-
-
-def _bfs(adj: Mapping[LineId, set[LineId]], start: LineId, target: LineId) -> float:
-    if start == target:
-        return 0
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        node, dist = frontier.popleft()
-        for nxt in adj.get(node, ()):
-            if nxt == target:
-                return dist + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, dist + 1))
-    return math.inf
+    return _Relation(g, benign, mode).hops(start).get(target, math.inf)
 
 
 # --- nearest non-benign mapping and the trust score ------------------------------
@@ -229,24 +233,7 @@ def nearest_non_benign(
     _check_mode(mode)
     if line not in benign.members:
         raise ContractError(f"line {line} is not a benign candidate")
-    adj = _vulnerable_adjacency(g, benign, mode)
-    best: tuple[float, float, LineId] | None = None  # (distance, -weight, line)
-    for candidate, _score in expl.entries:
-        if candidate == line or candidate in benign.members:
-            continue
-        if candidate not in g.pdg.nodes:
-            continue
-        dist = _bfs(adj, line, candidate)
-        if math.isinf(dist):
-            continue
-        weight = g.weights.get(candidate, 0.0)
-        key = (dist, -weight, candidate)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return ReachRecord(line=line, distance=math.inf, target=None, target_score=None)
-    dist, neg_weight, target = best
-    return ReachRecord(line=line, distance=dist, target=target, target_score=-neg_weight)
+    return _Relation(g, benign, mode).nearest(line, expl)
 
 
 def trust_score(
@@ -266,14 +253,13 @@ def _score_with_records(
         # prediction, so the score is the total retained weight
         total = sum(g.weights.get(line, 0.0) for line in resident)
         return total, (), True
-    records = []
+    relation = _Relation(g, benign, mode)
+    records = tuple(relation.nearest(line, expl) for line in benign_resident)
     total = 0.0
-    for line in benign_resident:
-        record = nearest_non_benign(line, expl, g, benign, mode)
-        records.append(record)
+    for record in records:
         if not math.isinf(record.distance) and record.distance > 0:
-            total += (g.weights.get(line, 0.0) + (record.target_score or 0.0)) / record.distance
-    return total, tuple(records), False
+            total += (g.weights.get(record.line, 0.0) + (record.target_score or 0.0)) / record.distance
+    return total, records, False
 
 
 def assess_prediction(
@@ -312,6 +298,7 @@ def assess_prediction(
     verdict = UNTRUSTWORTHY if score < threshold else TRUSTWORTHY
     return Assessment(
         function_id=pdg.function_id,
+        graph=g,
         trust_score=score,
         threshold_used=threshold,
         verdict=verdict,

@@ -30,7 +30,6 @@ from .lineassess.dataset import build_line_dataset, load_line_dataset, save_line
 from .lineassess.features import ALL_VIEWS
 from .pdg import (
     SCHEMA_VERSION,
-    build_weighted_pdg,
     check_schema_version,
     dumps_canonical,
     explanation_from_dict,
@@ -224,8 +223,7 @@ def assess(source_path, graph_path, explanation_path, models_path, config_path,
         )
     finally:
         _close_ensemble(ensemble)
-    g = build_weighted_pdg(pdg, expl, normalize=config.normalize_weights)
-    doc = assessment_to_dict(assessment, g)
+    doc = assessment_to_dict(assessment, assessment.graph)
     if out_path:
         _write_json(doc, out_path)
     click.echo(render_assessment(doc), nl=False)

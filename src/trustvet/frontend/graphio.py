@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ImportSchemaError
-from ..pdg import DepKind, Pdg, PdgEdge
+from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
 from .lexer import extract_variables, line_surface, normalize_line
 from .parser import RawDepGraph, RawEdge, RawNode
 
@@ -139,14 +139,14 @@ def import_raw_graph(document: dict) -> ImportedGraph:
     nodes: list[RawNode] = []
     known: set[int] = set()
     for entry in raw_nodes:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
+        if not isinstance(entry, dict) or not is_strict_int(entry.get("id")):
             raise ImportSchemaError(f"graph export: node without integer 'id': {entry!r}")
         node_id = entry["id"]
         if node_id in known:
             raise ImportSchemaError(f"graph export: duplicate node id {node_id}")
         known.add(node_id)
         line = entry.get("line")
-        if not isinstance(line, int) or line < 1:
+        if not is_strict_int(line) or line < 1:
             raise ImportSchemaError(f"graph export: node {node_id}: missing or bad 'line'")
         code = entry.get("code", "")
         if not isinstance(code, str):
@@ -160,7 +160,7 @@ def import_raw_graph(document: dict) -> ImportedGraph:
         if not isinstance(entry, dict):
             raise ImportSchemaError(f"graph export: edge is not an object: {entry!r}")
         src, dst = entry.get("src"), entry.get("dst")
-        if not (isinstance(src, int) and isinstance(dst, int) and src in known and dst in known):
+        if not (is_strict_int(src) and is_strict_int(dst) and src in known and dst in known):
             raise ImportSchemaError(
                 f"graph export: edge {src!r}->{dst!r} references an unknown node id"
             )

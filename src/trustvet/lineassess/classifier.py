@@ -26,6 +26,7 @@ import queue
 import random
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -104,7 +105,8 @@ class AdapterLineClassifier:
     """Bridge to an external classifier process.
 
     The child is spawned lazily and kept alive; each classify() writes one
-    request line and waits up to `timeout` seconds for the matching response.
+    request line and waits up to `timeout` seconds for the matching response,
+    discarding late answers to earlier requests that timed out.
     Calls are serialized with a lock, so sharing an instance across worker
     threads is safe.
     """
@@ -156,20 +158,24 @@ class AdapterLineClassifier:
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
                 raise AdapterError(f"adapter pipe failed: {exc}") from None
-            try:
-                raw = self._queue.get(timeout=self.timeout)
-            except queue.Empty:
-                raise AdapterError(
-                    f"adapter did not answer within {self.timeout} s"
-                ) from None
-            if raw is None:
-                raise AdapterError("adapter closed its output stream")
-            try:
-                doc = json.loads(raw)
-                response_id = doc["id"]
-                score = float(doc["score"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise AdapterError("adapter response is not {id, score}", raw=raw) from None
+            deadline = time.monotonic() + self.timeout
+            response_id = 0
+            # skip late answers to earlier requests that timed out
+            while type(response_id) is int and response_id < request_id:
+                try:
+                    raw = self._queue.get(timeout=max(0.0, deadline - time.monotonic()))
+                except queue.Empty:
+                    raise AdapterError(
+                        f"adapter did not answer within {self.timeout} s"
+                    ) from None
+                if raw is None:
+                    raise AdapterError("adapter closed its output stream")
+                try:
+                    doc = json.loads(raw)
+                    response_id = doc["id"]
+                    score = float(doc["score"])
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    raise AdapterError("adapter response is not {id, score}", raw=raw) from None
             if response_id != request_id:
                 raise AdapterError(
                     f"adapter answered request {response_id}, expected {request_id}", raw=raw

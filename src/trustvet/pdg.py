@@ -26,6 +26,11 @@ LineId = int
 SCHEMA_VERSION = "1.0.0"
 
 
+def is_strict_int(value: object) -> bool:
+    """An int that is not a bool (JSON true/false decode to bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DepKind(Enum):
     CONTROL = "control"
     DATA = "data"
@@ -96,7 +101,7 @@ def validate_pdg(pdg: Pdg) -> list[Violation]:
     """
     out: list[Violation] = []
     for n in sorted(pdg.nodes):
-        if not isinstance(n, int) or n < 1:
+        if not is_strict_int(n) or n < 1:
             out.append(Violation("bad-line-id", f"node {n!r} is not a positive integer"))
     for e in pdg.edges:
         if e.src not in pdg.nodes or e.dst not in pdg.nodes:
@@ -132,7 +137,7 @@ class Explanation:
                     f"{self.function_id}: duplicate line {line} in explanation"
                 )
             seen.add(line)
-            if not isinstance(line, int) or line < 1:
+            if not is_strict_int(line) or line < 1:
                 raise MalformedExplanationError(
                     f"{self.function_id}: bad line id {line!r} in explanation"
                 )
@@ -244,7 +249,7 @@ def pdg_from_dict(document: dict) -> Pdg:
     line_vars: dict[LineId, frozenset[str]] = {}
     for entry in raw_nodes:
         line = entry.get("line")
-        if not isinstance(line, int):
+        if not is_strict_int(line):
             raise SchemaError(f"pdg document: node without integer line: {entry!r}")
         if line in nodes:
             raise SchemaError(f"pdg document: duplicate node for line {line}")

@@ -151,6 +151,30 @@ def oracle_distances(pdg: Pdg, vulnerable, starts, targets):
     }
 
 
+def oracle_nearest(pdg: Pdg, vulnerable, weights, benign, entries, line):
+    """Nearest non-benign explanation line of the graph, from oracle_distances.
+
+    Among the targets at the fewest hops, the heavier weight wins, then the
+    smaller line. Returns (hops, target, target weight), or (inf, None, None)
+    when no target is reachable.
+    """
+    targets = [t for t, _ in entries if t in pdg.nodes and t not in benign]
+    hops = oracle_distances(pdg, vulnerable, [line], targets)
+    best = (math.inf, None, None)
+    for t in targets:
+        d, w = hops[(line, t)], weights.get(t, 0.0)
+        if math.isinf(d):
+            continue
+        if (
+            best[1] is None
+            or d < best[0]
+            or (d == best[0] and w > best[2])
+            or (d == best[0] and w == best[2] and t < best[1])
+        ):
+            best = (d, t, w)
+    return best
+
+
 # --- metrics ---------------------------------------------------------------------
 
 

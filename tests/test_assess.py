@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from oracles import oracle_distances, oracle_nearest, oracle_vulnerable_edges
+from synth import random_pdg
 
 from trustvet.assess import (
     BenignSet,
+    _score_with_records,
     assess_prediction,
     assessment_to_dict,
     is_vulnerable_dependency,
@@ -137,6 +141,75 @@ class TestReachability:
         g = build_weighted_pdg(pdg, even)
         assert nearest_non_benign(1, even, g, benign).target == 2
 
+    def test_edge_endpoint_outside_the_graph(self):
+        # lines 8 and 9 are only edge endpoints: they are suspects, and a
+        # path may pass through them, but they are never targets, not even
+        # when explained
+        pdg = Pdg.build(
+            "f",
+            [1, 2, 3],
+            [
+                PdgEdge(1, 9, DepKind.DATA, "v"),
+                PdgEdge(9, 2, DepKind.CONTROL),
+                PdgEdge(3, 8, DepKind.CONTROL),
+            ],
+            line_vars={1: {"v"}, 2: {"v"}, 3: set()},
+        )
+        expl = Explanation("f", 0.5, ((1, 0.4), (2, 0.3), (3, 0.3), (8, 0.5)))
+        g = build_weighted_pdg(pdg, expl)
+        benign = BenignSet("f", frozenset({1, 3}))
+        assert vulnerable_edges(g, benign) == pdg.edges
+        assert reachability_distance(1, 2, g, benign) == 2
+        assert nearest_non_benign(1, expl, g, benign).target == 2
+        assert math.isinf(nearest_non_benign(3, expl, g, benign).distance)
+        assert trust_score(expl, g, benign) == pytest.approx((0.4 + 0.3) / 2, abs=1e-12)
+        with pytest.raises(ContractError):
+            reachability_distance(3, 8, g, benign)
+
+
+class TestNearestOracle:
+    """nearest_non_benign and the score records against oracle_nearest."""
+
+    @pytest.mark.parametrize("mode", ["direct", "transitive_flow"])
+    def test_random_graphs(self, mode):
+        rng = random.Random(4127)
+        ties = [0, 0]  # targets won on weight, on the smaller line
+        for _ in range(300):
+            pdg = random_pdg(rng)
+            # some explained lines are off the graph; few distinct scores tie weights
+            lines = rng.sample(range(1, 20), rng.randint(1, 10))
+            entries = tuple((line, rng.choice((0.0, 0.1, 0.2, 0.2))) for line in lines)
+            expl = Explanation(pdg.function_id, 0.5, entries)
+            g = build_weighted_pdg(pdg, expl, normalize=rng.random() < 0.5)
+            members = frozenset(l for l in set(lines) | pdg.nodes if rng.random() < 0.5)
+            benign = BenignSet(pdg.function_id, members)
+            vulnerable = oracle_vulnerable_edges(pdg, members, mode)
+            want = {}
+            for line in lines:
+                if line in members and line in pdg.nodes:
+                    want[line] = oracle_nearest(pdg, vulnerable, g.weights, members, entries, line)
+                    got = nearest_non_benign(line, expl, g, benign, mode)
+                    assert (got.distance, got.target, got.target_score) == want[line]
+            score, records, degenerate = _score_with_records(expl, g, benign, mode)
+            if degenerate:
+                continue
+            assert {r.line: (r.distance, r.target, r.target_score) for r in records} == want
+            assert score == sum(
+                (g.weights[line] + w) / d for line, (d, _, w) in want.items() if d < math.inf
+            )
+            for line, (d, target, w) in want.items():
+                if target is None:
+                    continue
+                tied = [
+                    t for t, _ in entries
+                    if t != target and t in pdg.nodes and t not in members
+                    and oracle_distances(pdg, vulnerable, [line], [t])[(line, t)] == d
+                ]
+                ties[0] += any(g.weights[t] < w for t in tied)
+                ties[1] += any(g.weights[t] == w for t in tied)
+        # both tie-breaks decided some targets
+        assert min(ties) > 0
+
 
 class TestTrustScore:
     def test_worked_example_value(self, weighted, benign, vrrp_explanation):
@@ -210,6 +283,14 @@ class TestAssessPrediction:
         with pytest.raises(PipelineError) as err:
             assess_prediction(alien, vrrp_fixture, vrrp_ensemble, threshold=0.5)
         assert err.value.stage == "weighting"
+
+    def test_assessment_carries_its_weighted_graph(
+        self, vrrp_fixture, vrrp_explanation, vrrp_ensemble
+    ):
+        assessment = assess_prediction(
+            vrrp_explanation, vrrp_fixture, vrrp_ensemble, threshold=0.25
+        )
+        assert assessment.graph == build_weighted_pdg(vrrp_fixture, vrrp_explanation)
 
     def test_dropped_lines_warned(self, vrrp_fixture, vrrp_explanation, vrrp_ensemble):
         assessment = assess_prediction(

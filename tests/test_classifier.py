@@ -196,6 +196,18 @@ class TestAdapterBridge:
         finally:
             clf.close()
 
+    def test_recovers_after_a_late_answer(self, data_dir):
+        late = (sys.executable, str(data_dir / "adapter_late_stub.py"))
+        clf = AdapterLineClassifier(command=late, timeout=1.0)
+        try:
+            with pytest.raises(AdapterError):
+                clf.classify("x = 1;")
+            # the stale answer to the first request is skipped, not an error
+            assert clf.classify("buf = fopen(path, m);") == (0, 0.1)
+            assert clf.classify("i = i + 1;") == (1, 0.9)
+        finally:
+            clf.close()
+
     def test_missing_command_fails_loudly(self):
         clf = AdapterLineClassifier(command=("definitely-not-a-binary-7f3a",))
         with pytest.raises(AdapterError):

@@ -78,6 +78,22 @@ class TestImport:
         with pytest.raises(ImportSchemaError):
             import_raw_graph(doc)
 
+    @pytest.mark.parametrize(
+        "where", ["node id", "node line", "edge src", "edge dst"]
+    )
+    def test_booleans_are_not_ids(self, where):
+        doc = sample_doc()
+        if where == "node id":
+            doc["nodes"][0]["id"] = doc["edges"][0]["src"] = True
+        elif where == "node line":
+            doc["nodes"][0]["line"] = True
+        else:
+            doc["nodes"].append({"id": 1, "line": 9, "code": ";"})
+            doc["edges"].append({"src": 10, "dst": 1, "kind": "CDG"})
+            doc["edges"][-1]["src" if where == "edge src" else "dst"] = True
+        with pytest.raises(ImportSchemaError):
+            import_raw_graph(doc)
+
     def test_statements_merging_onto_one_line(self):
         doc = {
             "function": "f",

@@ -64,6 +64,11 @@ class TestValidation:
         codes = {v.code for v in validate_pdg(g)}
         assert "bad-line-id" in codes
 
+    def test_boolean_line_id(self):
+        g = Pdg.build("f", [True], [])
+        codes = {v.code for v in validate_pdg(g)}
+        assert "bad-line-id" in codes
+
     def test_orphan_text_entry(self):
         g = Pdg.build("f", [1], [], line_text={1: "x ;", 5: "y ;"})
         codes = {v.code for v in validate_pdg(g)}
@@ -74,6 +79,10 @@ class TestExplanationValidation:
     def test_duplicate_lines_rejected(self):
         with pytest.raises(MalformedExplanationError):
             Explanation("f", 0.5, ((1, 0.2), (1, 0.3)))
+
+    def test_boolean_line_rejected(self):
+        with pytest.raises(MalformedExplanationError):
+            Explanation("f", 0.5, ((True, 0.5),))
 
     def test_negative_score_rejected(self):
         with pytest.raises(MalformedExplanationError):
@@ -144,6 +153,14 @@ class TestSerialization:
     def test_missing_version_rejected(self):
         with pytest.raises(SchemaError):
             check_schema_version({}, "doc")
+
+    def test_loads_rejects_boolean_lines(self, vrrp_fixture):
+        import json
+
+        doc = json.loads(pdg_dumps(vrrp_fixture))
+        doc["nodes"][0]["line"] = True
+        with pytest.raises(SchemaError):
+            pdg_loads(json.dumps(doc))
 
     def test_loads_rejects_duplicate_lines(self, vrrp_fixture):
         import json
