@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
-from .pdg import Explanation
+from .pdg import Explanation, is_strict_int
 
 VULNERABLE = "vulnerable"
 NON_VULNERABLE = "non-vulnerable"
@@ -61,7 +61,7 @@ def record_from_dict(doc: dict, where: str) -> CorpusRecord:
     vul_lines = doc.get("vul_lines")
     if vul_lines is not None:
         if not isinstance(vul_lines, list) or not all(
-            isinstance(x, int) and x >= 1 for x in vul_lines
+            is_strict_int(x) and x >= 1 for x in vul_lines
         ):
             raise SchemaError(f"{where}: vul_lines must be a list of line numbers")
         vul_lines = tuple(vul_lines)
@@ -72,7 +72,9 @@ def record_from_dict(doc: dict, where: str) -> CorpusRecord:
         except (KeyError, TypeError, ValueError):
             raise SchemaError(f"{where}: malformed explanation") from None
     confidence = doc.get("confidence")
-    if confidence is not None and not isinstance(confidence, (int, float)):
+    if confidence is not None and (
+        isinstance(confidence, bool) or not isinstance(confidence, (int, float))
+    ):
         raise SchemaError(f"{where}: confidence must be a number")
     graph = doc.get("graph")
     if graph is not None and not isinstance(graph, dict):

@@ -275,6 +275,10 @@ def evaluate_record(record: CorpusRecord, ensemble: Sequence, config: RunConfig)
     if record.explanation is None or record.confidence is None:
         return skip("no-explanation")
     try:
+        expl = record.to_explanation()
+    except TrustvetError as exc:
+        return skip(f"explanation: {exc}")
+    try:
         truth = _truth_lines(record)
     except TrustvetError as exc:
         return skip(f"ground-truth: {exc}")
@@ -284,7 +288,6 @@ def evaluate_record(record: CorpusRecord, ensemble: Sequence, config: RunConfig)
         pdg = _record_pdg(record)
     except TrustvetError as exc:
         return skip(f"graph: {exc}")
-    expl = record.to_explanation()
     try:
         assessment = assess_prediction(
             expl,

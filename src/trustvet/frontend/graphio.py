@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
-from .lexer import extract_variables, line_surface, normalize_line
+from .lexer import line_surface
 from .parser import RawDepGraph, RawEdge, RawNode
 
 
@@ -35,34 +35,12 @@ def merge_line_nodes(raw: RawDepGraph, source: str) -> Pdg:
 
     Edges are re-pointed at lines and deduplicated; an edge between two
     statements on the same line becomes a self-loop, which is retained (loop
-    headers produce them legitimately). line_text gets the normalized source
-    line; line_vars gets the identifier surface of the raw line.
+    headers produce them legitimately). Every node line must fall inside
+    source. Line text and variables come from the node code, as for an
+    imported graph; a parsed node carries its comment-free source line, so a
+    parsed function and its export give the same line-level graph.
     """
-    source_lines = source.splitlines()
-    line_of: dict[int, int] = {}
-    lines: set[int] = set()
-    for node in raw.nodes:
-        if not isinstance(node.line, int) or node.line < 1:
-            raise ImportSchemaError(f"node {node.node_id}: bad line {node.line!r}")
-        if node.line > len(source_lines):
-            raise ImportSchemaError(
-                f"node {node.node_id}: line {node.line} is outside the {len(source_lines)}-line source"
-            )
-        line_of[node.node_id] = node.line
-        lines.add(node.line)
-    edges = _line_edges(raw, line_of)
-
-    line_text: dict[int, str] = {}
-    line_vars: dict[int, frozenset[str]] = {}
-    for line in lines:
-        line_text[line], line_vars[line] = line_surface(source_lines[line - 1])
-    return Pdg(
-        function_id=raw.function_id,
-        nodes=frozenset(lines),
-        edges=edges,
-        line_text=line_text,
-        line_vars=line_vars,
-    )
+    return _merge_nodes(raw, len(source.splitlines()))
 
 
 def merge_imported_nodes(raw: RawDepGraph) -> Pdg:
@@ -72,21 +50,31 @@ def merge_imported_nodes(raw: RawDepGraph) -> Pdg:
     from the longest fragment on that line (fragments are substrings of the
     line at worst) and its variable surface is the union over all fragments.
     """
-    fragments: dict[int, list[str]] = {}
+    return _merge_nodes(raw, None)
+
+
+def _merge_nodes(raw: RawDepGraph, source_lines: int | None) -> Pdg:
+    """One node per line: the text of its longest code fragment and the
+    variables of all of them, each distinct fragment tokenized once."""
+    line_of: dict[int, int] = {}
+    fragments: dict[int, dict[str, None]] = {}  # insertion-ordered sets
     for node in raw.nodes:
         if not isinstance(node.line, int) or node.line < 1:
             raise ImportSchemaError(f"node {node.node_id}: bad line {node.line!r}")
-        fragments.setdefault(node.line, []).append(node.code)
+        if source_lines is not None and node.line > source_lines:
+            raise ImportSchemaError(
+                f"node {node.node_id}: line {node.line} is outside the {source_lines}-line source"
+            )
+        line_of[node.node_id] = node.line
+        fragments.setdefault(node.line, {})[node.code] = None
+    edges = _line_edges(raw, line_of)
 
-    edges = _line_edges(raw, {node.node_id: node.line for node in raw.nodes})
-
-    line_text = {
-        line: normalize_line(max(codes, key=len)) for line, codes in fragments.items()
-    }
-    line_vars = {
-        line: frozenset().union(*(extract_variables(code) for code in codes))
-        for line, codes in fragments.items()
-    }
+    line_text: dict[int, str] = {}
+    line_vars: dict[int, frozenset[str]] = {}
+    for line, codes in fragments.items():
+        surfaces = {code: line_surface(code) for code in codes}
+        line_text[line] = surfaces[max(codes, key=len)][0]
+        line_vars[line] = frozenset().union(*(names for _, names in surfaces.values()))
     return Pdg(
         function_id=raw.function_id,
         nodes=frozenset(fragments),

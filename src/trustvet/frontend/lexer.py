@@ -9,6 +9,7 @@ extraction) must cope with arbitrary source lines.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -33,23 +34,46 @@ class Token:
 STRING_LITERAL = "STR"
 CHAR_LITERAL = "CHR"
 
-_OPERATORS = [
+# C's lexical rules, once. Comments and string/char literals are shared by
+# the tokenizer and by the parser's comment blanking (_blank_comments), so
+# the two cannot disagree on where a comment starts or a literal ends. A
+# literal runs to its closing quote, skipping backslash escapes, or to the
+# end of the text; an unterminated "/*" runs to the end of the text.
+_LINE_COMMENT = r"//.*"
+_BLOCK_COMMENT = r"/\*.*?\*/"
+_OPEN_COMMENT = r"/\*.*"
+_STRING = r'"(?:[^"\\]|\\.)*["\\]?'
+_CHAR = r"'(?:[^'\\]|\\.)*['\\]?"
+# C preprocessing number: a digit (or "." and a digit), then identifier
+# characters, dots, and a sign directly after an exponent marker ("1e-9").
+_NUMBER = r"(?:[0-9]|\.[0-9])(?:[eEpP][+-]|[A-Za-z0-9_.])*"
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+_OPERATORS = (
     ">>=", "<<=",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "?", ":", ".",
-]
-# Operator tokens by length; the scanner looks up 3, then 2, then 1
-# characters, which is maximal munch. Tokens are immutable, so one is shared.
-_OPS3, _OPS2, _OPS1 = (
-    {op: Token(TokenKind.OPERATOR, op) for op in _OPERATORS if len(op) == n}
-    for n in (3, 2, 1)
 )
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+# One match per token; whitespace and comments match without a group. The
+# operator alternatives are longest first (maximal munch), and any other
+# single character is a Punct token. DOTALL: a "//" or an open "/*" swallows
+# the rest of the text, newlines included.
+_TOKEN = re.compile(
+    rf"(?:[ \t\r\n\f\v]+|{_LINE_COMMENT}|{_BLOCK_COMMENT}|{_OPEN_COMMENT})"
+    rf"|({_STRING})|({_CHAR})|({_NUMBER})|({_WORD})"
+    rf"|({'|'.join(map(re.escape, _OPERATORS))}|.)",
+    re.DOTALL,
+)
+_STRING_GROUP, _CHAR_GROUP, _NUMBER_GROUP, _WORD_GROUP, _OTHER_GROUP = 1, 2, 3, 4, 5
+_STRING_TOKEN = Token(TokenKind.LITERAL, STRING_LITERAL)
+_CHAR_TOKEN = Token(TokenKind.LITERAL, CHAR_LITERAL)
+
+# Comments to blank (group 1 is an open "/*") and literals to keep as they are.
+_COMMENT_OR_LITERAL = re.compile(
+    rf"{_LINE_COMMENT}|{_BLOCK_COMMENT}|({_OPEN_COMMENT})|{_STRING}|{_CHAR}", re.DOTALL
+)
 
 
 @lru_cache(maxsize=1)
@@ -68,33 +92,14 @@ def c_keywords() -> frozenset[str]:
     return frozenset(words)
 
 
-def _scan_number(text: str, i: int) -> int:
-    # C-style preprocessing number: digits, identifier chars, dots, and a
-    # sign directly after an exponent marker ("1e-9", "0x1p+3").
-    n = len(text)
-    j = i + 1
-    while j < n:
-        ch = text[j]
-        if ch in _IDENT_CONT or ch == ".":
-            j += 1
-        elif ch in "+-" and text[j - 1] in "eEpP":
-            j += 1
-        else:
-            break
-    return j
-
-
-def _scan_string(text: str, i: int, quote: str) -> int:
-    n = len(text)
-    j = i + 1
-    while j < n:
-        if text[j] == "\\" and j + 1 < n:
-            j += 2
-            continue
-        if text[j] == quote:
-            return j + 1
-        j += 1
-    return n  # unterminated: consume to end of line
+@lru_cache(maxsize=1)
+def _fixed_tokens() -> dict[str, Token]:
+    """Operators, keywords and C punctuation by their text. Tokens are
+    immutable, so one of each is shared."""
+    fixed = {p: Token(TokenKind.PUNCT, p) for p in "(){}[];,"}
+    fixed.update((op, Token(TokenKind.OPERATOR, op)) for op in _OPERATORS)
+    fixed.update((word, Token(TokenKind.KEYWORD, word)) for word in c_keywords())
+    return fixed
 
 
 def tokenize_line(text: str) -> list[Token]:
@@ -104,54 +109,45 @@ def tokenize_line(text: str) -> list[Token]:
     unterminated "/*" swallows the rest of the line). String and character
     literals collapse to fixed placeholder tokens.
     """
-    keywords = c_keywords()
+    fixed = _fixed_tokens()
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n\f\v":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group is None:
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            break
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end < 0:
-                break
-            i = end + 2
-            continue
-        if ch == '"':
-            i = _scan_string(text, i, '"')
-            tokens.append(Token(TokenKind.LITERAL, STRING_LITERAL))
-            continue
-        if ch == "'":
-            i = _scan_string(text, i, "'")
-            tokens.append(Token(TokenKind.LITERAL, CHAR_LITERAL))
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = _scan_number(text, i)
-            tokens.append(Token(TokenKind.LITERAL, text[i:j]))
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = TokenKind.KEYWORD if word in keywords else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, word))
-            i = j
-            continue
-        op = _OPS3.get(text[i : i + 3]) or _OPS2.get(text[i : i + 2]) or _OPS1.get(ch)
-        if op is not None:
-            tokens.append(op)
-            i += len(op.text)
+        if group == _WORD_GROUP:
+            word = m[group]
+            tokens.append(fixed.get(word) or Token(TokenKind.IDENTIFIER, word))
+        elif group == _OTHER_GROUP:
+            op = m[group]
+            tokens.append(fixed.get(op) or Token(TokenKind.PUNCT, op))
+        elif group == _NUMBER_GROUP:
+            tokens.append(Token(TokenKind.LITERAL, m[group]))
         else:
-            # Punct proper, or any unknown byte as a single-char Punct.
-            tokens.append(Token(TokenKind.PUNCT, ch))
-            i += 1
+            tokens.append(_STRING_TOKEN if group == _STRING_GROUP else _CHAR_TOKEN)
     return tokens
+
+
+def _blank_comments(line: str, in_block: bool) -> tuple[str, bool]:
+    """Replace each comment character on one line with a space, so columns
+    are kept, and leave literals as they are. in_block says whether a "/*"
+    from an earlier line is still open; the second result says whether one
+    is open at the end of this line."""
+    start = 0
+    if in_block:
+        close = line.find("*/")
+        if close < 0:
+            return " " * len(line), True
+        start, in_block = close + 2, False
+    out = [" " * start]
+    for m in _COMMENT_OR_LITERAL.finditer(line, start):
+        out.append(line[start : m.start()])
+        piece = m.group()
+        out.append(piece if piece[0] in "\"'" else " " * len(piece))
+        in_block = m.lastindex is not None
+        start = m.end()
+    out.append(line[start:])
+    return "".join(out), in_block
 
 
 def normalize_line(text: str, alpha_rename: bool = False) -> str:

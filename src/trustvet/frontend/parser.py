@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind
-from .lexer import Token, TokenKind, tokenize_line
+from .lexer import Token, TokenKind, _blank_comments, tokenize_line
 
 _EXIT = -1  # virtual CFG exit
 
@@ -99,61 +99,13 @@ class _Stmt:
 
 
 def _clean_source(source: str) -> list[str]:
-    """Blank out block comments (which may span lines) and reject
+    """Blank out comments (block comments may span lines) and reject
     preprocessor lines, returning the cleaned source line by line."""
-    lines = source.splitlines()
-    cleaned: list[list[str]] = []
+    cleaned: list[str] = []
     in_block = False
-    for lineno, line in enumerate(lines, start=1):
-        out: list[str] = []
-        i = 0
-        n = len(line)
-        in_line_comment = False
-        while i < n:
-            ch = line[i]
-            if in_block:
-                if ch == "*" and i + 1 < n and line[i + 1] == "/":
-                    in_block = False
-                    out.append("  ")
-                    i += 2
-                    continue
-                out.append(" ")
-                i += 1
-                continue
-            if in_line_comment:
-                out.append(" ")
-                i += 1
-                continue
-            if ch == "/" and i + 1 < n and line[i + 1] == "*":
-                in_block = True
-                out.append("  ")
-                i += 2
-                continue
-            if ch == "/" and i + 1 < n and line[i + 1] == "/":
-                in_line_comment = True
-                out.append("  ")
-                i += 2
-                continue
-            if ch in "\"'":
-                quote = ch
-                out.append(ch)
-                i += 1
-                while i < n:
-                    out.append(line[i])
-                    if line[i] == "\\" and i + 1 < n:
-                        out.append(line[i + 1])
-                        i += 2
-                        continue
-                    if line[i] == quote:
-                        i += 1
-                        break
-                    i += 1
-                continue
-            out.append(ch)
-            i += 1
-        text = "".join(out)
-        stripped = text.lstrip()
-        if stripped.startswith("#"):
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        text, in_block = _blank_comments(line, in_block)
+        if text.lstrip().startswith("#"):
             raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
         if "#" in text:
             raise UnsupportedConstructError("'#' outside a comment or literal", lineno)

@@ -132,15 +132,15 @@ class Explanation:
     def __post_init__(self):
         seen = set()
         for line, score in self.entries:
+            if not is_strict_int(line) or line < 1:
+                raise MalformedExplanationError(
+                    f"{self.function_id}: bad line id {line!r} in explanation"
+                )
             if line in seen:
                 raise MalformedExplanationError(
                     f"{self.function_id}: duplicate line {line} in explanation"
                 )
             seen.add(line)
-            if not is_strict_int(line) or line < 1:
-                raise MalformedExplanationError(
-                    f"{self.function_id}: bad line id {line!r} in explanation"
-                )
             if not math.isfinite(score) or score < 0.0:
                 raise MalformedExplanationError(
                     f"{self.function_id}: score {score!r} at line {line} is not finite and non-negative"
@@ -194,7 +194,13 @@ def build_weighted_pdg(pdg: Pdg, expl: Explanation, normalize: bool = True) -> W
 
 # --- canonical JSON serialization -------------------------------------------
 #
-# The layout is fixed by schema/pdg_schema.json (shipped with the package).
+# A pdg document is an object with "schema_version", "function_id", "nodes"
+# and "edges". A node is {"line": int, "text": str, "vars": [str, ...]}, with
+# each line at most once; an edge is {"src": int >= 1, "dst": int >= 1,
+# "kind": "control" | "data", "var": str | null}. pdg_from_dict raises
+# SchemaError on any other shape; validate_pdg diagnoses the graph itself
+# (line ids, dangling endpoints, edge variables).
+#
 # Serialization is canonical: nodes sorted by line, edges sorted by
 # (src, dst, kind, variable), keys emitted in sorted order, one trailing
 # newline. Identical graphs therefore serialize to identical bytes.
@@ -237,34 +243,49 @@ def pdg_to_dict(pdg: Pdg) -> dict:
 
 
 def pdg_from_dict(document: dict) -> Pdg:
+    if not isinstance(document, dict):
+        raise SchemaError("pdg document: not a JSON object")
     check_schema_version(document, "pdg document")
     try:
         function_id = document["function_id"]
         raw_nodes = document["nodes"]
         raw_edges = document["edges"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"pdg document: missing field {exc}") from None
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise SchemaError("pdg document: 'nodes' and 'edges' must be arrays")
     nodes = set()
     line_text: dict[LineId, str] = {}
     line_vars: dict[LineId, frozenset[str]] = {}
     for entry in raw_nodes:
-        line = entry.get("line")
+        line = entry.get("line") if isinstance(entry, dict) else None
         if not is_strict_int(line):
             raise SchemaError(f"pdg document: node without integer line: {entry!r}")
         if line in nodes:
             raise SchemaError(f"pdg document: duplicate node for line {line}")
+        text = entry.get("text", "")
+        names = entry.get("vars", [])
+        if not isinstance(text, str):
+            raise SchemaError(f"pdg document: node {line}: 'text' must be a string")
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise SchemaError(f"pdg document: node {line}: 'vars' must be a list of strings")
         nodes.add(line)
-        line_text[line] = entry.get("text", "")
-        line_vars[line] = frozenset(entry.get("vars", []))
+        line_text[line] = text
+        line_vars[line] = frozenset(names)
     edges = []
     for entry in raw_edges:
+        if not isinstance(entry, dict):
+            raise SchemaError(f"pdg document: edge is not an object: {entry!r}")
+        src, dst, variable = entry.get("src"), entry.get("dst"), entry.get("var")
+        if not all(is_strict_int(end) and end >= 1 for end in (src, dst)):
+            raise SchemaError(f"pdg document: edge {src!r}->{dst!r}: endpoints must be line numbers")
+        if variable is not None and not isinstance(variable, str):
+            raise SchemaError(f"pdg document: edge {src}->{dst}: 'var' must be a string or null")
         try:
             kind = DepKind(entry["kind"])
-            edges.append(
-                PdgEdge(src=entry["src"], dst=entry["dst"], kind=kind, variable=entry.get("var"))
-            )
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(f"pdg document: bad edge {entry!r} ({exc})") from None
+        edges.append(PdgEdge(src=src, dst=dst, kind=kind, variable=variable))
     return Pdg(
         function_id=function_id,
         nodes=frozenset(nodes),

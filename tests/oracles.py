@@ -7,7 +7,8 @@ search sweeps every candidate. The parser's dependence analyses are checked
 against its earlier fixed-point versions: full post-dominator sets
 intersected until stable, and reaching definitions over sets of
 (variable, statement) pairs; the tokenizer against its earlier scan, which
-tried every operator in turn. Slow and obvious beats fast and shared.
+tried every operator in turn, and the source cleaner against its earlier
+per-character state machine. Slow and obvious beats fast and shared.
 """
 
 from __future__ import annotations
@@ -17,18 +18,8 @@ from collections import Counter
 
 import numpy as np
 
-from trustvet.frontend.lexer import (
-    _IDENT_CONT,
-    _IDENT_START,
-    _OPERATORS,
-    CHAR_LITERAL,
-    STRING_LITERAL,
-    Token,
-    TokenKind,
-    _scan_number,
-    _scan_string,
-    c_keywords,
-)
+from trustvet.errors import UnsupportedConstructError
+from trustvet.frontend.lexer import CHAR_LITERAL, STRING_LITERAL, Token, TokenKind, c_keywords
 from trustvet.frontend.parser import _EXIT
 from trustvet.pdg import DepKind, Pdg
 
@@ -340,7 +331,47 @@ def oracle_reaching_definitions(
     return chains
 
 
-# --- tokenizer ---------------------------------------------------------------------
+# --- tokenizer and source cleaning -------------------------------------------------
+
+_OPERATORS = [
+    ">>=", "<<=",
+    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
+    "?", ":", ".",
+]
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | set("0123456789")
+
+
+def _scan_number(text, i):
+    # C-style preprocessing number: digits, identifier chars, dots, and a
+    # sign directly after an exponent marker ("1e-9", "0x1p+3").
+    n = len(text)
+    j = i + 1
+    while j < n:
+        ch = text[j]
+        if ch in _IDENT_CONT or ch == ".":
+            j += 1
+        elif ch in "+-" and text[j - 1] in "eEpP":
+            j += 1
+        else:
+            break
+    return j
+
+
+def _scan_string(text, i, quote):
+    n = len(text)
+    j = i + 1
+    while j < n:
+        if text[j] == "\\" and j + 1 < n:
+            j += 2
+            continue
+        if text[j] == quote:
+            return j + 1
+        j += 1
+    return n  # unterminated: consume to end of line
+
 
 def oracle_tokenize_line(text):
     """The lexer's former scan, which tries every operator with startswith,
@@ -393,3 +424,67 @@ def oracle_tokenize_line(text):
             tokens.append(Token(TokenKind.PUNCT, ch))
             i += 1
     return tokens
+
+
+def oracle_clean_source(source: str) -> list[str]:
+    """The parser's former per-character cleaner: blank out block comments
+    (which may span lines) and reject preprocessor lines, returning the
+    cleaned source line by line."""
+    lines = source.splitlines()
+    cleaned: list[list[str]] = []
+    in_block = False
+    for lineno, line in enumerate(lines, start=1):
+        out: list[str] = []
+        i = 0
+        n = len(line)
+        in_line_comment = False
+        while i < n:
+            ch = line[i]
+            if in_block:
+                if ch == "*" and i + 1 < n and line[i + 1] == "/":
+                    in_block = False
+                    out.append("  ")
+                    i += 2
+                    continue
+                out.append(" ")
+                i += 1
+                continue
+            if in_line_comment:
+                out.append(" ")
+                i += 1
+                continue
+            if ch == "/" and i + 1 < n and line[i + 1] == "*":
+                in_block = True
+                out.append("  ")
+                i += 2
+                continue
+            if ch == "/" and i + 1 < n and line[i + 1] == "/":
+                in_line_comment = True
+                out.append("  ")
+                i += 2
+                continue
+            if ch in "\"'":
+                quote = ch
+                out.append(ch)
+                i += 1
+                while i < n:
+                    out.append(line[i])
+                    if line[i] == "\\" and i + 1 < n:
+                        out.append(line[i + 1])
+                        i += 2
+                        continue
+                    if line[i] == quote:
+                        i += 1
+                        break
+                    i += 1
+                continue
+            out.append(ch)
+            i += 1
+        text = "".join(out)
+        stripped = text.lstrip()
+        if stripped.startswith("#"):
+            raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
+        if "#" in text:
+            raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
+        cleaned.append(text)
+    return cleaned

@@ -18,6 +18,7 @@ from synth import (
     worker_record,
 )
 from trustvet.config import RunConfig
+from trustvet.corpus import record_from_dict, record_to_dict
 from trustvet.errors import CalibrationError, UndefinedGroundTruthError, UndefinedInputError
 from trustvet.evaluate import (
     calibrate_threshold,
@@ -212,6 +213,19 @@ class TestEvaluateRecord:
         result = evaluate_record(bare, lookup_ensemble(), self.config())
         assert result.skipped == "no-ground-truth"
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"explanation": ((True, 0.5), (6, 0.5))},
+            {"explanation": (([6], 0.5),)},
+            {"confidence": 1.5},
+        ],
+    )
+    def test_malformed_explanation_is_skipped(self, change):
+        record = dataclasses.replace(worker_record("w", "focus", 0.8), **change)
+        result = evaluate_record(record, lookup_ensemble(), self.config())
+        assert result.skipped is not None and result.skipped.startswith("explanation: ")
+
 
 class TestRunEvaluation:
     def test_planted_confusion_matrix(self):
@@ -276,6 +290,21 @@ class TestRunEvaluation:
         config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
         report = run_evaluation(records + [broken], lookup_ensemble(), config)
         assert report.skipped == {"graph": 1}
+        assert report.taus[0].evaluated == 10
+
+    def test_malformed_explanations_are_skipped(self):
+        records, _ = planted_corpus()
+        bad = [
+            record_from_dict(
+                {**record_to_dict(records[0]), "function_id": f"bad_{i}", **change}, "test"
+            )
+            for i, change in enumerate(
+                [{"explanation": [{"line": True, "score": 0.5}]}, {"confidence": 1.5}]
+            )
+        ]
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
+        report = run_evaluation(records + bad, lookup_ensemble(), config)
+        assert report.skipped == {"explanation": 2}
         assert report.taus[0].evaluated == 10
 
     def test_deeply_nested_sources_are_skipped(self):

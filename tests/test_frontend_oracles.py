@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    oracle_clean_source,
     oracle_control_dependence,
     oracle_immediate_pdom,
     oracle_post_dominators,
@@ -16,11 +17,18 @@ from oracles import (
     oracle_tokenize_line,
 )
 from synth import c_subset_function
-from trustvet.errors import TrustvetError
-from trustvet.frontend import import_raw_graph, parse_function, pdg_from_source, tokenize_line
+from trustvet.errors import TrustvetError, UnsupportedConstructError
+from trustvet.frontend import (
+    export_raw_graph,
+    import_raw_graph,
+    parse_function,
+    pdg_from_source,
+    tokenize_line,
+)
 from trustvet.frontend.parser import (
     RawEdge,
     _build_cfg,
+    _clean_source,
     _control_dependence,
     _immediate_post_dominators,
     _reaching_definitions,
@@ -71,8 +79,9 @@ class TestDependenceAnalyses:
         assert parse_function(source).edges == expected
 
 
-# operator, literal and comment characters, so that runs of them are common
-C_CHARACTERS = "<>=!&|^~?:.+-*/%()[]{};,'\"\\#@$ \t\r\fabex_019"
+# operator, literal, comment and exponent characters, so that runs of them
+# are common
+C_CHARACTERS = "<>=!&|^~?:.+-*/%()[]{};,'\"\\#@$ \t\r\fabex_019Pp\n"
 
 
 class TestTokenizer:
@@ -86,6 +95,7 @@ C_PIECES = (
     "int", "void", "struct", "f", "x", "a", "1", "0x1e+", "(", ")", "{", "}", "[", "]",
     ";", ",", "=", "+=", "++", "->", ".", "*", "&", "?", ":", "if", "else", "while",
     "for", "return", "goto", "#", "'", '"', "\\", "/*", "*/", "//", " ", "\n",
+    "\r", "\f", 'a\\"b',
 )
 
 
@@ -94,6 +104,54 @@ def function_shell(body: str) -> str:
 
 
 c_soup = st.lists(st.sampled_from(C_PIECES), max_size=60).map("".join)
+
+
+def cleaned_or_error(clean, source):
+    try:
+        return clean(source)
+    except UnsupportedConstructError as exc:
+        return type(exc), str(exc), exc.line
+
+
+class TestSourceCleaning:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(c_soup, c_soup.map(function_shell)))
+    def test_matches_the_character_scan(self, source):
+        assert cleaned_or_error(_clean_source, source) == cleaned_or_error(
+            oracle_clean_source, source
+        )
+
+
+def round_trip(source: str):
+    return import_raw_graph(export_raw_graph(parse_function(source))).to_pdg()
+
+
+class TestSourceAndImportAgree:
+    """A parsed function and its exported graph give the same line-level
+    graph: both mergers read line text and variables from the node code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, sizes)
+    def test_synth_functions(self, seed, size):
+        source = c_subset_function(random.Random(seed), size)
+        assert pdg_from_source(source) == round_trip(source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c_soup.map(function_shell))
+    def test_soup_functions_that_parse(self, source):
+        try:
+            pdg = pdg_from_source(source)
+        except TrustvetError:
+            return
+        assert pdg == round_trip(source)
+
+    def test_comment_spanning_lines_leaves_no_text(self):
+        source = function_shell("    int x = a; /* start\n    note */ int y = x + 1;\n    return y;")
+        pdg = pdg_from_source(source)
+        assert pdg.line_text[4] == "int y = x + 1 ;"
+        assert pdg.line_vars[4] == frozenset({"x", "y"})
+        assert pdg == round_trip(source)
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False) | st.text(max_size=8),

@@ -169,3 +169,39 @@ class TestSerialization:
         doc["nodes"].append(dict(doc["nodes"][0]))
         with pytest.raises(SchemaError):
             pdg_loads(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("edges", "dst", [2]),
+            ("edges", "dst", "2"),
+            ("edges", "src", True),
+            ("edges", "src", 0),
+            ("edges", "var", ["x"]),
+            ("nodes", "vars", [["x"]]),
+            ("nodes", "vars", "x"),
+            ("nodes", "text", 5),
+        ],
+    )
+    def test_loads_rejects_bad_fields(self, vrrp_fixture, where, key, value):
+        import json
+
+        doc = json.loads(pdg_dumps(vrrp_fixture))
+        doc[where][0][key] = value
+        with pytest.raises(SchemaError):
+            pdg_loads(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"nodes": 5}, {"edges": {}}, {"nodes": [[1]]}, {"edges": ["1->2"]}],
+    )
+    def test_loads_rejects_bad_shapes(self, vrrp_fixture, change):
+        import json
+
+        doc = {**json.loads(pdg_dumps(vrrp_fixture)), **change}
+        with pytest.raises(SchemaError):
+            pdg_loads(json.dumps(doc))
+
+    def test_loads_rejects_a_non_object(self):
+        with pytest.raises(SchemaError):
+            pdg_loads("[]")
