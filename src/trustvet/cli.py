@@ -31,11 +31,11 @@ from .lineassess.features import ALL_VIEWS
 from .pdg import (
     SCHEMA_VERSION,
     check_schema_version,
+    decode_utf8,
     dumps_canonical,
     explanation_from_dict,
+    read_json_object,
 )
-
-import json
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -63,11 +63,7 @@ def _handle_errors(fn):
 
 
 def _load_json(path: str | Path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    return read_json_object(Path(path).read_bytes(), str(path))
 
 
 def _write_json(doc: dict, path: str | Path) -> None:
@@ -101,8 +97,8 @@ def load_ensemble(path: str | Path, adapter_command: str | None = None):
         manifest = _load_json(p / MANIFEST_NAME)
         check_schema_version(manifest, "ensemble manifest")
         members = manifest.get("members")
-        if not isinstance(members, list) or not members:
-            raise SchemaError(f"{p / MANIFEST_NAME}: members must be a non-empty list")
+        if not isinstance(members, list) or not members or not all(isinstance(m, str) for m in members):
+            raise SchemaError(f"{p / MANIFEST_NAME}: members must be a non-empty list of file names")
         return [load_model(p / name, adapter_command) for name in members]
     return [load_model(p, adapter_command)]
 
@@ -207,7 +203,7 @@ def assess(source_path, graph_path, explanation_path, models_path, config_path,
             click.echo(f"note: {message}", err=True)
         pdg = imported.to_pdg()
     else:
-        text = Path(source_path).read_text(encoding="utf-8")
+        text = decode_utf8(Path(source_path).read_bytes(), source_path)
         pdg = pdg_from_source(text, function_id=function_id)
     expl = explanation_from_dict(_load_json(explanation_path))
     ensemble = load_ensemble(models_path, config.adapter_endpoint)

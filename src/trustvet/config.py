@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -43,14 +44,14 @@ class RunConfig:
         return os.cpu_count() or 1
 
 
+# Each field's parser and whether it takes None, read from its annotation
+# ("float | None" parses as float and accepts "none").
+_HINTS = typing.get_type_hints(RunConfig)
+_OPTIONAL = {name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)}
 _FIELD_TYPES: dict[str, type] = {
-    f.name: t
-    for f, t in zip(
-        dataclasses.fields(RunConfig),
-        (float, float, float, int, bool, float, int, str, int, float, int, float, str),
-    )
+    name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    for name, hint in _HINTS.items()
 }
-_OPTIONAL = {"trust_threshold", "conf_threshold", "workers", "adapter_endpoint"}
 
 
 def _parse_value(name: str, raw: str) -> Any:
@@ -82,7 +83,10 @@ def _format_value(value: Any) -> str:
 def config_from_file(path: str | Path) -> RunConfig:
     """Load a RunConfig from an INI file's [run] section."""
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path), encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"config file {path}: {exc}") from None
     if not read:
         raise SchemaError(f"config file not found: {path}")
     if not parser.has_section(_SECTION):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
-from .pdg import Explanation, is_strict_int
+from .pdg import Explanation, explanation_entries, is_strict_int, json_number, read_json_object
 
 VULNERABLE = "vulnerable"
 NON_VULNERABLE = "non-vulnerable"
@@ -67,15 +67,10 @@ def record_from_dict(doc: dict, where: str) -> CorpusRecord:
         vul_lines = tuple(vul_lines)
     explanation = doc.get("explanation")
     if explanation is not None:
-        try:
-            explanation = tuple((e["line"], float(e["score"])) for e in explanation)
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"{where}: malformed explanation") from None
+        explanation = explanation_entries(explanation, where)
     confidence = doc.get("confidence")
-    if confidence is not None and (
-        isinstance(confidence, bool) or not isinstance(confidence, (int, float))
-    ):
-        raise SchemaError(f"{where}: confidence must be a number")
+    if confidence is not None:
+        confidence = json_number(confidence, f"{where}: confidence")
     graph = doc.get("graph")
     if graph is not None and not isinstance(graph, dict):
         raise SchemaError(f"{where}: graph must be an object")
@@ -89,7 +84,7 @@ def record_from_dict(doc: dict, where: str) -> CorpusRecord:
         diff=diff,
         vul_lines=vul_lines,
         explanation=explanation,
-        confidence=None if confidence is None else float(confidence),
+        confidence=confidence,
         graph=graph,
     )
 
@@ -115,15 +110,11 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
     """Read a JSONL corpus file; blank lines are ignored."""
     records: list[CorpusRecord] = []
     seen: set[str] = set()
-    for idx, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for idx, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not raw.strip():
             continue
         where = f"{path}:{idx}"
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{where}: not valid JSON ({exc})") from None
-        record = record_from_dict(doc, where)
+        record = record_from_dict(read_json_object(raw, where), where)
         if record.function_id in seen:
             raise SchemaError(f"{where}: duplicate function_id {record.function_id!r}")
         seen.add(record.function_id)

@@ -26,6 +26,7 @@ from .config import RunConfig
 from .corpus import CorpusRecord
 from .errors import (
     CalibrationError,
+    SchemaError,
     TrustvetError,
     UndefinedGroundTruthError,
     UndefinedInputError,
@@ -33,7 +34,7 @@ from .errors import (
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
 from .lineassess.diffs import extract_vulnerable_lines
-from .pdg import SCHEMA_VERSION, Explanation, LineId, Pdg
+from .pdg import SCHEMA_VERSION, Explanation, LineId, Pdg, is_strict_int, json_number
 
 
 # --- ground truth ---------------------------------------------------------------
@@ -414,6 +415,7 @@ def run_evaluation(
 
 # --- rendering and serialization -------------------------------------------------
 
+_METHODS = ("trust", "naive")
 _METRIC_FIELDS = (
     ("Acc", "accuracy"),
     ("AUC", "auc"),
@@ -467,13 +469,38 @@ def _fmt(value: float | None) -> str:
     return "  -  " if value is None else f"{value:.3f}"
 
 
+def _check_table_fields(doc: dict) -> None:
+    """Raise SchemaError unless a loaded report holds what render_table reads."""
+    what = "evaluation report"
+    skipped = doc.get("skipped")
+    if not isinstance(skipped, dict) or not all(is_strict_int(n) for n in skipped.values()):
+        raise SchemaError(f"{what}: 'skipped' must map reasons to counts")
+    taus = doc.get("taus")
+    if not isinstance(taus, list):
+        raise SchemaError(f"{what}: 'taus' must be an array")
+    for t in taus:
+        if not isinstance(t, dict) or not all(isinstance(t.get(m), dict) for m in _METHODS):
+            raise SchemaError(f"{what}: each cutoff needs 'trust' and 'naive' objects")
+        json_number(t.get("tau"), f"{what}: tau")
+        for method in _METHODS:
+            metrics = t[method]
+            for _, name in _METRIC_FIELDS:
+                if name not in metrics or metrics[name] is not None:
+                    json_number(metrics.get(name), f"{what}: {method} {name}")
+
+
 def render_table(report: EvaluationReport | dict) -> str:
-    """Fixed-width metric table, one row per method per cutoff."""
-    doc = report_to_dict(report) if isinstance(report, EvaluationReport) else report
+    """Fixed-width metric table, one row per method per cutoff; a loaded
+    report (a dict) that lacks a field it reads raises SchemaError."""
+    if isinstance(report, EvaluationReport):
+        doc = report_to_dict(report)
+    else:
+        _check_table_fields(report)
+        doc = report
     header = f"{'tau':>5}  {'method':<6}  " + "  ".join(f"{name:>5}" for name, _ in _METRIC_FIELDS)
     out = [header, "-" * len(header)]
     for t in doc["taus"]:
-        for method in ("trust", "naive"):
+        for method in _METHODS:
             cells = "  ".join(_fmt(t[method][field]) for _, field in _METRIC_FIELDS)
             out.append(f"{t['tau']:>5.2f}  {method:<6}  {cells}")
     total_skipped = sum(doc["skipped"].values())

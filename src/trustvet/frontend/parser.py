@@ -9,6 +9,8 @@ subscripts; structural damage (unbalanced braces, truncated statements)
 raises ParseError. Failing loudly is deliberate: a partially parsed function
 would produce a silently wrong dependence graph.
 
+The recursive descent wires the statement CFG as it parses: each statement
+takes the CFG ends that flow into it and returns the ends that flow out.
 The analysis is classical and intraprocedural:
   - control dependence from the post-dominator tree of the statement CFG,
     so code following an early-return branch is governed by the branch
@@ -34,7 +36,7 @@ treated as plain reads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind
@@ -42,10 +44,11 @@ from .lexer import Token, TokenKind, _blank_comments, tokenize_line
 
 _EXIT = -1  # virtual CFG exit
 
-# Deepest statement or subscript nesting accepted. The statement parser, the
-# CFG wiring and the subscript scan recurse a few frames per level, so the
-# bound keeps them well inside Python's default recursion limit of 1000;
-# real C stays in single digits (an if and its braced body count as two).
+# Deepest statement or subscript nesting accepted. The statement parser
+# (which also wires the CFG) and the subscript scan recurse a few frames per
+# level, so the bound keeps them well inside Python's default recursion limit
+# of 1000; real C stays in single digits (an if and its braced body count as
+# two).
 MAX_NESTING = 200
 
 _TYPE_KEYWORDS = {
@@ -89,10 +92,8 @@ class RawDepGraph:
 class _Stmt:
     sid: int
     line: int
-    tokens: list[Token]
-    role: str  # "entry" | "decl" | "expr" | "return" | "cond"
-    defs: set[str] = field(default_factory=set)
-    uses: set[str] = field(default_factory=set)
+    defs: set[str]
+    uses: set[str]
 
 
 # --- source cleaning ---------------------------------------------------------
@@ -278,16 +279,22 @@ def _scan_decl(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
     return defs, uses
 
 
-# --- recursive-descent statement parser --------------------------------------
+def _scan_simple(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
+    """Defs and uses of a declaration or an expression statement."""
+    return (_scan_decl if _is_declaration(tokens) else _scan_expr)(tokens, line)
+
+
+# --- recursive-descent statement parser, wiring the CFG as it descends -------
 
 
 class _Parser:
     def __init__(self, stream: list[tuple[int, Token]]):
         self.stream = stream
         self.i = 0
-        self.next_sid = 0
         self.stmts: list[_Stmt] = []
         self.depth = 0  # parse_statement calls currently open
+        self.succ: dict[int, set[int]] = {}
+        self.preds: dict[int, set[int]] = {}
 
     def peek(self) -> tuple[int, Token] | None:
         return self.stream[self.i] if self.i < len(self.stream) else None
@@ -307,19 +314,10 @@ class _Parser:
         self.advance()
         return line
 
-    def make_stmt(self, line: int, tokens: list[Token], role: str) -> _Stmt:
-        stmt = _Stmt(self.next_sid, line, tokens, role)
-        self.next_sid += 1
-        if role == "entry":
-            pass  # defs assigned by caller (parameters)
-        elif role == "decl":
-            stmt.defs, stmt.uses = _scan_decl(tokens, line)
-        elif role == "return":
-            _, stmt.uses = _scan_expr(tokens[1:], line)  # skip the keyword
-        else:
-            stmt.defs, stmt.uses = _scan_expr(tokens, line)
-        self.stmts.append(stmt)
-        return stmt
+    def make_stmt(self, line: int, defs: set[str], uses: set[str]) -> int:
+        """Record a statement; ids count up from 0 in parse order."""
+        self.stmts.append(_Stmt(len(self.stmts), line, defs, uses))
+        return len(self.stmts) - 1
 
     def collect_until_semicolon(self) -> tuple[int, list[Token]]:
         """Tokens of one simple statement, excluding the terminating ';'."""
@@ -368,9 +366,14 @@ class _Parser:
             tokens.append(tok)
             self.advance()
 
-    def parse_block(self) -> list:
+    def connect(self, ends: list[int], target: int) -> None:
+        for e in ends:
+            self.succ.setdefault(e, set()).add(target)
+            self.preds.setdefault(target, set()).add(e)
+
+    def parse_block(self, ends: list[int]) -> list[int]:
+        """Parse a braced block entered from the CFG `ends`; return its ends."""
         self.expect_punct("{")
-        items: list = []
         while True:
             item = self.peek()
             if item is None:
@@ -378,12 +381,12 @@ class _Parser:
             _, tok = item
             if tok.kind is TokenKind.PUNCT and tok.text == "}":
                 self.advance()
-                return items
-            parsed = self.parse_statement()
-            if parsed is not None:
-                items.append(parsed)
+                return ends
+            ends = self.parse_statement(ends)
 
-    def parse_statement(self):
+    def parse_statement(self, ends: list[int]) -> list[int]:
+        """Parse one statement entered from the CFG `ends`, wiring its edges;
+        return the ends that flow out of it ([] after a return)."""
         item = self.peek()
         if item is None:
             raise ParseError("expected a statement but reached end of input")
@@ -394,36 +397,37 @@ class _Parser:
             )
         self.depth += 1
         try:
-            return self._parse_statement(line, tok)
+            return self._parse_statement(line, tok, ends)
         finally:
             self.depth -= 1
 
-    def _parse_statement(self, line: int, tok: Token):
+    def _parse_statement(self, line: int, tok: Token, ends: list[int]) -> list[int]:
         if tok.kind is TokenKind.PUNCT and tok.text == "{":
-            return ("block", self.parse_block())
+            return self.parse_block(ends)
         if tok.kind is TokenKind.PUNCT and tok.text == ";":
             self.advance()
-            return None
+            return ends
         if tok.kind is TokenKind.KEYWORD:
             if tok.text in _UNSUPPORTED_KEYWORDS:
                 raise UnsupportedConstructError(f"'{tok.text}' statements are not supported", line)
             if tok.text == "if":
                 self.advance()
                 _, cond_toks = self.collect_paren_group()
-                cond = self.make_stmt(line, cond_toks, "cond")
-                then_items = self._statement_as_list()
-                else_items = None
+                cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+                self.connect(ends, cond)
+                out = self.parse_statement([cond])
                 nxt = self.peek()
                 if nxt is not None and nxt[1].kind is TokenKind.KEYWORD and nxt[1].text == "else":
                     self.advance()
-                    else_items = self._statement_as_list()
-                return ("if", cond, then_items, else_items)
+                    return out + self.parse_statement([cond])
+                return out + [cond]
             if tok.text == "while":
                 self.advance()
                 _, cond_toks = self.collect_paren_group()
-                cond = self.make_stmt(line, cond_toks, "cond")
-                body = self._statement_as_list()
-                return ("while", cond, body)
+                cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+                self.connect(ends, cond)
+                self.connect(self.parse_statement([cond]), cond)
+                return [cond]
             if tok.text == "for":
                 self.advance()
                 _, group = self.collect_paren_group()
@@ -437,89 +441,35 @@ class _Parser:
                     raise UnsupportedConstructError(
                         "for loops without a condition are not supported", line
                     )
-                init = None
                 if init_toks:
-                    role = "decl" if _is_declaration(init_toks) else "expr"
-                    init = self.make_stmt(line, init_toks, role)
-                cond = self.make_stmt(line, cond_toks, "cond")
-                step = self.make_stmt(line, step_toks, "expr") if step_toks else None
-                body = self._statement_as_list()
-                return ("for", init, cond, step, body)
+                    init = self.make_stmt(line, *_scan_simple(init_toks, line))
+                    self.connect(ends, init)
+                    ends = [init]
+                cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+                self.connect(ends, cond)
+                step = self.make_stmt(line, *_scan_expr(step_toks, line)) if step_toks else None
+                body_ends = self.parse_statement([cond])
+                if step is not None:
+                    self.connect(body_ends, step)
+                    body_ends = [step]
+                self.connect(body_ends, cond)
+                return [cond]
             if tok.text == "return":
                 first_line, toks = self.collect_until_semicolon()
-                return ("stmt", self.make_stmt(first_line, toks, "return"))
+                _, uses = _scan_expr(toks[1:], first_line)  # skip the keyword
+                stmt = self.make_stmt(first_line, set(), uses)
+                self.connect(ends, stmt)
+                self.connect([stmt], _EXIT)
+                return []
             if tok.text == "else":
                 raise ParseError(f"line {line}: 'else' without a matching 'if'")
         first_line, toks = self.collect_until_semicolon()
-        if not toks:
-            return None
-        role = "decl" if _is_declaration(toks) else "expr"
-        return ("stmt", self.make_stmt(first_line, toks, role))
-
-    def _statement_as_list(self) -> list:
-        parsed = self.parse_statement()
-        if parsed is None:
-            return []
-        if parsed[0] == "block":
-            return parsed[1]
-        return [parsed]
+        stmt = self.make_stmt(first_line, *_scan_simple(toks, first_line))
+        self.connect(ends, stmt)
+        return [stmt]
 
 
-# --- CFG construction and analyses -------------------------------------------
-
-
-def _wire_cfg(items: list, entry_sid: int, cfg_edges: set[tuple[int, int]]) -> None:
-    def connect(ends: list[int], target: int) -> None:
-        for e in ends:
-            cfg_edges.add((e, target))
-
-    def wire_seq(seq: list, ends: list[int]) -> list[int]:
-        for item in seq:
-            ends = wire_item(item, ends)
-        return ends
-
-    def wire_item(item, ends: list[int]) -> list[int]:
-        tag = item[0]
-        if tag == "stmt":
-            stmt = item[1]
-            connect(ends, stmt.sid)
-            if stmt.role == "return":
-                cfg_edges.add((stmt.sid, _EXIT))
-                return []
-            return [stmt.sid]
-        if tag == "block":
-            return wire_seq(item[1], ends)
-        if tag == "if":
-            _, cond, then_items, else_items = item
-            connect(ends, cond.sid)
-            t_ends = wire_seq(then_items, [cond.sid])
-            if else_items is None:
-                return t_ends + [cond.sid]
-            e_ends = wire_seq(else_items, [cond.sid])
-            return t_ends + e_ends
-        if tag == "while":
-            _, cond, body = item
-            connect(ends, cond.sid)
-            b_ends = wire_seq(body, [cond.sid])
-            connect(b_ends, cond.sid)
-            return [cond.sid]
-        if tag == "for":
-            _, init, cond, step, body = item
-            cur = ends
-            if init is not None:
-                connect(cur, init.sid)
-                cur = [init.sid]
-            connect(cur, cond.sid)
-            b_ends = wire_seq(body, [cond.sid])
-            if step is not None:
-                connect(b_ends, step.sid)
-                b_ends = [step.sid]
-            connect(b_ends, cond.sid)
-            return [cond.sid]
-        raise AssertionError(f"unknown item {tag!r}")
-
-    final_ends = wire_seq(items, [entry_sid])
-    connect(final_ends, _EXIT)
+# --- CFG analyses ------------------------------------------------------------
 
 
 def _immediate_post_dominators(
@@ -732,26 +682,12 @@ def _build_cfg(source: str) -> _Cfg:
     name, params, sig_line = _signature_info(sig)
 
     parser = _Parser(stream[body_start:])
-    entry = parser.make_stmt(sig_line, [tok for _, tok in sig], "entry")
-    entry.defs = set(params)
-    items = parser.parse_block()
-    leftover = parser.peek()
-    if leftover is not None:
-        if not all(
-            tok.kind is TokenKind.PUNCT and tok.text == ";" for _, tok in parser.stream[parser.i :]
-        ):
-            raise ParseError(
-                f"line {leftover[0]}: unexpected tokens after the function body"
-            )
-
-    cfg_edges: set[tuple[int, int]] = set()
-    _wire_cfg(items, entry.sid, cfg_edges)
-    succ: dict[int, set[int]] = {}
-    preds: dict[int, set[int]] = {}
-    for a, b in cfg_edges:
-        succ.setdefault(a, set()).add(b)
-        preds.setdefault(b, set()).add(a)
-    return _Cfg(name, cleaned, parser.stmts, succ, preds)
+    entry = parser.make_stmt(sig_line, set(params), set())
+    parser.connect(parser.parse_block([entry]), _EXIT)
+    rest = parser.stream[parser.i :]
+    if any(tok.kind is not TokenKind.PUNCT or tok.text != ";" for _, tok in rest):
+        raise ParseError(f"line {rest[0][0]}: unexpected tokens after the function body")
+    return _Cfg(name, cleaned, parser.stmts, parser.succ, parser.preds)
 
 
 def parse_function(source: str) -> RawDepGraph:

@@ -38,7 +38,14 @@ from ..errors import (
     UndefinedInputError,
 )
 from ..frontend.lexer import normalize_line
-from ..pdg import SCHEMA_VERSION, check_schema_version, dumps_canonical
+from ..pdg import (
+    SCHEMA_VERSION,
+    check_schema_version,
+    dumps_canonical,
+    is_strict_int,
+    json_number,
+    read_json_object,
+)
 from .dataset import LineLabel, LineSample
 from .features import FeatureView, extract_features, vectorize
 
@@ -345,32 +352,34 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
     command stored in the document.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json_object(Path(path).read_bytes(), str(path))
     except FileNotFoundError:
         raise SchemaError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     check_schema_version(doc, str(path))
     view = doc.get("view")
+    threshold = json_number(doc.get("threshold"), f"{path}: threshold")
     try:
         if view == "lookup":
-            return LookupLineClassifier(
-                non_benign=frozenset(doc["non_benign"]), threshold=doc["threshold"]
-            )
+            return LookupLineClassifier(non_benign=frozenset(doc["non_benign"]), threshold=threshold)
         if view == "adapter":
             override = os.environ.get(ADAPTER_ENV_VAR) or adapter_command
             command = override.split() if override else doc["command"]
-            return AdapterLineClassifier(
-                command, threshold=doc["threshold"], timeout=doc.get("timeout", ADAPTER_TIMEOUT)
-            )
+            if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
+                raise SchemaError(f"{path}: adapter command must be a list of strings")
+            timeout = json_number(doc.get("timeout", ADAPTER_TIMEOUT), f"{path}: timeout")
+            return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)
+        vocabulary = dict(doc["vocabulary"])
+        weights = [float(v) for v in doc["weights"]]
+        if not all(is_strict_int(i) and 0 <= i < len(weights) for i in vocabulary.values()):
+            raise SchemaError(f"{path}: vocabulary indices must point into the weights")
         return LinearLineClassifier(
             view=FeatureView(view),
-            vocabulary=dict(doc["vocabulary"]),
-            weights=[float(v) for v in doc["weights"]],
+            vocabulary=vocabulary,
+            weights=weights,
             bias=float(doc["bias"]),
-            threshold=float(doc["threshold"]),
+            threshold=threshold,
             seed=int(doc["seed"]),
             heldout_accuracy=doc.get("heldout_accuracy"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from None

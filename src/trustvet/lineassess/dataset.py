@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
 from ..errors import DiffMismatchError, InsufficientDataError, SchemaError
 from ..frontend.lexer import is_substantive_line, normalize_line, tokenize_line
-from ..pdg import SCHEMA_VERSION, check_schema_version
+from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import bleu
 from .diffs import extract_vulnerable_lines
 
@@ -182,10 +182,10 @@ def save_line_dataset(samples: Sequence[LineSample], path: str | Path) -> None:
 
 
 def load_line_dataset(path: str | Path) -> list[LineSample]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_bytes().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
+    header = read_json_object(lines[0], f"{path} header")
     check_schema_version(header, f"{path} header")
     if header.get("kind") != "line-dataset":
         raise SchemaError(f"{path}: not a line dataset")
@@ -193,15 +193,13 @@ def load_line_dataset(path: str | Path) -> list[LineSample]:
     for idx, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
+        doc = read_json_object(raw, f"{path}:{idx}")
+        text, function_id, line = doc.get("text"), doc.get("function_id"), doc.get("line")
+        if not isinstance(text, str) or not isinstance(function_id, str) or not is_strict_int(line):
+            raise SchemaError(f"{path}:{idx}: text and function_id must be strings, line an int")
         try:
-            doc = json.loads(raw)
-            samples.append(
-                LineSample(
-                    text=doc["text"],
-                    label=LineLabel(doc["label"]),
-                    origin=Origin(doc["function_id"], doc["line"]),
-                )
-            )
-        except (KeyError, ValueError, TypeError) as exc:
+            label = LineLabel(doc.get("label"))
+        except ValueError as exc:
             raise SchemaError(f"{path}:{idx}: malformed sample ({exc})") from None
+        samples.append(LineSample(text=text, label=label, origin=Origin(function_id, line)))
     return samples

@@ -150,12 +150,6 @@ class Explanation:
                 f"{self.function_id}: confidence {self.confidence!r} outside [0, 1]"
             )
 
-    def lines(self) -> tuple[LineId, ...]:
-        return tuple(line for line, _ in self.entries)
-
-    def score_map(self) -> dict[LineId, float]:
-        return {line: score for line, score in self.entries}
-
 
 @dataclass(frozen=True)
 class WeightedPdg:
@@ -211,8 +205,56 @@ def dumps_canonical(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def decode_utf8(data: bytes, what: str) -> str:
+    """The text of the input named `what`; SchemaError if it is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what}: not UTF-8 text ({exc})") from None
+
+
+def read_json_object(data: bytes | str, what: str) -> dict:
+    """Decode one JSON object from UTF-8 bytes (or text) of the artifact
+    named `what`; bad UTF-8, bad JSON and any other JSON value raise
+    SchemaError."""
+    text = decode_utf8(data, what) if isinstance(data, bytes) else data
+    try:
+        document = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{what}: not valid JSON ({exc})") from None
+    if not isinstance(document, dict):
+        raise SchemaError(f"{what}: not a JSON object")
+    return document
+
+
+def json_number(value: object, what: str) -> float:
+    """A JSON number as a float; booleans, strings, null and integers beyond
+    the float range raise SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{what} {value} is out of range") from None
+
+
+def explanation_entries(raw: object, what: str) -> tuple[tuple[LineId, float], ...]:
+    """Entries from their JSON form, [{"line", "score"}, ...]; Explanation
+    checks the line ids and score values when it is built."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"{what}: explanation entries must be an array")
+    entries = []
+    for entry in raw:
+        if not isinstance(entry, dict) or "line" not in entry:
+            raise SchemaError(f"{what}: explanation entry {entry!r} has no line")
+        entries.append((entry["line"], json_number(entry.get("score"), f"{what}: score")))
+    return tuple(entries)
+
+
 def check_schema_version(document: dict, what: str) -> None:
-    """Reject artifacts whose major schema version is unknown."""
+    """Reject non-objects and artifacts whose major schema version is unknown."""
+    if not isinstance(document, dict):
+        raise SchemaError(f"{what}: not a JSON object")
     version = document.get("schema_version")
     if not isinstance(version, str) or not version:
         raise SchemaError(f"{what}: missing schema_version")
@@ -243,8 +285,6 @@ def pdg_to_dict(pdg: Pdg) -> dict:
 
 
 def pdg_from_dict(document: dict) -> Pdg:
-    if not isinstance(document, dict):
-        raise SchemaError("pdg document: not a JSON object")
     check_schema_version(document, "pdg document")
     try:
         function_id = document["function_id"]
@@ -252,6 +292,8 @@ def pdg_from_dict(document: dict) -> Pdg:
         raw_edges = document["edges"]
     except KeyError as exc:
         raise SchemaError(f"pdg document: missing field {exc}") from None
+    if not isinstance(function_id, str):
+        raise SchemaError("pdg document: 'function_id' must be a string")
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise SchemaError("pdg document: 'nodes' and 'edges' must be arrays")
     nodes = set()
@@ -300,11 +342,7 @@ def pdg_dumps(pdg: Pdg) -> str:
 
 
 def pdg_loads(text: str) -> Pdg:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"pdg document: not valid JSON ({exc})") from None
-    return pdg_from_dict(document)
+    return pdg_from_dict(read_json_object(text, "pdg document"))
 
 
 def explanation_to_dict(expl: Explanation) -> dict:
@@ -317,15 +355,13 @@ def explanation_to_dict(expl: Explanation) -> dict:
 
 
 def explanation_from_dict(document: dict) -> Explanation:
-    check_schema_version(document, "explanation document")
-    try:
-        entries = tuple(
-            (entry["line"], float(entry["score"])) for entry in document["entries"]
-        )
-        return Explanation(
-            function_id=document["function_id"],
-            confidence=float(document["confidence"]),
-            entries=entries,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"explanation document: malformed ({exc})") from None
+    what = "explanation document"
+    check_schema_version(document, what)
+    function_id = document.get("function_id")
+    if not isinstance(function_id, str):
+        raise SchemaError(f"{what}: 'function_id' must be a string")
+    return Explanation(
+        function_id=function_id,
+        confidence=json_number(document.get("confidence"), f"{what}: confidence"),
+        entries=explanation_entries(document.get("entries"), what),
+    )

@@ -370,3 +370,156 @@ class TestEvaluateCommand:
             assert result.exit_code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def assert_clean_failure(result) -> None:
+    """Exit 2 with one `error:` message, not an uncaught exception."""
+    assert result.exit_code == EXIT_ERROR, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+
+
+class TestMalformedArtifacts:
+    """Every command ends malformed input with exit 2 and an `error:` line."""
+
+    def replace_arg(self, args, flag, path):
+        args = list(args)
+        args[args.index(flag) + 1] = str(path)
+        return args
+
+    @pytest.mark.parametrize(
+        "flag, content, needle",
+        [
+            ("--explanation", b'{"schema_version": "1.0.0", "function_id": "\xff"}', "UTF-8"),
+            ("--explanation", b"[]", "not a JSON object"),
+            ("--models", b"[1, 2]", "not a JSON object"),
+            ("--source", b"int f(int a)\n{\n    return a; /* \xff */\n}\n", "UTF-8"),
+        ],
+        ids=["explanation-not-utf8", "explanation-array", "model-file-array", "source-not-utf8"],
+    )
+    def test_assess_bad_file(self, runner, vrrp_args, tmp_path, flag, content, needle):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        result = runner.invoke(main, ["assess", *self.replace_arg(vrrp_args, flag, path)])
+        assert_clean_failure(result)
+        assert needle in result.stderr
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ['["member_0.json"]', json.dumps({"schema_version": SCHEMA_VERSION, "members": [5]})],
+        ids=["array", "member-not-a-name"],
+    )
+    def test_assess_manifest(self, runner, vrrp_args, tmp_path, manifest):
+        (tmp_path / MANIFEST_NAME).write_text(manifest, encoding="utf-8")
+        result = runner.invoke(main, ["assess", *self.replace_arg(vrrp_args, "--models", tmp_path)])
+        assert_clean_failure(result)
+        assert MANIFEST_NAME in result.stderr
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"view": "lookup", "non_benign": [], "threshold": "0.5"},
+            {"view": "adapter", "command": [1], "threshold": 0.5},
+            {"view": "token_ngram", "vocabulary": {"x": 3}, "weights": [0.5], "bias": 0.0,
+             "threshold": 0.5, "seed": 1},
+        ],
+        ids=["threshold-string", "command-not-strings", "index-past-weights"],
+    )
+    def test_assess_model_field_types(self, runner, vrrp_args, tmp_path, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **model}), encoding="utf-8")
+        result = runner.invoke(main, ["assess", *self.replace_arg(vrrp_args, "--models", path)])
+        assert_clean_failure(result)
+
+    def test_assess_adapter_timeout_string(self, runner, vrrp_args, data_dir, tmp_path):
+        command = [sys.executable, str(data_dir / "adapter_stub.py")]
+        model = {"schema_version": SCHEMA_VERSION, "view": "adapter", "command": command,
+                 "threshold": 0.5, "timeout": "5"}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        result = runner.invoke(main, ["assess", *self.replace_arg(vrrp_args, "--models", path)])
+        assert_clean_failure(result)
+        assert "timeout" in result.stderr
+
+    @pytest.mark.parametrize("header", ["[]", "{not json", '"line-dataset"'])
+    def test_train_dataset_bad_header(self, runner, tmp_path, header):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(header + '\n{"text": "a = 1 ;", "label": "vulnerable", "function_id": "f", "line": 2}\n',
+                        encoding="utf-8")
+        result = runner.invoke(main, ["train", "--dataset", str(path), "--out", str(tmp_path / "m"), "--seed", "1"])
+        assert_clean_failure(result)
+        assert "header" in result.stderr
+
+    @pytest.mark.parametrize(
+        "sample",
+        [{"text": 5}, {"function_id": None}, {"line": "2"}, {"label": "maybe"}],
+        ids=["text-number", "function-id-null", "line-string", "unknown-label"],
+    )
+    def test_train_dataset_bad_sample(self, runner, tmp_path, sample):
+        good = {"text": "a = 1 ;", "label": "vulnerable", "function_id": "f", "line": 2}
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(
+            json.dumps({"schema_version": SCHEMA_VERSION, "kind": "line-dataset"}) + "\n"
+            + json.dumps({**good, **sample}) + "\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["train", "--dataset", str(path), "--out", str(tmp_path / "m"), "--seed", "1"])
+        assert_clean_failure(result)
+        assert ":2:" in result.stderr
+
+    def test_evaluate_corpus_not_utf8(self, runner, planted, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(planted["corpus"].read_bytes() + b'{"function_id": "\xff"}\n')
+        result = runner.invoke(main, ["evaluate", "--corpus", str(path), "--models", str(planted["models"])])
+        assert_clean_failure(result)
+        assert "UTF-8" in result.stderr
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"taus": None},
+            {"skipped": None},
+            {"taus": {}},
+            {"skipped": []},
+            {"skipped": {"parse": "1"}},
+            {"taus": [[]]},
+            {"taus": [{"tau": 0.5, "trust": {}, "naive": {}}]},
+            {"taus": [{"tau": "0.5", "trust": {}, "naive": {}}]},
+        ],
+        ids=["no-taus", "no-skipped", "taus-object", "skipped-array", "count-string",
+             "cutoff-array", "metrics-missing", "tau-string"],
+    )
+    def test_report_malformed(self, runner, planted, tmp_path, change):
+        doc = {"schema_version": SCHEMA_VERSION, "taus": [], "records": [], "skipped": {}}
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["report", str(path)])
+        assert_clean_failure(result)
+
+    def test_report_metric_must_be_a_number(self, runner, planted, tmp_path):
+        out = tmp_path / "report.json"
+        evaluated = runner.invoke(
+            main, ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+                   *EVAL_ARGS, "--out", str(out)],
+        )
+        assert evaluated.exit_code == EXIT_OK
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        doc["taus"][0]["trust"]["f1"] = "0.9"
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, ["report", str(out)])
+        assert_clean_failure(result)
+        assert "f1" in result.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"garbage\n", b"[run]\nseed = 1\nseed = 2\n", b"[run]\nseed = \xff\n"],
+        ids=["no-section", "duplicate-field", "not-utf8"],
+    )
+    def test_config_unreadable(self, runner, vrrp_args, tmp_path, content):
+        path = tmp_path / "run.ini"
+        path.write_bytes(content)
+        result = runner.invoke(main, ["assess", *vrrp_args, "--config", str(path)])
+        assert_clean_failure(result)
+        assert "config file" in result.stderr

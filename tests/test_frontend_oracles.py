@@ -1,11 +1,13 @@
 """The frontend's fast analyses against their reference versions, and the
-frontend's failure contract on arbitrary input."""
+failure contract of the frontend and the artifact loaders on arbitrary
+input."""
 
 from __future__ import annotations
 
+import json
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -17,6 +19,7 @@ from oracles import (
     oracle_tokenize_line,
 )
 from synth import c_subset_function
+from trustvet.corpus import record_from_dict
 from trustvet.errors import TrustvetError, UnsupportedConstructError
 from trustvet.frontend import (
     export_raw_graph,
@@ -33,7 +36,9 @@ from trustvet.frontend.parser import (
     _immediate_post_dominators,
     _reaching_definitions,
 )
-from trustvet.pdg import DepKind
+from trustvet.lineassess.classifier import load_model
+from trustvet.lineassess.dataset import load_line_dataset
+from trustvet.pdg import DepKind, explanation_from_dict, pdg_from_dict
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(min_value=1, max_value=60)
@@ -182,10 +187,106 @@ graph_docs = st.fixed_dictionaries(
     }
 )
 
+versions = sometimes(st.just("1.0.0"))
+function_ids = sometimes(st.just("f"))
+# numbers, and the booleans and numeric strings a float() call would accept
+numbers = st.one_of(sometimes(st.floats(0, 1)), st.booleans(), st.just("0.3"))
+entry_docs = st.fixed_dictionaries({"line": sometimes(st.integers(1, 9)), "score": numbers})
+explanation_docs = st.fixed_dictionaries(
+    {
+        "schema_version": versions,
+        "function_id": function_ids,
+        "confidence": numbers,
+        "entries": sometimes(st.lists(entry_docs, max_size=4)),
+    }
+)
+pdg_docs = st.fixed_dictionaries(
+    {
+        "schema_version": versions,
+        "function_id": function_ids,
+        "nodes": sometimes(
+            st.lists(
+                st.fixed_dictionaries(
+                    {"line": sometimes(st.integers(1, 4))},
+                    optional={"text": sometimes(st.text(max_size=6)), "vars": sometimes(st.lists(st.text(max_size=3)))},
+                ),
+                max_size=4,
+            )
+        ),
+        "edges": sometimes(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "src": sometimes(st.integers(1, 4)),
+                        "dst": sometimes(st.integers(1, 4)),
+                        "kind": sometimes(st.sampled_from(["control", "data"])),
+                    },
+                    optional={"var": sometimes(st.just("x"))},
+                ),
+                max_size=4,
+            )
+        ),
+    }
+)
+record_docs = st.fixed_dictionaries(
+    {"function_id": st.just("f"), "source": st.just("int f(int a) { return a; }")},
+    optional={
+        "label": sometimes(st.sampled_from(["vulnerable", "non-vulnerable"])),
+        "vul_lines": sometimes(st.lists(st.integers(1, 9), max_size=3)),
+        "explanation": sometimes(st.lists(entry_docs, max_size=3)),
+        "confidence": numbers,
+        "diff": sometimes(st.just("")),
+        "graph": sometimes(graph_docs),
+    },
+)
+model_docs = st.fixed_dictionaries(
+    {
+        "schema_version": versions,
+        "view": sometimes(st.sampled_from(["lookup", "adapter", "token_ngram", "char_ngram", "syntax_shape"])),
+        "threshold": sometimes(st.floats(0, 1)),
+    },
+    optional={
+        "vocabulary": sometimes(st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=3)),
+        "weights": sometimes(st.lists(st.floats(-2, 2), max_size=3)),
+        "bias": sometimes(st.floats(-2, 2)),
+        "seed": sometimes(st.integers(0, 9)),
+        "non_benign": sometimes(st.lists(st.text(max_size=4), max_size=2)),
+        "command": sometimes(st.lists(st.text(max_size=4), max_size=2)),
+    },
+)
+dataset_lines = st.tuples(
+    sometimes(st.just({"schema_version": "1.0.0", "kind": "line-dataset"})),
+    st.lists(
+        st.fixed_dictionaries(
+            {
+                "text": sometimes(st.text(max_size=6)),
+                "label": sometimes(st.sampled_from(["vulnerable", "non-vulnerable"])),
+                "function_id": function_ids,
+                "line": sometimes(st.integers(1, 9)),
+            }
+        ),
+        max_size=3,
+    ),
+).map(lambda parts: [json.dumps(parts[0])] + [json.dumps(sample) for sample in parts[1]])
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def returns_or_raises(load, *args):
+    """load(*args), or None when it raises a TrustvetError; anything else
+    it raises fails the test."""
+    try:
+        return load(*args)
+    except TrustvetError:
+        return None
+
 
 class TestFailureContract:
-    """Whatever the input, the frontend either succeeds or raises a
-    TrustvetError, which the CLI maps to exit 2 and evaluate to a skip."""
+    """Whatever the input, the frontend and the artifact loaders either
+    succeed or raise a TrustvetError, which the CLI maps to exit 2 and
+    evaluate to a skip."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), c_soup, c_soup.map(function_shell)))
@@ -202,3 +303,56 @@ class TestFailureContract:
             import_raw_graph(document).to_pdg()
         except TrustvetError:
             pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(json_values, explanation_docs))
+    @example({"schema_version": "1.0.0", "function_id": "f", "confidence": 0.5, "entries": [{"line": 1, "score": True}]})
+    @example({"schema_version": "1.0.0", "function_id": "f", "confidence": 0.5, "entries": [{"line": 1, "score": "0.3"}]})
+    @example({"schema_version": "1.0.0", "function_id": "f", "confidence": True, "entries": []})
+    @example({"schema_version": "1.0.0", "function_id": [1], "confidence": 0.5, "entries": []})
+    def test_explanation_from_dict(self, document):
+        expl = returns_or_raises(explanation_from_dict, document)
+        if expl is not None:  # only a well-typed document loads
+            assert isinstance(document["function_id"], str)
+            assert is_number(document["confidence"])
+            assert all(is_number(entry["score"]) for entry in document["entries"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(json_values, pdg_docs))
+    @example({"schema_version": "1.0.0", "function_id": [1], "nodes": [], "edges": []})
+    def test_pdg_from_dict(self, document):
+        pdg = returns_or_raises(pdg_from_dict, document)
+        if pdg is not None:
+            assert isinstance(pdg.function_id, str)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(json_values, record_docs))
+    @example({"function_id": "f", "source": "x", "explanation": [{"line": 1, "score": True}], "confidence": 0.5})
+    @example({"function_id": "f", "source": "x", "explanation": [{"line": 1, "score": "0.3"}], "confidence": 0.5})
+    def test_record_from_dict(self, document):
+        record = returns_or_raises(record_from_dict, document, "corpus.jsonl:1")
+        if record is not None and record.explanation is not None:
+            assert all(is_number(entry["score"]) for entry in document["explanation"])
+        if record is not None and record.confidence is not None:
+            assert is_number(document["confidence"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(json_values.map(json.dumps), model_docs.map(json.dumps), st.binary(max_size=12)))
+    @example("[]")
+    @example(b"\xff")
+    def test_load_model(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "model.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        model = returns_or_raises(load_model, path)
+        if model is not None:  # a model that loads can classify
+            assert isinstance(model.threshold, float)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.lists(json_values.map(json.dumps), max_size=3), dataset_lines, st.binary(max_size=12)))
+    @example(["[]"])
+    @example(["not json"])
+    def test_load_line_dataset(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "dataset.jsonl"
+        path.write_bytes(content if isinstance(content, bytes) else "\n".join(content).encode())
+        for sample in returns_or_raises(load_line_dataset, path) or []:
+            assert isinstance(sample.text, str) and isinstance(sample.origin.function_id, str)
