@@ -172,6 +172,12 @@ def calibrate_threshold(scores: Sequence[float], labels: Sequence[bool]) -> Cali
     Candidates are the midpoints between consecutive distinct scores; ties
     resolve toward the smaller threshold. A single distinct score cannot be
     split, so that value is returned with the degenerate flag set.
+
+    One sweep over the scores in sorted order keeps the running count of
+    scores below each midpoint and of positives among them, so the cost is
+    one sort. The count is taken against the midpoint value itself: when
+    two distinct scores are adjacent doubles, their midpoint rounds to the
+    lower one, which then falls outside "score < threshold".
     """
     if len(scores) != len(labels):
         raise UndefinedInputError("scores and labels differ in length")
@@ -184,18 +190,22 @@ def calibrate_threshold(scores: Sequence[float], labels: Sequence[bool]) -> Cali
     if len(distinct) == 1:
         return CalibrationResult(threshold=distinct[0], gmean=0.0, degenerate=True)
 
-    def gmean_at(threshold: float) -> float:
-        preds = [s < threshold for s in scores]
-        m = compute_metrics(labels, preds)
-        if m.sensitivity is None or m.specificity is None:
-            return 0.0
-        return math.sqrt(m.sensitivity * m.specificity)
-
+    neg = len(labels) - pos
+    ordered = sorted(zip(scores, labels), key=lambda pair: pair[0])
+    below = 0  # scores < candidate
+    tp = 0  # positives among them, i.e. true positives of the rule
     best_threshold = None
     best_gmean = -1.0
     for lo, hi in zip(distinct, distinct[1:]):
         candidate = (lo + hi) / 2.0
-        value = gmean_at(candidate)
+        while below < len(ordered) and ordered[below][0] < candidate:
+            if ordered[below][1]:
+                tp += 1
+            below += 1
+        # the same expressions as compute_metrics, so the floats are equal
+        sensitivity = tp / pos
+        specificity = (neg - (below - tp)) / neg
+        value = math.sqrt(sensitivity * specificity)
         if value > best_gmean:
             best_gmean = value
             best_threshold = candidate

@@ -74,6 +74,7 @@ _CHAR_TOKEN = Token(TokenKind.LITERAL, CHAR_LITERAL)
 _COMMENT_OR_LITERAL = re.compile(
     rf"{_LINE_COMMENT}|{_BLOCK_COMMENT}|({_OPEN_COMMENT})|{_STRING}|{_CHAR}", re.DOTALL
 )
+_LITERAL = re.compile(rf"{_STRING}|{_CHAR}", re.DOTALL)
 
 
 @lru_cache(maxsize=1)
@@ -148,6 +149,12 @@ def _blank_comments(line: str, in_block: bool) -> tuple[str, bool]:
         start = m.end()
     out.append(line[start:])
     return "".join(out), in_block
+
+
+def _blank_literals(text: str) -> str:
+    """text, already free of comments, with the contents of each string and
+    character literal replaced by spaces; the opening quote is kept."""
+    return _LITERAL.sub(lambda m: m[0][0] + " " * (len(m[0]) - 1), text)
 
 
 def normalize_line(text: str, alpha_rename: bool = False) -> str:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind
-from .lexer import Token, TokenKind, _blank_comments, tokenize_line
+from .lexer import Token, TokenKind, _blank_comments, _blank_literals, tokenize_line
 
 _EXIT = -1  # virtual CFG exit
 
@@ -101,15 +101,18 @@ class _Stmt:
 
 def _clean_source(source: str) -> list[str]:
     """Blank out comments (block comments may span lines) and reject
-    preprocessor lines, returning the cleaned source line by line."""
+    preprocessor lines and any other '#' outside a literal, returning the
+    cleaned source line by line; literals are returned as they are."""
     cleaned: list[str] = []
     in_block = False
     for lineno, line in enumerate(source.splitlines(), start=1):
         text, in_block = _blank_comments(line, in_block)
-        if text.lstrip().startswith("#"):
-            raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
         if "#" in text:
-            raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
+            code = _blank_literals(text)
+            if code.lstrip().startswith("#"):
+                raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
+            if "#" in code:
+                raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
         cleaned.append(text)
     return cleaned
 

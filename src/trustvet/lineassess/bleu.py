@@ -10,11 +10,22 @@ skipped, and an additive epsilon keeps the log of a zero precision finite:
 
 so an exact self-match still scores exactly 1.0 while a fully disjoint pair
 scores ~eps instead of 0.
+
+The reference side does not depend on the candidate. BleuReferences holds it
+as a table: for each order, every reference n-gram with its highest count in
+any one reference, plus the sorted distinct reference lengths. Building the
+table costs one pass over the references' n-grams; scoring a candidate
+against it costs one dict lookup per candidate n-gram and one bisect for the
+brevity penalty, whatever the number of references. A screen of C candidates
+against R references therefore costs O(R + C log R) instead of O(C * R). The
+counts are integers and the float operations run in the same order as the
+textbook form, so a table gives exactly the scores of a fresh computation.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from typing import Sequence
 
@@ -32,35 +43,82 @@ def _ngrams(texts: list[str], order: int) -> Counter:
     return Counter(tuple(texts[i : i + order]) for i in range(len(texts) - order + 1))
 
 
-def bleu(candidate: Sequence, references: Sequence[Sequence], max_order: int = 4) -> float:
-    """BLEU of one candidate against one or more references.
-
-    Tokens may be lexer Tokens or plain strings; comparison is by token text.
-    An empty candidate is undefined input. With no references the score is
-    0.0 by convention (there is nothing to resemble).
-    """
+def _check_order(max_order: int) -> None:
     if max_order < 1:
         raise UndefinedInputError(f"max_order must be >= 1, got {max_order}")
+
+
+class BleuReferences:
+    """The reference side of BLEU, built once and shared by many candidates.
+
+    best[order - 1] maps each n-gram of that order to its highest count in
+    any one reference (the clipping bound); lengths are the sorted distinct
+    reference lengths.
+    """
+
+    def __init__(self, references: Sequence[Sequence], max_order: int = 4):
+        _check_order(max_order)
+        refs = [_texts(r) for r in references]
+        self.max_order = max_order
+        self.best: list[dict[tuple[str, ...], int]] = []
+        for order in range(1, max_order + 1):
+            best: dict[tuple[str, ...], int] = {}
+            for ref in refs:
+                for gram, count in _ngrams(ref, order).items():
+                    if count > best.get(gram, 0):
+                        best[gram] = count
+            self.best.append(best)
+        self.lengths = sorted({len(ref) for ref in refs})
+
+    def closest_length(self, c: int) -> int:
+        """The reference length nearest to c; on a tie, the shorter one."""
+        lengths = self.lengths
+        i = bisect_left(lengths, c)
+        if i == len(lengths):
+            return lengths[-1]
+        if i == 0 or lengths[i] == c:
+            return lengths[i]
+        below, above = lengths[i - 1], lengths[i]
+        return below if c - below <= above - c else above
+
+
+def bleu(
+    candidate: Sequence,
+    references: Sequence[Sequence] | BleuReferences,
+    max_order: int = 4,
+) -> float:
+    """BLEU of one candidate against one or more references.
+
+    references is either the reference token sequences themselves or a
+    BleuReferences table built from them with the same max_order; a table
+    built for another order is undefined input. Tokens may be lexer Tokens
+    or plain strings; comparison is by token text. An empty candidate is
+    undefined input. With no references the score is 0.0 by convention
+    (there is nothing to resemble).
+    """
+    _check_order(max_order)
     cand = _texts(candidate)
     if not cand:
         raise UndefinedInputError("bleu is undefined for an empty candidate")
-    refs = [_texts(r) for r in references]
-    if not refs:
+    if isinstance(references, BleuReferences):
+        table = references
+        if table.max_order != max_order:
+            raise UndefinedInputError(
+                f"reference table was built for max_order {table.max_order}, not {max_order}"
+            )
+    else:
+        table = BleuReferences(references, max_order)
+    if not table.lengths:
         return 0.0
 
     log_sum = 0.0
     orders_used = 0
-    for order in range(1, max_order + 1):
+    for order, best in enumerate(table.best, start=1):
         cand_ngrams = _ngrams(cand, order)
         total = sum(cand_ngrams.values())
         if total == 0:
             continue
-        max_ref = Counter()
-        for ref in refs:
-            for gram, count in _ngrams(ref, order).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(count, max_ref[gram]) for gram, count in cand_ngrams.items())
+        clipped = sum(min(count, best.get(gram, 0)) for gram, count in cand_ngrams.items())
         log_sum += math.log((clipped + EPSILON) / (total + EPSILON))
         orders_used += 1
     if orders_used == 0:
@@ -68,6 +126,6 @@ def bleu(candidate: Sequence, references: Sequence[Sequence], max_order: int = 4
     geo_mean = math.exp(log_sum / orders_used)
 
     c = len(cand)
-    r = min((len(ref) for ref in refs), key=lambda L: (abs(L - c), L))
+    r = table.closest_length(c)
     penalty = 1.0 if c >= r else math.exp(1.0 - r / c)
     return penalty * geo_mean

@@ -369,17 +369,26 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
             timeout = json_number(doc.get("timeout", ADAPTER_TIMEOUT), f"{path}: timeout")
             return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)
         vocabulary = dict(doc["vocabulary"])
-        weights = [float(v) for v in doc["weights"]]
+        raw_weights = doc["weights"]
+        if not isinstance(raw_weights, list):
+            raise SchemaError(f"{path}: weights must be a list of numbers")
+        weights = [json_number(v, f"{path}: weights[{i}]") for i, v in enumerate(raw_weights)]
         if not all(is_strict_int(i) and 0 <= i < len(weights) for i in vocabulary.values()):
             raise SchemaError(f"{path}: vocabulary indices must point into the weights")
+        seed = doc["seed"]
+        if not is_strict_int(seed):
+            raise SchemaError(f"{path}: seed must be an integer, not {seed!r}")
+        heldout = doc.get("heldout_accuracy")
+        if heldout is not None:
+            heldout = json_number(heldout, f"{path}: heldout_accuracy")
         return LinearLineClassifier(
             view=FeatureView(view),
             vocabulary=vocabulary,
             weights=weights,
-            bias=float(doc["bias"]),
+            bias=json_number(doc["bias"], f"{path}: bias"),
             threshold=threshold,
-            seed=int(doc["seed"]),
-            heldout_accuracy=doc.get("heldout_accuracy"),
+            seed=seed,
+            heldout_accuracy=heldout,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from None

@@ -21,7 +21,7 @@ from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
 from ..errors import DiffMismatchError, InsufficientDataError, SchemaError
 from ..frontend.lexer import is_substantive_line, normalize_line, tokenize_line
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
-from .bleu import bleu
+from .bleu import BleuReferences, bleu
 from .diffs import extract_vulnerable_lines
 
 
@@ -116,8 +116,9 @@ def filter_negatives(
     max_order: int = 4,
 ) -> list[LineSample]:
     """Keep candidates strictly below the BLEU threshold against the
-    vulnerable set. Idempotent: filtering a filtered list changes nothing."""
-    references = [tokenize_line(v.text) for v in vulnerable]
+    vulnerable set. Idempotent: filtering a filtered list changes nothing.
+    The vulnerable side is tabulated once and shared by every candidate."""
+    references = BleuReferences([tokenize_line(v.text) for v in vulnerable], max_order)
     kept: list[LineSample] = []
     for cand in candidates:
         score = bleu(tokenize_line(cand.text), references, max_order)

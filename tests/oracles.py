@@ -488,3 +488,67 @@ def oracle_clean_source(source: str) -> list[str]:
             raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
         cleaned.append(text)
     return cleaned
+
+
+def oracle_clean_source_literals_blanked(source: str) -> list[str]:
+    """oracle_clean_source with its '#' fault corrected. The per-character
+    scan also builds a copy of each line whose literal contents are blanked,
+    and both '#' checks read that copy, so a '#' inside a string or character
+    literal (printf("#%d", a)) is accepted. The cleaned lines it returns are
+    the former reference's, literals kept as they are."""
+    lines = source.splitlines()
+    cleaned: list[str] = []
+    in_block = False
+    for lineno, line in enumerate(lines, start=1):
+        out: list[str] = []
+        code: list[str] = []  # out, with literal contents blanked
+        i = 0
+        n = len(line)
+        in_line_comment = False
+        while i < n:
+            ch = line[i]
+            if in_block or in_line_comment:
+                if in_block and ch == "*" and i + 1 < n and line[i + 1] == "/":
+                    in_block = False
+                    out.append("  ")
+                    code.append("  ")
+                    i += 2
+                    continue
+                out.append(" ")
+                code.append(" ")
+                i += 1
+                continue
+            if ch == "/" and i + 1 < n and line[i + 1] in "*/":
+                in_block = line[i + 1] == "*"
+                in_line_comment = not in_block
+                out.append("  ")
+                code.append("  ")
+                i += 2
+                continue
+            if ch in "\"'":
+                quote = ch
+                out.append(ch)
+                code.append(ch)
+                i += 1
+                while i < n:
+                    if line[i] == "\\" and i + 1 < n:
+                        out.append(line[i : i + 2])
+                        code.append("  ")
+                        i += 2
+                        continue
+                    out.append(line[i])
+                    code.append(" ")
+                    i += 1
+                    if line[i - 1] == quote:
+                        break
+                continue
+            out.append(ch)
+            code.append(ch)
+            i += 1
+        text, masked = "".join(out), "".join(code)
+        if masked.lstrip().startswith("#"):
+            raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
+        if "#" in masked:
+            raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
+        cleaned.append(text)
+    return cleaned

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_bleu
 from trustvet.errors import UndefinedInputError
-from trustvet.lineassess.bleu import bleu
+from trustvet.lineassess.bleu import BleuReferences, bleu
 
 TOKENS = ["x", "y", "z", "=", "+", "(", ")", ";", "if", "0", "1"]
 
@@ -79,3 +79,58 @@ class TestAgainstOracle:
     def test_bounded(self, candidate, references):
         value = bleu(candidate, references)
         assert 0.0 <= value <= 1.0 + 1e-12
+
+
+class TestReferenceTable:
+    """One table scores every candidate exactly as a fresh computation."""
+
+    @pytest.mark.parametrize("max_order", [1, 2, 3, 4, 5])
+    def test_reuse_equals_one_shot(self, max_order):
+        rng = random.Random(1000 + max_order)
+        for _ in range(20):
+            references = [random_seq(rng, 3, 9) for _ in range(rng.randint(1, 6))]
+            table = BleuReferences(references, max_order)
+            lengths = sorted({len(r) for r in references})
+            candidates = [random_seq(rng, 1, 14) for _ in range(30)]
+            candidates += [random_seq(rng, 1, lengths[0] - 1)]  # shorter than every reference
+            candidates += [random_seq(rng, lengths[-1] + 1, lengths[-1] + 4)]  # longer than all
+            # equal distance to two reference lengths
+            for lo, hi in zip(lengths, lengths[1:]):
+                if (hi - lo) % 2 == 0:
+                    candidates.append(random_seq(rng, (lo + hi) // 2, (lo + hi) // 2))
+            for candidate in candidates:
+                got = bleu(candidate, table, max_order)
+                assert got == bleu(candidate, references, max_order), (candidate, references)
+                assert got == oracle_bleu(candidate, references, max_order), (candidate, references)
+
+    def test_equal_distance_tie_takes_the_shorter_length(self):
+        # lengths 2 and 4 are both 1 away from 3; a penalty would mean 4 won
+        references = [["a", "b"], ["a", "b", "c", "d"], ["q"] * 9]
+        table = BleuReferences(references, 2)
+        assert table.closest_length(3) == 2
+        assert bleu(["a", "b", "c"], table, 2) == oracle_bleu(["a", "b", "c"], references, 2)
+
+    def test_closest_length_at_the_ends_and_on_a_hit(self):
+        table = BleuReferences([["a"] * 3, ["a"] * 6, ["a"] * 6], 1)
+        assert table.lengths == [3, 6]
+        assert [table.closest_length(c) for c in (1, 3, 4, 5, 6, 20)] == [3, 3, 3, 6, 6, 6]
+
+    def test_clipping_bound_is_the_highest_count_in_one_reference(self):
+        # "a" twice in each reference: the bound is 2, not the sum 4
+        table = BleuReferences([["a", "a", "b"], ["a", "a", "c"]], 2)
+        assert table.best[0][("a",)] == 2
+        assert table.best[1] == {("a", "a"): 1, ("a", "b"): 1, ("a", "c"): 1}
+
+    def test_empty_table_scores_zero(self):
+        assert bleu(["a"], BleuReferences([], 4)) == 0.0
+
+    def test_mismatched_order_rejected(self):
+        table = BleuReferences([["a", "b"]], 2)
+        with pytest.raises(UndefinedInputError, match="max_order 2"):
+            bleu(["a", "b"], table, 4)
+        with pytest.raises(UndefinedInputError):
+            bleu(["a", "b"], table)
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(UndefinedInputError):
+            BleuReferences([["a"]], 0)

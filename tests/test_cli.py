@@ -106,6 +106,16 @@ class TestAssessCommand:
         assert result.exit_code == EXIT_ERROR
         assert "nested more than" in result.stderr
 
+    def test_hash_inside_a_string_literal(self, runner, vrrp_args, vrrp_source, tmp_path):
+        # literals collapse to one token, so the verdict is the fixture's
+        path = tmp_path / "hash.c"
+        path.write_text(vrrp_source.replace('"%s"', '"#%s"'), encoding="utf-8")
+        result = runner.invoke(
+            main, ["assess", "--source", str(path), *vrrp_args[2:], "--no-normalize", "--threshold", "0.25"]
+        )
+        assert result.exit_code == EXIT_UNTRUSTWORTHY, result.output
+        assert "0.245000" in result.output
+
     def test_import_pdg(self, runner, vrrp_args, vrrp_source, tmp_path):
         doc = export_raw_graph(parse_function(vrrp_source))
         doc["edges"].append(
@@ -422,8 +432,17 @@ class TestMalformedArtifacts:
             {"view": "adapter", "command": [1], "threshold": 0.5},
             {"view": "token_ngram", "vocabulary": {"x": 3}, "weights": [0.5], "bias": 0.0,
              "threshold": 0.5, "seed": 1},
+            {"view": "token_ngram", "vocabulary": {"x": 0}, "weights": ["0.5"], "bias": 0.0,
+             "threshold": 0.5, "seed": 1},
+            {"view": "token_ngram", "vocabulary": {"x": 0}, "weights": [0.5], "bias": "0.0",
+             "threshold": 0.5, "seed": 1},
+            {"view": "token_ngram", "vocabulary": {"x": 0}, "weights": [0.5], "bias": 0.0,
+             "threshold": 0.5, "seed": "1"},
+            {"view": "token_ngram", "vocabulary": {"x": 0}, "weights": [0.5], "bias": 0.0,
+             "threshold": 0.5, "seed": 1, "heldout_accuracy": "0.9"},
         ],
-        ids=["threshold-string", "command-not-strings", "index-past-weights"],
+        ids=["threshold-string", "command-not-strings", "index-past-weights", "weight-string",
+             "bias-string", "seed-string", "heldout-accuracy-string"],
     )
     def test_assess_model_field_types(self, runner, vrrp_args, tmp_path, model):
         path = tmp_path / "model.json"

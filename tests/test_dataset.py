@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from oracles import oracle_bleu
 from synth import negative_record, worker_record
 from trustvet.corpus import VULNERABLE, CorpusRecord
 from trustvet.errors import DiffMismatchError, InsufficientDataError
+from trustvet.frontend.lexer import tokenize_line
 from trustvet.lineassess.dataset import (
     LineLabel,
     Origin,
@@ -132,6 +136,59 @@ class TestNearDuplicateFilter:
         once = filter_negatives(candidates, positives)
         twice = filter_negatives(once, positives)
         assert once == twice
+
+
+class TestFilterAgainstOracle:
+    """The screen keeps exactly what a filter on the independent BLEU keeps,
+    on corpora where many candidates are edits of a vulnerable line."""
+
+    WORDS = ["x", "y", "n", "buf", "len", "=", "+", "(", ")", "[", "]", ";", "copy", "0", "1"]
+
+    def oracle_filter(self, candidates, vulnerable, threshold, max_order):
+        references = [[t.text for t in tokenize_line(v.text)] for v in vulnerable]
+        return [
+            c
+            for c in candidates
+            if oracle_bleu([t.text for t in tokenize_line(c.text)], references, max_order) < threshold
+        ]
+
+    def near_copy(self, rng, tokens):
+        edited = list(tokens)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(edited))
+            roll = rng.random()
+            if roll < 0.4:
+                edited[at] = rng.choice(self.WORDS)
+            elif roll < 0.7 and len(edited) > 1:
+                del edited[at]
+            else:
+                edited.insert(at, rng.choice(self.WORDS))
+        return edited
+
+    def test_random_corpora(self):
+        rng = random.Random(4242)
+        origin = Origin("f", 1)
+        for _ in range(25):
+            lines = [
+                [rng.choice(self.WORDS) for _ in range(rng.randint(2, 10))]
+                for _ in range(rng.randint(1, 12))
+            ]
+            vulnerable = [make_sample(" ".join(t), LineLabel.VULNERABLE, origin) for t in lines]
+            candidates = []
+            for _ in range(40):
+                tokens = self.near_copy(rng, rng.choice(lines))
+                if rng.random() < 0.3:
+                    tokens = [rng.choice(self.WORDS) for _ in range(rng.randint(1, 10))]
+                candidates.append(make_sample(" ".join(tokens), LineLabel.NON_VULNERABLE, origin))
+            max_order = rng.randint(1, 4)
+            # thresholds that some candidate scores exactly, to test the strict cut
+            references = [[t.text for t in tokenize_line(v.text)] for v in vulnerable]
+            hit = oracle_bleu(
+                [t.text for t in tokenize_line(rng.choice(candidates).text)], references, max_order
+            )
+            for threshold in (0.3, 0.5, 0.7, hit):
+                got = filter_negatives(candidates, vulnerable, threshold, max_order)
+                assert got == self.oracle_filter(candidates, vulnerable, threshold, max_order)
 
 
 class TestBuildAndPersist:

@@ -161,6 +161,39 @@ class TestCalibration:
             assert got.gmean == pytest.approx(want_gmean, abs=1e-12)
             assert got.threshold == pytest.approx(want_threshold, abs=1e-12)
 
+    def random_scores(self, rng, n):
+        """n scores with heavy ties, some of them adjacent doubles."""
+        base = [round(rng.uniform(-1, 2), rng.choice([1, 2, 6])) for _ in range(rng.randint(1, 60))]
+        base += [math.nextafter(v, math.inf) for v in rng.sample(base, len(base) // 2)]
+        return [rng.choice(base) for _ in range(n)]
+
+    def test_sweep_equals_oracle_exactly(self):
+        rng = random.Random(2024)
+        sizes = [rng.randint(2, 60) for _ in range(150)] + [500, 2000, 2000]
+        for n in sizes:
+            scores = self.random_scores(rng, n)
+            labels = [rng.random() < rng.choice([0.1, 0.5, 0.9]) for _ in range(n)]
+            if all(labels) or not any(labels) or len(set(scores)) < 2:
+                continue
+            got = calibrate_threshold(scores, labels)
+            assert (got.threshold, got.gmean) == oracle_best_threshold(scores, labels), n
+
+    def test_sweep_equals_oracle_on_distinct_scores(self):
+        rng = random.Random(5)
+        scores = [rng.random() for _ in range(2000)]
+        labels = [s + rng.gauss(0, 0.3) < 0.5 for s in scores]
+        got = calibrate_threshold(scores, labels)
+        assert (got.threshold, got.gmean) == oracle_best_threshold(scores, labels)
+
+    def test_midpoint_of_adjacent_doubles_rounds_to_the_lower(self):
+        # (1 + next) / 2 rounds to 1.0, so "score < threshold" splits nothing
+        nxt = math.nextafter(1.0, math.inf)
+        assert (1.0 + nxt) / 2.0 == 1.0
+        result = calibrate_threshold([1.0, nxt, 1.0, nxt], [True, False, True, False])
+        assert (result.threshold, result.gmean) == (1.0, 0.0)
+        result = calibrate_threshold([0.5, 1.0, nxt], [True, True, False])
+        assert (result.threshold, result.gmean) == (0.75, math.sqrt(0.5))
+
     def test_tie_takes_the_smaller_threshold(self):
         # both midpoints classify perfectly... construct a plateau instead:
         # thresholds 0.5 and 2.5 both give gmean 0 on an inseparable set

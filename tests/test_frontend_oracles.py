@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     oracle_clean_source,
+    oracle_clean_source_literals_blanked,
     oracle_control_dependence,
     oracle_immediate_pdom,
     oracle_post_dominators,
@@ -36,9 +37,9 @@ from trustvet.frontend.parser import (
     _immediate_post_dominators,
     _reaching_definitions,
 )
-from trustvet.lineassess.classifier import load_model
+from trustvet.lineassess.classifier import LinearLineClassifier, load_model
 from trustvet.lineassess.dataset import load_line_dataset
-from trustvet.pdg import DepKind, explanation_from_dict, pdg_from_dict
+from trustvet.pdg import DepKind, explanation_from_dict, is_strict_int, pdg_from_dict
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(min_value=1, max_value=60)
@@ -121,10 +122,29 @@ def cleaned_or_error(clean, source):
 class TestSourceCleaning:
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(c_soup, c_soup.map(function_shell)))
+    @example('int f(int a)\n{\n    printf("#%d", a);\n    c = \'#\';\n}\n')
     def test_matches_the_character_scan(self, source):
         assert cleaned_or_error(_clean_source, source) == cleaned_or_error(
-            oracle_clean_source, source
+            oracle_clean_source_literals_blanked, source
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(c_soup, c_soup.map(function_shell)))
+    @example('int f(int a)\n{\n    printf("#%d", a);\n}\n')
+    def test_former_scan_differs_only_on_hash_in_literals(self, source):
+        """The former reference rejected a '#' inside a literal; that is
+        the only place the corrected one may disagree with it."""
+        former = cleaned_or_error(oracle_clean_source, source)
+        corrected = cleaned_or_error(oracle_clean_source_literals_blanked, source)
+        if former == corrected:
+            return
+        assert former[0] is UnsupportedConstructError
+        assert "'#' outside a comment or literal" in former[1]
+        if isinstance(corrected, list):  # "$" is not in C_PIECES
+            unhashed = oracle_clean_source(source.replace("#", "$"))
+            assert corrected == [line.replace("$", "#") for line in unhashed]
+        else:  # a later line has a '#' outside any literal
+            assert corrected[2] > former[2]
 
 
 def round_trip(source: str):
@@ -250,6 +270,7 @@ model_docs = st.fixed_dictionaries(
         "weights": sometimes(st.lists(st.floats(-2, 2), max_size=3)),
         "bias": sometimes(st.floats(-2, 2)),
         "seed": sometimes(st.integers(0, 9)),
+        "heldout_accuracy": sometimes(st.one_of(st.none(), st.floats(0, 1))),
         "non_benign": sometimes(st.lists(st.text(max_size=4), max_size=2)),
         "command": sometimes(st.lists(st.text(max_size=4), max_size=2)),
     },
@@ -268,6 +289,19 @@ dataset_lines = st.tuples(
         max_size=3,
     ),
 ).map(lambda parts: [json.dumps(parts[0])] + [json.dumps(sample) for sample in parts[1]])
+
+
+# a linear model that loads; the test_load_model examples break one field each
+LINEAR_MODEL = {
+    "schema_version": "1.0.0",
+    "view": "token_ngram",
+    "threshold": 0.5,
+    "vocabulary": {"x": 0},
+    "weights": [0.5],
+    "bias": 0.0,
+    "seed": 1,
+    "heldout_accuracy": 0.75,
+}
 
 
 def is_number(value) -> bool:
@@ -340,12 +374,25 @@ class TestFailureContract:
     @given(st.one_of(json_values.map(json.dumps), model_docs.map(json.dumps), st.binary(max_size=12)))
     @example("[]")
     @example(b"\xff")
+    @example(json.dumps({**LINEAR_MODEL, "weights": ["0.5"]}))
+    @example(json.dumps({**LINEAR_MODEL, "weights": "05"}))
+    @example(json.dumps({**LINEAR_MODEL, "bias": "0.1"}))
+    @example(json.dumps({**LINEAR_MODEL, "seed": "1"}))
+    @example(json.dumps({**LINEAR_MODEL, "seed": 1.5}))
+    @example(json.dumps({**LINEAR_MODEL, "seed": True}))
+    @example(json.dumps({**LINEAR_MODEL, "heldout_accuracy": "0.9"}))
     def test_load_model(self, tmp_path_factory, content):
         path = tmp_path_factory.getbasetemp() / "model.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         model = returns_or_raises(load_model, path)
         if model is not None:  # a model that loads can classify
             assert isinstance(model.threshold, float)
+        if isinstance(model, LinearLineClassifier):  # from numbers, not strings
+            document = json.loads(content)
+            assert all(is_number(w) for w in document["weights"])
+            assert is_number(document["bias"]) and is_strict_int(document["seed"])
+            held = document.get("heldout_accuracy")
+            assert held is None or is_number(held)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.lists(json_values.map(json.dumps), max_size=3), dataset_lines, st.binary(max_size=12)))

@@ -180,6 +180,21 @@ class TestRejections:
         with pytest.raises(UnsupportedConstructError):
             parse_function("#define X 1\nvoid f(void)\n{\n}\n")
 
+    def test_hash_inside_literals_accepted(self):
+        source = "void f(int a)\n{\n    printf(\"#%d\", a);\n    c = '#';\n}\n"
+        codes = [node.code for node in parse_function(source).nodes]
+        assert 'printf("#%d", a);' in codes
+        assert "c = '#';" in codes
+
+    @pytest.mark.parametrize(
+        "line,needle",
+        [('    x = "a" # b;', "'#' outside"), ('    # "define"', "preprocessor")],
+        ids=["after-a-literal", "directive-with-a-literal"],
+    )
+    def test_hash_outside_literals_still_rejected(self, line, needle):
+        with pytest.raises(UnsupportedConstructError, match=needle):
+            parse_function(f"void f(int a)\n{{\n{line}\n}}\n")
+
     def test_conditionless_for_rejected(self):
         source = "void f(void)\n{\n    for (;;) {\n    }\n}\n"
         with pytest.raises(UnsupportedConstructError):
