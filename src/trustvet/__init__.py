@@ -83,8 +83,6 @@ from .pdg import (
     explanation_from_dict,
     explanation_to_dict,
     pdg_dumps,
-    pdg_from_dict,
-    pdg_loads,
     pdg_to_dict,
     validate_pdg,
 )

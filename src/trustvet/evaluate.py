@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .assess import assess_prediction
@@ -437,41 +437,12 @@ _METRIC_FIELDS = (
 )
 
 
-def _metrics_to_dict(m: Metrics) -> dict:
-    return {field: getattr(m, field) for _, field in _METRIC_FIELDS}
-
-
 def report_to_dict(report: EvaluationReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "skipped": dict(sorted(report.skipped.items())),
-        "taus": [
-            {
-                "tau": t.tau,
-                "trust_threshold": t.trust_threshold,
-                "conf_threshold": t.conf_threshold,
-                "trust_degenerate": t.trust_degenerate,
-                "conf_degenerate": t.conf_degenerate,
-                "untrustworthy_count": t.untrustworthy_count,
-                "evaluated": t.evaluated,
-                "trust": _metrics_to_dict(t.trust),
-                "naive": _metrics_to_dict(t.naive),
-            }
-            for t in report.taus
-        ],
-        "records": [
-            {
-                "function_id": r.function_id,
-                "skipped": r.skipped,
-                "trust_score": r.trust_score,
-                "confidence": r.confidence,
-                "iou": r.iou,
-                "suspicious": list(r.suspicious),
-                "truth": list(r.truth),
-                "degenerate": r.degenerate,
-            }
-            for r in report.results
-        ],
+        "taus": [asdict(t) for t in report.taus],
+        "records": [asdict(r) for r in report.results],
     }
 
 

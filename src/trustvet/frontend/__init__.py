@@ -19,7 +19,7 @@ from .lexer import (
     normalize_line,
     tokenize_line,
 )
-from .parser import RawDepGraph, RawEdge, RawNode, parse_function
+from .parser import RawDepGraph, RawNode, parse_function
 
 
 def pdg_from_source(source: str, function_id: str | None = None) -> Pdg:
@@ -33,7 +33,6 @@ def pdg_from_source(source: str, function_id: str | None = None) -> Pdg:
 __all__ = [
     "ImportedGraph",
     "RawDepGraph",
-    "RawEdge",
     "RawNode",
     "Token",
     "TokenKind",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
 from .lexer import line_surface
-from .parser import RawDepGraph, RawEdge, RawNode
+from .parser import RawDepGraph, RawNode
 
 
 def merge_line_nodes(raw: RawDepGraph, source: str) -> Pdg:
@@ -86,20 +86,12 @@ def _merge_nodes(raw: RawDepGraph, source_lines: int | None) -> Pdg:
 
 def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
     """Re-point statement edges at lines, deduplicated, in canonical order."""
-    seen: set[tuple[int, int, DepKind, str | None]] = set()
-    edges: list[PdgEdge] = []
-    for edge in raw.edges:
-        if edge.src not in line_of or edge.dst not in line_of:
-            raise ImportSchemaError(
-                f"edge {edge.src}->{edge.dst} references an unknown node id"
-            )
-        key = (line_of[edge.src], line_of[edge.dst], edge.kind, edge.variable)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(PdgEdge(key[0], key[1], edge.kind, edge.variable))
-    edges.sort(key=PdgEdge.sort_key)
-    return tuple(edges)
+    edges: set[PdgEdge] = set()
+    for src, dst, kind, variable in raw.edges:
+        if src not in line_of or dst not in line_of:
+            raise ImportSchemaError(f"edge {src}->{dst} references an unknown node id")
+        edges.add(PdgEdge(line_of[src], line_of[dst], kind, variable))
+    return tuple(sorted(edges))
 
 
 @dataclass
@@ -141,7 +133,7 @@ def import_raw_graph(document: dict) -> ImportedGraph:
             raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
         nodes.append(RawNode(node_id, line, code))
 
-    edges: list[RawEdge] = []
+    edges: list[PdgEdge] = []
     skipped = 0
     messages: list[str] = []
     for entry in raw_edges:
@@ -154,14 +146,14 @@ def import_raw_graph(document: dict) -> ImportedGraph:
             )
         kind = entry.get("kind")
         if kind == "CDG":
-            edges.append(RawEdge(src, dst, DepKind.CONTROL))
+            edges.append(PdgEdge(src, dst, DepKind.CONTROL))
         elif kind == "DDG":
             variable = entry.get("variable")
             if not isinstance(variable, str) or not variable:
                 skipped += 1
                 messages.append(f"dropped DDG edge {src}->{dst}: no variable label")
                 continue
-            edges.append(RawEdge(src, dst, DepKind.DATA, variable))
+            edges.append(PdgEdge(src, dst, DepKind.DATA, variable))
         else:
             skipped += 1
             messages.append(f"dropped edge {src}->{dst} of unhandled kind {kind!r}")

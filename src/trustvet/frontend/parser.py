@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
-from ..pdg import DepKind
+from ..pdg import DepKind, PdgEdge
 from .lexer import Token, TokenKind, _blank_comments, _blank_literals, tokenize_line
 
 _EXIT = -1  # virtual CFG exit
@@ -72,20 +72,16 @@ class RawNode:
 
 
 @dataclass
-class RawEdge:
-    src: int
-    dst: int
-    kind: DepKind
-    variable: str | None = None
-
-
-@dataclass
 class RawDepGraph:
-    """Statement-level dependence graph; nodes may share source lines."""
+    """Statement-level dependence graph; nodes may share source lines, and
+    edge endpoints are statement ids. Edges carry a variable exactly when
+    they are data edges, as the parser and import_raw_graph guarantee: the
+    line merge sorts edges as plain tuples, which cannot compare a None
+    variable with a name."""
 
     function_id: str
     nodes: list[RawNode]
-    edges: list[RawEdge]
+    edges: list[PdgEdge]
 
 
 @dataclass
@@ -702,9 +698,6 @@ def parse_function(source: str) -> RawDepGraph:
     # the node carries its whole source line, so an export/import round trip
     # reconstructs the same per-line text and variable surface
     nodes = [RawNode(s.sid, s.line, cfg.cleaned[s.line - 1].strip()) for s in cfg.stmts]
-    edges: list[RawEdge] = []
-    for a, w in sorted(control):
-        edges.append(RawEdge(a, w, DepKind.CONTROL))
-    for d, u, v in sorted(chains):
-        edges.append(RawEdge(d, u, DepKind.DATA, v))
+    edges = [PdgEdge(a, w, DepKind.CONTROL) for a, w in sorted(control)]
+    edges += [PdgEdge(d, u, DepKind.DATA, v) for d, u, v in sorted(chains)]
     return RawDepGraph(function_id=cfg.name, nodes=nodes, edges=edges)

@@ -29,14 +29,13 @@ from .dataset import (
 )
 from .diffs import extract_vulnerable_lines
 from .ensemble import BenignVerdict, benign_candidates, ensemble_vote
-from .features import ALL_VIEWS, FeatureVector, FeatureView, extract_features, vectorize
+from .features import ALL_VIEWS, FeatureView, extract_features
 
 __all__ = [
     "ADAPTER_ENV_VAR",
     "ALL_VIEWS",
     "AdapterLineClassifier",
     "BenignVerdict",
-    "FeatureVector",
     "FeatureView",
     "LineClassifier",
     "LineLabel",
@@ -60,6 +59,5 @@ __all__ = [
     "save_model",
     "train_classifier",
     "training_accuracy",
-    "vectorize",
     "vulnerable_samples",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import queue
 import random
@@ -47,7 +48,7 @@ from ..pdg import (
     read_json_object,
 )
 from .dataset import LineLabel, LineSample
-from .features import FeatureView, extract_features, vectorize
+from .features import FeatureView, extract_features
 
 ADAPTER_ENV_VAR = "TRUSTVET_ADAPTER"
 ADAPTER_TIMEOUT = 5.0
@@ -81,10 +82,11 @@ class LinearLineClassifier:
 
     def score(self, text: str) -> float:
         normalized = _require_text(text)
-        vec = vectorize(self.view, normalized, self.vocabulary)
         z = self.bias
-        for idx, value in vec.indices.items():
-            z += self.weights[idx] * value
+        for name, value in extract_features(self.view, normalized).items():
+            idx = self.vocabulary.get(name)
+            if idx is not None:
+                z += self.weights[idx] * value
         if z >= 0.0:
             return 1.0 / (1.0 + math.exp(-z))
         e = math.exp(z)
@@ -248,18 +250,21 @@ def train_classifier(
     )
     vocabulary = {name: idx for idx, name in enumerate(vocab_names)}
 
-    def densify(indices: Sequence[int]) -> tuple:
-        X = np.zeros((len(indices), len(vocabulary)), dtype=float)
-        y = np.zeros(len(indices), dtype=float)
-        for row, i in enumerate(indices):
-            sample, label = labeled[i]
-            vec = vectorize(view, sample.text, vocabulary)
-            for col, value in vec.indices.items():
-                X[row, col] = value
-            y[row] = label
-        return X, y
-
-    X, y = densify(train_idx)
+    # features are extracted again rather than kept from the vocabulary pass:
+    # holding every row's feature dict raises peak memory. X gets an
+    # anonymous mapping of its own, not a block of the malloc heap: its pages
+    # go back to the system when training returns, so where an earlier build
+    # left its matrix cannot make this one's peak memory a matrix larger
+    cells = len(train_idx) * len(vocabulary)
+    X = np.frombuffer(
+        mmap.mmap(-1, max(cells, 1) * 8), dtype=float, count=cells
+    ).reshape(len(train_idx), len(vocabulary))
+    y = np.zeros(len(train_idx), dtype=float)
+    for row, i in enumerate(train_idx):
+        sample, label = labeled[i]
+        y[row] = label
+        for name, value in extract_features(view, sample.text).items():
+            X[row, vocabulary[name]] = value
 
     def loss_grad(w_full):
         w = w_full[:-1]
@@ -343,6 +348,15 @@ def save_model(clf: LineClassifier, path: str | Path) -> None:
     Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
 
 
+def _finite_number(value: object, what: str) -> float:
+    """A model field as a float; Python's json reads NaN and Infinity, which
+    would make a threshold compare false everywhere or a timeout overflow."""
+    number = json_number(value, what)
+    if not math.isfinite(number):
+        raise SchemaError(f"{what} must be finite, not {number!r}")
+    return number
+
+
 def load_model(path: str | Path, adapter_command: str | None = None) -> LineClassifier:
     """Load one persisted classifier.
 
@@ -357,7 +371,7 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
         raise SchemaError(f"model file not found: {path}") from None
     check_schema_version(doc, str(path))
     view = doc.get("view")
-    threshold = json_number(doc.get("threshold"), f"{path}: threshold")
+    threshold = _finite_number(doc.get("threshold"), f"{path}: threshold")
     try:
         if view == "lookup":
             return LookupLineClassifier(non_benign=frozenset(doc["non_benign"]), threshold=threshold)
@@ -366,13 +380,15 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
             command = override.split() if override else doc["command"]
             if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
                 raise SchemaError(f"{path}: adapter command must be a list of strings")
-            timeout = json_number(doc.get("timeout", ADAPTER_TIMEOUT), f"{path}: timeout")
+            timeout = _finite_number(doc.get("timeout", ADAPTER_TIMEOUT), f"{path}: timeout")
+            if timeout > threading.TIMEOUT_MAX:  # the wait for an answer would overflow
+                raise SchemaError(f"{path}: timeout {timeout} s exceeds {threading.TIMEOUT_MAX} s")
             return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)
         vocabulary = dict(doc["vocabulary"])
         raw_weights = doc["weights"]
         if not isinstance(raw_weights, list):
             raise SchemaError(f"{path}: weights must be a list of numbers")
-        weights = [json_number(v, f"{path}: weights[{i}]") for i, v in enumerate(raw_weights)]
+        weights = [_finite_number(v, f"{path}: weights[{i}]") for i, v in enumerate(raw_weights)]
         if not all(is_strict_int(i) and 0 <= i < len(weights) for i in vocabulary.values()):
             raise SchemaError(f"{path}: vocabulary indices must point into the weights")
         seed = doc["seed"]
@@ -380,12 +396,12 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
             raise SchemaError(f"{path}: seed must be an integer, not {seed!r}")
         heldout = doc.get("heldout_accuracy")
         if heldout is not None:
-            heldout = json_number(heldout, f"{path}: heldout_accuracy")
+            heldout = _finite_number(heldout, f"{path}: heldout_accuracy")
         return LinearLineClassifier(
             view=FeatureView(view),
             vocabulary=vocabulary,
             weights=weights,
-            bias=json_number(doc["bias"], f"{path}: bias"),
+            bias=_finite_number(doc["bias"], f"{path}: bias"),
             threshold=threshold,
             seed=seed,
             heldout_accuracy=heldout,

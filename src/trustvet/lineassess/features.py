@@ -11,9 +11,7 @@ trains one linear classifier per view so their errors stay decorrelated:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from ..frontend.lexer import TokenKind, tokenize_line
 
@@ -25,14 +23,6 @@ class FeatureView(Enum):
 
 
 ALL_VIEWS = (FeatureView.TOKEN_NGRAM, FeatureView.CHAR_NGRAM, FeatureView.SYNTAX_SHAPE)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse features of one line under one view (index -> value)."""
-
-    view: FeatureView
-    indices: Mapping[int, float]
 
 
 def _token_ngram_features(text: str) -> dict[str, float]:
@@ -79,13 +69,3 @@ _EXTRACTORS = {
 def extract_features(view: FeatureView, text: str) -> dict[str, float]:
     """Named sparse features of a normalized line under one view."""
     return _EXTRACTORS[view](text)
-
-
-def vectorize(view: FeatureView, text: str, vocabulary: Mapping[str, int]) -> FeatureVector:
-    """Project a line onto a trained vocabulary; unseen features vanish."""
-    indices: dict[int, float] = {}
-    for name, value in extract_features(view, text).items():
-        idx = vocabulary.get(name)
-        if idx is not None:
-            indices[idx] = indices.get(idx, 0.0) + value
-    return FeatureVector(view=view, indices=indices)

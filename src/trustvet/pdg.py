@@ -5,9 +5,13 @@ Control/Data edges between lines. Data edges name the variable they track.
 An Explanation attaches per-line importance scores (and a model confidence)
 to a function; build_weighted_pdg projects those scores onto the graph.
 
-Types here are containers: except for Explanation, they accept whatever they
-are given, and validate_pdg reports structural violations instead of raising,
-so malformed graphs can be loaded, inspected, and diagnosed.
+A Pdg comes from the built-in parser or from an imported graph in the
+interchange format (both in trustvet.frontend); that format is the only graph
+document trustvet reads. pdg_dumps writes a Pdg's canonical bytes, for
+digests and inspection, and has no reader. Types here are containers: except
+for Explanation, they accept whatever they are given, and validate_pdg
+reports structural violations instead of raising, so malformed graphs built
+in code can be inspected and diagnosed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import IdentityMismatchError, MalformedExplanationError, SchemaError
 
@@ -31,22 +35,23 @@ def is_strict_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class DepKind(Enum):
+class DepKind(str, Enum):
     CONTROL = "control"
     DATA = "data"
 
 
-@dataclass(frozen=True)
-class PdgEdge:
-    """A dependency edge between two source lines.
+class PdgEdge(NamedTuple):
+    """A dependency edge: between statement ids in a RawDepGraph, between
+    source lines in a Pdg.
 
     variable must be present exactly when kind is DATA; validate_pdg reports
-    edges that break this rather than the constructor raising, so imported
-    graphs can be diagnosed.
+    edges that break this rather than the constructor raising, so graphs
+    built in code can be diagnosed. Well-formed edges sort as plain tuples in
+    sort_key order; sort_key also orders edges that break the rule.
     """
 
-    src: LineId
-    dst: LineId
+    src: int
+    dst: int
     kind: DepKind
     variable: str | None = None
 
@@ -189,11 +194,12 @@ def build_weighted_pdg(pdg: Pdg, expl: Explanation, normalize: bool = True) -> W
 # --- canonical JSON serialization -------------------------------------------
 #
 # A pdg document is an object with "schema_version", "function_id", "nodes"
-# and "edges". A node is {"line": int, "text": str, "vars": [str, ...]}, with
-# each line at most once; an edge is {"src": int >= 1, "dst": int >= 1,
-# "kind": "control" | "data", "var": str | null}. pdg_from_dict raises
-# SchemaError on any other shape; validate_pdg diagnoses the graph itself
-# (line ids, dangling endpoints, edge variables).
+# and "edges". A node is {"line": int, "text": str, "vars": [str, ...]}; an
+# edge is {"src": int, "dst": int, "kind": "control" | "data",
+# "var": str | null}. The form is written, never read back: graphs enter
+# through the interchange import (trustvet.frontend.graphio), and
+# validate_pdg diagnoses graphs built in code (line ids, dangling endpoints,
+# edge variables).
 #
 # Serialization is canonical: nodes sorted by line, edges sorted by
 # (src, dst, kind, variable), keys emitted in sorted order, one trailing
@@ -284,65 +290,8 @@ def pdg_to_dict(pdg: Pdg) -> dict:
     }
 
 
-def pdg_from_dict(document: dict) -> Pdg:
-    check_schema_version(document, "pdg document")
-    try:
-        function_id = document["function_id"]
-        raw_nodes = document["nodes"]
-        raw_edges = document["edges"]
-    except KeyError as exc:
-        raise SchemaError(f"pdg document: missing field {exc}") from None
-    if not isinstance(function_id, str):
-        raise SchemaError("pdg document: 'function_id' must be a string")
-    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
-        raise SchemaError("pdg document: 'nodes' and 'edges' must be arrays")
-    nodes = set()
-    line_text: dict[LineId, str] = {}
-    line_vars: dict[LineId, frozenset[str]] = {}
-    for entry in raw_nodes:
-        line = entry.get("line") if isinstance(entry, dict) else None
-        if not is_strict_int(line):
-            raise SchemaError(f"pdg document: node without integer line: {entry!r}")
-        if line in nodes:
-            raise SchemaError(f"pdg document: duplicate node for line {line}")
-        text = entry.get("text", "")
-        names = entry.get("vars", [])
-        if not isinstance(text, str):
-            raise SchemaError(f"pdg document: node {line}: 'text' must be a string")
-        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-            raise SchemaError(f"pdg document: node {line}: 'vars' must be a list of strings")
-        nodes.add(line)
-        line_text[line] = text
-        line_vars[line] = frozenset(names)
-    edges = []
-    for entry in raw_edges:
-        if not isinstance(entry, dict):
-            raise SchemaError(f"pdg document: edge is not an object: {entry!r}")
-        src, dst, variable = entry.get("src"), entry.get("dst"), entry.get("var")
-        if not all(is_strict_int(end) and end >= 1 for end in (src, dst)):
-            raise SchemaError(f"pdg document: edge {src!r}->{dst!r}: endpoints must be line numbers")
-        if variable is not None and not isinstance(variable, str):
-            raise SchemaError(f"pdg document: edge {src}->{dst}: 'var' must be a string or null")
-        try:
-            kind = DepKind(entry["kind"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SchemaError(f"pdg document: bad edge {entry!r} ({exc})") from None
-        edges.append(PdgEdge(src=src, dst=dst, kind=kind, variable=variable))
-    return Pdg(
-        function_id=function_id,
-        nodes=frozenset(nodes),
-        edges=tuple(edges),
-        line_text=line_text,
-        line_vars=line_vars,
-    )
-
-
 def pdg_dumps(pdg: Pdg) -> str:
     return dumps_canonical(pdg_to_dict(pdg))
-
-
-def pdg_loads(text: str) -> Pdg:
-    return pdg_from_dict(read_json_object(text, "pdg document"))
 
 
 def explanation_to_dict(expl: Explanation) -> dict:

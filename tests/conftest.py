@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from trustvet.frontend import pdg_from_source
+from trustvet.frontend import import_raw_graph, pdg_from_source
 from trustvet.lineassess.classifier import LookupLineClassifier
-from trustvet.pdg import explanation_from_dict, pdg_loads
+from trustvet.pdg import explanation_from_dict
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -33,8 +33,9 @@ def vrrp_native(vrrp_source):
 
 @pytest.fixture(scope="session")
 def vrrp_fixture():
-    """The curated six-edge graph the worked example is stated against."""
-    return pdg_loads((DATA_DIR / "vrrp_pdg.json").read_text())
+    """The curated six-edge graph the worked example is stated against, read
+    from an interchange document as `assess --import-pdg` reads it."""
+    return import_raw_graph(json.loads((DATA_DIR / "vrrp_graph.json").read_text())).to_pdg()
 
 
 @pytest.fixture(scope="session")

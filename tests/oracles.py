@@ -8,7 +8,9 @@ against its earlier fixed-point versions: full post-dominator sets
 intersected until stable, and reaching definitions over sets of
 (variable, statement) pairs; the tokenizer against its earlier scan, which
 tried every operator in turn, and the source cleaner against its earlier
-per-character state machine. Slow and obvious beats fast and shared.
+per-character state machine; the line merge's edge step against its earlier
+version, which deduplicated on a hand-built key tuple. Slow and obvious
+beats fast and shared.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from collections import Counter
 
 import numpy as np
 
-from trustvet.errors import UnsupportedConstructError
+from trustvet.errors import ImportSchemaError, UnsupportedConstructError
 from trustvet.frontend.lexer import CHAR_LITERAL, STRING_LITERAL, Token, TokenKind, c_keywords
 from trustvet.frontend.parser import _EXIT
-from trustvet.pdg import DepKind, Pdg
+from trustvet.pdg import DepKind, Pdg, PdgEdge
 
 EPSILON = 1e-9
 
@@ -552,3 +554,24 @@ def oracle_clean_source_literals_blanked(source: str) -> list[str]:
             raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
         cleaned.append(text)
     return cleaned
+
+
+# --- line merge ----------------------------------------------------------------------
+
+
+def oracle_line_edges(raw, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
+    """The merge's earlier edge step: re-point statement edges at lines,
+    keep the first edge per (src line, dst line, kind, variable) key, and
+    sort by PdgEdge.sort_key."""
+    seen = set()
+    edges = []
+    for edge in raw.edges:
+        if edge.src not in line_of or edge.dst not in line_of:
+            raise ImportSchemaError(f"edge {edge.src}->{edge.dst} references an unknown node id")
+        key = (line_of[edge.src], line_of[edge.dst], edge.kind, edge.variable)
+        if key in seen:
+            continue
+        seen.add(key)
+        edges.append(PdgEdge(key[0], key[1], edge.kind, edge.variable))
+    edges.sort(key=PdgEdge.sort_key)
+    return tuple(edges)

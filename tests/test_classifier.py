@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 
 import pytest
@@ -179,6 +180,32 @@ class TestPersistence:
         path = tmp_path / "m.json"
         path.write_text('{"kind": "alien"}')
         with pytest.raises(SchemaError):
+            load_model(path)
+
+    LINEAR = {"schema_version": "1.0.0", "view": "token_ngram", "vocabulary": {"x": 0},
+              "weights": [0.5], "bias": 0.0, "threshold": 0.5, "seed": 1, "heldout_accuracy": 0.9}
+    ADAPTER = {"schema_version": "1.0.0", "view": "adapter", "command": ["scorer"],
+               "threshold": 0.5, "timeout": 5.0}
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["threshold", "bias", "weights", "heldout_accuracy", "timeout"])
+    def test_non_finite_numbers_rejected(self, tmp_path, monkeypatch, field, number):
+        """Python's json reads NaN and Infinity; a model file may not hold them."""
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        model = self.ADAPTER if field == "timeout" else self.LINEAR
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        load_model(path)  # the unbroken document loads
+        value = [float(number)] if field == "weights" else float(number)
+        path.write_text(json.dumps({**model, field: value}))
+        with pytest.raises(SchemaError, match=field):
+            load_model(path)
+
+    def test_timeout_beyond_the_platform_limit_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**self.ADAPTER, "timeout": 1e300}))
+        with pytest.raises(SchemaError, match="timeout"):
             load_model(path)
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from synth import (
     worker_record,
     worker_source,
 )
+import trustvet
 from trustvet.cli import EXIT_ERROR, EXIT_OK, EXIT_UNTRUSTWORTHY, MANIFEST_NAME, main
 from trustvet.corpus import save_corpus
 from trustvet.frontend.graphio import export_raw_graph
@@ -130,6 +134,25 @@ class TestAssessCommand:
         assert result.exit_code == EXIT_UNTRUSTWORTHY
         assert "0.245000" in result.output
         assert "AST" in result.stderr
+
+    def test_import_pdg_bytes_do_not_depend_on_the_hash_seed(self, vrrp_args, data_dir, tmp_path):
+        """Edges hash through their strings, and string hashes change with
+        PYTHONHASHSEED: two interpreters must still write the same bytes."""
+        src = Path(trustvet.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"assessment_{hash_seed}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "trustvet.cli", "assess",
+                 "--import-pdg", str(data_dir / "vrrp_graph.json"), *vrrp_args[2:],
+                 "--no-normalize", "--threshold", "0.25", "--out", str(out)],
+                env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == EXIT_UNTRUSTWORTHY, result.stderr
+            outputs.append((result.stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b'"trust_score": 0.245' in outputs[0][1]
 
     def test_config_file_sets_threshold(self, runner, vrrp_args, tmp_path):
         ini = tmp_path / "run.ini"
@@ -449,6 +472,22 @@ class TestMalformedArtifacts:
         path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **model}), encoding="utf-8")
         result = runner.invoke(main, ["assess", *self.replace_arg(vrrp_args, "--models", path)])
         assert_clean_failure(result)
+
+    @pytest.mark.parametrize("field", ["threshold", "timeout"])
+    def test_assess_model_non_finite(self, runner, vrrp_args, data_dir, tmp_path, monkeypatch, field):
+        """json reads NaN and Infinity: a NaN threshold flagged every line as
+        non-benign, and an infinite adapter timeout overflowed the wait."""
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        if field == "threshold":
+            model = {"view": "lookup", "non_benign": [], "threshold": math.nan}
+        else:
+            model = {"view": "adapter", "command": [sys.executable, str(data_dir / "adapter_stub.py")],
+                     "threshold": 0.5, "timeout": math.inf}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **model}), encoding="utf-8")
+        result = runner.invoke(main, ["assess", *self.replace_arg(vrrp_args, "--models", path)])
+        assert_clean_failure(result)
+        assert f"{field} must be finite" in result.stderr
 
     def test_assess_adapter_timeout_string(self, runner, vrrp_args, data_dir, tmp_path):
         command = [sys.executable, str(data_dir / "adapter_stub.py")]

@@ -5,6 +5,7 @@ input."""
 from __future__ import annotations
 
 import json
+import math
 import random
 
 from hypothesis import example, given, settings
@@ -30,7 +31,6 @@ from trustvet.frontend import (
     tokenize_line,
 )
 from trustvet.frontend.parser import (
-    RawEdge,
     _build_cfg,
     _clean_source,
     _control_dependence,
@@ -39,7 +39,7 @@ from trustvet.frontend.parser import (
 )
 from trustvet.lineassess.classifier import LinearLineClassifier, load_model
 from trustvet.lineassess.dataset import load_line_dataset
-from trustvet.pdg import DepKind, explanation_from_dict, is_strict_int, pdg_from_dict
+from trustvet.pdg import DepKind, PdgEdge, explanation_from_dict, is_strict_int
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(min_value=1, max_value=60)
@@ -80,8 +80,8 @@ class TestDependenceAnalyses:
         cfg = _build_cfg(source)
         control = oracle_control_dependence(cfg.stmts, cfg.succ)
         chains = oracle_reaching_definitions(cfg.stmts, cfg.succ)
-        expected = [RawEdge(a, w, DepKind.CONTROL) for a, w in sorted(control)]
-        expected += [RawEdge(d, u, DepKind.DATA, v) for d, u, v in sorted(chains)]
+        expected = [PdgEdge(a, w, DepKind.CONTROL) for a, w in sorted(control)]
+        expected += [PdgEdge(d, u, DepKind.DATA, v) for d, u, v in sorted(chains)]
         assert parse_function(source).edges == expected
 
 
@@ -220,34 +220,6 @@ explanation_docs = st.fixed_dictionaries(
         "entries": sometimes(st.lists(entry_docs, max_size=4)),
     }
 )
-pdg_docs = st.fixed_dictionaries(
-    {
-        "schema_version": versions,
-        "function_id": function_ids,
-        "nodes": sometimes(
-            st.lists(
-                st.fixed_dictionaries(
-                    {"line": sometimes(st.integers(1, 4))},
-                    optional={"text": sometimes(st.text(max_size=6)), "vars": sometimes(st.lists(st.text(max_size=3)))},
-                ),
-                max_size=4,
-            )
-        ),
-        "edges": sometimes(
-            st.lists(
-                st.fixed_dictionaries(
-                    {
-                        "src": sometimes(st.integers(1, 4)),
-                        "dst": sometimes(st.integers(1, 4)),
-                        "kind": sometimes(st.sampled_from(["control", "data"])),
-                    },
-                    optional={"var": sometimes(st.just("x"))},
-                ),
-                max_size=4,
-            )
-        ),
-    }
-)
 record_docs = st.fixed_dictionaries(
     {"function_id": st.just("f"), "source": st.just("int f(int a) { return a; }")},
     optional={
@@ -352,14 +324,6 @@ class TestFailureContract:
             assert all(is_number(entry["score"]) for entry in document["entries"])
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(json_values, pdg_docs))
-    @example({"schema_version": "1.0.0", "function_id": [1], "nodes": [], "edges": []})
-    def test_pdg_from_dict(self, document):
-        pdg = returns_or_raises(pdg_from_dict, document)
-        if pdg is not None:
-            assert isinstance(pdg.function_id, str)
-
-    @settings(max_examples=150, deadline=None)
     @given(st.one_of(json_values, record_docs))
     @example({"function_id": "f", "source": "x", "explanation": [{"line": 1, "score": True}], "confidence": 0.5})
     @example({"function_id": "f", "source": "x", "explanation": [{"line": 1, "score": "0.3"}], "confidence": 0.5})
@@ -381,15 +345,17 @@ class TestFailureContract:
     @example(json.dumps({**LINEAR_MODEL, "seed": 1.5}))
     @example(json.dumps({**LINEAR_MODEL, "seed": True}))
     @example(json.dumps({**LINEAR_MODEL, "heldout_accuracy": "0.9"}))
+    @example(json.dumps({**LINEAR_MODEL, "threshold": float("nan")}))
+    @example(json.dumps({**LINEAR_MODEL, "weights": [float("inf")]}))
     def test_load_model(self, tmp_path_factory, content):
         path = tmp_path_factory.getbasetemp() / "model.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         model = returns_or_raises(load_model, path)
         if model is not None:  # a model that loads can classify
-            assert isinstance(model.threshold, float)
+            assert isinstance(model.threshold, float) and math.isfinite(model.threshold)
         if isinstance(model, LinearLineClassifier):  # from numbers, not strings
             document = json.loads(content)
-            assert all(is_number(w) for w in document["weights"])
+            assert all(is_number(w) and math.isfinite(w) for w in document["weights"])
             assert is_number(document["bias"]) and is_strict_int(document["seed"])
             held = document.get("heldout_accuracy")
             assert held is None or is_number(held)

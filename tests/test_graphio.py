@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_line_edges
 from trustvet.errors import ImportSchemaError
 from trustvet.frontend import (
     export_raw_graph,
@@ -11,9 +16,9 @@ from trustvet.frontend import (
     parse_function,
     pdg_from_source,
 )
-from trustvet.frontend.parser import RawDepGraph, RawEdge, RawNode
-from trustvet.frontend.graphio import merge_line_nodes
-from trustvet.pdg import DepKind
+from trustvet.frontend.graphio import _line_edges, merge_line_nodes
+from trustvet.frontend.parser import RawDepGraph, RawNode
+from trustvet.pdg import DepKind, PdgEdge
 
 
 def sample_doc():
@@ -127,8 +132,8 @@ class TestRoundTrip:
             function_id="f",
             nodes=[RawNode(1, 2, "a = 1; b = 2;"), RawNode(2, 2, "a = 1; b = 2;"), RawNode(3, 3, "c;")],
             edges=[
-                RawEdge(1, 3, DepKind.CONTROL),
-                RawEdge(2, 3, DepKind.CONTROL),
+                PdgEdge(1, 3, DepKind.CONTROL),
+                PdgEdge(2, 3, DepKind.CONTROL),
             ],
         )
         pdg = merge_line_nodes(raw, "int f()\n{ a = 1; b = 2;\n c; }\n")
@@ -138,3 +143,46 @@ class TestRoundTrip:
         raw = RawDepGraph("f", [RawNode(1, 99, "x;")], [])
         with pytest.raises(ImportSchemaError):
             merge_line_nodes(raw, "short\n")
+
+
+def random_raw_graph(rng: random.Random) -> tuple[RawDepGraph, dict[int, int]]:
+    """Statements spread over a few lines, several to a line, with repeated
+    edges and, between one pair of lines, a control edge and data edges on
+    two variables."""
+    lines = rng.randint(1, 6)
+    line_of = {sid: rng.randint(1, lines) for sid in range(rng.randint(1, 14))}
+    nodes = [RawNode(sid, line, f"s{sid} ;") for sid, line in line_of.items()]
+    sids = list(line_of)
+    edges = []
+    for _ in range(rng.randint(0, 40)):
+        src, dst = rng.choice(sids), rng.choice(sids)
+        if rng.random() < 0.4:
+            edges.append(PdgEdge(src, dst, DepKind.CONTROL))
+        else:
+            edges.append(PdgEdge(src, dst, DepKind.DATA, rng.choice("ab")))
+    src, dst = rng.choice(sids), rng.choice(sids)
+    edges += [PdgEdge(src, dst, DepKind.DATA, "b"), PdgEdge(src, dst, DepKind.CONTROL),
+              PdgEdge(src, dst, DepKind.DATA, "a")]
+    edges += rng.sample(edges, len(edges) // 3)  # exact repeats
+    rng.shuffle(edges)
+    return RawDepGraph("f", nodes, edges), line_of
+
+
+def line_edges_or_error(line_edges, raw, line_of):
+    try:
+        return line_edges(raw, line_of)
+    except ImportSchemaError as exc:
+        return str(exc)
+
+
+class TestLineEdgesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_the_keyed_dedup(self, seed):
+        rng = random.Random(seed)
+        raw, line_of = random_raw_graph(rng)
+        if rng.random() < 0.1:  # an edge from a statement the graph lacks
+            raw.edges.insert(rng.randint(0, len(raw.edges)), PdgEdge(99, 0, DepKind.CONTROL))
+        assert line_edges_or_error(_line_edges, raw, line_of) == line_edges_or_error(
+            oracle_line_edges, raw, line_of
+        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -22,7 +23,6 @@ from trustvet.pdg import (
     explanation_from_dict,
     explanation_to_dict,
     pdg_dumps,
-    pdg_loads,
     validate_pdg,
 )
 
@@ -128,12 +128,23 @@ class TestWeighting:
 
 
 class TestSerialization:
-    def test_round_trip_preserves_everything(self, vrrp_fixture):
-        again = pdg_loads(pdg_dumps(vrrp_fixture))
-        assert again == vrrp_fixture
-
     def test_dumps_is_stable(self, vrrp_fixture):
-        assert pdg_dumps(vrrp_fixture) == pdg_dumps(pdg_loads(pdg_dumps(vrrp_fixture)))
+        """Canonical bytes do not depend on the order edges and text were
+        given in."""
+        shuffled = Pdg.build(
+            vrrp_fixture.function_id,
+            sorted(vrrp_fixture.nodes, reverse=True),
+            reversed(vrrp_fixture.edges),
+            dict(reversed(vrrp_fixture.line_text.items())),
+            dict(reversed(vrrp_fixture.line_vars.items())),
+        )
+        text = pdg_dumps(shuffled)
+        assert text == pdg_dumps(vrrp_fixture)
+        document = json.loads(text)
+        assert [node["line"] for node in document["nodes"]] == sorted(vrrp_fixture.nodes)
+        assert [(e["src"], e["dst"]) for e in document["edges"]] == [
+            (1, 3), (3, 4), (3, 5), (3, 7), (7, 8), (8, 9)
+        ]
 
     def test_canonical_form_ends_with_newline(self):
         assert dumps_canonical({"b": 1, "a": 2}).endswith("\n")
@@ -153,55 +164,3 @@ class TestSerialization:
     def test_missing_version_rejected(self):
         with pytest.raises(SchemaError):
             check_schema_version({}, "doc")
-
-    def test_loads_rejects_boolean_lines(self, vrrp_fixture):
-        import json
-
-        doc = json.loads(pdg_dumps(vrrp_fixture))
-        doc["nodes"][0]["line"] = True
-        with pytest.raises(SchemaError):
-            pdg_loads(json.dumps(doc))
-
-    def test_loads_rejects_duplicate_lines(self, vrrp_fixture):
-        import json
-
-        doc = json.loads(pdg_dumps(vrrp_fixture))
-        doc["nodes"].append(dict(doc["nodes"][0]))
-        with pytest.raises(SchemaError):
-            pdg_loads(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "where, key, value",
-        [
-            ("edges", "dst", [2]),
-            ("edges", "dst", "2"),
-            ("edges", "src", True),
-            ("edges", "src", 0),
-            ("edges", "var", ["x"]),
-            ("nodes", "vars", [["x"]]),
-            ("nodes", "vars", "x"),
-            ("nodes", "text", 5),
-        ],
-    )
-    def test_loads_rejects_bad_fields(self, vrrp_fixture, where, key, value):
-        import json
-
-        doc = json.loads(pdg_dumps(vrrp_fixture))
-        doc[where][0][key] = value
-        with pytest.raises(SchemaError):
-            pdg_loads(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "change",
-        [{"nodes": 5}, {"edges": {}}, {"nodes": [[1]]}, {"edges": ["1->2"]}],
-    )
-    def test_loads_rejects_bad_shapes(self, vrrp_fixture, change):
-        import json
-
-        doc = {**json.loads(pdg_dumps(vrrp_fixture)), **change}
-        with pytest.raises(SchemaError):
-            pdg_loads(json.dumps(doc))
-
-    def test_loads_rejects_a_non_object(self):
-        with pytest.raises(SchemaError):
-            pdg_loads("[]")
