@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError, PipelineError, TrustvetError, UnknownEdgeError
-from .lineassess.ensemble import BenignVerdict, benign_candidates
+from .lineassess.ensemble import BenignVerdict, Screen, benign_candidates
 from .pdg import (
     DepKind,
     Explanation,
@@ -269,8 +269,13 @@ def assess_prediction(
     threshold: float,
     normalize_weights: bool = True,
     mode: str = DIRECT,
+    memo: dict[str, Screen] | None = None,
 ) -> Assessment:
-    """Full per-function pipeline: weights, votes, distances, verdict."""
+    """Full per-function pipeline: weights, votes, distances, verdict.
+
+    memo is the ensemble's screen memo (see benign_candidates), shared by
+    callers that assess many functions with one ensemble.
+    """
     _check_mode(mode)
     warnings: list[str] = []
     try:
@@ -285,7 +290,7 @@ def assess_prediction(
     if not g.weights:
         warnings.append("no explanation line is resident in the graph")
     try:
-        verdicts = benign_candidates(ensemble, expl, pdg.line_text)
+        verdicts = benign_candidates(ensemble, expl, pdg.line_text, memo)
     except TrustvetError as exc:
         raise PipelineError("line-assessment", exc) from exc
     benign = BenignSet.from_verdicts(pdg.function_id, verdicts)

@@ -34,6 +34,7 @@ from .errors import (
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
 from .lineassess.diffs import extract_vulnerable_lines
+from .lineassess.ensemble import Screen
 from .pdg import SCHEMA_VERSION, Explanation, LineId, Pdg, is_strict_int, json_number
 
 
@@ -268,8 +269,16 @@ def _truth_lines(record: CorpusRecord) -> frozenset[LineId]:
     return frozenset()
 
 
-def evaluate_record(record: CorpusRecord, ensemble: Sequence, config: RunConfig) -> RecordResult:
-    """Tau-independent evaluation of one prediction; failures become skips."""
+def evaluate_record(
+    record: CorpusRecord,
+    ensemble: Sequence,
+    config: RunConfig,
+    memo: dict[str, Screen] | None = None,
+) -> RecordResult:
+    """Tau-independent evaluation of one prediction; failures become skips.
+
+    memo is the ensemble's screen memo, passed on to assess_prediction.
+    """
 
     def skip(reason: str) -> RecordResult:
         return RecordResult(
@@ -307,6 +316,7 @@ def evaluate_record(record: CorpusRecord, ensemble: Sequence, config: RunConfig)
             threshold=0.0,
             normalize_weights=config.normalize_weights,
             mode=config.data_rule_mode,
+            memo=memo,
         )
     except TrustvetError as exc:
         return skip(f"assessment: {exc}")
@@ -355,12 +365,15 @@ def run_evaluation(
     When either decision threshold is left unset, a seeded slice of the
     usable records is reserved for calibration and the metrics are computed
     on the remainder; with both thresholds pinned every usable record is
-    evaluated directly.
+    evaluated directly. Every record, in every worker thread, shares one
+    screen memo, so a text-only ensemble screens each distinct line text
+    once per call.
     """
     if taus is None:
         taus = (config.iou_threshold,)
+    memo: dict[str, Screen] = {}
     worker: Callable[[CorpusRecord], RecordResult] = lambda r: evaluate_record(
-        r, ensemble, config
+        r, ensemble, config, memo
     )
     workers = config.workers or 1
     if workers > 1 and len(records) > 1:

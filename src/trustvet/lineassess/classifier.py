@@ -147,8 +147,9 @@ class AdapterLineClassifier:
 
         def pump(proc: subprocess.Popen, out: queue.Queue) -> None:
             assert proc.stdout is not None
-            for line in proc.stdout:
-                out.put(line)
+            with proc.stdout:
+                for line in proc.stdout:
+                    out.put(line)
             out.put(None)
 
         threading.Thread(target=pump, args=(self._proc, self._queue), daemon=True).start()
@@ -170,7 +171,7 @@ class AdapterLineClassifier:
             deadline = time.monotonic() + self.timeout
             response_id = 0
             # skip late answers to earlier requests that timed out
-            while type(response_id) is int and response_id < request_id:
+            while response_id < request_id:
                 try:
                     raw = self._queue.get(timeout=max(0.0, deadline - time.monotonic()))
                 except queue.Empty:
@@ -182,9 +183,12 @@ class AdapterLineClassifier:
                 try:
                     doc = json.loads(raw)
                     response_id = doc["id"]
-                    score = float(doc["score"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    raise AdapterError("adapter response is not {id, score}", raw=raw) from None
+                    score = json_number(doc["score"], "adapter score")
+                except (json.JSONDecodeError, KeyError, TypeError, SchemaError):
+                    response_id = None
+                # an id of true would match request 1, since True == 1
+                if not is_strict_int(response_id):
+                    raise AdapterError("adapter response is not {id, score}", raw=raw)
             if response_id != request_id:
                 raise AdapterError(
                     f"adapter answered request {response_id}, expected {request_id}", raw=raw
@@ -194,12 +198,21 @@ class AdapterLineClassifier:
         return (1 if score >= self.threshold else 0), score
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
+        """Stop the child and close its input; the pump thread closes its
+        output at end of file."""
+        if self._proc is None:
+            return
+        if self._proc.poll() is None:
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=1.0)
             except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                 self._proc.kill()
+        assert self._proc.stdin is not None
+        try:
+            self._proc.stdin.close()
+        except BrokenPipeError:
+            pass  # a request whose write failed is still buffered
 
 
 LineClassifier = LinearLineClassifier | LookupLineClassifier | AdapterLineClassifier

@@ -4,6 +4,15 @@ A line is a benign candidate when at least half of the classifiers vote for
 it: mean(votes) >= 0.5, so a [1, 0] tie resolves to benign. Verdicts are
 produced only for explanation lines that are resident in the graph; lines
 the graph dropped have no text to classify.
+
+Linear and lookup classifiers vote on the line text alone, so an ensemble
+made only of them can reuse a verdict for every line with the same text.
+benign_candidates takes a memo from text to (votes, benign) for that: a
+caller that screens many functions, such as run_evaluation, passes one memo
+for the whole run and so screens each distinct line text once. An ensemble
+with any other member (an adapter, a test stub) asks every member about
+every line. A text whose screening raises is never stored, so the error
+still names the first failing line in explanation order.
 """
 
 from __future__ import annotations
@@ -13,6 +22,13 @@ from typing import Mapping, Sequence
 
 from ..errors import ClassificationError, TrustvetError, UndefinedInputError
 from ..pdg import Explanation, LineId
+from .classifier import LinearLineClassifier, LookupLineClassifier
+
+# members whose votes depend on the line text alone
+_TEXT_ONLY = (LinearLineClassifier, LookupLineClassifier)
+
+# what a screen memo holds for one line text: the votes and the verdict
+Screen = tuple[tuple[int, ...], bool]
 
 
 def ensemble_vote(votes: Sequence[int]) -> int:
@@ -32,27 +48,46 @@ class BenignVerdict:
 
 
 def benign_candidates(
-    ensemble: Sequence, expl: Explanation, line_text: Mapping[LineId, str]
+    ensemble: Sequence,
+    expl: Explanation,
+    line_text: Mapping[LineId, str],
+    memo: dict[str, Screen] | None = None,
 ) -> dict[LineId, BenignVerdict]:
     """One verdict per explanation line resident in the graph.
 
+    memo maps line texts this ensemble has screened to their verdicts; it
+    is read and filled only when every member is text-only, and a local one
+    is used when none is passed. It must belong to this ensemble alone.
     Classifier and adapter failures are re-raised annotated with the line
     being scored, so a batch run can report exactly where it died.
     """
     if len(ensemble) == 0:
         raise UndefinedInputError("benign_candidates needs at least one classifier")
+    if not all(isinstance(clf, _TEXT_ONLY) for clf in ensemble):
+        memo = None
+    elif memo is None:
+        memo = {}
     verdicts: dict[LineId, BenignVerdict] = {}
     for line, _score in expl.entries:
         text = line_text.get(line)
         if text is None:
             continue
-        votes = []
-        for clf in ensemble:
-            try:
-                votes.append(clf.classify(text)[0])
-            except TrustvetError as exc:
-                raise ClassificationError(line, str(exc)) from exc
-        verdicts[line] = BenignVerdict(
-            line=line, votes=tuple(votes), is_benign_candidate=ensemble_vote(votes) == 1
-        )
+        screen = None if memo is None else memo.get(text)
+        if screen is None:
+            screen = _screen(ensemble, line, text)
+            if memo is not None:
+                memo[text] = screen
+        votes, benign = screen
+        verdicts[line] = BenignVerdict(line=line, votes=votes, is_benign_candidate=benign)
     return verdicts
+
+
+def _screen(ensemble: Sequence, line: LineId, text: str) -> Screen:
+    """Every member's vote on one line, and the majority verdict."""
+    votes = []
+    for clf in ensemble:
+        try:
+            votes.append(clf.classify(text)[0])
+        except TrustvetError as exc:
+            raise ClassificationError(line, str(exc)) from exc
+    return tuple(votes), ensemble_vote(votes) == 1

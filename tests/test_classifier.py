@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -235,6 +236,18 @@ class TestAdapterBridge:
         finally:
             clf.close()
 
+    def test_close_releases_the_pipes(self, data_dir):
+        clf = AdapterLineClassifier(command=self.stub(data_dir), timeout=10.0)
+        assert clf.classify("i = i + 1;") == (1, 0.9)
+        proc = clf._proc
+        clf.close()
+        assert proc.stdin.closed
+        deadline = time.monotonic() + 10.0
+        while not proc.stdout.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert proc.stdout.closed  # by the pump thread, at end of file
+        clf.close()  # a second close is harmless
+
     def test_missing_command_fails_loudly(self):
         clf = AdapterLineClassifier(command=("definitely-not-a-binary-7f3a",))
         with pytest.raises(AdapterError):
@@ -278,6 +291,18 @@ class TestAdapterBridge:
         try:
             with pytest.raises(AdapterError):
                 clf.classify("x = 1;")
+        finally:
+            clf.close()
+
+    @pytest.mark.parametrize("reply", ["bool-id", "string-score", "bool-score"])
+    def test_loosely_typed_answer_rejected(self, data_dir, reply):
+        # true == 1 and float("0.7") == 0.7, so a loose reading would accept these
+        loose = (sys.executable, str(data_dir / "adapter_loose_stub.py"), reply)
+        clf = AdapterLineClassifier(command=loose, timeout=10.0)
+        try:
+            with pytest.raises(AdapterError, match="not {id, score}") as err:
+                clf.classify("x = 1;")
+            assert err.value.raw is not None
         finally:
             clf.close()
 

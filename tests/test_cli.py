@@ -404,6 +404,27 @@ class TestEvaluateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_out_does_not_depend_on_the_hash_seed_or_workers(self, planted, tmp_path):
+        """The screen memo is a dict keyed by line text, shared by every
+        worker thread: neither string hashing nor thread order may reach the
+        report."""
+        src = Path(trustvet.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for hash_seed in ("0", "1"):
+            for workers in ("1", "4"):
+                out = tmp_path / f"report_{hash_seed}_{workers}.json"
+                result = subprocess.run(
+                    [sys.executable, "-m", "trustvet.cli", "evaluate",
+                     "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+                     *EVAL_ARGS, "--workers", workers, "--out", str(out)],
+                    env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True, timeout=120,
+                )
+                assert result.returncode == EXIT_OK, result.stderr
+                outputs.append((result.stdout, out.read_bytes()))
+        assert all(output == outputs[0] for output in outputs[1:])
+        assert "0.880" in outputs[0][0]
+
 
 def assert_clean_failure(result) -> None:
     """Exit 2 with one `error:` message, not an uncaught exception."""

@@ -3,12 +3,29 @@
 from __future__ import annotations
 
 import itertools
+import sys
+from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synth import lookup_ensemble, planted_corpus, worker_record
+from trustvet.assess import assess_prediction
+from trustvet.config import RunConfig
+from trustvet.corpus import VULNERABLE, CorpusRecord
 from trustvet.errors import ClassificationError, UndefinedInputError
-from trustvet.lineassess.classifier import LookupLineClassifier
+from trustvet.evaluate import report_to_dict, run_evaluation
+from trustvet.frontend import import_raw_graph, pdg_from_source
+from trustvet.frontend.lexer import normalize_line
+from trustvet.lineassess.classifier import (
+    AdapterLineClassifier,
+    LinearLineClassifier,
+    LookupLineClassifier,
+)
 from trustvet.lineassess.ensemble import benign_candidates, ensemble_vote
+from trustvet.lineassess.features import FeatureView
 from trustvet.pdg import Explanation
 
 
@@ -63,3 +80,216 @@ class TestBenignCandidates:
         with pytest.raises(ClassificationError) as err:
             benign_candidates([FailingClassifier()], vrrp_explanation, vrrp_fixture.line_text)
         assert err.value.line in vrrp_fixture.nodes
+
+
+# --- the screen memo -------------------------------------------------------------
+
+
+class PassThrough:
+    """Hides a member's type, so an ensemble of these screens without a memo."""
+
+    def __init__(self, member):
+        self.member = member
+
+    def classify(self, text):
+        return self.member.classify(text)
+
+
+def mixed_ensemble() -> list:
+    """Two lookups and one linear member; none accepts a comment-only line."""
+    linear = LinearLineClassifier(
+        view=FeatureView.TOKEN_NGRAM,
+        vocabulary={"1:fopen": 0, "1:n": 1, "1:x": 2},
+        weights=[-3.0, -1.0, 0.5],
+        bias=0.4,
+    )
+    fopen = frozenset({normalize_line("buf = fopen(path, m);")})
+    ret = frozenset({normalize_line("return out;")})
+    return [LookupLineClassifier(non_benign=fopen), linear, LookupLineClassifier(non_benign=ret)]
+
+
+CODES = (
+    "x = 1;",
+    "y = x + 1;",
+    "buf = fopen(path, m);",
+    "n = fread(buf, y);",
+    "out = n + x;",
+    "return out;",
+)
+COMMENT = "/* note */"  # no text once comments are stripped: every member raises
+
+
+@st.composite
+def graph_records(draw, index: int) -> CorpusRecord:
+    """One imported-graph record whose line texts come from a small pool."""
+    size = draw(st.integers(2, 6))
+    codes = [draw(st.sampled_from(CODES * 4 + (COMMENT,))) for _ in range(size)]
+    lines = st.integers(1, size)
+    edges = draw(st.lists(st.tuples(lines, lines, st.sampled_from(("CDG", "x", "n", "buf"))), max_size=8))
+    explained = draw(st.lists(st.integers(1, size + 1), min_size=1, max_size=size + 1, unique=True))
+    scores = st.floats(0.05, 1.0)
+    graph = {
+        "function": f"g{index}",
+        "nodes": [{"id": line, "line": line, "code": code} for line, code in enumerate(codes, 1)],
+        "edges": [
+            {"src": src, "dst": dst, "kind": "CDG"} if label == "CDG"
+            else {"src": src, "dst": dst, "kind": "DDG", "variable": label}
+            for src, dst, label in edges
+        ],
+    }
+    return CorpusRecord(
+        function_id=f"g{index}",
+        source="\n".join(codes),
+        label=VULNERABLE,
+        vul_lines=tuple(draw(st.lists(lines, min_size=1, max_size=3, unique=True))),
+        explanation=tuple((line, draw(scores)) for line in explained),
+        confidence=draw(st.floats(0.0, 1.0)),
+        graph=graph,
+    )
+
+
+@st.composite
+def corpora(draw) -> list[CorpusRecord]:
+    return [draw(graph_records(i)) for i in range(draw(st.integers(1, 10)))]
+
+
+def screen_outcome(ensemble, record: CorpusRecord, memo=None):
+    """The verdicts, or the type, line and message of the screening error."""
+    pdg = import_raw_graph(record.graph).to_pdg()
+    try:
+        return benign_candidates(ensemble, record.to_explanation(), pdg.line_text, memo)
+    except ClassificationError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+class TestScreenMemoOracle:
+    """A memoized screen gives exactly what asking every member does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus=corpora(),
+        trust=st.sampled_from((None, 0.25)),
+        conf=st.sampled_from((None, 0.5)),
+        workers=st.sampled_from((1, 2)),
+    )
+    def test_memo_matches_the_uncached_path(self, corpus, trust, conf, workers):
+        ensemble = mixed_ensemble()
+        reference = [PassThrough(member) for member in ensemble]
+        memo: dict = {}
+        for record in corpus:
+            assert screen_outcome(ensemble, record, memo) == screen_outcome(reference, record)
+
+        config = RunConfig(trust_threshold=trust, conf_threshold=conf, workers=workers)
+        memoized = run_evaluation(corpus, ensemble, config, taus=(0.3, 0.6))
+        uncached = run_evaluation(corpus, reference, config, taus=(0.3, 0.6))
+        assert [r.skipped for r in memoized.results] == [r.skipped for r in uncached.results]
+        assert report_to_dict(memoized) == report_to_dict(uncached)
+
+    def test_error_names_the_first_failing_line_after_a_cached_one(self):
+        # line 3 repeats line 1's text, which the memo already holds
+        codes = ["x = 1;", COMMENT, "x = 1;", COMMENT]
+        graph = {
+            "function": "f",
+            "nodes": [{"id": i, "line": i, "code": c} for i, c in enumerate(codes, 1)],
+            "edges": [],
+        }
+        record = CorpusRecord(
+            function_id="f", source="\n".join(codes), vul_lines=(1,),
+            explanation=((3, 0.5), (1, 0.4), (4, 0.3), (2, 0.2)), confidence=0.5, graph=graph,
+        )
+        memo: dict = {}
+        outcome = screen_outcome(mixed_ensemble(), record, memo)
+        assert outcome[:2] == (ClassificationError, 4)
+        assert outcome == screen_outcome([PassThrough(m) for m in mixed_ensemble()], record)
+        assert list(memo) == ["x = 1 ;"]  # the failing text is not stored
+
+
+@dataclass
+class CountingLookup(LookupLineClassifier):
+    """A lookup member that counts the texts it is asked about."""
+
+    calls: Counter = field(default_factory=Counter)
+
+    def classify(self, text):
+        self.calls[text] += 1
+        return super().classify(text)
+
+
+class TestScreenMemoScope:
+    def corpus(self) -> list[CorpusRecord]:
+        records, _ = planted_corpus()
+        return records + [worker_record(f"extra_{i}", "blur", 0.5) for i in range(5)]
+
+    def screened_texts(self, records) -> Counter:
+        """How often each text is screened when every line is asked about."""
+        texts: Counter = Counter()
+        for record in records:
+            pdg = pdg_from_source(record.source, function_id=record.function_id)
+            texts.update(pdg.line_text[line] for line, _ in record.explanation if line in pdg.nodes)
+        return texts
+
+    def test_each_distinct_text_is_asked_once_per_run(self):
+        records = self.corpus()
+        members = [CountingLookup(non_benign=m.non_benign) for m in lookup_ensemble()]
+        texts = self.screened_texts(records)
+        assert max(texts.values()) > 1  # the corpus repeats its lines
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5, workers=1)
+        for runs in (1, 2):
+            run_evaluation(records, members, config)
+            for member in members:
+                assert member.calls == Counter({text: runs for text in texts})
+
+    def test_threads_sharing_the_memo_agree_with_one_thread(self):
+        # a memo miss is check-then-act: two threads may both screen a text,
+        # but each stores the same verdict, so no report can change
+        records = [worker_record(f"w{i}", kind, 0.5) for i in range(20) for kind in ("blur", "mixed", "hollow")]
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5, workers=1)
+        serial = report_to_dict(run_evaluation(records, lookup_ensemble(), config))
+        members = [CountingLookup(non_benign=m.non_benign) for m in lookup_ensemble()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_evaluation(records, members, RunConfig(trust_threshold=0.25, conf_threshold=0.5, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert report_to_dict(threaded) == serial
+        assert set(members[0].calls) == set(self.screened_texts(records))
+        assert max(members[0].calls.values()) <= 8
+
+    def test_nothing_survives_an_assessment(self, vrrp_fixture, vrrp_explanation):
+        members = [CountingLookup(non_benign=frozenset()) for _ in range(3)]
+        for runs in (1, 2):
+            assess_prediction(vrrp_explanation, vrrp_fixture, members, threshold=0.5)
+            assert set(members[0].calls.values()) == {runs}
+
+    def test_consecutive_runs_with_different_ensembles_do_not_leak(self):
+        records = self.corpus()
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5, workers=1)
+        planted = lookup_ensemble()
+        nothing = [LookupLineClassifier(non_benign=frozenset()) for _ in range(3)]
+        first = report_to_dict(run_evaluation(records, planted, config))
+        second = report_to_dict(run_evaluation(records, nothing, config))
+        assert first != second
+        for ensemble, report in ((planted, first), (nothing, second)):
+            reference = [PassThrough(member) for member in ensemble]
+            assert report == report_to_dict(run_evaluation(records, reference, config))
+
+    def test_an_adapter_member_turns_the_memo_off(self, data_dir):
+        records = self.corpus()
+        stub = (sys.executable, str(data_dir / "adapter_stub.py"))
+        adapter = AdapterLineClassifier(command=stub, timeout=10.0)
+        requests = Counter()
+        classify = adapter.classify
+
+        def counted(text):
+            requests[text] += 1
+            return classify(text)
+
+        adapter.classify = counted
+        try:
+            config = RunConfig(trust_threshold=0.25, conf_threshold=0.5, workers=1)
+            report = run_evaluation(records, [adapter, *lookup_ensemble(2)], config)
+        finally:
+            adapter.close()
+        assert not report.skipped
+        assert requests == self.screened_texts(records)
