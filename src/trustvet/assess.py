@@ -17,16 +17,19 @@ asks whether the edge's variable appears at z; "transitive_flow" also
 accepts z when the variable's value can flow from y into z along Data
 edges. The connecting sequence itself may traverse edges of either kind.
 
-The relation is built once per assessment: O(V + E) backward searches from
-the non-benign lines (over all edges, per Data-edge variable, and over Data
-edges in transitive_flow mode) mark the lines an edge may lead to, then one
-BFS per benign candidate over the vulnerable edges gives its distances.
+The relation is built once per assessment in O(lines + edges), whatever the
+number of candidates, targets or variables. One strongly-connected-component
+pass gives each line a bitset of what it can reach: a suspect bit and one
+bit per Data-edge variable held at a reachable suspect (transitive_flow mode
+adds one search over Data edges). Then one breadth-first search runs
+backwards from all targets at once and labels every line with its nearest
+target.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -45,7 +48,7 @@ from .pdg import (
 
 DIRECT = "direct"
 TRANSITIVE_FLOW = "transitive_flow"
-_MODES = (DIRECT, TRANSITIVE_FLOW)
+DATA_RULE_MODES = (DIRECT, TRANSITIVE_FLOW)
 
 UNTRUSTWORTHY = "untrustworthy"
 TRUSTWORTHY = "trustworthy"
@@ -95,98 +98,185 @@ class Assessment:
 
 # --- the relate stage ------------------------------------------------------------
 
+# bit 0 of a reach label: some line reached is a suspect; each data-edge
+# variable owns one higher bit
+_SUSPECT = 1
+
 
 def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ContractError(f"unknown data-rule mode {mode!r}; use one of {_MODES}")
+    if mode not in DATA_RULE_MODES:
+        raise ContractError(f"unknown data-rule mode {mode!r}; use one of {DATA_RULE_MODES}")
 
 
 class _Relation:
     """The vulnerable-dependency relation of one (graph, benign set, mode).
 
-    Suspects are the non-benign lines, nodes and edge endpoints alike. Each
-    edge condition is one backward search from the suspects it accepts; the
-    per-variable searches run on first use.
+    Suspects are the non-benign lines, nodes and edge endpoints alike. A
+    suspect's label is the suspect bit plus one bit per Data-edge variable
+    it holds; reach[y] is the OR of the labels of every line reachable from
+    y, y included, so an edge x->y is tested with a mask of reach[y]. One
+    iterative Tarjan pass over the strongly connected components computes
+    reach, and nearest() runs one labelled BFS backwards from all targets at
+    once: O(lines + edges) each.
     """
 
     def __init__(self, g: WeightedPdg, benign: BenignSet, mode: str):
         self.g = g
         self.benign = benign.members
         self.mode = mode
-        self._into: dict[LineId, list[PdgEdge]] = {}
-        lines = set(g.pdg.nodes)
-        for e in g.pdg.edges:
-            lines.update((e.src, e.dst))
-            self._into.setdefault(e.dst, []).append(e)
-        self._suspects = lines - self.benign
-        self._reach_suspect = self._backward(self._suspects)
-        self._reach_holder: dict[str | None, set[LineId]] = {}
+        succ: defaultdict[LineId, list[LineId]] = defaultdict(list)
+        bit: dict[str | None, int] = {}
+        for src, dst, kind, variable in g.pdg.edges:
+            succ[src].append(dst)
+            if kind is not DepKind.CONTROL and variable not in bit:
+                bit[variable] = 2 << len(bit)  # bit 0 is _SUSPECT
+        self._bit = bit
+        self._reach = self._reach_labels(succ)
 
-    def _backward(self, seeds: Iterable[LineId], kind: DepKind | None = None) -> set[LineId]:
-        """Lines that reach a seed through zero or more edges (of one kind)."""
-        marked = set(seeds)
-        stack = list(marked)
-        while stack:
-            for e in self._into.get(stack.pop(), ()):
-                if e.src not in marked and (kind is None or e.kind is kind):
-                    marked.add(e.src)
-                    stack.append(e.src)
-        return marked
+    def _reach_labels(self, succ: Mapping[LineId, list[LineId]]) -> dict[LineId, int]:
+        """reach of every edge endpoint, from an iterative Tarjan pass.
 
-    def vulnerable(self, edge: PdgEdge) -> bool:
-        if edge.dst not in self._reach_suspect:
-            return False
-        if edge.kind is DepKind.CONTROL:
-            return True
-        variable = edge.variable
-        if variable not in self._reach_holder:
-            line_vars = self.g.pdg.line_vars
-            self._reach_holder[variable] = self._backward(
-                z for z in self._suspects if variable in line_vars.get(z, ())
-            )
-        return edge.dst in self._reach_holder[variable] or (
-            self.mode == TRANSITIVE_FLOW and edge.dst in self._flow_to_suspect
-        )
+        A line is on Tarjan's stack exactly while it is numbered and has no
+        reach yet. Components come out sinks first, so each successor outside
+        a component has its reach by the time the component is emitted.
+        """
+        benign, line_vars, bit = self.benign, self.g.pdg.line_vars, self._bit
+        number: dict[LineId, int] = {}
+        low: dict[LineId, int] = {}
+        reach: dict[LineId, int] = {}
+        stack: list[LineId] = []
+        for root in succ:
+            if root in number:
+                continue
+            number[root] = low[root] = len(number)
+            stack.append(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                line, children = work[-1]
+                for child in children:
+                    if child not in number:
+                        number[child] = low[child] = len(number)
+                        stack.append(child)
+                        work.append((child, iter(succ.get(child, ()))))
+                        break
+                    if child not in reach and number[child] < low[line]:
+                        low[line] = number[child]
+                else:
+                    work.pop()
+                    if work and low[line] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[line]
+                    if low[line] != number[line]:
+                        continue
+                    members = [stack.pop()]
+                    while members[-1] != line:
+                        members.append(stack.pop())
+                    bits = 0
+                    for member in members:
+                        if member not in benign:
+                            bits |= _SUSPECT
+                            for variable in line_vars.get(member, ()):
+                                bits |= bit.get(variable, 0)
+                        for child in succ.get(member, ()):
+                            bits |= reach.get(child, 0)
+                    for member in members:
+                        reach[member] = bits
+        return reach
 
     @cached_property
     def _flow_to_suspect(self) -> set[LineId]:
-        return self._backward(self._suspects, DepKind.DATA)
+        """Lines that reach a suspect through zero or more Data edges."""
+        into: defaultdict[LineId, list[LineId]] = defaultdict(list)
+        for src, dst, kind, _variable in self.g.pdg.edges:
+            if kind is DepKind.DATA:
+                into[dst].append(src)
+        marked = {line for line in self._reach if line not in self.benign}
+        stack = list(marked)
+        while stack:
+            for src in into.get(stack.pop(), ()):
+                if src not in marked:
+                    marked.add(src)
+                    stack.append(src)
+        return marked
 
-    @cached_property
-    def _adjacency(self) -> dict[LineId, set[LineId]]:
-        # self-loops never shorten a path and never count toward a distance
-        adj: dict[LineId, set[LineId]] = {}
-        for e in self.g.pdg.edges:
-            if e.src != e.dst and self.vulnerable(e):
-                adj.setdefault(e.src, set()).add(e.dst)
-        return adj
+    def edges(self) -> tuple[PdgEdge, ...]:
+        """The vulnerable edges, in graph order."""
+        reach, bit = self._reach, self._bit
+        flow = self.mode == TRANSITIVE_FLOW
+        out = []
+        for edge in self.g.pdg.edges:
+            _src, dst, kind, variable = edge
+            mask = reach[dst]
+            if mask & _SUSPECT and (
+                kind is DepKind.CONTROL
+                or mask & bit[variable]
+                or (flow and dst in self._flow_to_suspect)
+            ):
+                out.append(edge)
+        return tuple(out)
 
     def hops(self, start: LineId) -> dict[LineId, int]:
         """Edge counts of the shortest vulnerable paths from start, by line."""
+        onward: defaultdict[LineId, list[LineId]] = defaultdict(list)
+        for src, dst, _kind, _variable in self.edges():
+            # self-loops never shorten a path and never count toward a distance
+            if src != dst:
+                onward[src].append(dst)
         hops = {start: 0}
-        frontier = deque([start])
+        frontier = [start]
         while frontier:
-            node = frontier.popleft()
-            for nxt in self._adjacency.get(node, ()):
-                if nxt not in hops:
-                    hops[nxt] = hops[node] + 1
-                    frontier.append(nxt)
+            layer = []
+            for line in frontier:
+                for nxt in onward.get(line, ()):
+                    if nxt not in hops:
+                        hops[nxt] = hops[line] + 1
+                        layer.append(nxt)
+            frontier = layer
         return hops
 
-    def nearest(self, line: LineId, expl: Explanation) -> ReachRecord:
-        """Closest resident non-benign explanation line: fewest hops, then
-        heavier weight, then smaller line."""
-        hops = self.hops(line)
+    def nearest(self, lines: Iterable[LineId], expl: Explanation) -> tuple[ReachRecord, ...]:
+        """Closest resident non-benign explanation line of each line: fewest
+        hops, then heavier weight, then smaller line.
+
+        One BFS runs backwards from all targets over the vulnerable edges. A
+        line first met on layer d takes the least (-weight, target) label of
+        its successors on layer d - 1, because every target at its nearest
+        distance is reached through one of them.
+        """
         weights = self.g.weights
-        keys = [
-            (hops[target], -weights.get(target, 0.0), target)
+        label = {
+            target: (-weights.get(target, 0.0), target)
             for target, _score in expl.entries
-            if target in hops and target not in self.benign and target in self.g.pdg.nodes
-        ]
-        if not keys:
-            return ReachRecord(line=line, distance=math.inf, target=None, target_score=None)
-        dist, neg_weight, target = min(keys)
-        return ReachRecord(line=line, distance=dist, target=target, target_score=-neg_weight)
+            if target not in self.benign and target in self.g.pdg.nodes
+        }
+        into: defaultdict[LineId, list[LineId]] = defaultdict(list)
+        for src, dst, _kind, _variable in self.edges():
+            if src != dst:
+                into[dst].append(src)
+        hops = dict.fromkeys(label, 0)
+        frontier = list(label)
+        depth = 0
+        while frontier:
+            depth += 1
+            layer = []
+            for line in frontier:
+                key = label[line]
+                for prev in into.get(line, ()):
+                    seen = hops.get(prev)
+                    if seen is None:
+                        hops[prev] = depth
+                        label[prev] = key
+                        layer.append(prev)
+                    elif seen == depth and key < label[prev]:
+                        label[prev] = key
+            frontier = layer
+        records = []
+        for line in lines:
+            if line in hops:
+                neg_weight, target = label[line]
+                records.append(ReachRecord(line, hops[line], target, -neg_weight))
+            else:
+                records.append(ReachRecord(line, math.inf, None, None))
+        return tuple(records)
 
 
 def is_vulnerable_dependency(
@@ -196,14 +286,13 @@ def is_vulnerable_dependency(
     _check_mode(mode)
     if edge not in g.pdg.edges:
         raise UnknownEdgeError(f"edge {edge.src}->{edge.dst} ({edge.kind.value}) is not in the graph")
-    return _Relation(g, benign, mode).vulnerable(edge)
+    return edge in _Relation(g, benign, mode).edges()
 
 
 def vulnerable_edges(g: WeightedPdg, benign: BenignSet, mode: str = DIRECT) -> tuple[PdgEdge, ...]:
     """All edges that pass the vulnerable-dependency predicate."""
     _check_mode(mode)
-    relation = _Relation(g, benign, mode)
-    return tuple(e for e in g.pdg.edges if relation.vulnerable(e))
+    return _Relation(g, benign, mode).edges()
 
 
 def reachability_distance(
@@ -233,7 +322,7 @@ def nearest_non_benign(
     _check_mode(mode)
     if line not in benign.members:
         raise ContractError(f"line {line} is not a benign candidate")
-    return _Relation(g, benign, mode).nearest(line, expl)
+    return _Relation(g, benign, mode).nearest((line,), expl)[0]
 
 
 def trust_score(
@@ -253,8 +342,7 @@ def _score_with_records(
         # prediction, so the score is the total retained weight
         total = sum(g.weights.get(line, 0.0) for line in resident)
         return total, (), True
-    relation = _Relation(g, benign, mode)
-    records = tuple(relation.nearest(line, expl) for line in benign_resident)
+    records = _Relation(g, benign, mode).nearest(benign_resident, expl)
     total = 0.0
     for record in records:
         if not math.isinf(record.distance) and record.distance > 0:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from .assess import UNTRUSTWORTHY, assess_prediction, assessment_to_dict, render_assessment
+from .assess import DATA_RULE_MODES, UNTRUSTWORTHY, assess_prediction, assessment_to_dict, render_assessment
 from .config import RunConfig, config_from_file, merge_config
 from .corpus import load_corpus
 from .errors import SchemaError, TrustvetError
@@ -182,7 +182,7 @@ def train(dataset_path, out_dir, seed, l2, max_iter, vote_threshold):
 @click.option("--threshold", type=float, default=None, help="Trust cutoff (overrides config).")
 @click.option("--normalize/--no-normalize", "normalize", default=None,
               help="Rescale explanation weights to sum to one.")
-@click.option("--mode", type=click.Choice(["direct", "transitive_flow"]), default=None)
+@click.option("--mode", type=click.Choice(DATA_RULE_MODES), default=None)
 @click.option("--function", "function_id", default=None, help="Function id when parsing source.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Also write the assessment as JSON.")
 @_handle_errors
@@ -239,7 +239,7 @@ def assess(source_path, graph_path, explanation_path, models_path, config_path,
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=int, default=None)
 @click.option("--normalize/--no-normalize", "normalize", default=None)
-@click.option("--mode", type=click.Choice(["direct", "transitive_flow"]), default=None)
+@click.option("--mode", type=click.Choice(DATA_RULE_MODES), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Write the full report as JSON.")
 @_handle_errors
 def evaluate(corpus_path, models_path, config_path, iou_threshold, iou_sweep,

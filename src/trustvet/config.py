@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from .assess import DATA_RULE_MODES
 from .errors import SchemaError
 
 _SECTION = "run"
@@ -37,6 +39,21 @@ class RunConfig:
     workers: int | None = None
     calibration_fraction: float = 0.2
     adapter_endpoint: str | None = None
+
+    def __post_init__(self) -> None:
+        # every construction path (file, flags, code) ends here
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and isinstance(value, float) and not math.isfinite(value):
+                raise SchemaError(f"config field {name!r}: {value!r} is not finite")
+        if not 0.0 <= self.calibration_fraction < 1.0:
+            raise SchemaError(
+                f"config field 'calibration_fraction': {self.calibration_fraction!r} is not in [0, 1)"
+            )
+        if self.data_rule_mode not in DATA_RULE_MODES:
+            raise SchemaError(
+                f"config field 'data_rule_mode': {self.data_rule_mode!r} is not one of {DATA_RULE_MODES}"
+            )
 
     def resolved_workers(self) -> int:
         if self.workers is not None:

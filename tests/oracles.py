@@ -69,7 +69,11 @@ def oracle_bleu(candidate, references, max_order=4):
 
 
 def _index(pdg: Pdg):
-    nodes = sorted(pdg.nodes)
+    """Every line of the graph, nodes and edge endpoints alike, and its row."""
+    lines = set(pdg.nodes)
+    for e in pdg.edges:
+        lines.update((e.src, e.dst))
+    nodes = sorted(lines)
     return nodes, {line: i for i, line in enumerate(nodes)}
 
 

@@ -11,6 +11,7 @@ from synth import random_pdg
 
 from trustvet.assess import (
     BenignSet,
+    ReachRecord,
     _score_with_records,
     assess_prediction,
     assessment_to_dict,
@@ -22,6 +23,7 @@ from trustvet.assess import (
     vulnerable_edges,
 )
 from trustvet.errors import ContractError, PipelineError, UnknownEdgeError
+from trustvet.frontend.lexer import normalize_line
 from trustvet.lineassess.classifier import LookupLineClassifier
 from trustvet.pdg import DepKind, Explanation, Pdg, PdgEdge, build_weighted_pdg
 
@@ -209,6 +211,103 @@ class TestNearestOracle:
                 ties[1] += any(g.weights[t] == w for t in tied)
         # both tie-breaks decided some targets
         assert min(ties) > 0
+
+
+
+def ringed_pdg(rng: random.Random) -> Pdg:
+    """Up to about 60 lines: rings (large strongly connected components) and
+    loose lines joined by a DAG, with chords, self-loops, and edges to three
+    lines that are not nodes."""
+    sizes = [rng.randint(2, 12) for _ in range(rng.randint(2, 5))]
+    count = sum(sizes) + rng.randint(0, 6)
+    ids = rng.sample(range(1, count + 10), count + 3)
+    lines, ghosts = ids[:count], ids[count:]
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(lines[start:start + size])
+        start += size
+    groups += [[line] for line in lines[start:]]
+    rng.shuffle(groups)  # the DAG runs from earlier groups to later ones
+    edges = set()
+
+    def link(src, dst):
+        if rng.random() < 0.4:
+            edges.add(PdgEdge(src, dst, DepKind.CONTROL))
+        else:
+            edges.add(PdgEdge(src, dst, DepKind.DATA, rng.choice("abc")))
+
+    for group in groups:
+        if len(group) > 1:
+            for src, dst in zip(group, group[1:] + group[:1]):
+                link(src, dst)
+        for _ in range(rng.randint(0, len(group) // 2)):
+            link(rng.choice(group), rng.choice(group))  # chords and self-loops
+    for _ in range(rng.randint(len(groups), 3 * len(groups))):
+        early, late = sorted(rng.sample(range(len(groups)), 2))
+        link(rng.choice(groups[early]), rng.choice(groups[late]))
+    for ghost in ghosts:
+        if rng.random() < 0.8:
+            link(rng.choice(lines), ghost)
+            if rng.random() < 0.5:
+                link(ghost, rng.choice(lines))
+    line_vars = {line: rng.sample("abc", rng.randint(0, 2)) for line in lines}
+    return Pdg.build(
+        f"ringed_{rng.random():.6f}", lines, sorted(edges, key=lambda e: e.sort_key()),
+        {line: f"stmt_{line} ;" for line in lines}, line_vars,
+    )
+
+
+class TestRelateAtScale:
+    """The relation on rings joined by a DAG, against the matrix oracles."""
+
+    @pytest.mark.parametrize("mode", ["direct", "transitive_flow"])
+    def test_ringed_graphs(self, mode):
+        rng = random.Random(9203)
+        ties = 0  # lines whose nearest distance is shared by two targets
+        for _ in range(60):
+            pdg = ringed_pdg(rng)
+            everything = sorted({line for e in pdg.edges for line in e[:2]} | pdg.nodes)
+            explained = rng.sample(everything, rng.randint(1, len(everything)))
+            entries = tuple((line, rng.choice((0.1, 0.2, 0.2, 0.3))) for line in explained)
+            expl = Explanation(pdg.function_id, 0.5, entries)
+            g = build_weighted_pdg(pdg, expl, normalize=rng.random() < 0.5)
+            share = rng.choice((0.3, 0.6, 0.85))
+            members = frozenset(line for line in everything if rng.random() < share)
+            benign = BenignSet(pdg.function_id, members)
+            vulnerable = oracle_vulnerable_edges(pdg, members, mode)
+            assert vulnerable_edges(g, benign, mode) == vulnerable
+            targets = [t for t in explained if t in pdg.nodes and t not in members]
+            want = {}
+            for line in explained:
+                if line in members and line in pdg.nodes:
+                    want[line] = oracle_nearest(pdg, vulnerable, g.weights, members, entries, line)
+                    got = nearest_non_benign(line, expl, g, benign, mode)
+                    assert (got.distance, got.target, got.target_score) == want[line]
+                    if want[line][1] is not None:
+                        hops = oracle_distances(pdg, vulnerable, [line], targets)
+                        ties += sum(hops[(line, t)] == want[line][0] for t in targets) > 1
+            _, records, degenerate = _score_with_records(expl, g, benign, mode)
+            if not degenerate:
+                assert {r.line: (r.distance, r.target, r.target_score) for r in records} == want
+        assert ties > 0
+
+
+def test_deep_chain_needs_no_recursion():
+    # one data variable held along a 20,000-line chain, the target at its end
+    n = 20_000
+    lines = range(1, n + 1)
+    pdg = Pdg.build(
+        "chain",
+        lines,
+        [PdgEdge(line, line + 1, DepKind.DATA, "v") for line in range(1, n)],
+        {line: f"v = step_{line} ( v ) ;" for line in lines},
+        {line: {"v"} for line in lines},
+    )
+    expl = Explanation("chain", 0.5, ((1, 0.25), (n, 0.75)))
+    flag_end = [LookupLineClassifier(non_benign=frozenset({normalize_line(pdg.line_text[n])}))]
+    assessment = assess_prediction(expl, pdg, flag_end, threshold=0.5, normalize_weights=False)
+    assert assessment.records == (ReachRecord(line=1, distance=n - 1, target=n, target_score=0.75),)
+    assert assessment.trust_score == pytest.approx(1.0 / (n - 1))
 
 
 class TestTrustScore:

@@ -391,6 +391,17 @@ class TestEvaluateCommand:
         assert result.exit_code == EXIT_ERROR
         assert "bad --iou-sweep" in result.stderr
 
+    def test_config_value_that_cannot_run(self, runner, planted, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\ncalibration_fraction = nan\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+             "--config", str(ini)],
+        )
+        assert_clean_failure(result)
+        assert "calibration_fraction" in result.stderr
+
     def test_out_byte_identical(self, runner, planted):
         outs = []
         for name in ("r1.json", "r2.json"):

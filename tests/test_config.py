@@ -125,6 +125,42 @@ class TestFileErrors:
             config_from_file(path)
 
 
+class TestValues:
+    """Values that parse but cannot run are rejected, from a file or from code."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("calibration_fraction = nan", "not finite"),
+            ("calibration_fraction = inf", "not finite"),
+            ("calibration_fraction = 1.5", r"not in \[0, 1\)"),
+            ("calibration_fraction = 1.0", r"not in \[0, 1\)"),
+            ("calibration_fraction = -0.1", r"not in \[0, 1\)"),
+            ("trust_threshold = nan", "not finite"),
+            ("conf_threshold = -inf", "not finite"),
+            ("iou_threshold = nan", "not finite"),
+            ("bleu_threshold = inf", "not finite"),
+            ("neg_ratio = nan", "not finite"),
+            ("data_rule_mode = bogus", "data_rule_mode"),
+        ],
+    )
+    def test_file_value_rejected(self, tmp_path, line, message):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\n{line}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            config_from_file(path)
+
+    def test_bounds_of_calibration_fraction(self):
+        assert RunConfig(calibration_fraction=0.0).calibration_fraction == 0.0
+        assert RunConfig(calibration_fraction=0.999).calibration_fraction == 0.999
+
+    def test_override_checked_too(self):
+        with pytest.raises(SchemaError, match="not finite"):
+            merge_config(None, {"trust_threshold": float("nan")})
+        with pytest.raises(SchemaError, match="data_rule_mode"):
+            RunConfig(data_rule_mode="telepathic")
+
+
 class TestMerge:
     def test_file_beats_defaults(self):
         merged = merge_config(RunConfig(seed=7), {})
