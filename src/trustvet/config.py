@@ -24,6 +24,13 @@ _SECTION = "run"
 _NONE = "none"
 
 
+def require_finite(value: float, what: str) -> None:
+    """The rule for every float setting: NaN compares false everywhere and
+    an infinity is no cutoff, so neither can run."""
+    if not math.isfinite(value):
+        raise SchemaError(f"{what}: {value!r} is not finite")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     iou_threshold: float = 0.5
@@ -44,8 +51,8 @@ class RunConfig:
         # every construction path (file, flags, code) ends here
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if kind is float and isinstance(value, float) and not math.isfinite(value):
-                raise SchemaError(f"config field {name!r}: {value!r} is not finite")
+            if kind is float and isinstance(value, float):
+                require_finite(value, f"config field {name!r}")
         if not 0.0 <= self.calibration_fraction < 1.0:
             raise SchemaError(
                 f"config field 'calibration_fraction': {self.calibration_fraction!r} is not in [0, 1)"

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .assess import assess_prediction
-from .config import RunConfig
+from .config import RunConfig, require_finite
 from .corpus import CorpusRecord
 from .errors import (
     CalibrationError,
@@ -367,10 +367,13 @@ def run_evaluation(
     on the remainder; with both thresholds pinned every usable record is
     evaluated directly. Every record, in every worker thread, shares one
     screen memo, so a text-only ensemble screens each distinct line text
-    once per call.
+    once per call. A cutoff that is not finite raises SchemaError before
+    any record is screened.
     """
     if taus is None:
         taus = (config.iou_threshold,)
+    for tau in taus:
+        require_finite(tau, "IoU cutoff")
     memo: dict[str, Screen] = {}
     worker: Callable[[CorpusRecord], RecordResult] = lambda r: evaluate_record(
         r, ensemble, config, memo

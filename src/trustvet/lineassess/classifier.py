@@ -13,6 +13,11 @@ decision threshold. Three kinds exist:
     line-delimited JSON protocol (one {"id","text"} request per line, one
     {"id","score"} response, 5 s timeout).
 
+Each classify takes the raw line text. An ensemble screening one line hands
+every member the same ScreenText, a str equal to that text which normalizes
+and tokenizes it once and extracts each view's features once for all of
+them; given a plain str, a classifier normalizes it itself.
+
 Models persist as versioned JSON documents; bytes are identical across runs
 with the same inputs and seed.
 """
@@ -38,7 +43,7 @@ from ..errors import (
     SchemaError,
     UndefinedInputError,
 )
-from ..frontend.lexer import normalize_line
+from ..frontend.lexer import Token, normalize_line, tokenize_line
 from ..pdg import (
     SCHEMA_VERSION,
     check_schema_version,
@@ -54,10 +59,56 @@ ADAPTER_ENV_VAR = "TRUSTVET_ADAPTER"
 ADAPTER_TIMEOUT = 5.0
 
 
+_NO_CODE = "cannot classify an empty or comment-only line"
+
+
+class ScreenText(str):
+    """One line text as every member of one screen sees it.
+
+    It equals the raw text, so a member that knows nothing of it sees an
+    ordinary string. The classifiers here read its normal form and each
+    view's features from it: the line is normalized and tokenized once, on
+    the first member's call, and each view's features are extracted once, on
+    the view's first use. An ensemble makes one per screened text and drops
+    it with the screen, so nothing outlives that screen.
+    """
+
+    _normalized: str | None = None
+    _tokens: list[Token] | None = None  # tokenize_line(normalized), once known
+    _views: dict[FeatureView, dict[str, float]] | None = None
+
+    def normalized(self) -> str:
+        """normalize_line of the text; an empty or comment-only line raises."""
+        if self._normalized is None:
+            tokens = tokenize_line(self)
+            normalized = " ".join(t.text for t in tokens)
+            if not normalized:
+                raise UndefinedInputError(_NO_CODE)
+            if normalized == self:
+                self._tokens = tokens  # tokenize_line is a pure function of its string
+            self._normalized = normalized
+        return self._normalized
+
+    def features(self, view: FeatureView) -> dict[str, float]:
+        """extract_features(view, self.normalized()), extracted once per view."""
+        if self._views is None:
+            self._views = {}
+        feats = self._views.get(view)
+        if feats is None:
+            normalized = self.normalized()
+            if self._tokens is None:
+                self._tokens = tokenize_line(normalized)
+            feats = self._views[view] = extract_features(view, normalized, self._tokens)
+        return feats
+
+
 def _require_text(text: str) -> str:
+    """The normal form of a line to classify, shared when text is a ScreenText."""
+    if isinstance(text, ScreenText):
+        return text.normalized()
     normalized = normalize_line(text)
     if not normalized:
-        raise UndefinedInputError("cannot classify an empty or comment-only line")
+        raise UndefinedInputError(_NO_CODE)
     return normalized
 
 
@@ -81,9 +132,12 @@ class LinearLineClassifier:
     heldout_accuracy: float | None = None
 
     def score(self, text: str) -> float:
-        normalized = _require_text(text)
+        if isinstance(text, ScreenText):
+            features = text.features(self.view)
+        else:
+            features = extract_features(self.view, _require_text(text))
         z = self.bias
-        for name, value in extract_features(self.view, normalized).items():
+        for name, value in features.items():
             idx = self.vocabulary.get(name)
             if idx is not None:
                 z += self.weights[idx] * value
@@ -387,7 +441,11 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
     threshold = _finite_number(doc.get("threshold"), f"{path}: threshold")
     try:
         if view == "lookup":
-            return LookupLineClassifier(non_benign=frozenset(doc["non_benign"]), threshold=threshold)
+            # frozenset() takes any iterable: a string would load as its characters
+            lines = doc["non_benign"]
+            if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
+                raise SchemaError(f"{path}: non_benign must be a list of strings")
+            return LookupLineClassifier(non_benign=frozenset(lines), threshold=threshold)
         if view == "adapter":
             override = os.environ.get(ADAPTER_ENV_VAR) or adapter_command
             command = override.split() if override else doc["command"]

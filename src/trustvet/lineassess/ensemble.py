@@ -13,6 +13,12 @@ for the whole run and so screens each distinct line text once. An ensemble
 with any other member (an adapter, a test stub) asks every member about
 every line. A text whose screening raises is never stored, so the error
 still names the first failing line in explanation order.
+
+Every member still gets its own classify call, but one screen of one text
+hands them all the same ScreenText: the line is normalized and tokenized
+once for the whole ensemble, and two members of one feature view share its
+features. That object lives for one screen only: the memo stores the
+votes, never it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Mapping, Sequence
 
 from ..errors import ClassificationError, TrustvetError, UndefinedInputError
 from ..pdg import Explanation, LineId
-from .classifier import LinearLineClassifier, LookupLineClassifier
+from .classifier import LinearLineClassifier, LookupLineClassifier, ScreenText
 
 # members whose votes depend on the line text alone
 _TEXT_ONLY = (LinearLineClassifier, LookupLineClassifier)
@@ -84,10 +90,11 @@ def benign_candidates(
 
 def _screen(ensemble: Sequence, line: LineId, text: str) -> Screen:
     """Every member's vote on one line, and the majority verdict."""
+    shared = ScreenText(text)
     votes = []
     for clf in ensemble:
         try:
-            votes.append(clf.classify(text)[0])
+            votes.append(clf.classify(shared)[0])
         except TrustvetError as exc:
             raise ClassificationError(line, str(exc)) from exc
     return tuple(votes), ensemble_vote(votes) == 1

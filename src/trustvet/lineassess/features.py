@@ -6,6 +6,10 @@ trains one linear classifier per view so their errors stay decorrelated:
     token_ngram   token uni/bigrams of the normalized line
     char_ngram    character 3-5-grams of the normalized line
     syntax_shape  token-kind uni/bigrams, a length feature, keyword flags
+
+extract_features is the one definition of each view, for training and
+scoring alike. A caller that already holds the line's tokens passes them,
+so a screen tokenizes each line once for all of its members.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 
-from ..frontend.lexer import TokenKind, tokenize_line
+from ..frontend.lexer import Token, TokenKind, tokenize_line
 
 
 class FeatureView(Enum):
@@ -25,8 +29,10 @@ class FeatureView(Enum):
 ALL_VIEWS = (FeatureView.TOKEN_NGRAM, FeatureView.CHAR_NGRAM, FeatureView.SYNTAX_SHAPE)
 
 
-def _token_ngram_features(text: str) -> dict[str, float]:
-    texts = [t.text for t in tokenize_line(text)]
+def _token_ngram_features(text: str, tokens: list[Token] | None = None) -> dict[str, float]:
+    if tokens is None:
+        tokens = tokenize_line(text)
+    texts = [t.text for t in tokens]
     feats: Counter = Counter()
     for t in texts:
         feats[f"1:{t}"] += 1.0
@@ -35,16 +41,19 @@ def _token_ngram_features(text: str) -> dict[str, float]:
     return dict(feats)
 
 
-def _char_ngram_features(text: str) -> dict[str, float]:
-    feats: Counter = Counter()
+def _char_ngram_features(text: str, tokens: list[Token] | None = None) -> dict[str, float]:
+    feats: dict[str, float] = {}
     for order in (3, 4, 5):
-        for i in range(len(text) - order + 1):
-            feats[f"{order}:{text[i : i + order]}"] += 1.0
-    return dict(feats)
+        prefix = f"{order}:"
+        grams = Counter([text[i : i + order] for i in range(len(text) - order + 1)])
+        for gram, count in grams.items():
+            feats[prefix + gram] = float(count)
+    return feats
 
 
-def _syntax_shape_features(text: str) -> dict[str, float]:
-    tokens = tokenize_line(text)
+def _syntax_shape_features(text: str, tokens: list[Token] | None = None) -> dict[str, float]:
+    if tokens is None:
+        tokens = tokenize_line(text)
     kinds = [t.kind.value for t in tokens]
     feats: Counter = Counter()
     for k in kinds:
@@ -66,6 +75,12 @@ _EXTRACTORS = {
 }
 
 
-def extract_features(view: FeatureView, text: str) -> dict[str, float]:
-    """Named sparse features of a normalized line under one view."""
-    return _EXTRACTORS[view](text)
+def extract_features(
+    view: FeatureView, text: str, tokens: list[Token] | None = None
+) -> dict[str, float]:
+    """Named sparse features of a normalized line under one view.
+
+    tokens, when given, must be tokenize_line(text); views that need no
+    tokens ignore them.
+    """
+    return _EXTRACTORS[view](text, tokens)

@@ -9,8 +9,10 @@ intersected until stable, and reaching definitions over sets of
 (variable, statement) pairs; the tokenizer against its earlier scan, which
 tried every operator in turn, and the source cleaner against its earlier
 per-character state machine; the line merge's edge step against its earlier
-version, which deduplicated on a hand-built key tuple. Slow and obvious
-beats fast and shared.
+version, which deduplicated on a hand-built key tuple; the feature views
+against their earlier extractors, which tokenized the line themselves and
+built every feature name as an f-string. Slow and obvious beats fast and
+shared.
 """
 
 from __future__ import annotations
@@ -21,8 +23,16 @@ from collections import Counter
 import numpy as np
 
 from trustvet.errors import ImportSchemaError, UnsupportedConstructError
-from trustvet.frontend.lexer import CHAR_LITERAL, STRING_LITERAL, Token, TokenKind, c_keywords
+from trustvet.frontend.lexer import (
+    CHAR_LITERAL,
+    STRING_LITERAL,
+    Token,
+    TokenKind,
+    c_keywords,
+    tokenize_line,
+)
 from trustvet.frontend.parser import _EXIT
+from trustvet.lineassess.features import FeatureView
 from trustvet.pdg import DepKind, Pdg, PdgEdge
 
 EPSILON = 1e-9
@@ -579,3 +589,53 @@ def oracle_line_edges(raw, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
         edges.append(PdgEdge(key[0], key[1], edge.kind, edge.variable))
     edges.sort(key=PdgEdge.sort_key)
     return tuple(edges)
+
+
+# --- feature views -------------------------------------------------------------------
+
+
+def _token_ngram_features(text: str) -> dict[str, float]:
+    texts = [t.text for t in tokenize_line(text)]
+    feats: Counter = Counter()
+    for t in texts:
+        feats[f"1:{t}"] += 1.0
+    for a, b in zip(texts, texts[1:]):
+        feats[f"2:{a} {b}"] += 1.0
+    return dict(feats)
+
+
+def _char_ngram_features(text: str) -> dict[str, float]:
+    feats: Counter = Counter()
+    for order in (3, 4, 5):
+        for i in range(len(text) - order + 1):
+            feats[f"{order}:{text[i : i + order]}"] += 1.0
+    return dict(feats)
+
+
+def _syntax_shape_features(text: str) -> dict[str, float]:
+    tokens = tokenize_line(text)
+    kinds = [t.kind.value for t in tokens]
+    feats: Counter = Counter()
+    for k in kinds:
+        feats[f"k1:{k}"] += 1.0
+    for a, b in zip(kinds, kinds[1:]):
+        feats[f"k2:{a} {b}"] += 1.0
+    for t in tokens:
+        if t.kind is TokenKind.KEYWORD:
+            feats[f"kw:{t.text}"] = 1.0
+    feats["len"] = len(text) / 80.0
+    feats["ntok"] = len(tokens) / 16.0
+    return dict(feats)
+
+
+_ORACLE_EXTRACTORS = {
+    FeatureView.TOKEN_NGRAM: _token_ngram_features,
+    FeatureView.CHAR_NGRAM: _char_ngram_features,
+    FeatureView.SYNTAX_SHAPE: _syntax_shape_features,
+}
+
+
+def oracle_extract_features(view: FeatureView, text: str) -> dict[str, float]:
+    """The earlier extract_features. Item order is part of the answer: a
+    linear score sums the features in dict order."""
+    return _ORACLE_EXTRACTORS[view](text)

@@ -7,13 +7,18 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_extract_features
 from trustvet.errors import AdapterError, DegenerateTrainingError, SchemaError, UndefinedInputError
+from trustvet.frontend.lexer import normalize_line, tokenize_line
 from trustvet.lineassess.classifier import (
     ADAPTER_ENV_VAR,
     AdapterLineClassifier,
     LinearLineClassifier,
     LookupLineClassifier,
+    ScreenText,
     TrainConfig,
     load_model,
     save_model,
@@ -21,7 +26,7 @@ from trustvet.lineassess.classifier import (
     training_accuracy,
 )
 from trustvet.lineassess.dataset import LineLabel, LineSample, Origin
-from trustvet.lineassess.features import ALL_VIEWS, FeatureView
+from trustvet.lineassess.features import ALL_VIEWS, FeatureView, extract_features
 
 RISKY = [
     "buf = fopen(path, mode);",
@@ -61,6 +66,43 @@ def samples():
                 )
             )
     return out
+
+
+# pieces of C-like lines, most of them out of normal form: comments, literals,
+# identifiers spelled like the literal placeholders, and odd whitespace
+PIECES = (
+    "x", "buf", "STR", "CHR", "if", "return", "fopen", "(", ")", ";", "=", "+", "->",
+    "0x1f", "2.5e3", '"a  b"', "'c'", "'\\n'", "/* c */", "/* open", "// tail", " ", "  ", "\t",
+)
+line_texts = st.one_of(st.text(max_size=40), st.lists(st.sampled_from(PIECES), max_size=14).map("".join))
+
+
+class TestFeatureOracle:
+    """Each view gives the earlier extractor's items, in the same order: a
+    linear score sums them in dict order."""
+
+    @pytest.mark.parametrize("view", ALL_VIEWS)
+    @settings(max_examples=300, deadline=None)
+    @given(text=line_texts)
+    def test_views_match_the_earlier_extractors(self, view, text):
+        want = list(oracle_extract_features(view, text).items())
+        assert list(extract_features(view, text).items()) == want
+        assert list(extract_features(view, text, tokenize_line(text)).items()) == want
+
+    @pytest.mark.parametrize("view", ALL_VIEWS)
+    @settings(max_examples=300, deadline=None)
+    @given(text=line_texts)
+    def test_a_shared_text_extracts_from_its_normal_form(self, view, text):
+        normalized = normalize_line(text)
+        shared = ScreenText(text)
+        assert shared == text
+        if not normalized:
+            with pytest.raises(UndefinedInputError, match="comment-only"):
+                shared.features(view)
+            return
+        want = list(oracle_extract_features(view, normalized).items())
+        assert list(shared.features(view).items()) == want
+        assert shared.features(view) is shared.features(view)  # extracted once
 
 
 class TestTraining:
@@ -200,6 +242,23 @@ class TestPersistence:
         value = [float(number)] if field == "weights" else float(number)
         path.write_text(json.dumps({**model, field: value}))
         with pytest.raises(SchemaError, match=field):
+            load_model(path)
+
+    LOOKUP = {"schema_version": "1.0.0", "view": "lookup", "non_benign": ["if ( x )"], "threshold": 0.5}
+
+    @pytest.mark.parametrize(
+        "lines",
+        ["if ( x )", [1, True], {"if ( x )": 1}],
+        ids=["string", "non-strings", "object"],
+    )
+    def test_lookup_lines_must_be_a_list_of_strings(self, tmp_path, lines):
+        """frozenset() takes any iterable: a string would load as its
+        characters, a list as its hashable items, an object as its keys."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.LOOKUP))
+        assert load_model(path).non_benign == {"if ( x )"}  # the unbroken document loads
+        path.write_text(json.dumps({**self.LOOKUP, "non_benign": lines}))
+        with pytest.raises(SchemaError, match="non_benign"):
             load_model(path)
 
     def test_timeout_beyond_the_platform_limit_rejected(self, tmp_path, monkeypatch):

@@ -391,6 +391,18 @@ class TestEvaluateCommand:
         assert result.exit_code == EXIT_ERROR
         assert "bad --iou-sweep" in result.stderr
 
+    @pytest.mark.parametrize("sweep", ["nan", "0.5,inf"])
+    def test_sweep_value_that_cannot_run(self, runner, planted, sweep):
+        """float() reads nan and inf; a cutoff must pass the rule every float
+        setting of RunConfig passes."""
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+             "--trust-threshold", "0.25", "--conf-threshold", "0.5", "--iou-sweep", sweep],
+        )
+        assert_clean_failure(result)
+        assert "IoU cutoff" in result.stderr and "not finite" in result.stderr
+
     def test_config_value_that_cannot_run(self, runner, planted, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\ncalibration_fraction = nan\n", encoding="utf-8")

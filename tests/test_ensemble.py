@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -15,17 +16,19 @@ from synth import lookup_ensemble, planted_corpus, worker_record
 from trustvet.assess import assess_prediction
 from trustvet.config import RunConfig
 from trustvet.corpus import VULNERABLE, CorpusRecord
-from trustvet.errors import ClassificationError, UndefinedInputError
+from trustvet.errors import ClassificationError, TrustvetError, UndefinedInputError
 from trustvet.evaluate import report_to_dict, run_evaluation
 from trustvet.frontend import import_raw_graph, pdg_from_source
+from trustvet.frontend import lexer
 from trustvet.frontend.lexer import normalize_line
+from trustvet.lineassess import classifier, features
 from trustvet.lineassess.classifier import (
     AdapterLineClassifier,
     LinearLineClassifier,
     LookupLineClassifier,
 )
 from trustvet.lineassess.ensemble import benign_candidates, ensemble_vote
-from trustvet.lineassess.features import FeatureView
+from trustvet.lineassess.features import ALL_VIEWS, FeatureView, extract_features
 from trustvet.pdg import Explanation
 
 
@@ -293,3 +296,130 @@ class TestScreenMemoScope:
             adapter.close()
         assert not report.skipped
         assert requests == self.screened_texts(records)
+
+
+# --- one shared text per screen ---------------------------------------------------
+
+
+class Recording:
+    """Hands the screen's text on to its member unchanged and keeps each answer."""
+
+    def __init__(self, member):
+        self.member = member
+        self.answers = []
+
+    def classify(self, text):
+        answer = self.member.classify(text)
+        self.answers.append(answer)
+        return answer
+
+
+# pieces of raw lines: comments, string and char literals, identifiers spelled
+# like the literal placeholders, odd whitespace; a draw may hold no code at all
+RAW_PIECES = (
+    "x", "n", "buf", "path", "STR", "CHR", "fopen", "return", "if", "(", ")", ",", ";", "=",
+    "+", "1", '"a  b"', '"%d"', "'c'", "'\\0'", "/* c */", "/*", "*/", "// tail", " ", "   ", "\t",
+)
+raw_texts = st.lists(st.sampled_from(RAW_PIECES), max_size=12).map("".join)
+VOCABULARY_LINES = ("buf = fopen(path, x);", "n = x + 1;", 'return STR(n, "a");', "if (x) return CHR;")
+
+
+def linear_member(view: FeatureView, seed: int) -> LinearLineClassifier:
+    names = sorted({name for line in VOCABULARY_LINES for name in extract_features(view, normalize_line(line))})
+    rng = random.Random(seed)
+    return LinearLineClassifier(
+        view=view,
+        vocabulary={name: idx for idx, name in enumerate(names)},
+        weights=[rng.uniform(-2.0, 2.0) for _ in names],
+        bias=rng.uniform(-0.5, 0.5),
+    )
+
+
+def shared_ensemble() -> list:
+    """Every view, two members of one view, and two lookups."""
+    linear = [linear_member(view, seed) for seed, view in enumerate(ALL_VIEWS)]
+    flagged = frozenset(normalize_line(line) for line in VOCABULARY_LINES[::2])
+    return [
+        *linear,
+        linear_member(FeatureView.TOKEN_NGRAM, 7),
+        LookupLineClassifier(non_benign=flagged),
+        LookupLineClassifier(non_benign=frozenset({"x", "n = x + 1 ;"})),
+    ]
+
+
+def per_member_outcome(members, line, text):
+    """Each member's own classify on the plain text, or the screen's error."""
+    try:
+        return [member.classify(text) for member in members]
+    except TrustvetError as exc:
+        error = ClassificationError(line, str(exc))
+        return type(error), error.line, str(error)
+
+
+class TestSharedScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(raw_texts, min_size=1, max_size=6))
+    def test_votes_and_scores_match_each_members_own_classify(self, texts):
+        members = shared_ensemble()
+        line_text = dict(enumerate(texts, 1))
+        expl = Explanation("f", 0.5, tuple((line, 1.0 / line) for line in line_text))
+        want, error = [], None
+        for line, text in line_text.items():
+            outcome = per_member_outcome(members, line, text)
+            if isinstance(outcome, tuple):
+                error = outcome
+                break
+            want.append(outcome)
+        recorders = [Recording(member) for member in members]
+        try:
+            verdicts = benign_candidates(recorders, expl, line_text)
+        except ClassificationError as exc:
+            assert (type(exc), exc.line, str(exc)) == error
+            reference = [PassThrough(member) for member in members]
+            with pytest.raises(ClassificationError) as passed:
+                benign_candidates(reference, expl, line_text)
+            assert (type(passed.value), passed.value.line, str(passed.value)) == error
+        else:
+            assert error is None
+            assert [verdicts[line].votes for line in line_text] == [
+                tuple(vote for vote, _ in answers) for answers in want
+            ]
+        # every line screened before any failure, answer for answer
+        assert [list(answers) for answers in zip(*(r.answers for r in recorders))] == want
+
+    def count_tokenizations(self, monkeypatch) -> Counter:
+        """Count tokenize_line calls, normalize_line's included."""
+        calls: Counter = Counter()
+        tokenize = classifier.tokenize_line
+
+        def counted(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        for module in (lexer, classifier, features):
+            monkeypatch.setattr(module, "tokenize_line", counted)
+        return calls
+
+    def test_a_text_in_normal_form_is_tokenized_once(self, monkeypatch):
+        ensemble = shared_ensemble()
+        text = normalize_line('buf = fopen(path, "r");')
+        calls = self.count_tokenizations(monkeypatch)
+        verdicts = benign_candidates(ensemble, Explanation("f", 0.5, ((1, 1.0),)), {1: text})
+        assert len(verdicts[1].votes) == 6
+        assert calls == Counter({text: 1})
+
+    def test_a_raw_text_is_tokenized_raw_and_normalized(self, monkeypatch):
+        ensemble = shared_ensemble()
+        raw = 'buf  =  fopen(path, "r"); // open'
+        normalized = normalize_line(raw)
+        calls = self.count_tokenizations(monkeypatch)
+        benign_candidates(ensemble, Explanation("f", 0.5, ((1, 1.0),)), {1: raw})
+        assert calls == Counter({raw: 1, normalized: 1})
+
+    def test_nothing_survives_the_screen(self, monkeypatch, vrrp_fixture, vrrp_explanation):
+        ensemble = shared_ensemble()
+        calls = self.count_tokenizations(monkeypatch)
+        resident = {vrrp_fixture.line_text[line] for line, _ in vrrp_explanation.entries if line in vrrp_fixture.nodes}
+        for runs in (1, 2):
+            assess_prediction(vrrp_explanation, vrrp_fixture, ensemble, threshold=0.5)
+            assert calls == Counter({text: runs for text in resident})

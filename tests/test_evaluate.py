@@ -19,7 +19,12 @@ from synth import (
 )
 from trustvet.config import RunConfig
 from trustvet.corpus import record_from_dict, record_to_dict
-from trustvet.errors import CalibrationError, UndefinedGroundTruthError, UndefinedInputError
+from trustvet.errors import (
+    CalibrationError,
+    SchemaError,
+    UndefinedGroundTruthError,
+    UndefinedInputError,
+)
 from trustvet.evaluate import (
     calibrate_threshold,
     compute_metrics,
@@ -361,6 +366,17 @@ class TestRunEvaluation:
         counts = [t.untrustworthy_count for t in report.taus]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] > counts[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_cutoff_that_cannot_run_is_refused(self, bad):
+        class Untouched:
+            def classify(self, text):
+                raise AssertionError("screened before the cutoffs were checked")
+
+        records, _ = planted_corpus()
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
+        with pytest.raises(SchemaError, match="IoU cutoff"):
+            run_evaluation(records, [Untouched()], config, taus=(0.5, bad))
 
     def test_render_table_from_report_and_dict_agree(self):
         records, _ = planted_corpus()
