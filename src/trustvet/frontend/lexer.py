@@ -157,6 +157,11 @@ def _blank_literals(text: str) -> str:
     return _LITERAL.sub(lambda m: m[0][0] + " " * (len(m[0]) - 1), text)
 
 
+def normal_form(tokens: list[Token]) -> str:
+    """The canonical form of a tokenized line: token texts joined by single spaces."""
+    return " ".join(t.text for t in tokens)
+
+
 def normalize_line(text: str, alpha_rename: bool = False) -> str:
     """Canonical form of a line: tokens joined by single spaces.
 
@@ -166,7 +171,7 @@ def normalize_line(text: str, alpha_rename: bool = False) -> str:
     """
     tokens = tokenize_line(text)
     if not alpha_rename:
-        return " ".join(t.text for t in tokens)
+        return normal_form(tokens)
     names: dict[str, str] = {}
     out = []
     for t in tokens:
@@ -192,7 +197,7 @@ def extract_variables(text: str) -> frozenset[str]:
 def line_surface(text: str) -> tuple[str, frozenset[str]]:
     """normalize_line(text) and extract_variables(text) from one tokenization."""
     tokens = tokenize_line(text)
-    return " ".join(t.text for t in tokens), _variables(tokens)
+    return normal_form(tokens), _variables(tokens)
 
 
 def _variables(tokens: list[Token]) -> frozenset[str]:

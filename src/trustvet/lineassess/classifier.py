@@ -13,10 +13,11 @@ decision threshold. Three kinds exist:
     line-delimited JSON protocol (one {"id","text"} request per line, one
     {"id","score"} response, 5 s timeout).
 
-Each classify takes the raw line text. An ensemble screening one line hands
-every member the same ScreenText, a str equal to that text which normalizes
-and tokenizes it once and extracts each view's features once for all of
-them; given a plain str, a classifier normalizes it itself.
+Each classify takes the raw line text and reads it through a ScreenText, a
+str equal to that text which normalizes and tokenizes it once. An ensemble
+screening one line hands every member the same ScreenText, so the line is
+tokenized once for all of them; given a plain str, a classifier wraps it in
+one of its own.
 
 Models persist as versioned JSON documents; bytes are identical across runs
 with the same inputs and seed.
@@ -43,7 +44,7 @@ from ..errors import (
     SchemaError,
     UndefinedInputError,
 )
-from ..frontend.lexer import Token, normalize_line, tokenize_line
+from ..frontend.lexer import Token, normal_form, tokenize_line
 from ..pdg import (
     SCHEMA_VERSION,
     check_schema_version,
@@ -66,22 +67,20 @@ class ScreenText(str):
     """One line text as every member of one screen sees it.
 
     It equals the raw text, so a member that knows nothing of it sees an
-    ordinary string. The classifiers here read its normal form and each
-    view's features from it: the line is normalized and tokenized once, on
-    the first member's call, and each view's features are extracted once, on
-    the view's first use. An ensemble makes one per screened text and drops
+    ordinary string. The classifiers here read its normal form and its
+    features from it: the line is normalized and tokenized once, on the
+    first member's call. An ensemble makes one per screened text and drops
     it with the screen, so nothing outlives that screen.
     """
 
     _normalized: str | None = None
     _tokens: list[Token] | None = None  # tokenize_line(normalized), once known
-    _views: dict[FeatureView, dict[str, float]] | None = None
 
     def normalized(self) -> str:
         """normalize_line of the text; an empty or comment-only line raises."""
         if self._normalized is None:
             tokens = tokenize_line(self)
-            normalized = " ".join(t.text for t in tokens)
+            normalized = normal_form(tokens)
             if not normalized:
                 raise UndefinedInputError(_NO_CODE)
             if normalized == self:
@@ -90,26 +89,16 @@ class ScreenText(str):
         return self._normalized
 
     def features(self, view: FeatureView) -> dict[str, float]:
-        """extract_features(view, self.normalized()), extracted once per view."""
-        if self._views is None:
-            self._views = {}
-        feats = self._views.get(view)
-        if feats is None:
-            normalized = self.normalized()
-            if self._tokens is None:
-                self._tokens = tokenize_line(normalized)
-            feats = self._views[view] = extract_features(view, normalized, self._tokens)
-        return feats
+        """extract_features(view, self.normalized()) from the kept tokens."""
+        normalized = self.normalized()
+        if self._tokens is None:
+            self._tokens = tokenize_line(normalized)
+        return extract_features(view, normalized, self._tokens)
 
 
-def _require_text(text: str) -> str:
-    """The normal form of a line to classify, shared when text is a ScreenText."""
-    if isinstance(text, ScreenText):
-        return text.normalized()
-    normalized = normalize_line(text)
-    if not normalized:
-        raise UndefinedInputError(_NO_CODE)
-    return normalized
+def _shared(text: str) -> ScreenText:
+    """The screen's ScreenText, or a new one around a plain str."""
+    return text if isinstance(text, ScreenText) else ScreenText(text)
 
 
 @dataclass
@@ -132,12 +121,8 @@ class LinearLineClassifier:
     heldout_accuracy: float | None = None
 
     def score(self, text: str) -> float:
-        if isinstance(text, ScreenText):
-            features = text.features(self.view)
-        else:
-            features = extract_features(self.view, _require_text(text))
         z = self.bias
-        for name, value in features.items():
+        for name, value in _shared(text).features(self.view).items():
             idx = self.vocabulary.get(name)
             if idx is not None:
                 z += self.weights[idx] * value
@@ -159,7 +144,7 @@ class LookupLineClassifier:
     threshold: float = 0.5
 
     def classify(self, text: str) -> tuple[int, float]:
-        normalized = _require_text(text)
+        normalized = _shared(text).normalized()
         score = 0.0 if normalized in self.non_benign else 1.0
         return (1 if score >= self.threshold else 0), score
 
@@ -209,7 +194,7 @@ class AdapterLineClassifier:
         threading.Thread(target=pump, args=(self._proc, self._queue), daemon=True).start()
 
     def classify(self, text: str) -> tuple[int, float]:
-        normalized = _require_text(text)
+        normalized = _shared(text).normalized()
         with self._lock:
             self._ensure_started()
             assert self._proc is not None and self._proc.stdin is not None

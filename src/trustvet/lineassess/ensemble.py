@@ -16,9 +16,8 @@ still names the first failing line in explanation order.
 
 Every member still gets its own classify call, but one screen of one text
 hands them all the same ScreenText: the line is normalized and tokenized
-once for the whole ensemble, and two members of one feature view share its
-features. That object lives for one screen only: the memo stores the
-votes, never it.
+once for the whole ensemble. That object lives for one screen only: the
+memo stores the votes, never it.
 """
 
 from __future__ import annotations

@@ -416,6 +416,14 @@ class TestSharedScreen:
         benign_candidates(ensemble, Explanation("f", 0.5, ((1, 1.0),)), {1: raw})
         assert calls == Counter({raw: 1, normalized: 1})
 
+    def test_a_plain_text_is_tokenized_once_per_call(self, monkeypatch):
+        members = shared_ensemble()
+        text = normalize_line('buf = fopen(path, "r");')
+        calls = self.count_tokenizations(monkeypatch)
+        for member in members:
+            member.classify(text)
+        assert calls == Counter({text: len(members)})
+
     def test_nothing_survives_the_screen(self, monkeypatch, vrrp_fixture, vrrp_explanation):
         ensemble = shared_ensemble()
         calls = self.count_tokenizations(monkeypatch)
