@@ -39,7 +39,6 @@ from .errors import (
     DiffMismatchError,
     IdentityMismatchError,
     ImportSchemaError,
-    InsufficientDataError,
     MalformedExplanationError,
     ParseError,
     PipelineError,

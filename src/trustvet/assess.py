@@ -214,28 +214,9 @@ class _Relation:
                 out.append(edge)
         return tuple(out)
 
-    def hops(self, start: LineId) -> dict[LineId, int]:
-        """Edge counts of the shortest vulnerable paths from start, by line."""
-        onward: defaultdict[LineId, list[LineId]] = defaultdict(list)
-        for src, dst, _kind, _variable in self.edges():
-            # self-loops never shorten a path and never count toward a distance
-            if src != dst:
-                onward[src].append(dst)
-        hops = {start: 0}
-        frontier = [start]
-        while frontier:
-            layer = []
-            for line in frontier:
-                for nxt in onward.get(line, ()):
-                    if nxt not in hops:
-                        hops[nxt] = hops[line] + 1
-                        layer.append(nxt)
-            frontier = layer
-        return hops
-
-    def nearest(self, lines: Iterable[LineId], expl: Explanation) -> tuple[ReachRecord, ...]:
-        """Closest resident non-benign explanation line of each line: fewest
-        hops, then heavier weight, then smaller line.
+    def nearest(self, lines: Iterable[LineId], targets: Iterable[LineId]) -> tuple[ReachRecord, ...]:
+        """Closest target of each line: fewest hops, then heavier weight,
+        then smaller line. Every vulnerable-path distance comes from here.
 
         One BFS runs backwards from all targets over the vulnerable edges. A
         line first met on layer d takes the least (-weight, target) label of
@@ -243,13 +224,10 @@ class _Relation:
         distance is reached through one of them.
         """
         weights = self.g.weights
-        label = {
-            target: (-weights.get(target, 0.0), target)
-            for target, _score in expl.entries
-            if target not in self.benign and target in self.g.pdg.nodes
-        }
+        label = {target: (-weights.get(target, 0.0), target) for target in targets}
         into: defaultdict[LineId, list[LineId]] = defaultdict(list)
         for src, dst, _kind, _variable in self.edges():
+            # self-loops never shorten a path and never count toward a distance
             if src != dst:
                 into[dst].append(src)
         hops = dict.fromkeys(label, 0)
@@ -304,7 +282,7 @@ def reachability_distance(
         raise ContractError(f"start line {start} is not a benign candidate")
     if target not in g.pdg.nodes:
         raise ContractError(f"target line {target} is not a graph node")
-    return _Relation(g, benign, mode).hops(start).get(target, math.inf)
+    return _Relation(g, benign, mode).nearest((start,), (target,))[0].distance
 
 
 # --- nearest non-benign mapping and the trust score ------------------------------
@@ -322,7 +300,12 @@ def nearest_non_benign(
     _check_mode(mode)
     if line not in benign.members:
         raise ContractError(f"line {line} is not a benign candidate")
-    return _Relation(g, benign, mode).nearest((line,), expl)[0]
+    return _Relation(g, benign, mode).nearest((line,), _targets(expl, g, benign))[0]
+
+
+def _targets(expl: Explanation, g: WeightedPdg, benign: BenignSet) -> list[LineId]:
+    """The resident non-benign explanation lines: every candidate's targets."""
+    return [line for line, _ in expl.entries if line in g.pdg.nodes and line not in benign.members]
 
 
 def trust_score(
@@ -342,7 +325,7 @@ def _score_with_records(
         # prediction, so the score is the total retained weight
         total = sum(g.weights.get(line, 0.0) for line in resident)
         return total, (), True
-    records = _Relation(g, benign, mode).nearest(benign_resident, expl)
+    records = _Relation(g, benign, mode).nearest(benign_resident, _targets(expl, g, benign))
     total = 0.0
     for record in records:
         if not math.isinf(record.distance) and record.distance > 0:

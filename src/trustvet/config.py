@@ -31,6 +31,13 @@ def require_finite(value: float, what: str) -> None:
         raise SchemaError(f"{what}: {value!r} is not finite")
 
 
+def require_iou_cutoff(value: float, what: str) -> None:
+    """An IoU lies in [0, 1], so a cutoff outside it decides nothing."""
+    require_finite(value, what)
+    if not 0.0 <= value <= 1.0:
+        raise SchemaError(f"{what}: {value!r} is not in [0, 1]")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     iou_threshold: float = 0.5
@@ -53,6 +60,9 @@ class RunConfig:
             value = getattr(self, name)
             if kind is float and isinstance(value, float):
                 require_finite(value, f"config field {name!r}")
+        require_iou_cutoff(self.iou_threshold, "config field 'iou_threshold'")
+        if self.neg_ratio < 0:
+            raise SchemaError(f"config field 'neg_ratio': {self.neg_ratio!r} is negative")
         if not 0.0 <= self.calibration_fraction < 1.0:
             raise SchemaError(
                 f"config field 'calibration_fraction': {self.calibration_fraction!r} is not in [0, 1)"

@@ -44,10 +44,6 @@ class UndefinedInputError(TrustvetError):
     candidate, empty vote vector, empty normalized line)."""
 
 
-class InsufficientDataError(TrustvetError):
-    """A sampling request asked for more items than the pool contains."""
-
-
 class DegenerateTrainingError(TrustvetError):
     """A training set does not contain both classes."""
 

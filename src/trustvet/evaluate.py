@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .assess import assess_prediction
-from .config import RunConfig, require_finite
+from .config import RunConfig, require_iou_cutoff
 from .corpus import CorpusRecord
 from .errors import (
     CalibrationError,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
-from .lineassess.diffs import extract_vulnerable_lines
+from .lineassess.diffs import record_vulnerable_lines
 from .lineassess.ensemble import Screen
 from .pdg import SCHEMA_VERSION, Explanation, LineId, Pdg, is_strict_int, json_number
 
@@ -261,14 +261,6 @@ def _record_pdg(record: CorpusRecord) -> Pdg:
     return pdg_from_source(record.source, function_id=record.function_id)
 
 
-def _truth_lines(record: CorpusRecord) -> frozenset[LineId]:
-    if record.vul_lines:
-        return frozenset(record.vul_lines)
-    if record.diff is not None:
-        return extract_vulnerable_lines(record.source, record.diff)
-    return frozenset()
-
-
 def evaluate_record(
     record: CorpusRecord,
     ensemble: Sequence,
@@ -299,7 +291,7 @@ def evaluate_record(
     except TrustvetError as exc:
         return skip(f"explanation: {exc}")
     try:
-        truth = _truth_lines(record)
+        truth = record_vulnerable_lines(record)
     except TrustvetError as exc:
         return skip(f"ground-truth: {exc}")
     if not truth:
@@ -367,13 +359,13 @@ def run_evaluation(
     on the remainder; with both thresholds pinned every usable record is
     evaluated directly. Every record, in every worker thread, shares one
     screen memo, so a text-only ensemble screens each distinct line text
-    once per call. A cutoff that is not finite raises SchemaError before
-    any record is screened.
+    once per call. A cutoff outside [0, 1] raises SchemaError before any
+    record is screened.
     """
     if taus is None:
         taus = (config.iou_threshold,)
     for tau in taus:
-        require_finite(tau, "IoU cutoff")
+        require_iou_cutoff(tau, "IoU cutoff")
     memo: dict[str, Screen] = {}
     worker: Callable[[CorpusRecord], RecordResult] = lambda r: evaluate_record(
         r, ensemble, config, memo

@@ -18,11 +18,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
-from ..errors import DiffMismatchError, InsufficientDataError, SchemaError
+from ..errors import DiffMismatchError, SchemaError
 from ..frontend.lexer import is_substantive_line, normalize_line, tokenize_line
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import BleuReferences, bleu
-from .diffs import extract_vulnerable_lines
+from .diffs import record_vulnerable_lines
 
 
 class LineLabel(Enum):
@@ -58,15 +58,13 @@ def make_sample(raw_text: str, label: LineLabel, origin: Origin) -> LineSample |
 
 
 def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:
-    """Positive samples for one vulnerable function (diff- or list-based)."""
-    if record.diff is not None:
-        lines = extract_vulnerable_lines(record.source, record.diff)
-    elif record.vul_lines:
-        lines = frozenset(record.vul_lines)
-    else:
+    """Positive samples for one vulnerable function, from the lines
+    record_vulnerable_lines names."""
+    if record.diff is None and not record.vul_lines:
         raise DiffMismatchError(
             f"record {record.function_id}: vulnerable but has neither diff nor vul_lines"
         )
+    lines = record_vulnerable_lines(record)
     source_lines = record.source.splitlines()
     out: list[LineSample] = []
     for line in sorted(lines):
@@ -75,19 +73,17 @@ def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:
                 f"record {record.function_id}: vulnerable line {line} is outside the source"
             )
         raw = source_lines[line - 1]
-        if not is_substantive_line(raw):
-            continue
-        sample = make_sample(raw, LineLabel.VULNERABLE, Origin(record.function_id, line))
-        if sample is not None:
-            out.append(sample)
+        if is_substantive_line(raw):
+            out.append(make_sample(raw, LineLabel.VULNERABLE, Origin(record.function_id, line)))
     return out
 
 
 def sample_candidate_negatives(
     records: Sequence[CorpusRecord], n: int, seed: int
 ) -> list[LineSample]:
-    """Uniform sample, without replacement, of substantive lines drawn from
-    the non-vulnerable functions of a corpus."""
+    """Uniform sample, without replacement, of min(n, pool size) substantive
+    lines drawn from the non-vulnerable functions of a corpus: at most the
+    whole pool."""
     pool: list[tuple[str, int, str]] = []
     for record in records:
         if record.label != NON_VULNERABLE:
@@ -95,18 +91,11 @@ def sample_candidate_negatives(
         for lineno, raw in enumerate(record.source.splitlines(), start=1):
             if is_substantive_line(raw):
                 pool.append((record.function_id, lineno, raw))
-    if n > len(pool):
-        raise InsufficientDataError(
-            f"asked for {n} candidate negatives but the pool has {len(pool)} lines"
-        )
-    rng = random.Random(seed)
-    picked = rng.sample(pool, n)
-    out: list[LineSample] = []
-    for function_id, lineno, raw in picked:
-        sample = make_sample(raw, LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
-        if sample is not None:
-            out.append(sample)
-    return out
+    picked = random.Random(seed).sample(pool, min(n, len(pool)))
+    return [
+        make_sample(raw, LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
+        for function_id, lineno, raw in picked
+    ]
 
 
 def filter_negatives(
@@ -141,16 +130,7 @@ def build_line_dataset(
     for record in records:
         if record.label == VULNERABLE:
             positives.extend(vulnerable_samples(record))
-    target = math.ceil(neg_ratio * len(positives))
-    pool_size = sum(
-        1
-        for record in records
-        if record.label == NON_VULNERABLE
-        for raw in record.source.splitlines()
-        if is_substantive_line(raw)
-    )
-    target = min(target, pool_size)
-    candidates = sample_candidate_negatives(records, target, seed)
+    candidates = sample_candidate_negatives(records, math.ceil(neg_ratio * len(positives)), seed)
     negatives = filter_negatives(candidates, positives, bleu_threshold, bleu_order)
     counts = {
         "vulnerable": len(positives),

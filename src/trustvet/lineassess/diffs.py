@@ -5,12 +5,16 @@ pre-change line numbers are the vulnerable lines, after screening out lines
 that carry no code (blanks, comments, lone delimiters). Context and '-'
 lines are checked against the pre-change source, so a diff paired with the
 wrong source fails loudly instead of yielding wrong line numbers.
+
+A corpus record names its vulnerable lines one way for every reader:
+a non-empty vul_lines list wins, else the lines recovered from its diff.
 """
 
 from __future__ import annotations
 
 import re
 
+from ..corpus import CorpusRecord
 from ..errors import DiffMismatchError
 from ..frontend.lexer import is_substantive_line
 
@@ -60,3 +64,13 @@ def extract_vulnerable_lines(before_source: str, diff: str) -> frozenset[int]:
         else:
             in_hunk = False  # e.g. the next "diff --git" header
     return frozenset(vulnerable)
+
+
+def record_vulnerable_lines(record: CorpusRecord) -> frozenset[int]:
+    """A record's vulnerable lines: its non-empty vul_lines, else the lines
+    its diff deleted or modified, else none."""
+    if record.vul_lines:
+        return frozenset(record.vul_lines)
+    if record.diff is not None:
+        return extract_vulnerable_lines(record.source, record.diff)
+    return frozenset()

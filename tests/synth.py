@@ -155,6 +155,22 @@ def negative_record(name: str, body_lines: list[str]) -> CorpusRecord:
     )
 
 
+def diff_record() -> CorpusRecord:
+    """A vulnerable record whose fix diff names line 4."""
+    source = "int f(int n)\n{\n    x = n;\n    y = copy(x, n);\n    return y;\n}\n"
+    diff = "@@ -4,1 +4,1 @@\n-    y = copy(x, n);\n+    y = copy_safe(x, n);\n"
+    return CorpusRecord(
+        function_id="diffed",
+        source=source,
+        label=VULNERABLE,
+        diff=diff,
+        vul_lines=(),
+        explanation=None,
+        confidence=None,
+        graph=None,
+    )
+
+
 # --- random graphs ----------------------------------------------------------------
 
 _VAR_POOL = ("a", "b", "c", "d", "e")

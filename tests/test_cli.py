@@ -315,6 +315,15 @@ class TestPipeline:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_negative_neg_ratio_is_refused(self, runner, pipeline, tmp_path):
+        result = runner.invoke(
+            main,
+            ["ingest", "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "d.jsonl"),
+             "--neg-ratio", "-1"],
+        )
+        assert_clean_failure(result)
+        assert "neg_ratio" in result.stderr
+
     def test_train_needs_both_classes(self, runner, tmp_path):
         records = [negative_record("only_neg", ["a = 1;", "b = a + 2;", "return b;"])]
         corpus = tmp_path / "neg.jsonl"
@@ -402,6 +411,21 @@ class TestEvaluateCommand:
         )
         assert_clean_failure(result)
         assert "IoU cutoff" in result.stderr and "not finite" in result.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--iou-threshold", "2"], ["--iou-sweep", "1.5"], ["--iou-sweep", "-0.5"]],
+    )
+    def test_cutoff_outside_the_unit_interval(self, runner, planted, flags):
+        """An IoU lies in [0, 1]; a cutoff outside it would label every
+        record alike."""
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+             "--trust-threshold", "0.25", "--conf-threshold", "0.5", *flags],
+        )
+        assert_clean_failure(result)
+        assert "not in [0, 1]" in result.stderr
 
     def test_config_value_that_cannot_run(self, runner, planted, tmp_path):
         ini = tmp_path / "run.ini"

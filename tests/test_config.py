@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import configparser
 import os
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +152,26 @@ class TestValues:
         with pytest.raises(SchemaError, match=message):
             config_from_file(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("iou_threshold = 2", r"'iou_threshold': 2.0 is not in \[0, 1\]"),
+            ("iou_threshold = 1.5", r"'iou_threshold': 1.5 is not in \[0, 1\]"),
+            ("iou_threshold = -0.5", r"'iou_threshold': -0.5 is not in \[0, 1\]"),
+            ("neg_ratio = -1", "'neg_ratio': -1.0 is negative"),
+        ],
+    )
+    def test_file_value_out_of_range_rejected(self, tmp_path, line, message):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\n{line}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            config_from_file(path)
+
+    def test_range_bounds_are_accepted(self):
+        assert RunConfig(iou_threshold=0.0).iou_threshold == 0.0
+        assert RunConfig(iou_threshold=1.0).iou_threshold == 1.0
+        assert RunConfig(neg_ratio=0.0).neg_ratio == 0.0
+
     def test_bounds_of_calibration_fraction(self):
         assert RunConfig(calibration_fraction=0.0).calibration_fraction == 0.0
         assert RunConfig(calibration_fraction=0.999).calibration_fraction == 0.999
@@ -189,3 +211,24 @@ class TestMerge:
         merged = merge_config(base, {"seed": 5})
         assert base.seed == 0
         assert merged is not base
+
+
+class TestReadme:
+    """The README configuration table documents every RunConfig field."""
+
+    def table(self) -> list[tuple[str, str]]:
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                cells = [cell.strip() for cell in line.strip("|").split("|")]
+                rows.append((cells[0].strip("`"), cells[1]))
+        return rows
+
+    def test_table_lists_every_field_with_its_written_default(self, tmp_path):
+        path = tmp_path / "run.ini"
+        config_to_file(RunConfig(), path)
+        parser = configparser.ConfigParser()
+        parser.read(path, encoding="utf-8")
+        assert self.table() == list(parser.items("run"))

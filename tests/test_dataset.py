@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from oracles import oracle_bleu
-from synth import negative_record, worker_record
-from trustvet.corpus import VULNERABLE, CorpusRecord
-from trustvet.errors import DiffMismatchError, InsufficientDataError
-from trustvet.frontend.lexer import tokenize_line
+from synth import diff_record, negative_record, worker_record
+from trustvet.corpus import CorpusRecord
+from trustvet.errors import DiffMismatchError
+from trustvet.frontend.lexer import is_substantive_line, tokenize_line
+from trustvet.lineassess import dataset
 from trustvet.lineassess.dataset import (
     LineLabel,
     Origin,
@@ -22,21 +24,6 @@ from trustvet.lineassess.dataset import (
     save_line_dataset,
     vulnerable_samples,
 )
-
-
-def diff_record():
-    source = "int f(int n)\n{\n    x = n;\n    y = copy(x, n);\n    return y;\n}\n"
-    diff = "@@ -4,1 +4,1 @@\n-    y = copy(x, n);\n+    y = copy_safe(x, n);\n"
-    return CorpusRecord(
-        function_id="diffed",
-        source=source,
-        label=VULNERABLE,
-        diff=diff,
-        vul_lines=(),
-        explanation=None,
-        confidence=None,
-        graph=None,
-    )
 
 
 def negatives_pool():
@@ -58,6 +45,13 @@ class TestPositives:
         samples = vulnerable_samples(diff_record())
         assert [s.origin.line for s in samples] == [4]
         assert samples[0].text == "y = copy ( x , n ) ;"
+
+    def test_listed_lines_win_over_the_diff(self):
+        """Ingest reads a record's vulnerable lines by evaluation's rule."""
+        record = dataclasses.replace(diff_record(), vul_lines=(3,))
+        samples = vulnerable_samples(record)
+        assert [s.origin.line for s in samples] == [3]
+        assert samples[0].text == "x = n ;"
 
     def test_out_of_range_line_rejected(self):
         record = worker_record("w", "pure", 0.9)
@@ -103,9 +97,24 @@ class TestNegativeSampling:
         two = sample_candidate_negatives(pool, 6, seed=2)
         assert [s.text for s in one] != [s.text for s in two]
 
-    def test_oversampling_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            sample_candidate_negatives(negatives_pool(), 500, seed=0)
+    def test_oversampling_returns_the_whole_pool(self):
+        """Asking for more lines than the pool holds samples all of it: the
+        same lines, in the same order, as asking for exactly the pool."""
+        pool = negatives_pool()
+        lines = {
+            (record.function_id, lineno)
+            for record in pool
+            for lineno, raw in enumerate(record.source.splitlines(), start=1)
+            if is_substantive_line(raw)
+        }
+        picked = sample_candidate_negatives(pool, 500, seed=0)
+        assert {(s.origin.function_id, s.origin.line) for s in picked} == lines
+        assert len(picked) == len(lines)
+        assert sample_candidate_negatives(pool, 500, seed=0) == picked
+        assert sample_candidate_negatives(pool, len(lines), seed=0) == picked
+        corpus = [worker_record("w", "pure", 0.9)] + pool
+        _, counts = build_line_dataset(corpus, seed=0, neg_ratio=100)
+        assert counts["candidate_negatives"] == len(lines)
 
 
 class TestNearDuplicateFilter:
@@ -208,6 +217,22 @@ class TestBuildAndPersist:
         one, _ = build_line_dataset(self.corpus(), seed=5)
         two, _ = build_line_dataset(self.corpus(), seed=6)
         assert one != two
+
+    def test_the_clean_pool_is_scanned_once(self, monkeypatch):
+        """Each line of a clean function is screened once, and each listed
+        line of a vulnerable one once."""
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return is_substantive_line(raw)
+
+        monkeypatch.setattr(dataset, "is_substantive_line", counting)
+        corpus = self.corpus()
+        build_line_dataset(corpus, seed=5)
+        clean = sum(len(r.source.splitlines()) for r in corpus if not r.vul_lines)
+        listed = sum(len(r.vul_lines) for r in corpus if r.vul_lines)
+        assert len(calls) == clean + listed
 
     def test_round_trip(self, tmp_path):
         samples, _ = build_line_dataset(self.corpus(), seed=5)

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import oracle_auc, oracle_best_threshold, oracle_metrics
 from synth import (
+    diff_record,
     lookup_ensemble,
     nested_ifs,
     nested_subscripts,
@@ -251,6 +252,15 @@ class TestEvaluateRecord:
         result = evaluate_record(bare, lookup_ensemble(), self.config())
         assert result.skipped == "no-ground-truth"
 
+    def test_listed_lines_win_over_the_diff(self):
+        """Evaluation scores against the lines ingest trains on."""
+        record = dataclasses.replace(
+            diff_record(), explanation=((3, 0.6), (4, 0.4)), confidence=0.8
+        )
+        assert evaluate_record(record, lookup_ensemble(), self.config()).truth == (4,)
+        both = dataclasses.replace(record, vul_lines=(3,))
+        assert evaluate_record(both, lookup_ensemble(), self.config()).truth == (3,)
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -377,6 +387,13 @@ class TestRunEvaluation:
         config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
         with pytest.raises(SchemaError, match="IoU cutoff"):
             run_evaluation(records, [Untouched()], config, taus=(0.5, bad))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, 2.0])
+    def test_a_cutoff_outside_the_unit_interval_is_refused(self, bad):
+        records, _ = planted_corpus()
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
+        with pytest.raises(SchemaError, match=r"IoU cutoff: .* is not in \[0, 1\]"):
+            run_evaluation(records, lookup_ensemble(), config, taus=(0.5, bad))
 
     def test_render_table_from_report_and_dict_agree(self):
         records, _ = planted_corpus()
