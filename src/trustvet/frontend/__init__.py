@@ -27,7 +27,7 @@ def pdg_from_source(source: str, function_id: str | None = None) -> Pdg:
     raw = parse_function(source)
     if function_id is not None:
         raw.function_id = function_id
-    return merge_line_nodes(raw, source)
+    return merge_line_nodes(raw)
 
 
 __all__ = [

@@ -1,9 +1,10 @@
 """Line merging and interchange with external graph exporters.
 
 merge_line_nodes collapses a statement-level RawDepGraph to the line-level
-Pdg the rest of the pipeline works on. import_raw_graph/export_raw_graph
-speak the documented interchange schema, so graphs produced by an external
-C analyzer can replace the built-in parser:
+Pdg the rest of the pipeline works on; it trusts the graph's producer, the
+parser or import_raw_graph, for every check and each node's line surface.
+import_raw_graph/export_raw_graph speak the documented interchange schema,
+so graphs produced by an external C analyzer can replace the built-in parser:
 
     {
       "function": "<function id>",
@@ -17,7 +18,7 @@ C analyzer can replace the built-in parser:
 data dependence. Edges of any other kind, and DDG edges without a variable
 label, are dropped and counted; a missing or non-integer "line" on a node is
 an error naming the node, because line identity is what everything
-downstream keys on.
+downstream keys on. import_raw_graph is the one check of such a document.
 """
 
 from __future__ import annotations
@@ -26,70 +27,48 @@ from dataclasses import dataclass
 
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
-from .lexer import line_surface
+from .lexer import surface, tokenize_line
 from .parser import RawDepGraph, RawNode
 
 
-def merge_line_nodes(raw: RawDepGraph, source: str) -> Pdg:
+def merge_line_nodes(raw: RawDepGraph) -> Pdg:
     """Collapse statement nodes that share a source line into one node.
 
     Edges are re-pointed at lines and deduplicated; an edge between two
     statements on the same line becomes a self-loop, which is retained (loop
-    headers produce them legitimately). Every node line must fall inside
-    source. Line text and variables come from the node code, as for an
-    imported graph; a parsed node carries its comment-free source line, so a
-    parsed function and its export give the same line-level graph.
+    headers produce them legitimately). From the node surfaces, a line takes
+    the text of its longest code fragment (a parsed node carries its whole
+    comment-free line, an imported one a substring of it at worst) and the
+    variables of all of them.
     """
-    return _merge_nodes(raw, len(source.splitlines()))
-
-
-def merge_imported_nodes(raw: RawDepGraph) -> Pdg:
-    """Line-merge a graph that arrived without its source file.
-
-    Imported nodes carry their own code fragments, so each line's text comes
-    from the longest fragment on that line (fragments are substrings of the
-    line at worst) and its variable surface is the union over all fragments.
-    """
-    return _merge_nodes(raw, None)
-
-
-def _merge_nodes(raw: RawDepGraph, source_lines: int | None) -> Pdg:
-    """One node per line: the text of its longest code fragment and the
-    variables of all of them, each distinct fragment tokenized once."""
     line_of: dict[int, int] = {}
-    fragments: dict[int, dict[str, None]] = {}  # insertion-ordered sets
+    fragments: dict[int, dict[str, tuple[str, frozenset[str]]]] = {}  # code -> surface
     for node in raw.nodes:
-        if not isinstance(node.line, int) or node.line < 1:
-            raise ImportSchemaError(f"node {node.node_id}: bad line {node.line!r}")
-        if source_lines is not None and node.line > source_lines:
-            raise ImportSchemaError(
-                f"node {node.node_id}: line {node.line} is outside the {source_lines}-line source"
-            )
         line_of[node.node_id] = node.line
-        fragments.setdefault(node.line, {})[node.code] = None
-    edges = _line_edges(raw, line_of)
+        fragments.setdefault(node.line, {})[node.code] = node.surface
 
     line_text: dict[int, str] = {}
     line_vars: dict[int, frozenset[str]] = {}
-    for line, codes in fragments.items():
-        surfaces = {code: line_surface(code) for code in codes}
-        line_text[line] = surfaces[max(codes, key=len)][0]
+    for line, surfaces in fragments.items():
+        line_text[line] = surfaces[max(surfaces, key=len)][0]
         line_vars[line] = frozenset().union(*(names for _, names in surfaces.values()))
     return Pdg(
         function_id=raw.function_id,
         nodes=frozenset(fragments),
-        edges=edges,
+        edges=_line_edges(raw, line_of),
         line_text=line_text,
         line_vars=line_vars,
     )
+
+
+# the name ImportedGraph.to_pdg calls, so imports can be timed apart
+merge_imported_nodes = merge_line_nodes
 
 
 def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
     """Re-point statement edges at lines, deduplicated, in canonical order."""
     edges: set[PdgEdge] = set()
     for src, dst, kind, variable in raw.edges:
-        if src not in line_of or dst not in line_of:
-            raise ImportSchemaError(f"edge {src}->{dst} references an unknown node id")
         edges.add(PdgEdge(line_of[src], line_of[dst], kind, variable))
     return tuple(sorted(edges))
 
@@ -97,8 +76,11 @@ def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...
 @dataclass
 class ImportedGraph:
     graph: RawDepGraph
-    skipped_edges: int
-    messages: tuple[str, ...]
+    messages: tuple[str, ...]  # one per dropped edge
+
+    @property
+    def skipped_edges(self) -> int:
+        return len(self.messages)
 
     def to_pdg(self) -> Pdg:
         return merge_imported_nodes(self.graph)
@@ -118,6 +100,7 @@ def import_raw_graph(document: dict) -> ImportedGraph:
 
     nodes: list[RawNode] = []
     known: set[int] = set()
+    surfaces: dict[str, tuple[str, frozenset[str]]] = {}  # of each distinct code
     for entry in raw_nodes:
         if not isinstance(entry, dict) or not is_strict_int(entry.get("id")):
             raise ImportSchemaError(f"graph export: node without integer 'id': {entry!r}")
@@ -131,10 +114,11 @@ def import_raw_graph(document: dict) -> ImportedGraph:
         code = entry.get("code", "")
         if not isinstance(code, str):
             raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
-        nodes.append(RawNode(node_id, line, code))
+        if code not in surfaces:
+            surfaces[code] = surface(tokenize_line(code))
+        nodes.append(RawNode(node_id, line, code, surfaces[code]))
 
     edges: list[PdgEdge] = []
-    skipped = 0
     messages: list[str] = []
     for entry in raw_edges:
         if not isinstance(entry, dict):
@@ -150,16 +134,13 @@ def import_raw_graph(document: dict) -> ImportedGraph:
         elif kind == "DDG":
             variable = entry.get("variable")
             if not isinstance(variable, str) or not variable:
-                skipped += 1
                 messages.append(f"dropped DDG edge {src}->{dst}: no variable label")
                 continue
             edges.append(PdgEdge(src, dst, DepKind.DATA, variable))
         else:
-            skipped += 1
             messages.append(f"dropped edge {src}->{dst} of unhandled kind {kind!r}")
     return ImportedGraph(
         graph=RawDepGraph(function_id=function_id, nodes=nodes, edges=edges),
-        skipped_edges=skipped,
         messages=tuple(messages),
     )
 

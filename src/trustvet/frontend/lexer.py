@@ -129,6 +129,14 @@ def tokenize_line(text: str) -> list[Token]:
     return tokens
 
 
+def split_lines(text: str) -> list[str]:
+    r"""text's lines as git, editors and a model's line numbers count them:
+    cut at "\n" only (not at a form feed, U+2028 or str.splitlines' other
+    breaks), no empty line after a final "\n", and one "\r" removed from the
+    end of each line, so CRLF and LF text number alike."""
+    return [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")] if text else []
+
+
 def _blank_comments(line: str, in_block: bool) -> tuple[str, bool]:
     """Replace each comment character on one line with a space, so columns
     are kept, and leave literals as they are. in_block says whether a "/*"
@@ -194,9 +202,8 @@ def extract_variables(text: str) -> frozenset[str]:
     return _variables(tokenize_line(text))
 
 
-def line_surface(text: str) -> tuple[str, frozenset[str]]:
-    """normalize_line(text) and extract_variables(text) from one tokenization."""
-    tokens = tokenize_line(text)
+def surface(tokens: list[Token]) -> tuple[str, frozenset[str]]:
+    """normalize_line and extract_variables of a line, from its tokens."""
     return normal_form(tokens), _variables(tokens)
 
 
@@ -215,5 +222,9 @@ def _variables(tokens: list[Token]) -> frozenset[str]:
 def is_substantive_line(text: str) -> bool:
     """True for lines that carry code: not blank, not comment-only, and not
     made of delimiters alone (braces, parens, commas, semicolons)."""
-    tokens = tokenize_line(text)
+    return is_substantive(tokenize_line(text))
+
+
+def is_substantive(tokens: list[Token]) -> bool:
+    """is_substantive_line of a line, from its tokens."""
     return any(t.kind is not TokenKind.PUNCT for t in tokens)

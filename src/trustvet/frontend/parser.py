@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind, PdgEdge
-from .lexer import Token, TokenKind, _blank_comments, _blank_literals, tokenize_line
+from .lexer import Token, TokenKind, _blank_comments, _blank_literals, split_lines, surface, tokenize_line
 
 _EXIT = -1  # virtual CFG exit
 
@@ -66,18 +66,20 @@ _INCDEC_OPS = {"++", "--"}
 
 @dataclass
 class RawNode:
+    """A statement; surface, lexer.surface of code's tokens, is set by its maker."""
+
     node_id: int
     line: int
     code: str
+    surface: tuple[str, frozenset[str]]
 
 
 @dataclass
 class RawDepGraph:
     """Statement-level dependence graph; nodes may share source lines, and
-    edge endpoints are statement ids. Edges carry a variable exactly when
-    they are data edges, as the parser and import_raw_graph guarantee: the
-    line merge sorts edges as plain tuples, which cannot compare a None
-    variable with a name."""
+    edge endpoints are statement ids. The line merge trusts its producers, the
+    parser and import_raw_graph: node lines are ints >= 1, edge endpoints are
+    node ids, and just data edges carry a variable (edges sort as tuples)."""
 
     function_id: str
     nodes: list[RawNode]
@@ -101,7 +103,7 @@ def _clean_source(source: str) -> list[str]:
     cleaned source line by line; literals are returned as they are."""
     cleaned: list[str] = []
     in_block = False
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(source), start=1):
         text, in_block = _blank_comments(line, in_block)
         if "#" in text:
             code = _blank_literals(text)
@@ -663,6 +665,7 @@ class _Cfg:
 
     name: str
     cleaned: list[str]
+    tokens: list[list[Token]]  # of each cleaned line
     stmts: list[_Stmt]
     succ: dict[int, set[int]]
     preds: dict[int, set[int]]
@@ -670,10 +673,8 @@ class _Cfg:
 
 def _build_cfg(source: str) -> _Cfg:
     cleaned = _clean_source(source)
-    stream: list[tuple[int, Token]] = []
-    for lineno, text in enumerate(cleaned, start=1):
-        for tok in tokenize_line(text):
-            stream.append((lineno, tok))
+    tokens = [tokenize_line(text) for text in cleaned]
+    stream = [(lineno, tok) for lineno, line in enumerate(tokens, start=1) for tok in line]
     if not stream:
         raise ParseError("no tokens in source")
 
@@ -686,7 +687,7 @@ def _build_cfg(source: str) -> _Cfg:
     rest = parser.stream[parser.i :]
     if any(tok.kind is not TokenKind.PUNCT or tok.text != ";" for _, tok in rest):
         raise ParseError(f"line {rest[0][0]}: unexpected tokens after the function body")
-    return _Cfg(name, cleaned, parser.stmts, parser.succ, parser.preds)
+    return _Cfg(name, cleaned, tokens, parser.stmts, parser.succ, parser.preds)
 
 
 def parse_function(source: str) -> RawDepGraph:
@@ -695,9 +696,15 @@ def parse_function(source: str) -> RawDepGraph:
     control = _control_dependence(cfg.stmts, cfg.succ, cfg.preds)
     chains = _reaching_definitions(cfg.stmts, cfg.succ, cfg.preds)
 
-    # the node carries its whole source line, so an export/import round trip
-    # reconstructs the same per-line text and variable surface
-    nodes = [RawNode(s.sid, s.line, cfg.cleaned[s.line - 1].strip()) for s in cfg.stmts]
+    # a node carries its whole source line, so an export/import round trip gives
+    # the same line surface; str.strip may drop a token (U+00A0, say), if rarely
+    parts = {}
+    for line in {s.line for s in cfg.stmts}:
+        text = cfg.cleaned[line - 1]
+        code = text.strip()
+        tokens = cfg.tokens[line - 1] if code == text.strip(" \t\r\n\f\v") else tokenize_line(code)
+        parts[line] = code, surface(tokens)
+    nodes = [RawNode(s.sid, s.line, *parts[s.line]) for s in cfg.stmts]
     edges = [PdgEdge(a, w, DepKind.CONTROL) for a, w in sorted(control)]
     edges += [PdgEdge(d, u, DepKind.DATA, v) for d, u, v in sorted(chains)]
     return RawDepGraph(function_id=cfg.name, nodes=nodes, edges=edges)

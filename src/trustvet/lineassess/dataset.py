@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
-from ..errors import DiffMismatchError, SchemaError
-from ..frontend.lexer import is_substantive_line, normalize_line, tokenize_line
+from ..errors import DiffMismatchError, SchemaError, UndefinedInputError
+from ..frontend.lexer import is_substantive, normal_form, normalize_line, split_lines, tokenize_line
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import BleuReferences, bleu
 from .diffs import record_vulnerable_lines
@@ -65,16 +65,16 @@ def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:
             f"record {record.function_id}: vulnerable but has neither diff nor vul_lines"
         )
     lines = record_vulnerable_lines(record)
-    source_lines = record.source.splitlines()
+    source_lines = split_lines(record.source)
     out: list[LineSample] = []
     for line in sorted(lines):
         if line > len(source_lines):
             raise DiffMismatchError(
                 f"record {record.function_id}: vulnerable line {line} is outside the source"
             )
-        raw = source_lines[line - 1]
-        if is_substantive_line(raw):
-            out.append(make_sample(raw, LineLabel.VULNERABLE, Origin(record.function_id, line)))
+        tokens = tokenize_line(source_lines[line - 1])
+        if is_substantive(tokens):
+            out.append(LineSample(normal_form(tokens), LineLabel.VULNERABLE, Origin(record.function_id, line)))
     return out
 
 
@@ -83,18 +83,21 @@ def sample_candidate_negatives(
 ) -> list[LineSample]:
     """Uniform sample, without replacement, of min(n, pool size) substantive
     lines drawn from the non-vulnerable functions of a corpus: at most the
-    whole pool."""
+    whole pool. Each line is tokenized once."""
+    if not is_strict_int(n) or n < 0:
+        raise UndefinedInputError(f"the number of negatives to sample must be an int >= 0, got {n!r}")
     pool: list[tuple[str, int, str]] = []
     for record in records:
         if record.label != NON_VULNERABLE:
             continue
-        for lineno, raw in enumerate(record.source.splitlines(), start=1):
-            if is_substantive_line(raw):
-                pool.append((record.function_id, lineno, raw))
+        for lineno, raw in enumerate(split_lines(record.source), start=1):
+            tokens = tokenize_line(raw)
+            if is_substantive(tokens):
+                pool.append((record.function_id, lineno, normal_form(tokens)))
     picked = random.Random(seed).sample(pool, min(n, len(pool)))
     return [
-        make_sample(raw, LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
-        for function_id, lineno, raw in picked
+        LineSample(text, LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
+        for function_id, lineno, text in picked
     ]
 
 
@@ -126,6 +129,10 @@ def build_line_dataset(
     """The full ingestion step: positives from every vulnerable record,
     negatives sampled at neg_ratio times the positive count and then
     BLEU-screened. Returns the samples plus a summary of the counts."""
+    if not math.isfinite(neg_ratio) or neg_ratio < 0:
+        raise UndefinedInputError(f"neg_ratio must be a finite number >= 0, got {neg_ratio!r}")
+    if not math.isfinite(bleu_threshold):
+        raise UndefinedInputError(f"bleu_threshold must be finite, got {bleu_threshold!r}")
     positives: list[LineSample] = []
     for record in records:
         if record.label == VULNERABLE:

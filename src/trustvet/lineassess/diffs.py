@@ -16,14 +16,14 @@ import re
 
 from ..corpus import CorpusRecord
 from ..errors import DiffMismatchError
-from ..frontend.lexer import is_substantive_line
+from ..frontend.lexer import is_substantive_line, split_lines
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
 def extract_vulnerable_lines(before_source: str, diff: str) -> frozenset[int]:
     """Pre-change line numbers of substantive deleted/modified lines."""
-    source_lines = before_source.splitlines()
+    source_lines = split_lines(before_source)
 
     def check(old_lineno: int, content: str, what: str) -> None:
         if old_lineno < 1 or old_lineno > len(source_lines):
@@ -39,7 +39,7 @@ def extract_vulnerable_lines(before_source: str, diff: str) -> frozenset[int]:
     vulnerable: set[int] = set()
     old_lineno = None
     in_hunk = False
-    for raw in diff.splitlines():
+    for raw in split_lines(diff):
         match = _HUNK_RE.match(raw)
         if match is not None:
             old_lineno = int(match.group(1))

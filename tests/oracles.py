@@ -446,7 +446,7 @@ def oracle_clean_source(source: str) -> list[str]:
     """The parser's former per-character cleaner: blank out block comments
     (which may span lines) and reject preprocessor lines, returning the
     cleaned source line by line."""
-    lines = source.splitlines()
+    lines = [line[:-1] if line[-1:] == "\r" else line for line in source.split("\n")][: -1 if source[-1:] in ("", "\n") else None]
     cleaned: list[list[str]] = []
     in_block = False
     for lineno, line in enumerate(lines, start=1):
@@ -512,7 +512,7 @@ def oracle_clean_source_literals_blanked(source: str) -> list[str]:
     and both '#' checks read that copy, so a '#' inside a string or character
     literal (printf("#%d", a)) is accepted. The cleaned lines it returns are
     the former reference's, literals kept as they are."""
-    lines = source.splitlines()
+    lines = [line[:-1] if line[-1:] == "\r" else line for line in source.split("\n")][: -1 if source[-1:] in ("", "\n") else None]
     cleaned: list[str] = []
     in_block = False
     for lineno, line in enumerate(lines, start=1):

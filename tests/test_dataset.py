@@ -10,7 +10,8 @@ import pytest
 from oracles import oracle_bleu
 from synth import diff_record, negative_record, worker_record
 from trustvet.corpus import CorpusRecord
-from trustvet.errors import DiffMismatchError
+from trustvet.errors import DiffMismatchError, UndefinedInputError
+from trustvet.frontend import lexer
 from trustvet.frontend.lexer import is_substantive_line, tokenize_line
 from trustvet.lineassess import dataset
 from trustvet.lineassess.dataset import (
@@ -117,6 +118,38 @@ class TestNegativeSampling:
         assert counts["candidate_negatives"] == len(lines)
 
 
+class TestInputsThatCannotRun:
+    """Numbers the CLI refuses through RunConfig are refused from Python too."""
+
+    @pytest.mark.parametrize("neg_ratio", [-1, float("nan"), float("inf")])
+    def test_neg_ratio(self, neg_ratio):
+        corpus = [worker_record("w", "pure", 0.9)] + negatives_pool()
+        with pytest.raises(UndefinedInputError, match="neg_ratio"):
+            build_line_dataset(corpus, seed=0, neg_ratio=neg_ratio)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_bleu_threshold(self, threshold):
+        corpus = [worker_record("w", "pure", 0.9)] + negatives_pool()
+        with pytest.raises(UndefinedInputError, match="bleu_threshold"):
+            build_line_dataset(corpus, seed=0, bleu_threshold=threshold)
+
+    @pytest.mark.parametrize("n", [-2, 2.5, True])
+    def test_sample_size(self, n):
+        with pytest.raises(UndefinedInputError):
+            sample_candidate_negatives(negatives_pool(), n, 0)
+
+
+class TestLineBreaks:
+    def test_form_feed_line_does_not_shift_later_lines(self):
+        """Only "\n" ends a line, for positives and for the negative pool."""
+        source = "int f(int a)\n{\n  a = a + 1;\n\f\n  strcpy(d, s);\n  return a;\n}\n"
+        record = dataclasses.replace(worker_record("w", "pure", 0.9), source=source, vul_lines=(5,))
+        assert [(s.origin.line, s.text) for s in vulnerable_samples(record)] == [(5, "strcpy ( d , s ) ;")]
+        clean = dataclasses.replace(negative_record("c", []), source=source)
+        picked = sample_candidate_negatives([clean], 10, 0)
+        assert sorted(s.origin.line for s in picked) == [1, 3, 5, 6]
+
+
 class TestNearDuplicateFilter:
     def test_identical_candidate_removed(self):
         origin = Origin("x", 1)
@@ -219,20 +252,23 @@ class TestBuildAndPersist:
         assert one != two
 
     def test_the_clean_pool_is_scanned_once(self, monkeypatch):
-        """Each line of a clean function is screened once, and each listed
-        line of a vulnerable one once."""
+        """Each line of a clean function and each listed line of a
+        vulnerable one is tokenized once, for both its screen and its text;
+        the BLEU screen then tokenizes each positive and each candidate."""
         calls = []
 
         def counting(raw):
             calls.append(raw)
-            return is_substantive_line(raw)
+            return tokenize_line(raw)
 
-        monkeypatch.setattr(dataset, "is_substantive_line", counting)
+        monkeypatch.setattr(lexer, "tokenize_line", counting)
+        monkeypatch.setattr(dataset, "tokenize_line", counting)
         corpus = self.corpus()
-        build_line_dataset(corpus, seed=5)
+        _, counts = build_line_dataset(corpus, seed=5)
         clean = sum(len(r.source.splitlines()) for r in corpus if not r.vul_lines)
         listed = sum(len(r.vul_lines) for r in corpus if r.vul_lines)
-        assert len(calls) == clean + listed
+        screened = counts["vulnerable"] + counts["candidate_negatives"]
+        assert len(calls) == clean + listed + screened
 
     def test_round_trip(self, tmp_path):
         samples, _ = build_line_dataset(self.corpus(), seed=5)

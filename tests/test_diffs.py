@@ -71,3 +71,13 @@ class TestMismatches:
         diff = "@@ -40,1 +40,1 @@\n-    nothing here;\n+    still nothing;\n"
         with pytest.raises(DiffMismatchError):
             extract_vulnerable_lines(SOURCE, diff)
+
+
+class TestLineBreaks:
+    def test_form_feed_line_does_not_shift_later_lines(self):
+        """Only "\n" ends a line, in the source and in the diff alike."""
+        source = "int f(int a)\n{\n  a = a + 1;\n\f\n  strcpy(d, s);\n  return a;\n}\n"
+        diff = "@@ -4,2 +4,2 @@\n \f\n-  strcpy(d, s);\n+  strncpy(d, s, n);\n"
+        assert extract_vulnerable_lines(source, diff) == frozenset({5})
+        crlf = source.replace("\n", "\r\n"), diff.replace("\n", "\r\n")
+        assert extract_vulnerable_lines(*crlf) == frozenset({5})

@@ -30,6 +30,7 @@ from trustvet.frontend import (
     pdg_from_source,
     tokenize_line,
 )
+from trustvet.frontend.lexer import surface
 from trustvet.frontend.parser import (
     _build_cfg,
     _clean_source,
@@ -169,6 +170,21 @@ class TestSourceAndImportAgree:
         except TrustvetError:
             return
         assert pdg == round_trip(source)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds, sizes)
+    def test_parsed_nodes_carry_the_surface_of_their_code(self, seed, size):
+        raw = parse_function(c_subset_function(random.Random(seed), size))
+        assert all(node.surface == surface(tokenize_line(node.code)) for node in raw.nodes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c_soup.map(function_shell))
+    def test_soup_nodes_carry_the_surface_of_their_code(self, source):
+        try:
+            raw = parse_function(source)
+        except TrustvetError:
+            return
+        assert all(node.surface == surface(tokenize_line(node.code)) for node in raw.nodes)
 
     def test_comment_spanning_lines_leaves_no_text(self):
         source = function_shell("    int x = a; /* start\n    note */ int y = x + 1;\n    return y;")

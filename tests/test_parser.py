@@ -8,7 +8,7 @@ from synth import nested_ifs, nested_subscripts
 from trustvet.errors import ParseError, UnsupportedConstructError
 from trustvet.frontend import parse_function, pdg_from_source
 from trustvet.frontend.parser import MAX_NESTING
-from trustvet.pdg import DepKind
+from trustvet.pdg import DepKind, pdg_dumps
 
 
 def edge_set(pdg):
@@ -239,3 +239,29 @@ class TestNodeCarriesFullLine:
         by_line = {n.line: n.code for n in raw.nodes}
         assert by_line[3] == "if (!data) {"
         assert by_line[7] == 'file = fopen(dump_state.data, "w");'
+
+
+# a function whose line 4 holds only a form feed: strcpy is on line 5
+FORM_FEED_SOURCE = "int f(int a)\n{\n  a = a + 1;\n\f\n  strcpy(d, s);\n  return a;\n}\n"
+# characters str.splitlines breaks at but git, editors and models do not
+NON_NEWLINE_BREAKS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    """Lines end at "\n" only, as git, editors and an explanation count them."""
+
+    def test_form_feed_line_does_not_shift_later_lines(self):
+        pdg = pdg_from_source(FORM_FEED_SOURCE)
+        assert pdg.line_text[5] == "strcpy ( d , s ) ;"
+        assert sorted(pdg.nodes) == [1, 3, 5, 6]
+
+    @pytest.mark.parametrize("char", NON_NEWLINE_BREAKS, ids=ascii)
+    def test_break_character_in_a_comment_does_not_shift_lines(self, vrrp_source, char):
+        lines = vrrp_source.split("\n")
+        lines[1] += f" /* one{char}two */"
+        assert pdg_from_source("\n".join(lines)) == pdg_from_source(vrrp_source)
+
+    def test_crlf_and_lf_give_the_same_graph(self, vrrp_source):
+        for source in (vrrp_source, FORM_FEED_SOURCE):
+            crlf = source.replace("\n", "\r\n")
+            assert pdg_dumps(pdg_from_source(crlf)) == pdg_dumps(pdg_from_source(source))
