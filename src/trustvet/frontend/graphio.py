@@ -50,8 +50,11 @@ def merge_line_nodes(raw: RawDepGraph) -> Pdg:
     line_text: dict[int, str] = {}
     line_vars: dict[int, frozenset[str]] = {}
     for line, surfaces in fragments.items():
-        line_text[line] = surfaces[max(surfaces, key=len)][0]
-        line_vars[line] = frozenset().union(*(names for _, names in surfaces.values()))
+        if len(surfaces) == 1:  # every statement on the line has the same code
+            [(line_text[line], line_vars[line])] = surfaces.values()
+        else:
+            line_text[line] = surfaces[max(surfaces, key=len)][0]
+            line_vars[line] = frozenset().union(*(names for _, names in surfaces.values()))
     return Pdg(
         function_id=raw.function_id,
         nodes=frozenset(fragments),
@@ -66,11 +69,16 @@ merge_imported_nodes = merge_line_nodes
 
 
 def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
-    """Re-point statement edges at lines, deduplicated, in canonical order."""
-    edges: set[PdgEdge] = set()
-    for src, dst, kind, variable in raw.edges:
-        edges.add(PdgEdge(line_of[src], line_of[dst], kind, variable))
-    return tuple(sorted(edges))
+    """Re-point statement edges at lines, deduplicated, in canonical order.
+
+    Edges are deduplicated and sorted as plain tuples, in the order they
+    come; the parser's come nearly sorted, which the sort runs through fast.
+    A PdgEdge is made for each edge kept.
+    """
+    edges = dict.fromkeys(
+        [(line_of[src], line_of[dst], kind, variable) for src, dst, kind, variable in raw.edges]
+    )
+    return tuple(map(PdgEdge._make, sorted(edges)))
 
 
 @dataclass

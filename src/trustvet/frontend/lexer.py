@@ -4,6 +4,13 @@ The tokenizer is total: any byte sequence produces a token list. Unknown
 characters become single-character Punct tokens rather than errors, because
 downstream consumers (line normalization, n-gram features, variable
 extraction) must cope with arbitrary source lines.
+
+A line is scanned by one regex findall: each match is the text of one token,
+or empty for white space and comments. A token's kind is that of the fixed
+table (operators, keywords, C punctuation) for its text, or else comes from
+its first character, by the same ASCII classes the pattern matches on: a
+letter or "_" starts an identifier, a digit or "." a number, a quote a
+literal, and anything else is one Punct character.
 """
 
 from __future__ import annotations
@@ -56,25 +63,27 @@ _OPERATORS = (
     "?", ":", ".",
 )
 
-# One match per token; whitespace and comments match without a group. The
-# operator alternatives are longest first (maximal munch), and any other
-# single character is a Punct token. DOTALL: a "//" or an open "/*" swallows
-# the rest of the text, newlines included.
+# One match per token; white space and comments match with the group empty.
+# The alternatives are tried in order, the operators longest first (maximal
+# munch), and any other single character is a Punct token. DOTALL: a "//" or
+# an open "/*" swallows the rest of the text, newlines included.
 _TOKEN = re.compile(
     rf"(?:[ \t\r\n\f\v]+|{_LINE_COMMENT}|{_BLOCK_COMMENT}|{_OPEN_COMMENT})"
-    rf"|({_STRING})|({_CHAR})|({_NUMBER})|({_WORD})"
-    rf"|({'|'.join(map(re.escape, _OPERATORS))}|.)",
+    rf"|({_STRING}|{_CHAR}|{_NUMBER}|{_WORD}|{'|'.join(map(re.escape, _OPERATORS))}|.)",
     re.DOTALL,
 )
-_STRING_GROUP, _CHAR_GROUP, _NUMBER_GROUP, _WORD_GROUP, _OTHER_GROUP = 1, 2, 3, 4, 5
-_STRING_TOKEN = Token(TokenKind.LITERAL, STRING_LITERAL)
-_CHAR_TOKEN = Token(TokenKind.LITERAL, CHAR_LITERAL)
+# First characters of _WORD and _NUMBER; a lone "." is in the fixed table.
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUMBER_START = frozenset("0123456789.")
+_IDENTIFIER, _LITERAL, _PUNCT = TokenKind.IDENTIFIER, TokenKind.LITERAL, TokenKind.PUNCT
+_STRING_TOKEN = Token(_LITERAL, STRING_LITERAL)
+_CHAR_TOKEN = Token(_LITERAL, CHAR_LITERAL)
 
 # Comments to blank (group 1 is an open "/*") and literals to keep as they are.
 _COMMENT_OR_LITERAL = re.compile(
     rf"{_LINE_COMMENT}|{_BLOCK_COMMENT}|({_OPEN_COMMENT})|{_STRING}|{_CHAR}", re.DOTALL
 )
-_LITERAL = re.compile(rf"{_STRING}|{_CHAR}", re.DOTALL)
+_STRING_OR_CHAR = re.compile(rf"{_STRING}|{_CHAR}", re.DOTALL)
 
 
 @lru_cache(maxsize=1)
@@ -112,20 +121,23 @@ def tokenize_line(text: str) -> list[Token]:
     """
     fixed = _fixed_tokens()
     tokens: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group is None:
-            continue
-        if group == _WORD_GROUP:
-            word = m[group]
-            tokens.append(fixed.get(word) or Token(TokenKind.IDENTIFIER, word))
-        elif group == _OTHER_GROUP:
-            op = m[group]
-            tokens.append(fixed.get(op) or Token(TokenKind.PUNCT, op))
-        elif group == _NUMBER_GROUP:
-            tokens.append(Token(TokenKind.LITERAL, m[group]))
-        else:
-            tokens.append(_STRING_TOKEN if group == _STRING_GROUP else _CHAR_TOKEN)
+    for piece in _TOKEN.findall(text):
+        if not piece:
+            continue  # white space or a comment
+        tok = fixed.get(piece)
+        if tok is None:
+            first = piece[0]
+            if first in _WORD_START:
+                tok = Token(_IDENTIFIER, piece)
+            elif first in _NUMBER_START:
+                tok = Token(_LITERAL, piece)
+            elif first == '"':
+                tok = _STRING_TOKEN
+            elif first == "'":
+                tok = _CHAR_TOKEN
+            else:
+                tok = Token(_PUNCT, piece)
+        tokens.append(tok)
     return tokens
 
 
@@ -142,6 +154,8 @@ def _blank_comments(line: str, in_block: bool) -> tuple[str, bool]:
     are kept, and leave literals as they are. in_block says whether a "/*"
     from an earlier line is still open; the second result says whether one
     is open at the end of this line."""
+    if not in_block and "/" not in line:
+        return line, False
     start = 0
     if in_block:
         close = line.find("*/")
@@ -162,12 +176,12 @@ def _blank_comments(line: str, in_block: bool) -> tuple[str, bool]:
 def _blank_literals(text: str) -> str:
     """text, already free of comments, with the contents of each string and
     character literal replaced by spaces; the opening quote is kept."""
-    return _LITERAL.sub(lambda m: m[0][0] + " " * (len(m[0]) - 1), text)
+    return _STRING_OR_CHAR.sub(lambda m: m[0][0] + " " * (len(m[0]) - 1), text)
 
 
 def normal_form(tokens: list[Token]) -> str:
     """The canonical form of a tokenized line: token texts joined by single spaces."""
-    return " ".join(t.text for t in tokens)
+    return " ".join([t.text for t in tokens])
 
 
 def normalize_line(text: str, alpha_rename: bool = False) -> str:
@@ -208,15 +222,13 @@ def surface(tokens: list[Token]) -> tuple[str, frozenset[str]]:
 
 
 def _variables(tokens: list[Token]) -> frozenset[str]:
-    out = set()
-    for idx, t in enumerate(tokens):
-        if t.kind is not TokenKind.IDENTIFIER:
-            continue
-        nxt = tokens[idx + 1] if idx + 1 < len(tokens) else None
-        if nxt is not None and nxt.kind is TokenKind.PUNCT and nxt.text == "(":
-            continue
-        out.add(t.text)
-    return frozenset(out)
+    names = set()
+    for t, nxt in zip(tokens, tokens[1:]):
+        if t.kind is _IDENTIFIER and not (nxt.kind is _PUNCT and nxt.text == "("):
+            names.add(t.text)
+    if tokens and tokens[-1].kind is _IDENTIFIER:
+        names.add(tokens[-1].text)
+    return frozenset(names)
 
 
 def is_substantive_line(text: str) -> bool:
@@ -227,4 +239,4 @@ def is_substantive_line(text: str) -> bool:
 
 def is_substantive(tokens: list[Token]) -> bool:
     """is_substantive_line of a line, from its tokens."""
-    return any(t.kind is not TokenKind.PUNCT for t in tokens)
+    return any(t.kind is not _PUNCT for t in tokens)

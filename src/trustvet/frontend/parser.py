@@ -25,17 +25,17 @@ The analysis is classical and intraprocedural:
   - data dependence from reaching definitions (def-use chains), tracking the
     base identifier of each written lvalue (writes through "p->f", "p.f" or
     "p[i]" count as writes to "p"). Each (statement, variable) definition is
-    one bit of a Python int, each variable has a kill mask, and a FIFO
-    worklist iterates IN/OUT to the least fixed point, so a pass costs
-    O(E) big-int operations of O(D/64) words for E CFG edges and D
-    definitions.
+    one bit of a Python int, each variable has a kill mask, and sweeps in
+    reverse postorder evaluate IN/OUT of each statement whose predecessors
+    changed, to the least fixed point. A sweep costs O(E) big-int
+    operations of O(D/64) words for E CFG edges and D definitions;
+    loop-free code takes one sweep, and each loop adds about one.
 There is no aliasing, no interprocedural flow, and address-of arguments are
 treated as plain reads.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
@@ -59,9 +59,18 @@ _TYPE_KEYWORDS = {
 _UNSUPPORTED_KEYWORDS = {
     "do", "switch", "case", "default", "goto", "break", "continue", "typedef",
 }
+# Each operator and punctuation text is made by one token kind only (the
+# lexer's fixed table), so the scans below test such a token by its text and
+# look at kinds only to tell identifiers from keywords and literals.
+_IDENTIFIER, _KEYWORD = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+_CONTROL, _DATA = DepKind.CONTROL, DepKind.DATA
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 _MEMBER_OPS = {".", "->"}
 _INCDEC_OPS = {"++", "--"}
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+_END = ""  # the text past the last token of the stream; no token's is empty
+_STOPS = _OPENERS | _CLOSERS | {";", _END}  # the texts a statement scan stops at
 
 
 @dataclass
@@ -121,17 +130,14 @@ def _clean_source(source: str) -> list[str]:
 def _match_group(tokens: list[Token], i: int, open_text: str, close_text: str) -> int:
     """Index just past the punct group opened at tokens[i]."""
     depth = 0
-    j = i
-    while j < len(tokens):
-        t = tokens[j]
-        if t.kind is TokenKind.PUNCT:
-            if t.text == open_text:
-                depth += 1
-            elif t.text == close_text:
-                depth -= 1
-                if depth == 0:
-                    return j + 1
-        j += 1
+    for j in range(i, len(tokens)):
+        text = tokens[j].text
+        if text == open_text:
+            depth += 1
+        elif text == close_text:
+            depth -= 1
+            if depth == 0:
+                return j + 1
     raise ParseError(f"unbalanced '{open_text}' in expression")
 
 
@@ -153,56 +159,48 @@ def _scan_expr(tokens: list[Token], line: int, depth: int = 0) -> tuple[set[str]
     n = len(tokens)
     while i < n:
         t = tokens[i]
-        if t.kind is not TokenKind.IDENTIFIER:
+        if t.kind is not _IDENTIFIER:
             i += 1
             continue
-        prev = tokens[i - 1] if i > 0 else None
-        if prev is not None and prev.kind is TokenKind.OPERATOR and prev.text in _MEMBER_OPS:
+        prev = tokens[i - 1].text if i else None
+        if prev in _MEMBER_OPS:
             i += 1  # member name, not a variable
             continue
-        nxt = tokens[i + 1] if i + 1 < n else None
-        if nxt is not None and nxt.kind is TokenKind.PUNCT and nxt.text == "(":
+        if i + 1 < n and tokens[i + 1].text == "(":
             i += 1  # called-function name
             continue
         name = t.text
         # swallow the postfix chain: subscripts contribute uses, member names vanish
         j = i + 1
         while j < n:
-            tj = tokens[j]
-            if tj.kind is TokenKind.PUNCT and tj.text == "[":
+            text = tokens[j].text
+            if text == "[":
                 end = _match_group(tokens, j, "[", "]")
                 d2, u2 = _scan_expr(tokens[j + 1 : end - 1], line, depth + 1)
                 defs |= d2
                 uses |= u2
                 j = end
-            elif (
-                tj.kind is TokenKind.OPERATOR
-                and tj.text in _MEMBER_OPS
-                and j + 1 < n
-                and tokens[j + 1].kind is TokenKind.IDENTIFIER
-            ):
+            elif text in _MEMBER_OPS and j + 1 < n and tokens[j + 1].kind is _IDENTIFIER:
                 j += 2
             else:
                 break
-        after = tokens[j] if j < n else None
-        if after is not None and after.kind is TokenKind.OPERATOR and after.text in _ASSIGN_OPS:
+        after = tokens[j].text if j < n else None
+        if after in _ASSIGN_OPS:
             defs.add(name)
-            if after.text != "=":
+            if after != "=":
                 uses.add(name)
             i = j + 1
-            continue
-        if after is not None and after.kind is TokenKind.OPERATOR and after.text in _INCDEC_OPS:
+        elif after in _INCDEC_OPS:
             defs.add(name)
             uses.add(name)
             i = j + 1
-            continue
-        if prev is not None and prev.kind is TokenKind.OPERATOR and prev.text in _INCDEC_OPS:
+        elif prev in _INCDEC_OPS:
             defs.add(name)
             uses.add(name)
             i = j
-            continue
-        uses.add(name)
-        i = j
+        else:
+            uses.add(name)
+            i = j
     return defs, uses
 
 
@@ -210,14 +208,13 @@ def _split_top_level(tokens: list[Token], sep_text: str) -> list[list[Token]]:
     parts: list[list[Token]] = [[]]
     depth = 0
     for t in tokens:
-        if t.kind is TokenKind.PUNCT:
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif t.text == sep_text and depth == 0:
-                parts.append([])
-                continue
+        if t.text in _OPENERS:
+            depth += 1
+        elif t.text in _CLOSERS:
+            depth -= 1
+        elif t.text == sep_text and depth == 0:
+            parts.append([])
+            continue
         parts[-1].append(t)
     return parts
 
@@ -226,15 +223,15 @@ def _is_declaration(tokens: list[Token]) -> bool:
     if not tokens:
         return False
     t0 = tokens[0]
-    if t0.kind is TokenKind.KEYWORD and t0.text in _TYPE_KEYWORDS:
+    if t0.kind is _KEYWORD and t0.text in _TYPE_KEYWORDS:
         return True
     # typedef'd type: IDENT '*'* IDENT followed by '=' ',' '[' or statement end
-    if t0.kind is not TokenKind.IDENTIFIER:
+    if t0.kind is not _IDENTIFIER:
         return False
     j = 1
-    while j < len(tokens) and tokens[j].kind is TokenKind.OPERATOR and tokens[j].text == "*":
+    while j < len(tokens) and tokens[j].text == "*":
         j += 1
-    if j < len(tokens) and tokens[j].kind is TokenKind.IDENTIFIER:
+    if j < len(tokens) and tokens[j].kind is _IDENTIFIER:
         after = tokens[j + 1] if j + 1 < len(tokens) else None
         return after is None or after.text in {"=", ",", "["}
     return False
@@ -245,35 +242,35 @@ def _scan_decl(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
     declarator per top-level comma)."""
     i = 0
     n = len(tokens)
-    while i < n and tokens[i].kind is TokenKind.KEYWORD and tokens[i].text in _TYPE_KEYWORDS:
-        if tokens[i].text in {"struct", "union", "enum"} and i + 1 < n and tokens[i + 1].kind is TokenKind.IDENTIFIER:
+    while i < n and tokens[i].kind is _KEYWORD and tokens[i].text in _TYPE_KEYWORDS:
+        if tokens[i].text in {"struct", "union", "enum"} and i + 1 < n and tokens[i + 1].kind is _IDENTIFIER:
             i += 2
         else:
             i += 1
-    if i < n and tokens[i].kind is TokenKind.IDENTIFIER:
+    if i < n and tokens[i].kind is _IDENTIFIER:
         # typedef'd type name: skip it when another identifier follows the stars
         j = i + 1
-        while j < n and tokens[j].kind is TokenKind.OPERATOR and tokens[j].text == "*":
+        while j < n and tokens[j].text == "*":
             j += 1
-        if j < n and tokens[j].kind is TokenKind.IDENTIFIER:
+        if j < n and tokens[j].kind is _IDENTIFIER:
             i += 1
     defs: set[str] = set()
     uses: set[str] = set()
     for declarator in _split_top_level(tokens[i:], ","):
         k = 0
         m = len(declarator)
-        while k < m and declarator[k].kind is TokenKind.OPERATOR and declarator[k].text == "*":
+        while k < m and declarator[k].text == "*":
             k += 1
-        if k >= m or declarator[k].kind is not TokenKind.IDENTIFIER:
+        if k >= m or declarator[k].kind is not _IDENTIFIER:
             continue
         defs.add(declarator[k].text)
         k += 1
-        while k < m and declarator[k].kind is TokenKind.PUNCT and declarator[k].text == "[":
+        while k < m and declarator[k].text == "[":
             end = _match_group(declarator, k, "[", "]")
             _, u2 = _scan_expr(declarator[k + 1 : end - 1], line, 1)
             uses |= u2
             k = end
-        if k < m and declarator[k].kind is TokenKind.OPERATOR and declarator[k].text == "=":
+        if k < m and declarator[k].text == "=":
             d2, u2 = _scan_expr(declarator[k + 1 :], line)
             defs |= d2
             uses |= u2
@@ -289,31 +286,26 @@ def _scan_simple(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
 
 
 class _Parser:
-    def __init__(self, stream: list[tuple[int, Token]]):
-        self.stream = stream
-        self.i = 0
+    """Walks the token stream as three parallel lists: each token's text
+    (with _END appended), its source line, and the token."""
+
+    def __init__(self, texts: list[str], lines: list[int], tokens: list[Token], start: int):
+        self.texts = texts
+        self.lines = lines
+        self.tokens = tokens
+        self.i = start
         self.stmts: list[_Stmt] = []
         self.depth = 0  # parse_statement calls currently open
         self.succ: dict[int, set[int]] = {}
         self.preds: dict[int, set[int]] = {}
 
-    def peek(self) -> tuple[int, Token] | None:
-        return self.stream[self.i] if self.i < len(self.stream) else None
-
-    def advance(self) -> tuple[int, Token]:
-        item = self.stream[self.i]
+    def expect_punct(self, text: str) -> None:
+        found = self.texts[self.i]
+        if found != text:
+            if found == _END:
+                raise ParseError(f"expected '{text}' but reached end of input")
+            raise ParseError(f"line {self.lines[self.i]}: expected '{text}', found '{found}'")
         self.i += 1
-        return item
-
-    def expect_punct(self, text: str) -> int:
-        item = self.peek()
-        if item is None:
-            raise ParseError(f"expected '{text}' but reached end of input")
-        line, tok = item
-        if tok.kind is not TokenKind.PUNCT or tok.text != text:
-            raise ParseError(f"line {line}: expected '{text}', found '{tok.text}'")
-        self.advance()
-        return line
 
     def make_stmt(self, line: int, defs: set[str], uses: set[str]) -> int:
         """Record a statement; ids count up from 0 in parse order."""
@@ -322,50 +314,43 @@ class _Parser:
 
     def collect_until_semicolon(self) -> tuple[int, list[Token]]:
         """Tokens of one simple statement, excluding the terminating ';'."""
-        item = self.peek()
-        if item is None:
-            raise ParseError("expected a statement but reached end of input")
-        first_line = item[0]
-        tokens: list[Token] = []
+        texts = self.texts
+        start = i = self.i
         depth = 0
         while True:
-            item = self.peek()
-            if item is None:
-                raise ParseError(f"line {first_line}: statement is missing its ';'")
-            line, tok = item
-            if tok.kind is TokenKind.PUNCT:
-                if tok.text in "([{":
+            text = texts[i]
+            if text in _STOPS:
+                if text in _OPENERS:
                     depth += 1
-                elif tok.text in ")]}":
+                elif text in _CLOSERS:
                     if depth == 0:
-                        raise ParseError(f"line {line}: unexpected '{tok.text}' inside a statement")
+                        raise ParseError(f"line {self.lines[i]}: unexpected '{text}' inside a statement")
                     depth -= 1
-                elif tok.text == ";" and depth == 0:
-                    self.advance()
-                    return first_line, tokens
-            tokens.append(tok)
-            self.advance()
+                elif text == _END:
+                    raise ParseError(f"line {self.lines[start]}: statement is missing its ';'")
+                elif depth == 0:
+                    self.i = i + 1
+                    return self.lines[start], self.tokens[start:i]
+            i += 1
 
-    def collect_paren_group(self) -> tuple[int, list[Token]]:
+    def collect_paren_group(self) -> list[Token]:
         """Contents of a parenthesized group, excluding the parens."""
-        line = self.expect_punct("(")
-        tokens: list[Token] = []
+        self.expect_punct("(")
+        texts = self.texts
+        start = i = self.i
         depth = 1
         while True:
-            item = self.peek()
-            if item is None:
-                raise ParseError(f"line {line}: unbalanced '(' ")
-            tline, tok = item
-            if tok.kind is TokenKind.PUNCT:
-                if tok.text == "(":
-                    depth += 1
-                elif tok.text == ")":
-                    depth -= 1
-                    if depth == 0:
-                        self.advance()
-                        return line, tokens
-            tokens.append(tok)
-            self.advance()
+            text = texts[i]
+            if text == "(":
+                depth += 1
+            elif text == ")":
+                depth -= 1
+                if depth == 0:
+                    self.i = i + 1
+                    return self.tokens[start:i]
+            elif text == _END:
+                raise ParseError(f"line {self.lines[start - 1]}: unbalanced '(' ")
+            i += 1
 
     def connect(self, ends: list[int], target: int) -> None:
         for e in ends:
@@ -375,95 +360,92 @@ class _Parser:
     def parse_block(self, ends: list[int]) -> list[int]:
         """Parse a braced block entered from the CFG `ends`; return its ends."""
         self.expect_punct("{")
+        texts = self.texts
         while True:
-            item = self.peek()
-            if item is None:
-                raise ParseError("unbalanced '{': reached end of input inside a block")
-            _, tok = item
-            if tok.kind is TokenKind.PUNCT and tok.text == "}":
-                self.advance()
+            text = texts[self.i]
+            if text == "}":
+                self.i += 1
                 return ends
+            if text == _END:
+                raise ParseError("unbalanced '{': reached end of input inside a block")
             ends = self.parse_statement(ends)
 
     def parse_statement(self, ends: list[int]) -> list[int]:
         """Parse one statement entered from the CFG `ends`, wiring its edges;
         return the ends that flow out of it ([] after a return)."""
-        item = self.peek()
-        if item is None:
+        text = self.texts[self.i]
+        if text == _END:
             raise ParseError("expected a statement but reached end of input")
-        line, tok = item
+        line = self.lines[self.i]
         if self.depth >= MAX_NESTING:
             raise UnsupportedConstructError(
                 f"statements nested more than {MAX_NESTING} deep are not supported", line
             )
         self.depth += 1
         try:
-            return self._parse_statement(line, tok, ends)
+            return self._parse_statement(line, text, ends)
         finally:
             self.depth -= 1
 
-    def _parse_statement(self, line: int, tok: Token, ends: list[int]) -> list[int]:
-        if tok.kind is TokenKind.PUNCT and tok.text == "{":
+    def _parse_statement(self, line: int, text: str, ends: list[int]) -> list[int]:
+        if text == "{":
             return self.parse_block(ends)
-        if tok.kind is TokenKind.PUNCT and tok.text == ";":
-            self.advance()
+        if text == ";":
+            self.i += 1
             return ends
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.text in _UNSUPPORTED_KEYWORDS:
-                raise UnsupportedConstructError(f"'{tok.text}' statements are not supported", line)
-            if tok.text == "if":
-                self.advance()
-                _, cond_toks = self.collect_paren_group()
-                cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
-                self.connect(ends, cond)
-                out = self.parse_statement([cond])
-                nxt = self.peek()
-                if nxt is not None and nxt[1].kind is TokenKind.KEYWORD and nxt[1].text == "else":
-                    self.advance()
-                    return out + self.parse_statement([cond])
-                return out + [cond]
-            if tok.text == "while":
-                self.advance()
-                _, cond_toks = self.collect_paren_group()
-                cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
-                self.connect(ends, cond)
-                self.connect(self.parse_statement([cond]), cond)
-                return [cond]
-            if tok.text == "for":
-                self.advance()
-                _, group = self.collect_paren_group()
-                parts = _split_top_level(group, ";")
-                if len(parts) != 3:
-                    raise UnsupportedConstructError(
-                        "for header must have exactly two ';' separators", line
-                    )
-                init_toks, cond_toks, step_toks = parts
-                if not cond_toks:
-                    raise UnsupportedConstructError(
-                        "for loops without a condition are not supported", line
-                    )
-                if init_toks:
-                    init = self.make_stmt(line, *_scan_simple(init_toks, line))
-                    self.connect(ends, init)
-                    ends = [init]
-                cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
-                self.connect(ends, cond)
-                step = self.make_stmt(line, *_scan_expr(step_toks, line)) if step_toks else None
-                body_ends = self.parse_statement([cond])
-                if step is not None:
-                    self.connect(body_ends, step)
-                    body_ends = [step]
-                self.connect(body_ends, cond)
-                return [cond]
-            if tok.text == "return":
-                first_line, toks = self.collect_until_semicolon()
-                _, uses = _scan_expr(toks[1:], first_line)  # skip the keyword
-                stmt = self.make_stmt(first_line, set(), uses)
-                self.connect(ends, stmt)
-                self.connect([stmt], _EXIT)
-                return []
-            if tok.text == "else":
-                raise ParseError(f"line {line}: 'else' without a matching 'if'")
+        if text in _UNSUPPORTED_KEYWORDS:
+            raise UnsupportedConstructError(f"'{text}' statements are not supported", line)
+        if text == "if":
+            self.i += 1
+            cond_toks = self.collect_paren_group()
+            cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+            self.connect(ends, cond)
+            out = self.parse_statement([cond])
+            if self.texts[self.i] == "else":
+                self.i += 1
+                return out + self.parse_statement([cond])
+            return out + [cond]
+        if text == "while":
+            self.i += 1
+            cond_toks = self.collect_paren_group()
+            cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+            self.connect(ends, cond)
+            self.connect(self.parse_statement([cond]), cond)
+            return [cond]
+        if text == "for":
+            self.i += 1
+            parts = _split_top_level(self.collect_paren_group(), ";")
+            if len(parts) != 3:
+                raise UnsupportedConstructError(
+                    "for header must have exactly two ';' separators", line
+                )
+            init_toks, cond_toks, step_toks = parts
+            if not cond_toks:
+                raise UnsupportedConstructError(
+                    "for loops without a condition are not supported", line
+                )
+            if init_toks:
+                init = self.make_stmt(line, *_scan_simple(init_toks, line))
+                self.connect(ends, init)
+                ends = [init]
+            cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+            self.connect(ends, cond)
+            step = self.make_stmt(line, *_scan_expr(step_toks, line)) if step_toks else None
+            body_ends = self.parse_statement([cond])
+            if step is not None:
+                self.connect(body_ends, step)
+                body_ends = [step]
+            self.connect(body_ends, cond)
+            return [cond]
+        if text == "return":
+            first_line, toks = self.collect_until_semicolon()
+            _, uses = _scan_expr(toks[1:], first_line)  # skip the keyword
+            stmt = self.make_stmt(first_line, set(), uses)
+            self.connect(ends, stmt)
+            self.connect([stmt], _EXIT)
+            return []
+        if text == "else":
+            raise ParseError(f"line {line}: 'else' without a matching 'if'")
         first_line, toks = self.collect_until_semicolon()
         stmt = self.make_stmt(first_line, *_scan_simple(toks, first_line))
         self.connect(ends, stmt)
@@ -552,18 +534,46 @@ def _control_dependence(
     return deps
 
 
+def _reverse_postorder(n: int, succ: dict[int, set[int]]) -> list[int]:
+    """Statements 0..n-1 in reverse postorder of an iterative depth-first
+    search from the entry, then from each statement it did not reach (code
+    after a return). On a loop-free CFG every edge runs forward in it."""
+    postorder: list[int] = []
+    visited = [False] * n
+    for root in range(n):
+        if visited[root]:
+            continue
+        visited[root] = True
+        stack = [(root, iter(succ.get(root, ())))]
+        while stack:
+            node, pending = stack[-1]
+            for s in pending:
+                if s != _EXIT and not visited[s]:
+                    visited[s] = True
+                    stack.append((s, iter(succ.get(s, ()))))
+                    break
+            else:
+                stack.pop()
+                postorder.append(node)
+    postorder.reverse()
+    return postorder
+
+
 def _reaching_definitions(
     stmts: list[_Stmt], succ: dict[int, set[int]], preds: dict[int, set[int]]
 ) -> set[tuple[int, int, str]]:
-    """Def-use chains as (def sid, use sid, variable).
+    """Def-use chains as (def sid, use sid, variable); sids are 0..n-1.
 
     Bit k of a set stands for the definition made by statement def_sid[k];
     mask[v] holds the bits of every definition of v, which any statement
-    defining v kills.
+    defining v kills. Sweeps in reverse postorder evaluate each statement
+    whose predecessors' OUT changed since it was last evaluated, until a
+    sweep leaves none: a loop-free CFG takes one sweep, each loop adds one
+    for the definitions its back edge carries.
     """
     def_sid: list[int] = []
     mask: dict[str, int] = {}
-    gen: dict[int, int] = {}
+    gen: list[int] = []
     for s in stmts:
         g = 0
         for v in s.defs:
@@ -571,33 +581,43 @@ def _reaching_definitions(
             def_sid.append(s.sid)
             mask[v] = mask.get(v, 0) | bit
             g |= bit
-        gen[s.sid] = g
+        gen.append(g)
     # what a statement lets through: every definition but those it kills
-    keep: dict[int, int] = {}
+    keep: list[int] = []
     for s in stmts:
         k = 0
         for v in s.defs:
             k |= mask[v]
-        keep[s.sid] = ~k
-    out_sets = dict(gen)
-    in_sets = dict.fromkeys(gen, 0)
-    work = deque(gen)
-    queued = set(gen)
-    while work:
-        sid = work.popleft()
-        queued.discard(sid)
-        new_in = 0
-        for p in preds.get(sid, ()):
-            new_in |= out_sets[p]
-        in_sets[sid] = new_in
-        new_out = gen[sid] | (new_in & keep[sid])
-        if new_out != out_sets[sid]:
-            out_sets[sid] = new_out
-            for nxt in succ.get(sid, ()):
-                if nxt != _EXIT and nxt not in queued:
-                    queued.add(nxt)
-                    work.append(nxt)
-    chains: set[tuple[int, int, str]] = set()
+        keep.append(~k)
+
+    n = len(stmts)
+    order = _reverse_postorder(n, succ)
+    position = [0] * n
+    for at, sid in enumerate(order):
+        position[sid] = at
+    out_sets = gen[:]
+    in_sets = [0] * n
+    pending = [True] * n  # a predecessor's OUT changed since the last evaluation
+    again = True
+    while again:
+        again = False
+        for sid in order:
+            if not pending[sid]:
+                continue
+            pending[sid] = False
+            new_in = 0
+            for p in preds.get(sid, ()):
+                new_in |= out_sets[p]
+            in_sets[sid] = new_in
+            new_out = gen[sid] | (new_in & keep[sid])
+            if new_out != out_sets[sid]:
+                out_sets[sid] = new_out
+                here = position[sid]
+                for nxt in succ.get(sid, ()):
+                    if nxt != _EXIT:
+                        pending[nxt] = True
+                        again = again or position[nxt] <= here  # a back edge
+    chains: list[tuple[int, int, str]] = []
     for s in stmts:
         reaching = in_sets[s.sid]
         if not reaching:
@@ -606,54 +626,51 @@ def _reaching_definitions(
             bits = reaching & mask.get(v, 0)
             while bits:
                 low = bits & -bits
-                chains.add((def_sid[low.bit_length() - 1], s.sid, v))
+                chains.append((def_sid[low.bit_length() - 1], s.sid, v))
                 bits ^= low
-    return chains
+    return set(chains)
 
 
 # --- signature handling -------------------------------------------------------
 
 
-def _split_signature(stream: list[tuple[int, Token]]) -> tuple[list[tuple[int, Token]], int]:
-    """Split off the signature: everything before the first top-level '{'."""
+def _body_start(texts: list[str]) -> int:
+    """Index of the first top-level '{': the signature is everything before it."""
     depth = 0
-    for idx, (line, tok) in enumerate(stream):
-        if tok.kind is TokenKind.PUNCT:
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-            elif tok.text == "{" and depth == 0:
-                return stream[:idx], idx
+    for idx, text in enumerate(texts):
+        if text == "(":
+            depth += 1
+        elif text == ")":
+            depth -= 1
+        elif text == "{" and depth == 0:
+            return idx
     raise ParseError("no function body found (missing '{')")
 
 
-def _signature_info(sig: list[tuple[int, Token]]) -> tuple[str, list[str], int]:
-    """Function name, parameter names, and the signature's first line."""
-    if not sig:
+def _signature_info(tokens: list[Token], first_line: int) -> tuple[str, list[str]]:
+    """Function name and parameter names of the signature's tokens."""
+    if not tokens:
         raise ParseError("empty function signature")
-    first_line = sig[0][0]
-    tokens = [tok for _, tok in sig]
     open_idx = None
     for idx, tok in enumerate(tokens):
-        if tok.kind is TokenKind.PUNCT and tok.text == "(":
+        if tok.text == "(":
             open_idx = idx
             break
     if open_idx is None or open_idx == 0:
         raise ParseError(f"line {first_line}: signature has no parameter list")
     name_tok = tokens[open_idx - 1]
-    if name_tok.kind is not TokenKind.IDENTIFIER:
+    if name_tok.kind is not _IDENTIFIER:
         raise ParseError(f"line {first_line}: cannot find the function name in the signature")
     end_idx = _match_group(tokens, open_idx, "(", ")")
     params: list[str] = []
     inner = tokens[open_idx + 1 : end_idx - 1]
     for part in _split_top_level(inner, ","):
-        idents = [t.text for t in part if t.kind is TokenKind.IDENTIFIER]
-        if not part or (len(part) == 1 and part[0].kind is TokenKind.KEYWORD and part[0].text == "void"):
+        idents = [t.text for t in part if t.kind is _IDENTIFIER]
+        if not part or (len(part) == 1 and part[0].kind is _KEYWORD and part[0].text == "void"):
             continue
         if idents:
             params.append(idents[-1])
-    return name_tok.text, params, first_line
+    return name_tok.text, params
 
 
 # --- entry point ---------------------------------------------------------------
@@ -674,19 +691,22 @@ class _Cfg:
 def _build_cfg(source: str) -> _Cfg:
     cleaned = _clean_source(source)
     tokens = [tokenize_line(text) for text in cleaned]
-    stream = [(lineno, tok) for lineno, line in enumerate(tokens, start=1) for tok in line]
+    stream = [tok for line in tokens for tok in line]
     if not stream:
         raise ParseError("no tokens in source")
+    lines = [lineno for lineno, line in enumerate(tokens, start=1) for _ in line]
+    texts = [tok.text for tok in stream]
 
-    sig, body_start = _split_signature(stream)
-    name, params, sig_line = _signature_info(sig)
+    body_start = _body_start(texts)
+    name, params = _signature_info(stream[:body_start], lines[0])
 
-    parser = _Parser(stream[body_start:])
-    entry = parser.make_stmt(sig_line, set(params), set())
+    texts.append(_END)
+    parser = _Parser(texts, lines, stream, body_start)
+    entry = parser.make_stmt(lines[0], set(params), set())
     parser.connect(parser.parse_block([entry]), _EXIT)
-    rest = parser.stream[parser.i :]
-    if any(tok.kind is not TokenKind.PUNCT or tok.text != ";" for _, tok in rest):
-        raise ParseError(f"line {rest[0][0]}: unexpected tokens after the function body")
+    for idx in range(parser.i, len(stream)):
+        if texts[idx] != ";":
+            raise ParseError(f"line {lines[parser.i]}: unexpected tokens after the function body")
     return _Cfg(name, cleaned, tokens, parser.stmts, parser.succ, parser.preds)
 
 
@@ -705,6 +725,6 @@ def parse_function(source: str) -> RawDepGraph:
         tokens = cfg.tokens[line - 1] if code == text.strip(" \t\r\n\f\v") else tokenize_line(code)
         parts[line] = code, surface(tokens)
     nodes = [RawNode(s.sid, s.line, *parts[s.line]) for s in cfg.stmts]
-    edges = [PdgEdge(a, w, DepKind.CONTROL) for a, w in sorted(control)]
-    edges += [PdgEdge(d, u, DepKind.DATA, v) for d, u, v in sorted(chains)]
+    edges = [PdgEdge._make((a, w, _CONTROL, None)) for a, w in sorted(control)]
+    edges += [PdgEdge._make((d, u, _DATA, v)) for d, u, v in sorted(chains)]
     return RawDepGraph(function_id=cfg.name, nodes=nodes, edges=edges)
