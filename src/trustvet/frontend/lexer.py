@@ -184,26 +184,13 @@ def normal_form(tokens: list[Token]) -> str:
     return " ".join([t.text for t in tokens])
 
 
-def normalize_line(text: str, alpha_rename: bool = False) -> str:
+def normalize_line(text: str) -> str:
     """Canonical form of a line: tokens joined by single spaces.
 
     Comments disappear and literals collapse as a consequence of
-    tokenization. With alpha_rename, identifiers map to VAR1..VARn in order
-    of first appearance (keywords and literals are left alone).
+    tokenization.
     """
-    tokens = tokenize_line(text)
-    if not alpha_rename:
-        return normal_form(tokens)
-    names: dict[str, str] = {}
-    out = []
-    for t in tokens:
-        if t.kind is TokenKind.IDENTIFIER:
-            if t.text not in names:
-                names[t.text] = f"VAR{len(names) + 1}"
-            out.append(names[t.text])
-        else:
-            out.append(t.text)
-    return " ".join(out)
+    return normal_form(tokenize_line(text))
 
 
 def extract_variables(text: str) -> frozenset[str]:

@@ -3,7 +3,8 @@
 Supported statement forms: declarations, assignments, expression/call
 statements, if/else, while, for (with a condition), return, and nested
 blocks. Anything else (preprocessor lines, do/switch/goto/break/continue,
-for loops without a condition) raises UnsupportedConstructError naming the
+for loops without a condition, white space other than C's, such as U+00A0,
+outside a comment or literal) raises UnsupportedConstructError naming the
 offending line, and so does nesting deeper than MAX_NESTING statements or
 subscripts; structural damage (unbalanced braces, truncated statements)
 raises ParseError. Failing loudly is deliberate: a partially parsed function
@@ -36,6 +37,7 @@ treated as plain reads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
@@ -105,21 +107,32 @@ class _Stmt:
 
 # --- source cleaning ---------------------------------------------------------
 
+# White space by str.isspace that the tokenizer does not skip; a statement
+# would read it as a token. _SUSPECT finds it or a '#' in one search.
+_FOREIGN_SPACE = re.compile(r"[^\S \t\r\n\f\v]")
+_SUSPECT = re.compile(r"#|[^\S \t\r\n\f\v]")
+
 
 def _clean_source(source: str) -> list[str]:
     """Blank out comments (block comments may span lines) and reject
-    preprocessor lines and any other '#' outside a literal, returning the
-    cleaned source line by line; literals are returned as they are."""
+    preprocessor lines, any other '#', and white space that C does not
+    have (U+00A0, say), outside a literal, returning the cleaned source line
+    by line; literals are returned as they are."""
     cleaned: list[str] = []
     in_block = False
     for lineno, line in enumerate(split_lines(source), start=1):
         text, in_block = _blank_comments(line, in_block)
-        if "#" in text:
+        if _SUSPECT.search(text):
             code = _blank_literals(text)
             if code.lstrip().startswith("#"):
                 raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
             if "#" in code:
                 raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
+            space = _FOREIGN_SPACE.search(code)
+            if space:
+                raise UnsupportedConstructError(
+                    f"white space U+{ord(space[0]):04X} outside a comment or literal", lineno
+                )
         cleaned.append(text)
     return cleaned
 
@@ -717,13 +730,11 @@ def parse_function(source: str) -> RawDepGraph:
     chains = _reaching_definitions(cfg.stmts, cfg.succ, cfg.preds)
 
     # a node carries its whole source line, so an export/import round trip gives
-    # the same line surface; str.strip may drop a token (U+00A0, say), if rarely
+    # the same line surface: str.strip drops only white space the tokenizer
+    # skips too, as _clean_source refuses any other outside a literal
     parts = {}
     for line in {s.line for s in cfg.stmts}:
-        text = cfg.cleaned[line - 1]
-        code = text.strip()
-        tokens = cfg.tokens[line - 1] if code == text.strip(" \t\r\n\f\v") else tokenize_line(code)
-        parts[line] = code, surface(tokens)
+        parts[line] = cfg.cleaned[line - 1].strip(), surface(cfg.tokens[line - 1])
     nodes = [RawNode(s.sid, s.line, *parts[s.line]) for s in cfg.stmts]
     edges = [PdgEdge._make((a, w, _CONTROL, None)) for a, w in sorted(control)]
     edges += [PdgEdge._make((d, u, _DATA, v)) for d, u, v in sorted(chains)]

@@ -22,7 +22,6 @@ from .dataset import (
     build_line_dataset,
     filter_negatives,
     load_line_dataset,
-    make_sample,
     sample_candidate_negatives,
     save_line_dataset,
     vulnerable_samples,
@@ -53,7 +52,6 @@ __all__ = [
     "filter_negatives",
     "load_line_dataset",
     "load_model",
-    "make_sample",
     "sample_candidate_negatives",
     "save_line_dataset",
     "save_model",

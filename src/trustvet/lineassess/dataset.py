@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
 from ..errors import DiffMismatchError, SchemaError, UndefinedInputError
-from ..frontend.lexer import is_substantive, normal_form, normalize_line, split_lines, tokenize_line
+from ..frontend.lexer import is_substantive, normal_form, split_lines, tokenize_line
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import BleuReferences, bleu
 from .diffs import record_vulnerable_lines
@@ -47,14 +47,6 @@ class LineSample:
     def __post_init__(self):
         if not self.text:
             raise SchemaError(f"{self.origin}: empty line sample")
-
-
-def make_sample(raw_text: str, label: LineLabel, origin: Origin) -> LineSample | None:
-    """Normalize and wrap a raw line; None when nothing is left."""
-    text = normalize_line(raw_text)
-    if not text:
-        return None
-    return LineSample(text=text, label=label, origin=origin)
 
 
 def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:

@@ -12,19 +12,25 @@ from synth import diff_record, negative_record, worker_record
 from trustvet.corpus import CorpusRecord
 from trustvet.errors import DiffMismatchError, UndefinedInputError
 from trustvet.frontend import lexer
-from trustvet.frontend.lexer import is_substantive_line, tokenize_line
+from trustvet.frontend.lexer import is_substantive_line, normalize_line, tokenize_line
 from trustvet.lineassess import dataset
 from trustvet.lineassess.dataset import (
     LineLabel,
+    LineSample,
     Origin,
     build_line_dataset,
     filter_negatives,
     load_line_dataset,
-    make_sample,
     sample_candidate_negatives,
     save_line_dataset,
     vulnerable_samples,
 )
+
+
+def make_sample(raw_text: str, label: LineLabel, origin: Origin) -> LineSample | None:
+    """Normalize and wrap a raw line; None when nothing is left."""
+    text = normalize_line(raw_text)
+    return LineSample(text=text, label=label, origin=origin) if text else None
 
 
 def negatives_pool():

@@ -7,7 +7,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +76,29 @@ class TestDependenceAnalyses:
             cfg.stmts, cfg.succ
         )
 
+    def test_loop_free_statements_are_evaluated_once(self):
+        """In reverse postorder every predecessor of a statement comes
+        before it when there is no loop, so one sweep reaches the fixed
+        point. Each evaluation reads its statement's predecessors once."""
+
+        class CountingPreds(dict):
+            def get(self, key, default=None):
+                reads[key] += 1
+                return super().get(key, default)
+
+        loop_free = 0
+        for seed in range(300):
+            source = c_subset_function(random.Random(seed), 40)
+            if "while" in source or "for" in source:
+                continue
+            loop_free += 1
+            cfg = _build_cfg(source)
+            reads = Counter()
+            chains = _reaching_definitions(cfg.stmts, cfg.succ, CountingPreds(cfg.preds))
+            assert chains == oracle_reaching_definitions(cfg.stmts, cfg.succ)
+            assert reads == Counter(s.sid for s in cfg.stmts)
+        assert loop_free > 50
+
     @settings(max_examples=100, deadline=None)
     @given(seeds, sizes)
     def test_raw_graph_edges(self, seed, size):
@@ -95,6 +120,19 @@ class TestTokenizer:
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(st.text(), st.text(alphabet=C_CHARACTERS)))
     def test_matches_the_startswith_scan(self, text):
+        assert tokenize_line(text) == oracle_tokenize_line(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "é = 1;", "x٣ = ٣;", "y = x² + _²;", "a = .5 . b;", "..5", "x._y", "'", '"',
+            "' \"", "x = 1e-9;", "x = 0x1p+2;", "z = 1.e+5f - 0E-;", "$a @ `b`",
+        ],
+        ids=ascii,
+    )
+    def test_first_character_classes(self, text):
+        """Texts whose kinds turn on one character, which hypothesis rarely
+        draws: non-ASCII letters and digits, dots, lone quotes, exponents."""
         assert tokenize_line(text) == oracle_tokenize_line(text)
 
 

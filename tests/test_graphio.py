@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import trustvet.frontend
 from oracles import oracle_line_edges
 from synth import c_subset_function
-from trustvet.errors import ImportSchemaError
+from trustvet.errors import ImportSchemaError, UnsupportedConstructError
 from trustvet.frontend import (
     export_raw_graph,
     graphio,
@@ -200,12 +200,19 @@ class TestEachLineOnce:
             pdg_from_source(source)
             assert source.endswith("\n") and len(calls) == source.count("\n")
 
-    def test_a_stripped_token_is_read_from_the_code(self):
-        """str.strip removes U+00A0, which the tokenizer reads as a
-        character; the surface still describes the node's code."""
+    def test_a_no_break_space_before_code_is_refused(self):
+        """str.strip drops U+00A0, which the tokenizer reads as a character,
+        so the parser refuses it outside a literal."""
         source = "int f(int a)\n{\n\u00a0a = a + 1;\n    return a;\n}\n"
+        with pytest.raises(UnsupportedConstructError, match=r"line 3: white space U\+00A0"):
+            parse_function(source)
+
+    def test_white_space_stripped_from_a_literal_keeps_the_surface(self):
+        """Inside a literal U+00A0 is accepted; stripped from the end of an
+        unterminated one, it leaves the code's tokens as they were."""
+        source = 'int f(int a)\n{\n    s = "\u00a0";\n    t = "open\u00a0\n    ;\n    return a;\n}\n'
         raw = parse_function(source)
-        assert raw.nodes[1].code == "a = a + 1;"
+        assert [node.code for node in raw.nodes[1:3]] == ['s = "\u00a0";', 't = "open']
         assert all(node.surface == surface(tokenize_line(node.code)) for node in raw.nodes)
         assert pdg_from_source(source) == import_raw_graph(export_raw_graph(raw)).to_pdg()
 

@@ -71,12 +71,6 @@ class TestNormalize:
     def test_whitespace_and_comment_noise(self):
         assert normalize_line("  x=y+1 ; // hm") == "x = y + 1 ;"
 
-    def test_alpha_rename_tracks_first_appearance(self):
-        assert normalize_line("data->foo(data)", alpha_rename=True) == "VAR1 -> VAR2 ( VAR1 )"
-
-    def test_keywords_survive_alpha_rename(self):
-        assert normalize_line("return err;", alpha_rename=True) == "return VAR1 ;"
-
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_total_and_idempotent(self, line):

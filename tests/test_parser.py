@@ -195,6 +195,22 @@ class TestRejections:
         with pytest.raises(UnsupportedConstructError, match=needle):
             parse_function(f"void f(int a)\n{{\n{line}\n}}\n")
 
+    @pytest.mark.parametrize("char", ["\u00a0", "\u2028", "\x1c", "\u3000"], ids=ascii)
+    def test_white_space_other_than_c_rejected(self, char):
+        """Read as a token, the U+00A0 made the early return a plain
+        statement, and the control edges 3->4 and 3->5 vanished."""
+        source = f"int f(int a)\n{{\nif (a){char}return a;\na = 2;\nreturn a;\n}}\n"
+        with pytest.raises(UnsupportedConstructError, match=rf"line 3: white space U\+{ord(char):04X} outside"):
+            parse_function(source)
+        plain = pdg_from_source(source.replace(char, " "))
+        assert {(3, 4, DepKind.CONTROL, None), (3, 5, DepKind.CONTROL, None)} <= edge_set(plain)
+
+    def test_white_space_other_than_c_in_comments_and_literals_accepted(self):
+        line = "    s = \"a\u00a0b\"; /* \u00a0 */ c = '\u3000';"
+        source = f"int f(int a)\n{{\n{line}\n    return a; // \u2028\n}}\n"
+        codes = [node.code for node in parse_function(source).nodes]
+        assert codes[1] == line.replace("/* \u00a0 */", " " * 7).strip()
+
     def test_conditionless_for_rejected(self):
         source = "void f(void)\n{\n    for (;;) {\n    }\n}\n"
         with pytest.raises(UnsupportedConstructError):
