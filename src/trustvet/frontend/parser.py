@@ -630,7 +630,7 @@ def _reaching_definitions(
                     if nxt != _EXIT:
                         pending[nxt] = True
                         again = again or position[nxt] <= here  # a back edge
-    chains: list[tuple[int, int, str]] = []
+    chains: set[tuple[int, int, str]] = set()
     for s in stmts:
         reaching = in_sets[s.sid]
         if not reaching:
@@ -639,9 +639,9 @@ def _reaching_definitions(
             bits = reaching & mask.get(v, 0)
             while bits:
                 low = bits & -bits
-                chains.append((def_sid[low.bit_length() - 1], s.sid, v))
+                chains.add((def_sid[low.bit_length() - 1], s.sid, v))
                 bits ^= low
-    return set(chains)
+    return chains
 
 
 # --- signature handling -------------------------------------------------------
@@ -717,9 +717,8 @@ def _build_cfg(source: str) -> _Cfg:
     parser = _Parser(texts, lines, stream, body_start)
     entry = parser.make_stmt(lines[0], set(params), set())
     parser.connect(parser.parse_block([entry]), _EXIT)
-    for idx in range(parser.i, len(stream)):
-        if texts[idx] != ";":
-            raise ParseError(f"line {lines[parser.i]}: unexpected tokens after the function body")
+    if any(text != ";" for text in texts[parser.i : -1]):  # texts ends in _END
+        raise ParseError(f"line {lines[parser.i]}: unexpected tokens after the function body")
     return _Cfg(name, cleaned, tokens, parser.stmts, parser.succ, parser.preds)
 
 
