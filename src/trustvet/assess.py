@@ -328,9 +328,16 @@ def _score_with_records(
     records = _Relation(g, benign, mode).nearest(benign_resident, _targets(expl, g, benign))
     total = 0.0
     for record in records:
-        if not math.isinf(record.distance) and record.distance > 0:
-            total += (g.weights.get(record.line, 0.0) + (record.target_score or 0.0)) / record.distance
+        total += _contribution(g.weights.get(record.line, 0.0), record)
     return total, records, False
+
+
+def _contribution(weight: float, record: ReachRecord) -> float:
+    """A benign line's term of the trust score: its weight plus its nearest
+    target's score, over their distance; 0 when no target is reachable."""
+    if math.isinf(record.distance) or record.distance <= 0:
+        return 0.0
+    return (weight + (record.target_score or 0.0)) / record.distance
 
 
 def assess_prediction(
@@ -398,16 +405,11 @@ def assessment_to_dict(assessment: Assessment, g: WeightedPdg) -> dict:
         verdict = assessment.benign[line]
         record = by_line.get(line)
         weight = g.weights.get(line, 0.0)
+        distance = target = target_score = None
         contribution = 0.0
-        distance = None
-        target = None
-        target_score = None
         if record is not None and not math.isinf(record.distance):
-            distance = int(record.distance)
-            target = record.target
-            target_score = record.target_score
-            if distance > 0:
-                contribution = (weight + (target_score or 0.0)) / distance
+            distance, target, target_score = int(record.distance), record.target, record.target_score
+            contribution = _contribution(weight, record)
         rows.append(
             {
                 "line": line,

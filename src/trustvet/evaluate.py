@@ -89,17 +89,16 @@ class Metrics:
     gmean: float | None
 
 
-def rank_auc(
-    scores: Sequence[float], labels: Sequence[bool], lower_is_positive: bool = True
-) -> float | None:
-    """Rank-based AUC with tie-averaged ranks; None for single-class labels."""
+def rank_auc(scores: Sequence[float], labels: Sequence[bool]) -> float | None:
+    """Rank-based AUC with tie-averaged ranks, lower scores ranked as more
+    likely positive (untrustworthy); None for single-class labels."""
     if len(scores) != len(labels):
         raise UndefinedInputError("scores and labels differ in length")
     pos = sum(1 for x in labels if x)
     neg = len(labels) - pos
     if pos == 0 or neg == 0:
         return None
-    vals = [-s for s in scores] if lower_is_positive else list(scores)
+    vals = [-s for s in scores]
     order = sorted(range(len(vals)), key=lambda i: vals[i])
     ranks = [0.0] * len(vals)
     i = 0
@@ -119,7 +118,6 @@ def compute_metrics(
     truth: Sequence[bool],
     predictions: Sequence[bool],
     scores: Sequence[float] | None = None,
-    lower_is_positive: bool = True,
 ) -> Metrics:
     """Confusion-matrix metrics with None wherever a denominator is zero."""
     if len(truth) != len(predictions):
@@ -143,12 +141,9 @@ def compute_metrics(
         gmean = None
     else:
         gmean = math.sqrt(sensitivity * specificity)
-    auc = None
-    if scores is not None:
-        auc = rank_auc(scores, truth, lower_is_positive=lower_is_positive)
     return Metrics(
         accuracy=accuracy,
-        auc=auc,
+        auc=None if scores is None else rank_auc(scores, truth),
         precision=precision,
         sensitivity=sensitivity,
         f1=f1,

@@ -18,7 +18,9 @@ so graphs produced by an external C analyzer can replace the built-in parser:
 data dependence. Edges of any other kind, and DDG edges without a variable
 label, are dropped and counted; a missing or non-integer "line" on a node is
 an error naming the node, because line identity is what everything
-downstream keys on. import_raw_graph is the one check of such a document.
+downstream keys on. So is a node whose code has white space that C does not
+(U+00A0, say) outside a comment or literal, which the parser refuses too.
+import_raw_graph is the one check of such a document.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
-from .lexer import surface, tokenize_line
+from .lexer import _foreign_space, surface, tokenize_line
 from .parser import RawDepGraph, RawNode
 
 
@@ -123,6 +125,9 @@ def import_raw_graph(document: dict) -> ImportedGraph:
         if not isinstance(code, str):
             raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
         if code not in surfaces:
+            refused = _foreign_space(code)
+            if refused:
+                raise ImportSchemaError(f"graph export: node {node_id}: {refused}")
             surfaces[code] = surface(tokenize_line(code))
         nodes.append(RawNode(node_id, line, code, surfaces[code]))
 

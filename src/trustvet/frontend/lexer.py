@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -30,8 +30,9 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token; as a tuple it equals (kind, text)."""
+
     kind: TokenKind
     text: str
 
@@ -177,6 +178,21 @@ def _blank_literals(text: str) -> str:
     """text, already free of comments, with the contents of each string and
     character literal replaced by spaces; the opening quote is kept."""
     return _STRING_OR_CHAR.sub(lambda m: m[0][0] + " " * (len(m[0]) - 1), text)
+
+
+# White space by str.isspace that the tokenizer does not skip: it would read
+# such a character as a Punct token.
+_FOREIGN_SPACE = re.compile(r"[^\S \t\r\n\f\v]")
+
+
+def _foreign_space(text: str) -> str | None:
+    """Why one line of code is refused when it has white space that C does
+    not (U+00A0, say) outside a comment or literal; else None. The parser
+    and the graph import both hold code to this rule."""
+    if not _FOREIGN_SPACE.search(text):
+        return None
+    space = _FOREIGN_SPACE.search(_blank_literals(_blank_comments(text, False)[0]))
+    return f"white space U+{ord(space[0]):04X} outside a comment or literal" if space else None
 
 
 def normal_form(tokens: list[Token]) -> str:

@@ -37,12 +37,12 @@ treated as plain reads.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind, PdgEdge
-from .lexer import Token, TokenKind, _blank_comments, _blank_literals, split_lines, surface, tokenize_line
+from .lexer import Token, TokenKind, split_lines, surface, tokenize_line
+from .lexer import _blank_comments, _blank_literals, _foreign_space
 
 _EXIT = -1  # virtual CFG exit
 
@@ -107,11 +107,6 @@ class _Stmt:
 
 # --- source cleaning ---------------------------------------------------------
 
-# White space by str.isspace that the tokenizer does not skip; a statement
-# would read it as a token. _SUSPECT finds it or a '#' in one search.
-_FOREIGN_SPACE = re.compile(r"[^\S \t\r\n\f\v]")
-_SUSPECT = re.compile(r"#|[^\S \t\r\n\f\v]")
-
 
 def _clean_source(source: str) -> list[str]:
     """Blank out comments (block comments may span lines) and reject
@@ -122,17 +117,15 @@ def _clean_source(source: str) -> list[str]:
     in_block = False
     for lineno, line in enumerate(split_lines(source), start=1):
         text, in_block = _blank_comments(line, in_block)
-        if _SUSPECT.search(text):
+        if "#" in text:
             code = _blank_literals(text)
             if code.lstrip().startswith("#"):
                 raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
             if "#" in code:
                 raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
-            space = _FOREIGN_SPACE.search(code)
-            if space:
-                raise UnsupportedConstructError(
-                    f"white space U+{ord(space[0]):04X} outside a comment or literal", lineno
-                )
+        refused = _foreign_space(text)
+        if refused:
+            raise UnsupportedConstructError(refused, lineno)
         cleaned.append(text)
     return cleaned
 
@@ -232,22 +225,24 @@ def _split_top_level(tokens: list[Token], sep_text: str) -> list[list[Token]]:
     return parts
 
 
-def _is_declaration(tokens: list[Token]) -> bool:
-    if not tokens:
-        return False
-    t0 = tokens[0]
-    if t0.kind is _KEYWORD and t0.text in _TYPE_KEYWORDS:
-        return True
-    # typedef'd type: IDENT '*'* IDENT followed by '=' ',' '[' or statement end
-    if t0.kind is not _IDENTIFIER:
-        return False
-    j = 1
-    while j < len(tokens) and tokens[j].text == "*":
+def _typedef_declarator(tokens: list[Token], i: int) -> int:
+    """Index of the name when tokens[i:] starts IDENT '*'* IDENT, a typedef'd
+    type, its stars and a declared name; else -1."""
+    n = len(tokens)
+    if i >= n or tokens[i].kind is not _IDENTIFIER:
+        return -1
+    j = i + 1
+    while j < n and tokens[j].text == "*":
         j += 1
-    if j < len(tokens) and tokens[j].kind is _IDENTIFIER:
-        after = tokens[j + 1] if j + 1 < len(tokens) else None
-        return after is None or after.text in {"=", ",", "["}
-    return False
+    return j if j < n and tokens[j].kind is _IDENTIFIER else -1
+
+
+def _is_declaration(tokens: list[Token]) -> bool:
+    if tokens and tokens[0].kind is _KEYWORD and tokens[0].text in _TYPE_KEYWORDS:
+        return True
+    # typedef'd type, its name followed by '=' ',' '[' or statement end
+    j = _typedef_declarator(tokens, 0)
+    return j >= 0 and (j + 1 == len(tokens) or tokens[j + 1].text in {"=", ",", "["})
 
 
 def _scan_decl(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
@@ -260,13 +255,8 @@ def _scan_decl(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
             i += 2
         else:
             i += 1
-    if i < n and tokens[i].kind is _IDENTIFIER:
-        # typedef'd type name: skip it when another identifier follows the stars
-        j = i + 1
-        while j < n and tokens[j].text == "*":
-            j += 1
-        if j < n and tokens[j].kind is _IDENTIFIER:
-            i += 1
+    if _typedef_declarator(tokens, i) >= 0:
+        i += 1  # typedef'd type name
     defs: set[str] = set()
     uses: set[str] = set()
     for declarator in _split_top_level(tokens[i:], ","):
@@ -479,19 +469,7 @@ def _immediate_post_dominators(
     wiring gives every statement a path to _EXIT, so the search reaches all
     of them.
     """
-    postorder: list[int] = []
-    visited = {_EXIT}
-    stack = [(_EXIT, iter(preds.get(_EXIT, ())))]
-    while stack:
-        node, pending = stack[-1]
-        for p in pending:
-            if p not in visited:
-                visited.add(p)
-                stack.append((p, iter(preds.get(p, ()))))
-                break
-        else:
-            stack.pop()
-            postorder.append(node)
+    postorder = _postorder([_EXIT], preds, set())
     number = {n: i for i, n in enumerate(postorder)}
     ipdom: dict[int, int | None] = {_EXIT: _EXIT}  # the root is its own, until the end
     order = postorder[-2::-1]  # reverse postorder without the root
@@ -547,28 +525,26 @@ def _control_dependence(
     return deps
 
 
-def _reverse_postorder(n: int, succ: dict[int, set[int]]) -> list[int]:
-    """Statements 0..n-1 in reverse postorder of an iterative depth-first
-    search from the entry, then from each statement it did not reach (code
-    after a return). On a loop-free CFG every edge runs forward in it."""
+def _postorder(roots, edges: dict[int, set[int]], visited: set[int]) -> list[int]:
+    """The nodes an iterative depth-first search along edges reaches from
+    each root in turn, in postorder. A node in visited is not entered, and
+    every node entered is added to it."""
     postorder: list[int] = []
-    visited = [False] * n
-    for root in range(n):
-        if visited[root]:
+    for root in roots:
+        if root in visited:
             continue
-        visited[root] = True
-        stack = [(root, iter(succ.get(root, ())))]
+        visited.add(root)
+        stack = [(root, iter(edges.get(root, ())))]
         while stack:
             node, pending = stack[-1]
-            for s in pending:
-                if s != _EXIT and not visited[s]:
-                    visited[s] = True
-                    stack.append((s, iter(succ.get(s, ()))))
+            for nxt in pending:
+                if nxt not in visited:
+                    visited.add(nxt)
+                    stack.append((nxt, iter(edges.get(nxt, ()))))
                     break
             else:
                 stack.pop()
                 postorder.append(node)
-    postorder.reverse()
     return postorder
 
 
@@ -604,7 +580,9 @@ def _reaching_definitions(
         keep.append(~k)
 
     n = len(stmts)
-    order = _reverse_postorder(n, succ)
+    # reverse postorder from the entry, then from each statement it did not
+    # reach (code after a return); on a loop-free CFG every edge runs forward
+    order = _postorder(range(n), succ, {_EXIT})[::-1]
     position = [0] * n
     for at, sid in enumerate(order):
         position[sid] = at

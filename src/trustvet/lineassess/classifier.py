@@ -17,7 +17,8 @@ Each classify takes the raw line text and reads it through a ScreenText, a
 str equal to that text which normalizes and tokenizes it once. An ensemble
 screening one line hands every member the same ScreenText, so the line is
 tokenized once for all of them; given a plain str, a classifier wraps it in
-one of its own.
+one of its own. Training reads each sample through a ScreenText too, so a
+model learns exactly the features a screen will score it on.
 
 Models persist as versioned JSON documents; bytes are identical across runs
 with the same inputs and seed.
@@ -61,6 +62,7 @@ ADAPTER_TIMEOUT = 5.0
 
 
 _NO_CODE = "cannot classify an empty or comment-only line"
+_HELDOUT_FRACTION = 0.10  # of each class, kept out of training to measure accuracy
 
 
 class ScreenText(str):
@@ -107,7 +109,6 @@ class TrainConfig:
     l2: float = 1e-2
     max_iter: int = 200
     threshold: float = 0.5
-    heldout_fraction: float = 0.10
 
 
 @dataclass
@@ -267,15 +268,17 @@ def train_classifier(
 
     Label 1 means non-vulnerable (benign). The split, the vocabulary order,
     and the optimizer are all deterministic functions of the inputs and the
-    seed, so retraining reproduces the model byte for byte.
+    seed, so retraining reproduces the model byte for byte. Each sample is
+    read through a ScreenText, so one with no code (comment-only) raises
+    UndefinedInputError, as classifying it would.
     """
     import numpy as np
     from scipy.optimize import minimize
     from scipy.special import expit
 
     hyper = hyper or TrainConfig()
-    labeled = [(s, 1.0 if s.label is LineLabel.NON_VULNERABLE else 0.0) for s in samples]
-    if not labeled or len({y for _, y in labeled}) < 2:
+    labels = [1.0 if s.label is LineLabel.NON_VULNERABLE else 0.0 for s in samples]
+    if len(set(labels)) < 2:
         raise DegenerateTrainingError(
             f"view {view.value}: training needs both classes, got "
             f"{sorted({s.label.value for s in samples})}"
@@ -283,39 +286,35 @@ def train_classifier(
 
     # deterministic stratified held-out split
     rng = random.Random(hyper.seed)
-    by_class: dict[float, list[int]] = {0.0: [], 1.0: []}
-    for idx, (_, y) in enumerate(labeled):
-        by_class[y].append(idx)
     heldout: set[int] = set()
-    for y, idxs in sorted(by_class.items()):
-        shuffled = idxs[:]
-        rng.shuffle(shuffled)
-        k = int(len(shuffled) * hyper.heldout_fraction)
-        heldout.update(shuffled[:k])
-    train_idx = [i for i in range(len(labeled)) if i not in heldout]
-    if not train_idx or len({labeled[i][1] for i in train_idx}) < 2:
-        train_idx = list(range(len(labeled)))  # tiny dataset: train on everything
+    for cls in (0.0, 1.0):
+        idxs = [i for i, label in enumerate(labels) if label == cls]
+        rng.shuffle(idxs)
+        heldout.update(idxs[: int(len(idxs) * _HELDOUT_FRACTION)])
+    train_idx = [i for i in range(len(labels)) if i not in heldout]
+    if len({labels[i] for i in train_idx}) < 2:
+        train_idx = list(range(len(labels)))  # tiny dataset: train on everything
         heldout = set()
 
-    vocab_names = sorted(
-        {name for i in train_idx for name in extract_features(view, labeled[i][0].text)}
-    )
+    # each sample is read as the screen reads a line, so the model learns the
+    # features it will be scored on
+    texts = [ScreenText(s.text) for s in samples]
+    vocab_names = sorted({name for i in train_idx for name in texts[i].features(view)})
     vocabulary = {name: idx for idx, name in enumerate(vocab_names)}
 
     # features are extracted again rather than kept from the vocabulary pass:
-    # holding every row's feature dict raises peak memory. X gets an
-    # anonymous mapping of its own, not a block of the malloc heap: its pages
-    # go back to the system when training returns, so where an earlier build
-    # left its matrix cannot make this one's peak memory a matrix larger
+    # holding every row's feature dict raises peak memory, so a ScreenText
+    # keeps only its tokens. X gets an anonymous mapping of its own, not a
+    # block of the malloc heap: its pages go back to the system when training
+    # returns, so where an earlier build left its matrix cannot make this
+    # one's peak memory a matrix larger
     cells = len(train_idx) * len(vocabulary)
     X = np.frombuffer(
         mmap.mmap(-1, max(cells, 1) * 8), dtype=float, count=cells
     ).reshape(len(train_idx), len(vocabulary))
-    y = np.zeros(len(train_idx), dtype=float)
+    y = np.array([labels[i] for i in train_idx])
     for row, i in enumerate(train_idx):
-        sample, label = labeled[i]
-        y[row] = label
-        for name, value in extract_features(view, sample.text).items():
+        for name, value in texts[i].features(view).items():
             X[row, vocabulary[name]] = value
 
     def loss_grad(w_full):
@@ -347,11 +346,7 @@ def train_classifier(
         seed=hyper.seed,
     )
     if heldout:
-        hits = sum(
-            1
-            for i in sorted(heldout)
-            if clf.classify(labeled[i][0].text)[0] == int(labeled[i][1])
-        )
+        hits = sum(1 for i in sorted(heldout) if clf.classify(texts[i])[0] == labels[i])
         clf.heldout_accuracy = hits / len(heldout)
     return clf
 

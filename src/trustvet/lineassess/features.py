@@ -8,8 +8,9 @@ trains one linear classifier per view so their errors stay decorrelated:
     syntax_shape  token-kind uni/bigrams, a length feature, keyword flags
 
 extract_features is the one definition of each view, for training and
-scoring alike. A caller that already holds the line's tokens passes them,
-so a screen tokenizes each line once for all of its members.
+scoring alike, and the one place a line without its tokens is tokenized. A
+ScreenText passes the tokens it holds, so a screen tokenizes each line once
+for all of its members, and training each sample once.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ class FeatureView(Enum):
 ALL_VIEWS = (FeatureView.TOKEN_NGRAM, FeatureView.CHAR_NGRAM, FeatureView.SYNTAX_SHAPE)
 
 
-def _token_ngram_features(text: str, tokens: list[Token] | None = None) -> dict[str, float]:
-    if tokens is None:
-        tokens = tokenize_line(text)
+def _token_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
     texts = [t.text for t in tokens]
     feats: Counter = Counter()
     for t in texts:
@@ -41,7 +40,7 @@ def _token_ngram_features(text: str, tokens: list[Token] | None = None) -> dict[
     return dict(feats)
 
 
-def _char_ngram_features(text: str, tokens: list[Token] | None = None) -> dict[str, float]:
+def _char_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
     feats: dict[str, float] = {}
     for order in (3, 4, 5):
         prefix = f"{order}:"
@@ -51,9 +50,7 @@ def _char_ngram_features(text: str, tokens: list[Token] | None = None) -> dict[s
     return feats
 
 
-def _syntax_shape_features(text: str, tokens: list[Token] | None = None) -> dict[str, float]:
-    if tokens is None:
-        tokens = tokenize_line(text)
+def _syntax_shape_features(text: str, tokens: list[Token]) -> dict[str, float]:
     kinds = [t.kind.value for t in tokens]
     feats: Counter = Counter()
     for k in kinds:
@@ -80,7 +77,9 @@ def extract_features(
 ) -> dict[str, float]:
     """Named sparse features of a normalized line under one view.
 
-    tokens, when given, must be tokenize_line(text); views that need no
-    tokens ignore them.
+    tokens, when given, must be tokenize_line(text); without them the line
+    is tokenized here. Views that need no tokens ignore them.
     """
+    if tokens is None:
+        tokens = tokenize_line(text)
     return _EXTRACTORS[view](text, tokens)

@@ -131,6 +131,21 @@ class TestTraining:
         assert clf.heldout_accuracy is not None
         assert 0.0 <= clf.heldout_accuracy <= 1.0
 
+    def test_learns_the_features_the_screen_scores(self):
+        # texts out of normal form: "x=1;" is scored as "x = 1 ;", so a char
+        # gram like "3:x=1" or the raw text's length is never seen by a screen
+        raw = [
+            LineSample(s.text.replace(" ", "") + " // note", s.label, s.origin)
+            for s in samples()
+        ]
+        assert all(normalize_line(s.text) != s.text for s in raw)
+        for view in ALL_VIEWS:
+            screened = set()
+            for s in raw:
+                screened.update(ScreenText(s.text).features(view))
+            clf = train_classifier(raw, view, TrainConfig(seed=3))
+            assert set(clf.vocabulary) <= screened, view
+
     def test_votes_follow_scores(self):
         clf = train_classifier(samples(), FeatureView.TOKEN_NGRAM)
         vote, score = clf.classify("y = fopen(path, m);")

@@ -84,6 +84,19 @@ class TestImport:
             import_raw_graph(doc)
         assert "11" in str(err.value)
 
+    def test_white_space_other_than_c_names_the_node(self):
+        """The parser's rule: read as a token, U+00A0 would give the line
+        text '\xa0 x = 1 ;', not the 'x = 1 ;' of the same code parsed."""
+        doc = sample_doc()
+        doc["nodes"][1]["code"] = "\u00a0x = 1;"
+        with pytest.raises(ImportSchemaError, match=r"node 11: white space U\+00A0 outside"):
+            import_raw_graph(doc)
+
+    def test_white_space_other_than_c_in_comments_and_literals_accepted(self):
+        doc = sample_doc()
+        doc["nodes"][1]["code"] = "s = \"a\u00a0b\"; /* \u00a0 */ c = '\u3000'; // \u2028"
+        assert import_raw_graph(doc).to_pdg().line_text[3] == "s = STR ; c = CHR ;"
+
     def test_edge_to_unknown_node_rejected(self):
         doc = sample_doc()
         doc["edges"].append({"src": 10, "dst": 99, "kind": "CDG"})
