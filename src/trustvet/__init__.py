@@ -9,7 +9,6 @@ nearest suspicious one. Low scores flag the prediction as untrustworthy.
 
 from .assess import (
     Assessment,
-    BenignSet,
     ReachRecord,
     assess_prediction,
     assessment_to_dict,
@@ -83,7 +82,6 @@ from .pdg import (
     explanation_to_dict,
     pdg_dumps,
     pdg_to_dict,
-    validate_pdg,
 )
 
 __version__ = "0.1.0"

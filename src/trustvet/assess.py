@@ -55,21 +55,6 @@ TRUSTWORTHY = "trustworthy"
 
 
 @dataclass(frozen=True)
-class BenignSet:
-    """Explanation lines the ensemble voted benign for one function."""
-
-    function_id: str
-    members: frozenset[LineId]
-
-    @staticmethod
-    def from_verdicts(function_id: str, verdicts: Mapping[LineId, BenignVerdict]) -> "BenignSet":
-        return BenignSet(
-            function_id=function_id,
-            members=frozenset(l for l, v in verdicts.items() if v.is_benign_candidate),
-        )
-
-
-@dataclass(frozen=True)
 class ReachRecord:
     """Nearest non-benign explanation line for one benign candidate.
 
@@ -120,9 +105,9 @@ class _Relation:
     once: O(lines + edges) each.
     """
 
-    def __init__(self, g: WeightedPdg, benign: BenignSet, mode: str):
+    def __init__(self, g: WeightedPdg, benign: frozenset[LineId], mode: str):
         self.g = g
-        self.benign = benign.members
+        self.benign = benign
         self.mode = mode
         succ: defaultdict[LineId, list[LineId]] = defaultdict(list)
         bit: dict[str | None, int] = {}
@@ -258,7 +243,7 @@ class _Relation:
 
 
 def is_vulnerable_dependency(
-    edge: PdgEdge, g: WeightedPdg, benign: BenignSet, mode: str = DIRECT
+    edge: PdgEdge, g: WeightedPdg, benign: frozenset[LineId], mode: str = DIRECT
 ) -> bool:
     """Table-style predicate for one edge of the graph."""
     _check_mode(mode)
@@ -267,18 +252,20 @@ def is_vulnerable_dependency(
     return edge in _Relation(g, benign, mode).edges()
 
 
-def vulnerable_edges(g: WeightedPdg, benign: BenignSet, mode: str = DIRECT) -> tuple[PdgEdge, ...]:
+def vulnerable_edges(
+    g: WeightedPdg, benign: frozenset[LineId], mode: str = DIRECT
+) -> tuple[PdgEdge, ...]:
     """All edges that pass the vulnerable-dependency predicate."""
     _check_mode(mode)
     return _Relation(g, benign, mode).edges()
 
 
 def reachability_distance(
-    start: LineId, target: LineId, g: WeightedPdg, benign: BenignSet, mode: str = DIRECT
+    start: LineId, target: LineId, g: WeightedPdg, benign: frozenset[LineId], mode: str = DIRECT
 ) -> float:
     """Edge count of the shortest all-vulnerable-dependency path, or inf."""
     _check_mode(mode)
-    if start not in benign.members:
+    if start not in benign:
         raise ContractError(f"start line {start} is not a benign candidate")
     if target not in g.pdg.nodes:
         raise ContractError(f"target line {target} is not a graph node")
@@ -289,7 +276,7 @@ def reachability_distance(
 
 
 def nearest_non_benign(
-    line: LineId, expl: Explanation, g: WeightedPdg, benign: BenignSet, mode: str = DIRECT
+    line: LineId, expl: Explanation, g: WeightedPdg, benign: frozenset[LineId], mode: str = DIRECT
 ) -> ReachRecord:
     """Closest resident explanation line that is not a benign candidate.
 
@@ -298,28 +285,28 @@ def nearest_non_benign(
     they are normalized exactly when the graph was built that way.
     """
     _check_mode(mode)
-    if line not in benign.members:
+    if line not in benign:
         raise ContractError(f"line {line} is not a benign candidate")
     return _Relation(g, benign, mode).nearest((line,), _targets(expl, g, benign))[0]
 
 
-def _targets(expl: Explanation, g: WeightedPdg, benign: BenignSet) -> list[LineId]:
+def _targets(expl: Explanation, g: WeightedPdg, benign: frozenset[LineId]) -> list[LineId]:
     """The resident non-benign explanation lines: every candidate's targets."""
-    return [line for line, _ in expl.entries if line in g.pdg.nodes and line not in benign.members]
+    return [line for line, _ in expl.entries if line in g.pdg.nodes and line not in benign]
 
 
 def trust_score(
-    expl: Explanation, g: WeightedPdg, benign: BenignSet, mode: str = DIRECT
+    expl: Explanation, g: WeightedPdg, benign: frozenset[LineId], mode: str = DIRECT
 ) -> float:
     return _score_with_records(expl, g, benign, mode)[0]
 
 
 def _score_with_records(
-    expl: Explanation, g: WeightedPdg, benign: BenignSet, mode: str
+    expl: Explanation, g: WeightedPdg, benign: frozenset[LineId], mode: str
 ) -> tuple[float, tuple[ReachRecord, ...], bool]:
     _check_mode(mode)
     resident = [line for line, _ in expl.entries if line in g.pdg.nodes]
-    benign_resident = [line for line in resident if line in benign.members]
+    benign_resident = [line for line in resident if line in benign]
     if resident and not benign_resident:
         # every scored line looks vulnerable: maximal agreement with the
         # prediction, so the score is the total retained weight
@@ -371,7 +358,7 @@ def assess_prediction(
         verdicts = benign_candidates(ensemble, expl, pdg.line_text, memo)
     except TrustvetError as exc:
         raise PipelineError("line-assessment", exc) from exc
-    benign = BenignSet.from_verdicts(pdg.function_id, verdicts)
+    benign = frozenset(line for line, v in verdicts.items() if v.is_benign_candidate)
     try:
         score, records, degenerate = _score_with_records(expl, g, benign, mode)
     except TrustvetError as exc:

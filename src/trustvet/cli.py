@@ -154,9 +154,9 @@ def ingest(corpus_path, out_path, config_path, seed, neg_ratio, bleu_threshold, 
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--seed", type=int, required=True, help="Training seed; runs with the same seed match byte for byte.")
-@click.option("--l2", type=float, default=1e-2, show_default=True)
-@click.option("--max-iter", type=int, default=200, show_default=True)
-@click.option("--vote-threshold", type=float, default=0.5, show_default=True)
+@click.option("--l2", type=float, default=TrainConfig.l2, show_default=True)
+@click.option("--max-iter", type=int, default=TrainConfig.max_iter, show_default=True)
+@click.option("--vote-threshold", type=float, default=TrainConfig.threshold, show_default=True)
 @_handle_errors
 def train(dataset_path, out_dir, seed, l2, max_iter, vote_threshold):
     """Fit one linear classifier per feature view and save the ensemble."""
@@ -268,9 +268,10 @@ def evaluate(corpus_path, models_path, config_path, iou_threshold, iou_sweep,
         report = run_evaluation(records, ensemble, config, taus=taus)
     finally:
         _close_ensemble(ensemble)
+    doc = report_to_dict(report)
     if out_path:
-        _write_json(report_to_dict(report), out_path)
-    click.echo(render_table(report), nl=False)
+        _write_json(doc, out_path)
+    click.echo(render_table(doc), nl=False)
 
 
 @main.command()

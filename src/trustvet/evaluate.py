@@ -52,20 +52,12 @@ def iou(suspicious: Iterable[LineId], truth: Iterable[LineId]) -> float:
     return len(s & t) / len(s | t)
 
 
-def select_suspicious(
-    expl: Explanation, k: int, resident: frozenset[LineId] | None = None
-) -> frozenset[LineId]:
-    """Top-k explanation lines by score; ties prefer the smaller line id.
-
-    When resident is given, lines outside it are ignored before ranking.
-    """
+def select_suspicious(expl: Explanation, k: int, resident: frozenset[LineId]) -> frozenset[LineId]:
+    """Top-k explanation lines by score among the resident ones; ties prefer
+    the smaller line id."""
     if k <= 0:
         raise UndefinedInputError(f"top-k must be positive, got {k}")
-    pool = [
-        (line, score)
-        for line, score in expl.entries
-        if resident is None or line in resident
-    ]
+    pool = [(line, score) for line, score in expl.entries if line in resident]
     pool.sort(key=lambda item: (-item[1], item[0]))
     return frozenset(line for line, _ in pool[:k])
 
@@ -454,7 +446,7 @@ def _fmt(value: float | None) -> str:
 
 
 def _check_table_fields(doc: dict) -> None:
-    """Raise SchemaError unless a loaded report holds what render_table reads."""
+    """Raise SchemaError unless a report document holds what render_table reads."""
     what = "evaluation report"
     skipped = doc.get("skipped")
     if not isinstance(skipped, dict) or not all(is_strict_int(n) for n in skipped.values()):
@@ -473,14 +465,11 @@ def _check_table_fields(doc: dict) -> None:
                     json_number(metrics.get(name), f"{what}: {method} {name}")
 
 
-def render_table(report: EvaluationReport | dict) -> str:
-    """Fixed-width metric table, one row per method per cutoff; a loaded
-    report (a dict) that lacks a field it reads raises SchemaError."""
-    if isinstance(report, EvaluationReport):
-        doc = report_to_dict(report)
-    else:
-        _check_table_fields(report)
-        doc = report
+def render_table(doc: dict) -> str:
+    """Fixed-width metric table of a report document (report_to_dict's
+    form), one row per method per cutoff; a document that lacks a field it
+    reads raises SchemaError."""
+    _check_table_fields(doc)
     header = f"{'tau':>5}  {'method':<6}  " + "  ".join(f"{name:>5}" for name, _ in _METRIC_FIELDS)
     out = [header, "-" * len(header)]
     for t in doc["taus"]:

@@ -16,11 +16,11 @@ so graphs produced by an external C analyzer can replace the built-in parser:
 
 "CDG" maps to control dependence and "DDG" (which must carry "variable") to
 data dependence. Edges of any other kind, and DDG edges without a variable
-label, are dropped and counted; a missing or non-integer "line" on a node is
-an error naming the node, because line identity is what everything
-downstream keys on. So is a node whose code has white space that C does not
-(U+00A0, say) outside a comment or literal, which the parser refuses too.
-import_raw_graph is the one check of such a document.
+label, are dropped with one message each; a missing or non-integer "line"
+on a node is an error naming the node, because line identity is what
+everything downstream keys on. So is a node whose code has white space that
+C does not (U+00A0, say) outside a comment or literal, which the parser
+refuses too. import_raw_graph is the one check of such a document.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...
 class ImportedGraph:
     graph: RawDepGraph
     messages: tuple[str, ...]  # one per dropped edge
-
-    @property
-    def skipped_edges(self) -> int:
-        return len(self.messages)
 
     def to_pdg(self) -> Pdg:
         return merge_imported_nodes(self.graph)

@@ -7,18 +7,18 @@ extraction) must cope with arbitrary source lines.
 
 A line is scanned by one regex findall: each match is the text of one token,
 or empty for white space and comments. A token's kind is that of the fixed
-table (operators, keywords, C punctuation) for its text, or else comes from
-its first character, by the same ASCII classes the pattern matches on: a
-letter or "_" starts an identifier, a digit or "." a number, a quote a
-literal, and anything else is one Punct character.
+table for its text, or else comes from its first character, by the same
+ASCII classes the pattern matches on: a letter or "_" starts an identifier,
+a digit or "." a number, a quote a literal, and anything else is one Punct
+character. The fixed table holds one token each for C's punctuation, its
+operators and the C99 keywords; it is built at import from constants here,
+so the package reads no data file.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 import re
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -87,30 +87,22 @@ _COMMENT_OR_LITERAL = re.compile(
 _STRING_OR_CHAR = re.compile(rf"{_STRING}|{_CHAR}", re.DOTALL)
 
 
-@lru_cache(maxsize=1)
+_KEYWORDS = frozenset(
+    "auto break case char const continue default do double else enum extern float for goto if"
+    " inline int long register restrict return short signed sizeof static struct switch typedef"
+    " union unsigned void volatile while".split()
+)
+
+# Operators, keywords and C punctuation by their text. Tokens are immutable,
+# so one of each is shared.
+_FIXED_TOKENS = {p: Token(TokenKind.PUNCT, p) for p in "(){}[];,"}
+_FIXED_TOKENS.update((op, Token(TokenKind.OPERATOR, op)) for op in _OPERATORS)
+_FIXED_TOKENS.update((word, Token(TokenKind.KEYWORD, word)) for word in _KEYWORDS)
+
+
 def c_keywords() -> frozenset[str]:
-    """The C keyword table, loaded from the packaged data file."""
-    data = (
-        importlib.resources.files("trustvet.frontend")
-        .joinpath("data/c_keywords.txt")
-        .read_text(encoding="utf-8")
-    )
-    words = set()
-    for raw in data.splitlines():
-        word = raw.strip()
-        if word and not word.startswith("#"):
-            words.add(word)
-    return frozenset(words)
-
-
-@lru_cache(maxsize=1)
-def _fixed_tokens() -> dict[str, Token]:
-    """Operators, keywords and C punctuation by their text. Tokens are
-    immutable, so one of each is shared."""
-    fixed = {p: Token(TokenKind.PUNCT, p) for p in "(){}[];,"}
-    fixed.update((op, Token(TokenKind.OPERATOR, op)) for op in _OPERATORS)
-    fixed.update((word, Token(TokenKind.KEYWORD, word)) for word in c_keywords())
-    return fixed
+    """The C99 keywords."""
+    return _KEYWORDS
 
 
 def tokenize_line(text: str) -> list[Token]:
@@ -120,7 +112,7 @@ def tokenize_line(text: str) -> list[Token]:
     unterminated "/*" swallows the rest of the line). String and character
     literals collapse to fixed placeholder tokens.
     """
-    fixed = _fixed_tokens()
+    fixed = _FIXED_TOKENS
     tokens: list[Token] = []
     for piece in _TOKEN.findall(text):
         if not piece:

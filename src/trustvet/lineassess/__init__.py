@@ -13,7 +13,6 @@ from .classifier import (
     load_model,
     save_model,
     train_classifier,
-    training_accuracy,
 )
 from .dataset import (
     LineLabel,
@@ -56,6 +55,5 @@ __all__ = [
     "save_line_dataset",
     "save_model",
     "train_classifier",
-    "training_accuracy",
     "vulnerable_samples",
 ]

@@ -75,6 +75,9 @@ class ScreenText(str):
     it with the screen, so nothing outlives that screen.
     """
 
+    # the normal form once known, or "" when it is the text itself (a normal
+    # form is never empty): an equal copy would hold the text twice, and self
+    # a reference cycle that only the cyclic collector frees
     _normalized: str | None = None
     _tokens: list[Token] | None = None  # tokenize_line(normalized), once known
 
@@ -87,8 +90,9 @@ class ScreenText(str):
                 raise UndefinedInputError(_NO_CODE)
             if normalized == self:
                 self._tokens = tokens  # tokenize_line is a pure function of its string
+                normalized = ""
             self._normalized = normalized
-        return self._normalized
+        return self._normalized or self
 
     def features(self, view: FeatureView) -> dict[str, float]:
         """extract_features(view, self.normalized()) from the kept tokens."""
@@ -105,10 +109,21 @@ def _shared(text: str) -> ScreenText:
 
 @dataclass
 class TrainConfig:
+    """Training settings; a value that no model can be trained or loaded
+    with raises UndefinedInputError here, before any training."""
+
     seed: int = 0
     l2: float = 1e-2
     max_iter: int = 200
     threshold: float = 0.5
+
+    def __post_init__(self):
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise UndefinedInputError(f"l2 must be finite and at least 0, not {self.l2!r}")
+        if self.max_iter < 1:
+            raise UndefinedInputError(f"max_iter must be at least 1, not {self.max_iter!r}")
+        if not math.isfinite(self.threshold):
+            raise UndefinedInputError(f"threshold must be finite, not {self.threshold!r}")
 
 
 @dataclass
@@ -351,15 +366,6 @@ def train_classifier(
     return clf
 
 
-def training_accuracy(clf: LinearLineClassifier, samples: Sequence[LineSample]) -> float:
-    hits = sum(
-        1
-        for s in samples
-        if clf.classify(s.text)[0] == (1 if s.label is LineLabel.NON_VULNERABLE else 0)
-    )
-    return hits / len(samples)
-
-
 # --- persistence ----------------------------------------------------------------
 
 
@@ -432,6 +438,8 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
             if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
                 raise SchemaError(f"{path}: adapter command must be a list of strings")
             timeout = _finite_number(doc.get("timeout", ADAPTER_TIMEOUT), f"{path}: timeout")
+            if timeout <= 0.0:  # every request would time out at once
+                raise SchemaError(f"{path}: timeout must be positive, not {timeout}")
             if timeout > threading.TIMEOUT_MAX:  # the wait for an answer would overflow
                 raise SchemaError(f"{path}: timeout {timeout} s exceeds {threading.TIMEOUT_MAX} s")
             return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)

@@ -7,11 +7,10 @@ to a function; build_weighted_pdg projects those scores onto the graph.
 
 A Pdg comes from the built-in parser or from an imported graph in the
 interchange format (both in trustvet.frontend); that format is the only graph
-document trustvet reads. pdg_dumps writes a Pdg's canonical bytes, for
-digests and inspection, and has no reader. Types here are containers: except
-for Explanation, they accept whatever they are given, and validate_pdg
-reports structural violations instead of raising, so malformed graphs built
-in code can be inspected and diagnosed.
+document trustvet reads. A graph is checked where it is made: the parser and
+import_raw_graph refuse what is malformed, so Pdg and PdgEdge hold what they
+are given, and only Explanation checks its own fields. pdg_dumps writes a
+Pdg's canonical bytes, for digests and inspection, and has no reader.
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ class PdgEdge(NamedTuple):
     """A dependency edge: between statement ids in a RawDepGraph, between
     source lines in a Pdg.
 
-    variable must be present exactly when kind is DATA; validate_pdg reports
-    edges that break this rather than the constructor raising, so graphs
-    built in code can be diagnosed. Well-formed edges sort as plain tuples in
-    sort_key order; sort_key also orders edges that break the rule.
+    variable is present exactly when kind is DATA: the parser and
+    import_raw_graph, where graphs are made, hold every edge to this. Edges
+    sort as plain tuples in sort_key order.
     """
 
     src: int
@@ -83,47 +81,6 @@ class Pdg:
             line_text=dict(line_text or {}),
             line_vars={k: frozenset(v) for k, v in (line_vars or {}).items()},
         )
-
-    def self_loops(self) -> tuple[PdgEdge, ...]:
-        """Edges whose endpoints merged onto one line (loop constructs)."""
-        return tuple(e for e in self.edges if e.src == e.dst)
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    detail: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.code}: {self.detail}"
-
-
-def validate_pdg(pdg: Pdg) -> list[Violation]:
-    """Structural check. Empty result means the graph is well formed.
-
-    Self-loops are not violations; they are legal results of line-merging
-    loop constructs and are surfaced via Pdg.self_loops().
-    """
-    out: list[Violation] = []
-    for n in sorted(pdg.nodes):
-        if not is_strict_int(n) or n < 1:
-            out.append(Violation("bad-line-id", f"node {n!r} is not a positive integer"))
-    for e in pdg.edges:
-        if e.src not in pdg.nodes or e.dst not in pdg.nodes:
-            out.append(
-                Violation("dangling-endpoint", f"edge {e.src}->{e.dst} touches a missing node")
-            )
-        if e.kind is DepKind.DATA and not e.variable:
-            out.append(Violation("missing-variable", f"data edge {e.src}->{e.dst} has no variable"))
-        if e.kind is DepKind.CONTROL and e.variable is not None:
-            out.append(
-                Violation("unexpected-variable", f"control edge {e.src}->{e.dst} carries a variable")
-            )
-    for name, mapping in (("line_text", pdg.line_text), ("line_vars", pdg.line_vars)):
-        for k in mapping:
-            if k not in pdg.nodes:
-                out.append(Violation("orphan-line-entry", f"{name} has entry for non-node line {k}"))
-    return out
 
 
 @dataclass(frozen=True)
@@ -197,9 +154,7 @@ def build_weighted_pdg(pdg: Pdg, expl: Explanation, normalize: bool = True) -> W
 # and "edges". A node is {"line": int, "text": str, "vars": [str, ...]}; an
 # edge is {"src": int, "dst": int, "kind": "control" | "data",
 # "var": str | null}. The form is written, never read back: graphs enter
-# through the interchange import (trustvet.frontend.graphio), and
-# validate_pdg diagnoses graphs built in code (line ids, dangling endpoints,
-# edge variables).
+# through the interchange import (trustvet.frontend.graphio).
 #
 # Serialization is canonical: nodes sorted by line, edges sorted by
 # (src, dst, kind, variable), keys emitted in sorted order, one trailing

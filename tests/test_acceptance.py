@@ -33,7 +33,6 @@ from synth import (
     worker_source,
 )
 from trustvet.assess import (
-    BenignSet,
     is_vulnerable_dependency,
     reachability_distance,
     trust_score,
@@ -74,7 +73,7 @@ def test_criterion_1_worked_example(vrrp_fixture, vrrp_explanation, vrrp_ensembl
     """The hand-evaluated ten-line function: per-edge rule, distances, score."""
     start = time.perf_counter()
     verdicts = benign_candidates(vrrp_ensemble, vrrp_explanation, vrrp_fixture.line_text)
-    benign = BenignSet.from_verdicts(vrrp_fixture.function_id, verdicts)
+    benign = frozenset(line for line, v in verdicts.items() if v.is_benign_candidate)
     g = build_weighted_pdg(vrrp_fixture, vrrp_explanation, normalize=False)
 
     expected_p = {
@@ -93,7 +92,7 @@ def test_criterion_1_worked_example(vrrp_fixture, vrrp_explanation, vrrp_ensembl
     elapsed = time.perf_counter() - start
 
     ok = (
-        benign.members == frozenset({1, 3, 4, 5, 8, 9})
+        benign == frozenset({1, 3, 4, 5, 8, 9})
         and p_ok
         and r_ok
         and abs(score - 0.245) <= 1e-9
@@ -111,16 +110,15 @@ def test_criterion_2_reachability_oracle():
     for _ in range(1000):
         pdg = random_pdg(rng)
         benign_lines = frozenset(l for l in pdg.nodes if rng.random() < 0.5)
-        benign = BenignSet(pdg.function_id, benign_lines)
         g = WeightedPdg(pdg=pdg, weights={}, dropped=(), normalized=False)
         for mode in ("direct", "transitive_flow"):
-            edges = vulnerable_edges(g, benign, mode)
+            edges = vulnerable_edges(g, benign_lines, mode)
             if set(edges) != set(oracle_vulnerable_edges(pdg, benign_lines, mode)):
                 mismatches += 1
             expected = oracle_distances(pdg, edges, benign_lines, pdg.nodes)
             for (s, t), want in expected.items():
                 queries += 1
-                if reachability_distance(s, t, g, benign, mode) != want:
+                if reachability_distance(s, t, g, benign_lines, mode) != want:
                     mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 60.0

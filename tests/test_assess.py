@@ -10,7 +10,6 @@ from oracles import oracle_distances, oracle_nearest, oracle_vulnerable_edges
 from synth import random_pdg
 
 from trustvet.assess import (
-    BenignSet,
     ReachRecord,
     _score_with_records,
     assess_prediction,
@@ -36,8 +35,8 @@ def weighted(vrrp_fixture, vrrp_explanation):
 
 
 @pytest.fixture()
-def benign(vrrp_fixture):
-    return BenignSet(function_id=vrrp_fixture.function_id, members=BENIGN_SIX)
+def benign():
+    return BENIGN_SIX
 
 
 class TestVulnerableDependencyRule:
@@ -79,7 +78,7 @@ class TestVulnerableDependencyRule:
         )
         expl = Explanation("f", 0.5, ((1, 0.5), (2, 0.3), (3, 0.2)))
         g = build_weighted_pdg(pdg, expl)
-        benign = BenignSet("f", frozenset({1, 2}))
+        benign = frozenset({1, 2})
         edge = pdg.edges[0]
         assert not is_vulnerable_dependency(edge, g, benign, mode="direct")
         # ... but the value still flows into the suspect along data edges
@@ -94,7 +93,7 @@ class TestVulnerableDependencyRule:
         )
         expl = Explanation("f", 0.5, ((1, 0.6), (2, 0.4)))
         g = build_weighted_pdg(pdg, expl)
-        benign = BenignSet("f", frozenset({1}))
+        benign = frozenset({1})
         assert reachability_distance(1, 2, g, benign) == 1
 
 
@@ -135,7 +134,7 @@ class TestReachability:
             ],
             line_vars={n: set() for n in (1, 2, 3, 4)},
         )
-        benign = BenignSet("f", frozenset({1}))
+        benign = frozenset({1})
         heavier = Explanation("f", 0.5, ((1, 0.1), (2, 0.2), (3, 0.7)))
         g = build_weighted_pdg(pdg, heavier)
         assert nearest_non_benign(1, heavier, g, benign).target == 3
@@ -159,7 +158,7 @@ class TestReachability:
         )
         expl = Explanation("f", 0.5, ((1, 0.4), (2, 0.3), (3, 0.3), (8, 0.5)))
         g = build_weighted_pdg(pdg, expl)
-        benign = BenignSet("f", frozenset({1, 3}))
+        benign = frozenset({1, 3})
         assert vulnerable_edges(g, benign) == pdg.edges
         assert reachability_distance(1, 2, g, benign) == 2
         assert nearest_non_benign(1, expl, g, benign).target == 2
@@ -184,15 +183,14 @@ class TestNearestOracle:
             expl = Explanation(pdg.function_id, 0.5, entries)
             g = build_weighted_pdg(pdg, expl, normalize=rng.random() < 0.5)
             members = frozenset(l for l in set(lines) | pdg.nodes if rng.random() < 0.5)
-            benign = BenignSet(pdg.function_id, members)
             vulnerable = oracle_vulnerable_edges(pdg, members, mode)
             want = {}
             for line in lines:
                 if line in members and line in pdg.nodes:
                     want[line] = oracle_nearest(pdg, vulnerable, g.weights, members, entries, line)
-                    got = nearest_non_benign(line, expl, g, benign, mode)
+                    got = nearest_non_benign(line, expl, g, members, mode)
                     assert (got.distance, got.target, got.target_score) == want[line]
-            score, records, degenerate = _score_with_records(expl, g, benign, mode)
+            score, records, degenerate = _score_with_records(expl, g, members, mode)
             if degenerate:
                 continue
             assert {r.line: (r.distance, r.target, r.target_score) for r in records} == want
@@ -273,20 +271,19 @@ class TestRelateAtScale:
             g = build_weighted_pdg(pdg, expl, normalize=rng.random() < 0.5)
             share = rng.choice((0.3, 0.6, 0.85))
             members = frozenset(line for line in everything if rng.random() < share)
-            benign = BenignSet(pdg.function_id, members)
             vulnerable = oracle_vulnerable_edges(pdg, members, mode)
-            assert vulnerable_edges(g, benign, mode) == vulnerable
+            assert vulnerable_edges(g, members, mode) == vulnerable
             targets = [t for t in explained if t in pdg.nodes and t not in members]
             want = {}
             for line in explained:
                 if line in members and line in pdg.nodes:
                     want[line] = oracle_nearest(pdg, vulnerable, g.weights, members, entries, line)
-                    got = nearest_non_benign(line, expl, g, benign, mode)
+                    got = nearest_non_benign(line, expl, g, members, mode)
                     assert (got.distance, got.target, got.target_score) == want[line]
                     if want[line][1] is not None:
                         hops = oracle_distances(pdg, vulnerable, [line], targets)
                         ties += sum(hops[(line, t)] == want[line][0] for t in targets) > 1
-            _, records, degenerate = _score_with_records(expl, g, benign, mode)
+            _, records, degenerate = _score_with_records(expl, g, members, mode)
             if not degenerate:
                 assert {r.line: (r.distance, r.target, r.target_score) for r in records} == want
         assert ties > 0

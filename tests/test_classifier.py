@@ -23,7 +23,6 @@ from trustvet.lineassess.classifier import (
     load_model,
     save_model,
     train_classifier,
-    training_accuracy,
 )
 from trustvet.lineassess.dataset import LineLabel, LineSample, Origin
 from trustvet.lineassess.features import ALL_VIEWS, FeatureView, extract_features
@@ -103,12 +102,23 @@ class TestFeatureOracle:
         want = list(oracle_extract_features(view, normalized).items())
         assert list(shared.features(view).items()) == want
 
+    def test_a_text_in_normal_form_is_held_once(self):
+        """No equal copy of the text and no reference to itself, which only
+        the cyclic collector would free, among what a ScreenText keeps."""
+        text = ScreenText("x = foo ( y ) ;")
+        assert text.normalized() == text
+        assert text.features(FeatureView.CHAR_NGRAM)
+        assert text not in vars(text).values()
+        spaced = ScreenText("x=foo(y);")
+        assert spaced.normalized() == "x = foo ( y ) ;"
+        assert spaced.normalized() in vars(spaced).values()
+
 
 class TestTraining:
     @pytest.mark.parametrize("view", ALL_VIEWS)
     def test_separates_obvious_populations(self, view):
         clf = train_classifier(samples(), view)
-        assert training_accuracy(clf, samples()) == 1.0
+        assert all(clf.classify(s.text)[0] == (s.label is LineLabel.NON_VULNERABLE) for s in samples())
 
     def test_deterministic_for_a_seed(self):
         a = train_classifier(samples(), FeatureView.TOKEN_NGRAM, TrainConfig(seed=3))
@@ -274,6 +284,16 @@ class TestPersistence:
         path.write_text(json.dumps({**self.LOOKUP, "non_benign": lines}))
         with pytest.raises(SchemaError, match="non_benign"):
             load_model(path)
+
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0])
+    def test_timeout_not_positive_rejected(self, tmp_path, monkeypatch, timeout):
+        """Every request would time out at once."""
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**self.ADAPTER, "timeout": timeout}))
+        with pytest.raises(SchemaError, match="timeout must be positive") as caught:
+            load_model(path)
+        assert str(path) in str(caught.value)
 
     def test_timeout_beyond_the_platform_limit_rejected(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)

@@ -567,6 +567,43 @@ class TestMalformedArtifacts:
         assert_clean_failure(result)
         assert "timeout" in result.stderr
 
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_assess_adapter_timeout_not_positive(self, runner, vrrp_args, data_dir, tmp_path, monkeypatch,
+                                                 timeout):
+        """With a timeout of 0 or below, every request would time out."""
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        command = [sys.executable, str(data_dir / "adapter_stub.py")]
+        model = {"schema_version": SCHEMA_VERSION, "view": "adapter", "command": command,
+                 "threshold": 0.5, "timeout": timeout}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        result = runner.invoke(main, ["assess", *self.replace_arg(vrrp_args, "--models", path)])
+        assert_clean_failure(result)
+        assert f"{path}: timeout must be positive" in result.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--vote-threshold", "nan", "threshold"),
+            ("--vote-threshold", "inf", "threshold"),
+            ("--l2", "nan", "l2"),
+            ("--l2", "inf", "l2"),
+            ("--l2", "-1", "l2"),
+            ("--max-iter", "0", "max_iter"),
+            ("--max-iter", "-5", "max_iter"),
+        ],
+    )
+    def test_train_settings_no_model_can_use(self, runner, pipeline, tmp_path, flag, value, field):
+        """Each would save models that assess refuses (a non-finite threshold)
+        or that are garbage (all-zero or 4e153 weights)."""
+        out = tmp_path / "m"
+        result = runner.invoke(
+            main, ["train", "--dataset", str(pipeline["dataset"]), "--out", str(out), "--seed", "3", flag, value]
+        )
+        assert_clean_failure(result)
+        assert f"{field} must be" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("header", ["[]", "{not json", '"line-dataset"'])
     def test_train_dataset_bad_header(self, runner, tmp_path, header):
         path = tmp_path / "dataset.jsonl"

@@ -46,7 +46,7 @@ def sample_doc():
 class TestImport:
     def test_happy_path(self):
         imported = import_raw_graph(sample_doc())
-        assert imported.skipped_edges == 0
+        assert imported.messages == ()
         pdg = imported.to_pdg()
         assert pdg.nodes == frozenset({2, 3, 4})
         assert {(e.src, e.dst, e.kind, e.variable) for e in pdg.edges} == {
@@ -61,14 +61,14 @@ class TestImport:
         doc["edges"].append({"src": 10, "dst": 11, "kind": "AST"})
         doc["edges"].append({"src": 10, "dst": 11, "kind": "CFG"})
         imported = import_raw_graph(doc)
-        assert imported.skipped_edges == 2
+        assert len(imported.messages) == 2
         assert any("AST" in m for m in imported.messages)
 
     def test_ddg_without_variable_dropped_and_counted(self):
         doc = sample_doc()
         doc["edges"].append({"src": 11, "dst": 12, "kind": "DDG"})
         imported = import_raw_graph(doc)
-        assert imported.skipped_edges == 1
+        assert len(imported.messages) == 1
         assert any("no variable" in m for m in imported.messages)
 
     def test_duplicate_node_id_rejected(self):
@@ -135,7 +135,7 @@ class TestImport:
         pdg = import_raw_graph(doc).to_pdg()
         assert pdg.nodes == frozenset({2, 3})
         # the intra-line edge becomes a self-loop and is retained
-        assert {(e.src, e.dst) for e in pdg.self_loops()} == {(2, 2)}
+        assert {(e.src, e.dst) for e in pdg.edges if e.src == e.dst} == {(2, 2)}
         # longest fragment names the line; variables are the union
         assert pdg.line_vars[2] == frozenset({"a", "b"})
 

@@ -1,4 +1,4 @@
-"""Graph container, validation, weighting, and canonical serialization."""
+"""Graph container, explanation checks, weighting, and canonical serialization."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from trustvet.pdg import (
     explanation_from_dict,
     explanation_to_dict,
     pdg_dumps,
-    validate_pdg,
 )
 
 
@@ -38,41 +37,6 @@ def tiny_pdg():
         {1: "a = x ;", 2: "if ( a ) {", 3: "use ( a ) ;"},
         {1: {"a", "x"}, 2: {"a"}, 3: {"a"}},
     )
-
-
-class TestValidation:
-    def test_clean_graph_has_no_violations(self, vrrp_fixture):
-        assert validate_pdg(vrrp_fixture) == []
-
-    def test_dangling_endpoint(self):
-        g = Pdg.build("f", [1], [PdgEdge(1, 9, DepKind.CONTROL)])
-        codes = {v.code for v in validate_pdg(g)}
-        assert "dangling-endpoint" in codes
-
-    def test_data_edge_needs_variable(self):
-        g = Pdg.build("f", [1, 2], [PdgEdge(1, 2, DepKind.DATA, None)])
-        codes = {v.code for v in validate_pdg(g)}
-        assert "missing-variable" in codes
-
-    def test_control_edge_must_not_carry_variable(self):
-        g = Pdg.build("f", [1, 2], [PdgEdge(1, 2, DepKind.CONTROL, "x")])
-        codes = {v.code for v in validate_pdg(g)}
-        assert "unexpected-variable" in codes
-
-    def test_bad_line_id(self):
-        g = Pdg.build("f", [0], [])
-        codes = {v.code for v in validate_pdg(g)}
-        assert "bad-line-id" in codes
-
-    def test_boolean_line_id(self):
-        g = Pdg.build("f", [True], [])
-        codes = {v.code for v in validate_pdg(g)}
-        assert "bad-line-id" in codes
-
-    def test_orphan_text_entry(self):
-        g = Pdg.build("f", [1], [], line_text={1: "x ;", 5: "y ;"})
-        codes = {v.code for v in validate_pdg(g)}
-        assert "orphan-line-entry" in codes
 
 
 class TestExplanationValidation:
