@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
 from .lexer import _foreign_space, surface, tokenize_line
-from .parser import RawDepGraph, RawNode
+from .parser import RawDepGraph, RawEdge, RawNode
 
 
 def merge_line_nodes(raw: RawDepGraph) -> Pdg:
@@ -73,14 +73,16 @@ merge_imported_nodes = merge_line_nodes
 def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
     """Re-point statement edges at lines, deduplicated, in canonical order.
 
-    Edges are deduplicated and sorted as plain tuples, in the order they
-    come; the parser's come nearly sorted, which the sort runs through fast.
-    A PdgEdge is made for each edge kept.
+    The raw edges are plain tuples. They are re-pointed, deduplicated and
+    sorted as plain tuples, in the order they come; the parser's come nearly
+    sorted, which the sort runs through fast. Only then is one PdgEdge made
+    for each line edge kept, so no edge is built twice.
     """
     edges = dict.fromkeys(
         [(line_of[src], line_of[dst], kind, variable) for src, dst, kind, variable in raw.edges]
     )
-    return tuple(map(PdgEdge._make, sorted(edges)))
+    new = tuple.__new__  # PdgEdge._make would add a Python frame for each edge
+    return tuple([new(PdgEdge, edge) for edge in sorted(edges)])
 
 
 @dataclass
@@ -127,7 +129,7 @@ def import_raw_graph(document: dict) -> ImportedGraph:
             surfaces[code] = surface(tokenize_line(code))
         nodes.append(RawNode(node_id, line, code, surfaces[code]))
 
-    edges: list[PdgEdge] = []
+    edges: list[RawEdge] = []
     messages: list[str] = []
     for entry in raw_edges:
         if not isinstance(entry, dict):
@@ -139,13 +141,13 @@ def import_raw_graph(document: dict) -> ImportedGraph:
             )
         kind = entry.get("kind")
         if kind == "CDG":
-            edges.append(PdgEdge(src, dst, DepKind.CONTROL))
+            edges.append((src, dst, DepKind.CONTROL, None))
         elif kind == "DDG":
             variable = entry.get("variable")
             if not isinstance(variable, str) or not variable:
                 messages.append(f"dropped DDG edge {src}->{dst}: no variable label")
                 continue
-            edges.append(PdgEdge(src, dst, DepKind.DATA, variable))
+            edges.append((src, dst, DepKind.DATA, variable))
         else:
             messages.append(f"dropped edge {src}->{dst} of unhandled kind {kind!r}")
     return ImportedGraph(
@@ -162,11 +164,11 @@ def export_raw_graph(raw: RawDepGraph) -> dict:
         "nodes": [{"id": n.node_id, "line": n.line, "code": n.code} for n in raw.nodes],
         "edges": [
             {
-                "src": e.src,
-                "dst": e.dst,
-                "kind": "CDG" if e.kind is DepKind.CONTROL else "DDG",
-                **({"variable": e.variable} if e.kind is DepKind.DATA else {}),
+                "src": src,
+                "dst": dst,
+                "kind": "CDG" if kind is DepKind.CONTROL else "DDG",
+                **({"variable": variable} if kind is DepKind.DATA else {}),
             }
-            for e in raw.edges
+            for src, dst, kind, variable in raw.edges
         ],
     }

@@ -79,6 +79,9 @@ _NUMBER_START = frozenset("0123456789.")
 _IDENTIFIER, _LITERAL, _PUNCT = TokenKind.IDENTIFIER, TokenKind.LITERAL, TokenKind.PUNCT
 _STRING_TOKEN = Token(_LITERAL, STRING_LITERAL)
 _CHAR_TOKEN = Token(_LITERAL, CHAR_LITERAL)
+# Makes a Token in C: Token(kind, text) runs the NamedTuple's __new__, a
+# Python frame, for each identifier and number.
+_tuple_new = tuple.__new__
 
 # Comments to blank (group 1 is an open "/*") and literals to keep as they are.
 _COMMENT_OR_LITERAL = re.compile(
@@ -121,9 +124,9 @@ def tokenize_line(text: str) -> list[Token]:
         if tok is None:
             first = piece[0]
             if first in _WORD_START:
-                tok = Token(_IDENTIFIER, piece)
+                tok = _tuple_new(Token, (_IDENTIFIER, piece))
             elif first in _NUMBER_START:
-                tok = Token(_LITERAL, piece)
+                tok = _tuple_new(Token, (_LITERAL, piece))
             elif first == '"':
                 tok = _STRING_TOKEN
             elif first == "'":
@@ -219,7 +222,7 @@ def surface(tokens: list[Token]) -> tuple[str, frozenset[str]]:
 def _variables(tokens: list[Token]) -> frozenset[str]:
     names = set()
     for t, nxt in zip(tokens, tokens[1:]):
-        if t.kind is _IDENTIFIER and not (nxt.kind is _PUNCT and nxt.text == "("):
+        if t.kind is _IDENTIFIER and nxt.text != "(":  # "(" is only ever a Punct token
             names.add(t.text)
     if tokens and tokens[-1].kind is _IDENTIFIER:
         names.add(tokens[-1].text)

@@ -26,11 +26,16 @@ The analysis is classical and intraprocedural:
   - data dependence from reaching definitions (def-use chains), tracking the
     base identifier of each written lvalue (writes through "p->f", "p.f" or
     "p[i]" count as writes to "p"). Each (statement, variable) definition is
-    one bit of a Python int, each variable has a kill mask, and sweeps in
-    reverse postorder evaluate IN/OUT of each statement whose predecessors
-    changed, to the least fixed point. A sweep costs O(E) big-int
-    operations of O(D/64) words for E CFG edges and D definitions;
-    loop-free code takes one sweep, and each loop adds about one.
+    one bit of a Python int, each variable has a kill mask, and IN/OUT of
+    each statement whose predecessors changed is evaluated, to the least
+    fixed point, in statement id order, which is source order. Only the
+    edges that close a loop run backward in that order, so a change carried
+    along one rewinds the scan to the loop's head, and each loop settles
+    before the code after it is reached (Bourdoncle's recursive strategy,
+    "Efficient chaotic iteration strategies with widenings", 1993).
+    Evaluating a statement costs one big-int operation of O(D/64) words per
+    CFG edge into it, for D definitions, and a statement outside every loop
+    is evaluated once.
 There is no aliasing, no interprocedural flow, and address-of arguments are
 treated as plain reads.
 """
@@ -40,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
-from ..pdg import DepKind, PdgEdge
+from ..pdg import DepKind
 from .lexer import Token, TokenKind, split_lines, surface, tokenize_line
 from .lexer import _blank_comments, _blank_literals, _foreign_space
 
@@ -85,19 +90,25 @@ class RawNode:
     surface: tuple[str, frozenset[str]]
 
 
+# A statement-level edge, (src, dst, kind, variable): a PdgEdge's fields,
+# kept as a plain tuple because the line merge builds the PdgEdges.
+RawEdge = tuple[int, int, DepKind, str | None]
+
+
 @dataclass
 class RawDepGraph:
     """Statement-level dependence graph; nodes may share source lines, and
     edge endpoints are statement ids. The line merge trusts its producers, the
     parser and import_raw_graph: node lines are ints >= 1, edge endpoints are
-    node ids, and just data edges carry a variable (edges sort as tuples)."""
+    node ids, and just data edges carry a variable. Both producers give each
+    edge as a plain tuple, which sorts in PdgEdge.sort_key order."""
 
     function_id: str
     nodes: list[RawNode]
-    edges: list[PdgEdge]
+    edges: list[RawEdge]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Stmt:
     sid: int
     line: int
@@ -300,7 +311,7 @@ class _Parser:
         self.stmts: list[_Stmt] = []
         self.depth = 0  # parse_statement calls currently open
         self.succ: dict[int, set[int]] = {}
-        self.preds: dict[int, set[int]] = {}
+        self.preds: dict[int, set[int]] = {_EXIT: set()}  # make_stmt adds each statement
 
     def expect_punct(self, text: str) -> None:
         found = self.texts[self.i]
@@ -311,9 +322,13 @@ class _Parser:
         self.i += 1
 
     def make_stmt(self, line: int, defs: set[str], uses: set[str]) -> int:
-        """Record a statement; ids count up from 0 in parse order."""
-        self.stmts.append(_Stmt(len(self.stmts), line, defs, uses))
-        return len(self.stmts) - 1
+        """Record a statement, with no CFG edges yet; ids count up from 0 in
+        parse order."""
+        sid = len(self.stmts)
+        self.stmts.append(_Stmt(sid, line, defs, uses))
+        self.succ[sid] = set()
+        self.preds[sid] = set()
+        return sid
 
     def collect_until_semicolon(self) -> tuple[int, list[Token]]:
         """Tokens of one simple statement, excluding the terminating ';'."""
@@ -356,9 +371,10 @@ class _Parser:
             i += 1
 
     def connect(self, ends: list[int], target: int) -> None:
+        into = self.preds[target]
         for e in ends:
-            self.succ.setdefault(e, set()).add(target)
-            self.preds.setdefault(target, set()).add(e)
+            self.succ[e].add(target)
+            into.add(e)
 
     def parse_block(self, ends: list[int]) -> list[int]:
         """Parse a braced block entered from the CFG `ends`; return its ends."""
@@ -469,7 +485,7 @@ def _immediate_post_dominators(
     wiring gives every statement a path to _EXIT, so the search reaches all
     of them.
     """
-    postorder = _postorder([_EXIT], preds, set())
+    postorder = _postorder(_EXIT, preds)
     number = {n: i for i, n in enumerate(postorder)}
     ipdom: dict[int, int | None] = {_EXIT: _EXIT}  # the root is its own, until the end
     order = postorder[-2::-1]  # reverse postorder without the root
@@ -508,7 +524,7 @@ def _control_dependence(
     deps: set[tuple[int, int]] = set()
     for stmt in stmts:
         a = stmt.sid
-        succs = succ.get(a, set())
+        succs = succ[a]
         if len(succs) < 2:
             continue
         stop = ipdom.get(a)
@@ -525,26 +541,22 @@ def _control_dependence(
     return deps
 
 
-def _postorder(roots, edges: dict[int, set[int]], visited: set[int]) -> list[int]:
+def _postorder(root: int, edges: dict[int, set[int]]) -> list[int]:
     """The nodes an iterative depth-first search along edges reaches from
-    each root in turn, in postorder. A node in visited is not entered, and
-    every node entered is added to it."""
+    root, in postorder."""
     postorder: list[int] = []
-    for root in roots:
-        if root in visited:
-            continue
-        visited.add(root)
-        stack = [(root, iter(edges.get(root, ())))]
-        while stack:
-            node, pending = stack[-1]
-            for nxt in pending:
-                if nxt not in visited:
-                    visited.add(nxt)
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
-                    break
-            else:
-                stack.pop()
-                postorder.append(node)
+    visited = {root}
+    stack = [(root, iter(edges[root]))]
+    while stack:
+        node, pending = stack[-1]
+        for nxt in pending:
+            if nxt not in visited:
+                visited.add(nxt)
+                stack.append((nxt, iter(edges[nxt])))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
     return postorder
 
 
@@ -555,10 +567,14 @@ def _reaching_definitions(
 
     Bit k of a set stands for the definition made by statement def_sid[k];
     mask[v] holds the bits of every definition of v, which any statement
-    defining v kills. Sweeps in reverse postorder evaluate each statement
-    whose predecessors' OUT changed since it was last evaluated, until a
-    sweep leaves none: a loop-free CFG takes one sweep, each loop adds one
-    for the definitions its back edge carries.
+    defining v kills. The scan runs up the sids and evaluates each statement
+    whose predecessors' OUT changed since it was last evaluated. When a
+    statement's OUT changes and one of its successors has a smaller sid (the
+    edge closes a loop, and the successor heads it), the scan resumes at that
+    successor, so the loop settles before the code after it is evaluated.
+    The scan only ever goes back from u to h along an edge u -> h with
+    h <= u, so a statement whose sid lies in no such [h, u] is evaluated
+    exactly once.
     """
     def_sid: list[int] = []
     mask: dict[str, int] = {}
@@ -580,34 +596,29 @@ def _reaching_definitions(
         keep.append(~k)
 
     n = len(stmts)
-    # reverse postorder from the entry, then from each statement it did not
-    # reach (code after a return); on a loop-free CFG every edge runs forward
-    order = _postorder(range(n), succ, {_EXIT})[::-1]
-    position = [0] * n
-    for at, sid in enumerate(order):
-        position[sid] = at
     out_sets = gen[:]
     in_sets = [0] * n
     pending = [True] * n  # a predecessor's OUT changed since the last evaluation
-    again = True
-    while again:
-        again = False
-        for sid in order:
-            if not pending[sid]:
-                continue
-            pending[sid] = False
-            new_in = 0
-            for p in preds.get(sid, ()):
-                new_in |= out_sets[p]
-            in_sets[sid] = new_in
-            new_out = gen[sid] | (new_in & keep[sid])
-            if new_out != out_sets[sid]:
-                out_sets[sid] = new_out
-                here = position[sid]
-                for nxt in succ.get(sid, ()):
-                    if nxt != _EXIT:
-                        pending[nxt] = True
-                        again = again or position[nxt] <= here  # a back edge
+    sid = 0
+    while sid < n:
+        if not pending[sid]:
+            sid += 1
+            continue
+        pending[sid] = False
+        new_in = 0
+        for p in preds.get(sid, ()):
+            new_in |= out_sets[p]
+        in_sets[sid] = new_in
+        new_out = gen[sid] | (new_in & keep[sid])
+        resume = sid + 1
+        if new_out != out_sets[sid]:
+            out_sets[sid] = new_out
+            for nxt in succ[sid]:
+                if nxt != _EXIT:
+                    pending[nxt] = True
+                    if nxt < resume:  # a back edge: settle the loop first
+                        resume = nxt
+        sid = resume
     chains: set[tuple[int, int, str]] = set()
     for s in stmts:
         reaching = in_sets[s.sid]
@@ -713,6 +724,6 @@ def parse_function(source: str) -> RawDepGraph:
     for line in {s.line for s in cfg.stmts}:
         parts[line] = cfg.cleaned[line - 1].strip(), surface(cfg.tokens[line - 1])
     nodes = [RawNode(s.sid, s.line, *parts[s.line]) for s in cfg.stmts]
-    edges = [PdgEdge._make((a, w, _CONTROL, None)) for a, w in sorted(control)]
-    edges += [PdgEdge._make((d, u, _DATA, v)) for d, u, v in sorted(chains)]
+    edges = [(a, w, _CONTROL, None) for a, w in sorted(control)]
+    edges += [(d, u, _DATA, v) for d, u, v in sorted(chains)]
     return RawDepGraph(function_id=cfg.name, nodes=nodes, edges=edges)

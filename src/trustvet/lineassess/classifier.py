@@ -122,8 +122,8 @@ class TrainConfig:
             raise UndefinedInputError(f"l2 must be finite and at least 0, not {self.l2!r}")
         if self.max_iter < 1:
             raise UndefinedInputError(f"max_iter must be at least 1, not {self.max_iter!r}")
-        if not math.isfinite(self.threshold):
-            raise UndefinedInputError(f"threshold must be finite, not {self.threshold!r}")
+        if not 0.0 <= self.threshold <= 1.0:  # also false for NaN
+            raise UndefinedInputError(f"threshold must be in [0, 1], not {self.threshold!r}")
 
 
 @dataclass
@@ -178,6 +178,10 @@ class AdapterLineClassifier:
     def __init__(self, command: Sequence[str], threshold: float = 0.5, timeout: float = ADAPTER_TIMEOUT):
         if not command:
             raise AdapterError("adapter command is empty")
+        if not (math.isfinite(timeout) and timeout > 0.0):  # every request would time out at once
+            raise UndefinedInputError(f"timeout must be positive and finite, not {timeout!r}")
+        if timeout > threading.TIMEOUT_MAX:  # the wait for an answer would overflow
+            raise UndefinedInputError(f"timeout {timeout} s exceeds {threading.TIMEOUT_MAX} s")
         self.command = tuple(command)
         self.threshold = threshold
         self.timeout = timeout
@@ -425,6 +429,8 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
     check_schema_version(doc, str(path))
     view = doc.get("view")
     threshold = _finite_number(doc.get("threshold"), f"{path}: threshold")
+    if not 0.0 <= threshold <= 1.0:  # every score lies in (0, 1)
+        raise SchemaError(f"{path}: threshold must be in [0, 1], not {threshold!r}")
     try:
         if view == "lookup":
             # frozenset() takes any iterable: a string would load as its characters
@@ -438,11 +444,10 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
             if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
                 raise SchemaError(f"{path}: adapter command must be a list of strings")
             timeout = _finite_number(doc.get("timeout", ADAPTER_TIMEOUT), f"{path}: timeout")
-            if timeout <= 0.0:  # every request would time out at once
-                raise SchemaError(f"{path}: timeout must be positive, not {timeout}")
-            if timeout > threading.TIMEOUT_MAX:  # the wait for an answer would overflow
-                raise SchemaError(f"{path}: timeout {timeout} s exceeds {threading.TIMEOUT_MAX} s")
-            return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)
+            try:
+                return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)
+            except UndefinedInputError as exc:
+                raise SchemaError(f"{path}: {exc}") from None
         vocabulary = dict(doc["vocabulary"])
         raw_weights = doc["weights"]
         if not isinstance(raw_weights, list):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 
@@ -130,6 +131,14 @@ class TestTraining:
         save_model(train_classifier(samples(), FeatureView.CHAR_NGRAM, TrainConfig(seed=3)), one)
         save_model(train_classifier(samples(), FeatureView.CHAR_NGRAM, TrainConfig(seed=3)), two)
         assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, 2.0])
+    def test_vote_threshold_outside_the_unit_interval_rejected(self, threshold):
+        """Every score lies in (0, 1), so such a model votes alike on every
+        line; the bounds 0 and 1 are accepted."""
+        assert [TrainConfig(threshold=bound).threshold for bound in (0, 1)] == [0, 1]
+        with pytest.raises(UndefinedInputError, match="threshold"):
+            TrainConfig(threshold=threshold)
 
     def test_single_class_rejected(self):
         only_benign = [s for s in samples() if s.label is LineLabel.NON_VULNERABLE]
@@ -295,6 +304,19 @@ class TestPersistence:
             load_model(path)
         assert str(path) in str(caught.value)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, 2.0])
+    def test_threshold_outside_the_unit_interval_rejected(self, tmp_path, threshold):
+        """Every score lies in (0, 1), so such a model votes alike on every
+        line; the bounds 0 and 1 load."""
+        path = tmp_path / "m.json"
+        for bound in (0, 1):
+            path.write_text(json.dumps({**self.LINEAR, "threshold": bound}))
+            assert load_model(path).threshold == bound
+        path.write_text(json.dumps({**self.LINEAR, "threshold": threshold}))
+        with pytest.raises(SchemaError, match="threshold") as caught:
+            load_model(path)
+        assert str(path) in str(caught.value)
+
     def test_timeout_beyond_the_platform_limit_rejected(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
         path = tmp_path / "m.json"
@@ -340,6 +362,14 @@ class TestAdapterBridge:
             time.sleep(0.01)
         assert proc.stdout.closed  # by the pump thread, at end of file
         clf.close()  # a second close is harmless
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf, 1e300])
+    def test_unusable_timeout_rejected(self, data_dir, timeout):
+        """Built in Python, an adapter keeps the rule load_model holds a
+        model file to: at 0 or below every request would time out at once,
+        and beyond threading.TIMEOUT_MAX the wait would overflow."""
+        with pytest.raises(UndefinedInputError, match="timeout"):
+            AdapterLineClassifier(self.stub(data_dir), timeout=timeout)
 
     def test_missing_command_fails_loudly(self):
         clf = AdapterLineClassifier(command=("definitely-not-a-binary-7f3a",))

@@ -586,6 +586,8 @@ class TestMalformedArtifacts:
         [
             ("--vote-threshold", "nan", "threshold"),
             ("--vote-threshold", "inf", "threshold"),
+            ("--vote-threshold", "2", "threshold"),
+            ("--vote-threshold", "-0.1", "threshold"),
             ("--l2", "nan", "l2"),
             ("--l2", "inf", "l2"),
             ("--l2", "-1", "l2"),
@@ -594,8 +596,9 @@ class TestMalformedArtifacts:
         ],
     )
     def test_train_settings_no_model_can_use(self, runner, pipeline, tmp_path, flag, value, field):
-        """Each would save models that assess refuses (a non-finite threshold)
-        or that are garbage (all-zero or 4e153 weights)."""
+        """Each would save models that assess refuses (a threshold that is not
+        finite or lies outside [0, 1]) or that are garbage (all-zero or 4e153
+        weights)."""
         out = tmp_path / "m"
         result = runner.invoke(
             main, ["train", "--dataset", str(pipeline["dataset"]), "--out", str(out), "--seed", "3", flag, value]

@@ -52,6 +52,19 @@ def random_cfg(seed: int, size: int):
     return _build_cfg(c_subset_function(random.Random(seed), size))
 
 
+def counted_reaching_definitions(cfg):
+    """_reaching_definitions of cfg, and how often it read each statement's
+    predecessors: once per evaluation of that statement."""
+    reads = Counter()
+
+    class CountingPreds(dict):
+        def get(self, key, default=None):
+            reads[key] += 1
+            return super().get(key, default)
+
+    return _reaching_definitions(cfg.stmts, cfg.succ, CountingPreds(cfg.preds)), reads
+
+
 class TestDependenceAnalyses:
     @settings(max_examples=150, deadline=None)
     @given(seeds, sizes)
@@ -77,15 +90,9 @@ class TestDependenceAnalyses:
         )
 
     def test_loop_free_statements_are_evaluated_once(self):
-        """In reverse postorder every predecessor of a statement comes
-        before it when there is no loop, so one sweep reaches the fixed
-        point. Each evaluation reads its statement's predecessors once."""
-
-        class CountingPreds(dict):
-            def get(self, key, default=None):
-                reads[key] += 1
-                return super().get(key, default)
-
+        """Without a loop every CFG edge runs up the sids, so one scan in
+        sid order reaches the fixed point. Each evaluation reads its
+        statement's predecessors once."""
         loop_free = 0
         for seed in range(300):
             source = c_subset_function(random.Random(seed), 40)
@@ -93,11 +100,31 @@ class TestDependenceAnalyses:
                 continue
             loop_free += 1
             cfg = _build_cfg(source)
-            reads = Counter()
-            chains = _reaching_definitions(cfg.stmts, cfg.succ, CountingPreds(cfg.preds))
+            chains, reads = counted_reaching_definitions(cfg)
             assert chains == oracle_reaching_definitions(cfg.stmts, cfg.succ)
             assert reads == Counter(s.sid for s in cfg.stmts)
         assert loop_free > 50
+
+    def test_statements_outside_loops_are_evaluated_once(self):
+        """A statement is inside a loop when its sid lies in [h, u] for a
+        CFG edge u -> h with h <= u. Each loop settles before the code after
+        it is evaluated, so every statement outside all loops is evaluated
+        exactly once. Being on a cycle is not the test: when a loop body
+        returns before its end, its back edge leaves the dead code after the
+        return, so the loop's statements lie on no cycle, yet they are
+        evaluated again when that dead code's OUT changes."""
+        looping = 0
+        for seed in range(300):
+            cfg = _build_cfg(c_subset_function(random.Random(seed), 40))
+            loops = [(h, u) for u, succs in cfg.succ.items() for h in succs if 0 <= h <= u]
+            if not loops:
+                continue
+            looping += 1
+            chains, reads = counted_reaching_definitions(cfg)
+            assert chains == oracle_reaching_definitions(cfg.stmts, cfg.succ)
+            outside = [s.sid for s in cfg.stmts if not any(h <= s.sid <= u for h, u in loops)]
+            assert {sid: reads[sid] for sid in outside} == dict.fromkeys(outside, 1)
+        assert looping > 100
 
     @settings(max_examples=100, deadline=None)
     @given(seeds, sizes)

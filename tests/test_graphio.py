@@ -147,6 +147,17 @@ class TestRoundTrip:
         native = pdg_from_source(vrrp_source)
         assert again == native
 
+    def test_line_edges_are_pdg_edges(self, vrrp_source):
+        """The raw graph holds each edge as a plain tuple, which compares
+        equal to a PdgEdge; a Pdg must still hold PdgEdges, which pdg_to_dict
+        sorts by PdgEdge.sort_key and callers read by field."""
+        for source in (vrrp_source, c_subset_function(random.Random(5), 40)):
+            parsed = pdg_from_source(source)
+            imported = import_raw_graph(export_raw_graph(parse_function(source))).to_pdg()
+            for pdg in (parsed, imported):
+                assert pdg.edges
+                assert {type(edge) for edge in pdg.edges} == {PdgEdge}
+
     def test_merge_deduplicates_repointed_edges(self):
         raw = RawDepGraph(
             function_id="f",
