@@ -6,12 +6,18 @@ decision threshold. Three kinds exist:
 
   - LinearLineClassifier: L2-regularized logistic regression over one
     feature view, trained deterministically (fixed seed, L-BFGS from a zero
-    start), with inference in plain Python so assessment stays cheap;
+    start), with inference in plain Python so assessment stays cheap: a
+    table from feature name to weight, built once per model, gives each
+    feature's weight in one lookup;
   - LookupLineClassifier: votes 0 exactly for an explicit set of normalized
     lines (test stubs and pipeline plumbing checks);
   - AdapterLineClassifier: delegates to an external process speaking a
     line-delimited JSON protocol (one {"id","text"} request per line, one
     {"id","score"} response, 5 s timeout).
+
+Every score lies in [0, 1], so a vote threshold outside it would make a
+classifier vote alike on every line: each kind refuses one when it is built,
+by the rule TrainConfig and load_model share.
 
 Each classify takes the raw line text and reads it through a ScreenText, a
 str equal to that text which normalizes and tokenizes it once. An ensemble
@@ -35,7 +41,7 @@ import random
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -107,6 +113,14 @@ def _shared(text: str) -> ScreenText:
     return text if isinstance(text, ScreenText) else ScreenText(text)
 
 
+def _check_threshold(threshold: float) -> float:
+    """threshold itself when it lies in [0, 1], where every score lies; one
+    outside, or NaN, raises UndefinedInputError."""
+    if not 0.0 <= threshold <= 1.0:  # also false for NaN
+        raise UndefinedInputError(f"threshold must be in [0, 1], not {threshold!r}")
+    return threshold
+
+
 @dataclass
 class TrainConfig:
     """Training settings; a value that no model can be trained or loaded
@@ -122,12 +136,16 @@ class TrainConfig:
             raise UndefinedInputError(f"l2 must be finite and at least 0, not {self.l2!r}")
         if self.max_iter < 1:
             raise UndefinedInputError(f"max_iter must be at least 1, not {self.max_iter!r}")
-        if not 0.0 <= self.threshold <= 1.0:  # also false for NaN
-            raise UndefinedInputError(f"threshold must be in [0, 1], not {self.threshold!r}")
+        _check_threshold(self.threshold)
 
 
 @dataclass
 class LinearLineClassifier:
+    """One view's logistic model: vocabulary maps a feature name to its
+    index in weights. Scoring reads a {name: weight} table built from the
+    two when the model is made, so vocabulary and weights are read-only
+    afterwards; they alone are saved."""
+
     view: FeatureView
     vocabulary: dict[str, int]
     weights: list[float]
@@ -135,13 +153,22 @@ class LinearLineClassifier:
     threshold: float = 0.5
     seed: int = 0
     heldout_accuracy: float | None = None
+    _weight_of: dict[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_threshold(self.threshold)
+        weights = self.weights
+        self._weight_of = {name: weights[idx] for name, idx in self.vocabulary.items()}
 
     def score(self, text: str) -> float:
+        """The sigmoid of the bias plus each known feature's weight times its
+        value, added in the order the features come."""
         z = self.bias
+        weight_of = self._weight_of.get
         for name, value in _shared(text).features(self.view).items():
-            idx = self.vocabulary.get(name)
-            if idx is not None:
-                z += self.weights[idx] * value
+            weight = weight_of(name)
+            if weight is not None:
+                z += weight * value
         if z >= 0.0:
             return 1.0 / (1.0 + math.exp(-z))
         e = math.exp(z)
@@ -159,6 +186,9 @@ class LookupLineClassifier:
     non_benign: frozenset[str]
     threshold: float = 0.5
 
+    def __post_init__(self):
+        _check_threshold(self.threshold)
+
     def classify(self, text: str) -> tuple[int, float]:
         normalized = _shared(text).normalized()
         score = 0.0 if normalized in self.non_benign else 1.0
@@ -170,7 +200,10 @@ class AdapterLineClassifier:
 
     The child is spawned lazily and kept alive; each classify() writes one
     request line and waits up to `timeout` seconds for the matching response,
-    discarding late answers to earlier requests that timed out.
+    discarding late answers to earlier requests that timed out. A child
+    whose output has ended is closed, and one found dead at the next call
+    is closed and replaced; each child's output goes to a queue of its own,
+    so its end of stream reaches no successor.
     Calls are serialized with a lock, so sharing an instance across worker
     threads is safe.
     """
@@ -183,16 +216,18 @@ class AdapterLineClassifier:
         if timeout > threading.TIMEOUT_MAX:  # the wait for an answer would overflow
             raise UndefinedInputError(f"timeout {timeout} s exceeds {threading.TIMEOUT_MAX} s")
         self.command = tuple(command)
-        self.threshold = threshold
+        self.threshold = _check_threshold(threshold)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._queue: queue.Queue = queue.Queue()
+        self._queue: queue.Queue = queue.Queue()  # the lines the current child wrote
         self._lock = threading.Lock()
         self._next_id = 0
 
     def _ensure_started(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            return
+        if self._proc is not None:
+            if self._proc.poll() is None:
+                return
+            self.close()  # its input; poll() has reaped it
         try:
             self._proc = subprocess.Popen(
                 self.command,
@@ -211,6 +246,7 @@ class AdapterLineClassifier:
                     out.put(line)
             out.put(None)
 
+        self._queue = queue.Queue()
         threading.Thread(target=pump, args=(self._proc, self._queue), daemon=True).start()
 
     def classify(self, text: str) -> tuple[int, float]:
@@ -238,6 +274,7 @@ class AdapterLineClassifier:
                         f"adapter did not answer within {self.timeout} s"
                     ) from None
                 if raw is None:
+                    self.close()  # the child can answer nothing more: the next call starts another
                     raise AdapterError("adapter closed its output stream")
                 try:
                     doc = json.loads(raw)
@@ -267,6 +304,7 @@ class AdapterLineClassifier:
                 self._proc.wait(timeout=1.0)
             except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                 self._proc.kill()
+                self._proc.wait()
         assert self._proc.stdin is not None
         try:
             self._proc.stdin.close()
@@ -429,8 +467,6 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
     check_schema_version(doc, str(path))
     view = doc.get("view")
     threshold = _finite_number(doc.get("threshold"), f"{path}: threshold")
-    if not 0.0 <= threshold <= 1.0:  # every score lies in (0, 1)
-        raise SchemaError(f"{path}: threshold must be in [0, 1], not {threshold!r}")
     try:
         if view == "lookup":
             # frozenset() takes any iterable: a string would load as its characters
@@ -444,10 +480,7 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
             if not isinstance(command, list) or not all(isinstance(part, str) for part in command):
                 raise SchemaError(f"{path}: adapter command must be a list of strings")
             timeout = _finite_number(doc.get("timeout", ADAPTER_TIMEOUT), f"{path}: timeout")
-            try:
-                return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)
-            except UndefinedInputError as exc:
-                raise SchemaError(f"{path}: {exc}") from None
+            return AdapterLineClassifier(command, threshold=threshold, timeout=timeout)
         vocabulary = dict(doc["vocabulary"])
         raw_weights = doc["weights"]
         if not isinstance(raw_weights, list):
@@ -470,5 +503,7 @@ def load_model(path: str | Path, adapter_command: str | None = None) -> LineClas
             seed=seed,
             heldout_accuracy=heldout,
         )
+    except UndefinedInputError as exc:  # a value the classifier itself refuses
+        raise SchemaError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from None

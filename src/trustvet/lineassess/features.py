@@ -11,11 +11,16 @@ extract_features is the one definition of each view, for training and
 scoring alike, and the one place a line without its tokens is tokenized. A
 ScreenText passes the tokens it holds, so a screen tokenizes each line once
 for all of its members, and training each sample once.
+
+Each view counts into a plain dict, feats[key] = get(key, 0.0) + 1.0, with
+keys built by concatenation, so a key's first occurrence fixes its place in
+the dict and every count is a float. Item order is part of the answer: a
+linear score sums the features in dict order, so another order could move
+a score's last bit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 
 from ..frontend.lexer import Token, TokenKind, tokenize_line
@@ -29,40 +34,50 @@ class FeatureView(Enum):
 
 ALL_VIEWS = (FeatureView.TOKEN_NGRAM, FeatureView.CHAR_NGRAM, FeatureView.SYNTAX_SHAPE)
 
+_CHAR_ORDERS = ((3, "3:"), (4, "4:"), (5, "5:"))  # each gram order and its key prefix
+
 
 def _token_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
     texts = [t.text for t in tokens]
-    feats: Counter = Counter()
+    feats: dict[str, float] = {}
+    get = feats.get
     for t in texts:
-        feats[f"1:{t}"] += 1.0
+        key = "1:" + t
+        feats[key] = get(key, 0.0) + 1.0
     for a, b in zip(texts, texts[1:]):
-        feats[f"2:{a} {b}"] += 1.0
-    return dict(feats)
+        key = "2:" + a + " " + b
+        feats[key] = get(key, 0.0) + 1.0
+    return feats
 
 
 def _char_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
     feats: dict[str, float] = {}
-    for order in (3, 4, 5):
-        prefix = f"{order}:"
-        grams = Counter([text[i : i + order] for i in range(len(text) - order + 1)])
-        for gram, count in grams.items():
-            feats[prefix + gram] = float(count)
+    get = feats.get
+    for order, prefix in _CHAR_ORDERS:
+        for i in range(len(text) - order + 1):
+            key = prefix + text[i : i + order]
+            feats[key] = get(key, 0.0) + 1.0
     return feats
 
 
 def _syntax_shape_features(text: str, tokens: list[Token]) -> dict[str, float]:
-    kinds = [t.kind.value for t in tokens]
-    feats: Counter = Counter()
+    # a kind's _value_ is its text: Enum's value property and its hash, which
+    # a {kind: text} table would call, both run Python code per token
+    kinds = [t.kind._value_ for t in tokens]
+    feats: dict[str, float] = {}
+    get = feats.get
     for k in kinds:
-        feats[f"k1:{k}"] += 1.0
+        key = "k1:" + k
+        feats[key] = get(key, 0.0) + 1.0
     for a, b in zip(kinds, kinds[1:]):
-        feats[f"k2:{a} {b}"] += 1.0
+        key = "k2:" + a + " " + b
+        feats[key] = get(key, 0.0) + 1.0
     for t in tokens:
         if t.kind is TokenKind.KEYWORD:
-            feats[f"kw:{t.text}"] = 1.0
+            feats["kw:" + t.text] = 1.0
     feats["len"] = len(text) / 80.0
     feats["ntok"] = len(tokens) / 16.0
-    return dict(feats)
+    return feats
 
 
 _EXTRACTORS = {

@@ -11,8 +11,9 @@ tried every operator in turn, and the source cleaner against its earlier
 per-character state machine; the line merge's edge step against its earlier
 version, which deduplicated on a hand-built key tuple; the feature views
 against their earlier extractors, which tokenized the line themselves and
-built every feature name as an f-string. Slow and obvious beats fast and
-shared.
+built every feature name as an f-string, and a linear score against the sum
+it was first written as, each weight found through the vocabulary. Slow and
+obvious beats fast and shared.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from trustvet.frontend.lexer import (
     Token,
     TokenKind,
     c_keywords,
+    normalize_line,
     tokenize_line,
 )
 from trustvet.frontend.parser import _EXIT
@@ -639,3 +641,17 @@ def oracle_extract_features(view: FeatureView, text: str) -> dict[str, float]:
     """The earlier extract_features. Item order is part of the answer: a
     linear score sums the features in dict order."""
     return _ORACLE_EXTRACTORS[view](text)
+
+
+def oracle_score(clf, text: str) -> float:
+    """A LinearLineClassifier's score as first written: the bias, plus
+    weights[vocabulary[name]] * value for each known feature of the line's
+    normal form in item order, through the sigmoid that cannot overflow."""
+    z = clf.bias
+    for name, value in oracle_extract_features(clf.view, normalize_line(text)).items():
+        if name in clf.vocabulary:
+            z += clf.weights[clf.vocabulary[name]] * value
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)

@@ -8,10 +8,10 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_extract_features
+from oracles import oracle_extract_features, oracle_score
 from trustvet.errors import AdapterError, DegenerateTrainingError, SchemaError, UndefinedInputError
 from trustvet.frontend.lexer import normalize_line, tokenize_line
 from trustvet.lineassess.classifier import (
@@ -84,6 +84,8 @@ class TestFeatureOracle:
     @pytest.mark.parametrize("view", ALL_VIEWS)
     @settings(max_examples=300, deadline=None)
     @given(text=line_texts)
+    @example(text="aaaaaaaa")  # every char gram counted more than once
+    @example(text="x = x = x = x ;")  # repeated tokens, kinds and bigrams
     def test_views_match_the_earlier_extractors(self, view, text):
         want = list(oracle_extract_features(view, text).items())
         assert list(extract_features(view, text).items()) == want
@@ -174,6 +176,45 @@ class TestTraining:
         assert vote_plain == 1
 
 
+@pytest.fixture(scope="module")
+def view_models(tmp_path_factory):
+    """Each view's trained model, and the same model read back from its file."""
+    models = {}
+    for view in ALL_VIEWS:
+        clf = train_classifier(samples(), view, TrainConfig(seed=5))
+        path = tmp_path_factory.mktemp("models") / f"{view.value}.json"
+        save_model(clf, path)
+        models[view] = (clf, load_model(path))
+    return models
+
+
+class TestScoreOracle:
+    """A score is the bias plus each known feature's weight times its value,
+    added in item order: the same float, bit for bit, as oracle_score."""
+
+    def assert_scores_match(self, clf, text):
+        if not normalize_line(text):
+            with pytest.raises(UndefinedInputError):
+                clf.score(text)
+        else:
+            assert clf.score(text) == oracle_score(clf, text)
+
+    @pytest.mark.parametrize("view", ALL_VIEWS)
+    @settings(max_examples=200, deadline=None)
+    @given(text=line_texts)
+    @example(text="buf = fopen(path, mode) + fopen(path, mode);")
+    @example(text="total = total + total + 1;")
+    def test_scores_match_the_oracle(self, view_models, view, text):
+        for clf in view_models[view]:
+            self.assert_scores_match(clf, text)
+
+    @pytest.mark.parametrize("view", ALL_VIEWS)
+    def test_training_texts_score_as_the_oracle_does(self, view_models, view):
+        for clf in view_models[view]:
+            for sample in samples():
+                self.assert_scores_match(clf, sample.text)
+
+
 class TestLinearScoring:
     def test_score_overflow_safe(self):
         clf = LinearLineClassifier(
@@ -197,6 +238,37 @@ class TestLinearScoring:
         clf = LookupLineClassifier(non_benign=frozenset())
         with pytest.raises(UndefinedInputError):
             clf.classify("   // just a comment")
+
+
+class TestVoteThreshold:
+    """Built in Python, each kind of classifier holds a vote threshold to the
+    rule TrainConfig and load_model share: every score lies in [0, 1], so
+    outside it a classifier would vote alike on every line."""
+
+    def build(self, kind, threshold, data_dir):
+        if kind == "linear":
+            return LinearLineClassifier(
+                view=FeatureView.TOKEN_NGRAM, vocabulary={"1:x": 0}, weights=[0.5], bias=0.0,
+                threshold=threshold,
+            )
+        if kind == "lookup":
+            return LookupLineClassifier(non_benign=frozenset({"x = 1 ;"}), threshold=threshold)
+        stub = (sys.executable, str(data_dir / "adapter_stub.py"))
+        return AdapterLineClassifier(stub, threshold=threshold)  # its child starts on first use
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, 2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["linear", "lookup", "adapter"])
+    def test_threshold_outside_the_unit_interval_rejected(self, data_dir, kind, threshold):
+        with pytest.raises(UndefinedInputError, match="threshold"):
+            self.build(kind, threshold, data_dir)
+
+    @pytest.mark.parametrize("kind", ["linear", "lookup", "adapter"])
+    def test_a_classifier_that_is_built_saves_a_file_that_loads(self, tmp_path, monkeypatch, data_dir, kind):
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        path = tmp_path / "m.json"
+        for threshold in (0, 0.25, 1):
+            save_model(self.build(kind, threshold, data_dir), path)
+            assert load_model(path).threshold == threshold
 
 
 class TestPersistence:
@@ -362,6 +434,58 @@ class TestAdapterBridge:
             time.sleep(0.01)
         assert proc.stdout.closed  # by the pump thread, at end of file
         clf.close()  # a second close is harmless
+
+    @pytest.mark.parametrize("answers", [1, 2])
+    def test_recovers_from_a_child_that_exits(self, data_dir, answers):
+        """The stub exits after each `answers` answers; every call after
+        that starts a new child, and none reads the old one's end of stream."""
+        clf = AdapterLineClassifier(command=(*self.stub(data_dir), str(answers)), timeout=10.0)
+        children = set()
+        try:
+            for call in range(1, 7):
+                text, want = ("buf = fopen(path, m);", (0, 0.1)) if call % 2 else ("i = i + 1;", (1, 0.9))
+                assert clf.classify(text) == want, call
+                children.add(clf._proc.pid)
+                if call % answers == 0:
+                    assert clf._proc.wait(timeout=10.0) == 0  # it has gone before the next call
+        finally:
+            clf.close()
+        assert len(children) == 6 // answers
+
+    def test_recovers_from_a_killed_child(self, data_dir):
+        clf = AdapterLineClassifier(command=self.stub(data_dir), timeout=10.0)
+        try:
+            assert clf.classify("i = i + 1;") == (1, 0.9)
+            dead = clf._proc
+            dead.kill()
+            dead.wait(timeout=10.0)
+            assert clf.classify("buf = fopen(path, m);") == (0, 0.1)
+            assert clf._proc is not dead and dead.stdin.closed
+            assert clf.classify("i = i + 1;") == (1, 0.9)
+        finally:
+            clf.close()
+
+    def test_a_child_whose_output_ended_is_replaced(self, tmp_path):
+        """A child that closes its output after one answer but lives on is
+        stopped, so the call after the failed one starts another child
+        rather than waiting out the timeout on this one."""
+        mute = tmp_path / "mute.py"
+        mute.write_text(
+            "import json, os, sys, time\n"
+            "request = json.loads(sys.stdin.readline())\n"
+            "sys.stdout.write(json.dumps({'id': request['id'], 'score': 0.9}) + '\\n')\n"
+            "sys.stdout.flush()\n"
+            "os.close(sys.stdout.fileno())\n"
+            "time.sleep(60)\n"
+        )
+        clf = AdapterLineClassifier(command=(sys.executable, str(mute)), timeout=10.0)
+        try:
+            for _ in range(2):
+                assert clf.classify("x = 1;") == (1, 0.9)
+                with pytest.raises(AdapterError, match="closed its output stream"):
+                    clf.classify("x = 1;")
+        finally:
+            clf.close()
 
     @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf, 1e300])
     def test_unusable_timeout_rejected(self, data_dir, timeout):

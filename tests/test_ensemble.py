@@ -431,3 +431,30 @@ class TestSharedScreen:
         for runs in (1, 2):
             assess_prediction(vrrp_explanation, vrrp_fixture, ensemble, threshold=0.5)
             assert calls == Counter({text: runs for text in resident})
+
+    def test_each_linear_member_is_asked_once_per_distinct_text(self):
+        """An all-linear ensemble calls each member's own classify once for
+        each distinct resident text of one assessment, however often the
+        text repeats: the bench counts these calls (ensemble.classify_calls)
+        by wrapping classify on each member, as this test does."""
+        codes = ["x = 1;", "n = x + 1;", "x = 1;", "x=1;", "n = x + 1;", "return CHR;", "x = 1;"]
+        graph = {
+            "function": "f",
+            "nodes": [{"id": i, "line": i, "code": c} for i, c in enumerate(codes, 1)],
+            "edges": [{"src": 1, "dst": 2, "kind": "DDG", "variable": "x"}],
+        }
+        pdg = import_raw_graph(graph).to_pdg()
+        expl = Explanation("f", 0.5, tuple((line, 1.0 / line) for line in range(1, len(codes) + 2)))
+        resident = {pdg.line_text[line] for line, _ in expl.entries if line in pdg.nodes}
+        assert len(resident) < len(codes)  # texts repeat, and line 8 is not resident
+        ensemble = [linear_member(view, seed) for seed, view in enumerate(ALL_VIEWS)]
+        calls: Counter = Counter()
+        for index, member in enumerate(ensemble):
+            def counted(text, index=index, classify=member.classify):
+                calls[index, str(text)] += 1
+                return classify(text)
+
+            member.classify = counted
+        for runs in (1, 2):
+            assess_prediction(expl, pdg, ensemble, threshold=0.5)
+            assert calls == Counter({(index, text): runs for index in range(3) for text in resident})
