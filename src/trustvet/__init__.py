@@ -79,7 +79,6 @@ from .pdg import (
     check_schema_version,
     dumps_canonical,
     explanation_from_dict,
-    explanation_to_dict,
     pdg_dumps,
     pdg_to_dict,
 )

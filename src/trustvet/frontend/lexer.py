@@ -76,6 +76,8 @@ _TOKEN = re.compile(
 # First characters of _WORD and _NUMBER; a lone "." is in the fixed table.
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NUMBER_START = frozenset("0123456789.")
+# First characters of the pieces outside the fixed table that are not Punct.
+_CODE_START = _WORD_START | _NUMBER_START | frozenset("\"'")
 _IDENTIFIER, _LITERAL, _PUNCT = TokenKind.IDENTIFIER, TokenKind.LITERAL, TokenKind.PUNCT
 _STRING_TOKEN = Token(_LITERAL, STRING_LITERAL)
 _CHAR_TOKEN = Token(_LITERAL, CHAR_LITERAL)
@@ -231,8 +233,20 @@ def _variables(tokens: list[Token]) -> frozenset[str]:
 
 def is_substantive_line(text: str) -> bool:
     """True for lines that carry code: not blank, not comment-only, and not
-    made of delimiters alone (braces, parens, commas, semicolons)."""
-    return is_substantive(tokenize_line(text))
+    made of delimiters alone (braces, parens, commas, semicolons).
+
+    Equal to is_substantive(tokenize_line(text)), but it builds no Token:
+    each piece of the scan is judged by the fixed table and the
+    first-character sets that tokenize_line takes its kind from, and the
+    scan stops at the first piece of code."""
+    fixed = _FIXED_TOKENS
+    for match in _TOKEN.finditer(text):
+        piece = match[1]
+        if piece:
+            tok = fixed.get(piece)
+            if (piece[0] in _CODE_START) if tok is None else (tok.kind is not _PUNCT):
+                return True
+    return False
 
 
 def is_substantive(tokens: list[Token]) -> bool:

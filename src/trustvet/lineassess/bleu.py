@@ -17,16 +17,18 @@ any one reference, plus the sorted distinct reference lengths. Building the
 table costs one pass over the references' n-grams; scoring a candidate
 against it costs one dict lookup per candidate n-gram and one bisect for the
 brevity penalty, whatever the number of references. A screen of C candidates
-against R references therefore costs O(R + C log R) instead of O(C * R). The
-counts are integers and the float operations run in the same order as the
-textbook form, so a table gives exactly the scores of a fresh computation.
+against R references therefore costs O(R + C log R) instead of O(C * R).
+
+N-grams are counted in plain dicts, and a candidate of c tokens has
+c - n + 1 n-grams of order n, so no count is summed. The counts are
+integers and the float operations run in the same order as the textbook
+form, so a table gives exactly the scores of a fresh computation.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from typing import Sequence
 
 from ..errors import UndefinedInputError
@@ -39,8 +41,14 @@ def _texts(tokens: Sequence) -> list[str]:
     return [t.text if isinstance(t, Token) else str(t) for t in tokens]
 
 
-def _ngrams(texts: list[str], order: int) -> Counter:
-    return Counter(tuple(texts[i : i + order]) for i in range(len(texts) - order + 1))
+def _ngrams(texts: list[str], order: int) -> dict[tuple[str, ...], int]:
+    """Each n-gram of the order in texts, with its count: len(texts) - order
+    + 1 n-grams in all, or none when texts is shorter than order."""
+    counts: dict[tuple[str, ...], int] = {}
+    get = counts.get
+    for gram in zip(*[texts[k:] for k in range(order)]):
+        counts[gram] = get(gram, 0) + 1
+    return counts
 
 
 def _check_order(max_order: int) -> None:
@@ -111,21 +119,22 @@ def bleu(
     if not table.lengths:
         return 0.0
 
+    c = len(cand)
     log_sum = 0.0
     orders_used = 0
     for order, best in enumerate(table.best, start=1):
-        cand_ngrams = _ngrams(cand, order)
-        total = sum(cand_ngrams.values())
-        if total == 0:
-            continue
-        clipped = sum(min(count, best.get(gram, 0)) for gram, count in cand_ngrams.items())
+        total = c - order + 1  # the candidate's n-grams of this order
+        if total <= 0:
+            break  # none of this order, nor of any higher one
+        bound_of = best.get
+        clipped = 0
+        for gram, count in _ngrams(cand, order).items():
+            bound = bound_of(gram, 0)
+            clipped += count if count < bound else bound
         log_sum += math.log((clipped + EPSILON) / (total + EPSILON))
-        orders_used += 1
-    if orders_used == 0:
-        return 0.0
+        orders_used += 1  # at least order 1: the candidate is not empty
     geo_mean = math.exp(log_sum / orders_used)
 
-    c = len(cand)
     r = table.closest_length(c)
     penalty = 1.0 if c >= r else math.exp(1.0 - r / c)
     return penalty * geo_mean

@@ -41,6 +41,7 @@ import random
 import subprocess
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -201,9 +202,11 @@ class AdapterLineClassifier:
     The child is spawned lazily and kept alive; each classify() writes one
     request line and waits up to `timeout` seconds for the matching response,
     discarding late answers to earlier requests that timed out. A child
-    whose output has ended is closed, and one found dead at the next call
-    is closed and replaced; each child's output goes to a queue of its own,
-    so its end of stream reaches no successor.
+    whose input or output ends before it answers is closed, and the request
+    is sent once more, to a new child; a second such end fails the call.
+    One found dead at the next call is closed and replaced too. Each child's
+    output goes to a queue of its own, so its end of stream reaches no
+    successor.
     Calls are serialized with a lock, so sharing an instance across worker
     threads is safe.
     """
@@ -252,46 +255,59 @@ class AdapterLineClassifier:
     def classify(self, text: str) -> tuple[int, float]:
         normalized = _shared(text).normalized()
         with self._lock:
-            self._ensure_started()
-            assert self._proc is not None and self._proc.stdin is not None
-            self._next_id += 1
-            request_id = self._next_id
-            try:
-                self._proc.stdin.write(
-                    json.dumps({"id": request_id, "text": normalized}) + "\n"
-                )
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise AdapterError(f"adapter pipe failed: {exc}") from None
-            deadline = time.monotonic() + self.timeout
-            response_id = 0
-            # skip late answers to earlier requests that timed out
-            while response_id < request_id:
-                try:
-                    raw = self._queue.get(timeout=max(0.0, deadline - time.monotonic()))
-                except queue.Empty:
-                    raise AdapterError(
-                        f"adapter did not answer within {self.timeout} s"
-                    ) from None
-                if raw is None:
-                    self.close()  # the child can answer nothing more: the next call starts another
-                    raise AdapterError("adapter closed its output stream")
-                try:
-                    doc = json.loads(raw)
-                    response_id = doc["id"]
-                    score = json_number(doc["score"], "adapter score")
-                except (json.JSONDecodeError, KeyError, TypeError, SchemaError):
-                    response_id = None
-                # an id of true would match request 1, since True == 1
-                if not is_strict_int(response_id):
-                    raise AdapterError("adapter response is not {id, score}", raw=raw)
-            if response_id != request_id:
-                raise AdapterError(
-                    f"adapter answered request {response_id}, expected {request_id}", raw=raw
-                )
-            if not (0.0 <= score <= 1.0) or not math.isfinite(score):
-                raise AdapterError(f"adapter score {score!r} outside [0, 1]", raw=raw)
+            # a child can end, its last answer given, just as this request is
+            # written to it; scoring is pure, so a new child is asked once more
+            score = self._ask(normalized, last_try=False)
+            if score is None:
+                score = self._ask(normalized, last_try=True)
         return (1 if score >= self.threshold else 0), score
+
+    def _ask(self, normalized: str, last_try: bool) -> float | None:
+        """The child's score for one request. When the child's input or
+        output ends before it answers, the result is None, or on the last
+        try an AdapterError, and the child is closed: the next request
+        starts another."""
+        self._ensure_started()
+        assert self._proc is not None and self._proc.stdin is not None
+        self._next_id += 1
+        request_id = self._next_id
+        try:
+            self._proc.stdin.write(json.dumps({"id": request_id, "text": normalized}) + "\n")
+            self._proc.stdin.flush()
+        except (BrokenPipeError, OSError) as exc:
+            return self._ended(f"adapter pipe failed: {exc}", last_try)
+        deadline = time.monotonic() + self.timeout
+        response_id = 0
+        # skip late answers to earlier requests that timed out
+        while response_id < request_id:
+            try:
+                raw = self._queue.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                raise AdapterError(f"adapter did not answer within {self.timeout} s") from None
+            if raw is None:
+                return self._ended("adapter closed its output stream", last_try)
+            try:
+                doc = json.loads(raw)
+                response_id = doc["id"]
+                score = json_number(doc["score"], "adapter score")
+            except (json.JSONDecodeError, KeyError, TypeError, SchemaError):
+                response_id = None
+            # an id of true would match request 1, since True == 1
+            if not is_strict_int(response_id):
+                raise AdapterError("adapter response is not {id, score}", raw=raw)
+        if response_id != request_id:
+            raise AdapterError(
+                f"adapter answered request {response_id}, expected {request_id}", raw=raw
+            )
+        if not (0.0 <= score <= 1.0) or not math.isfinite(score):
+            raise AdapterError(f"adapter score {score!r} outside [0, 1]", raw=raw)
+        return score
+
+    def _ended(self, message: str, last_try: bool) -> None:
+        self.close()  # the child can answer nothing more
+        if last_try:
+            raise AdapterError(message)
+        return None
 
     def close(self) -> None:
         """Stop the child and close its input; the pump thread closes its
@@ -316,6 +332,50 @@ LineClassifier = LinearLineClassifier | LookupLineClassifier | AdapterLineClassi
 
 
 # --- training ------------------------------------------------------------------
+
+
+def _design_matrix(rows: Sequence[ScreenText], view: FeatureView):
+    """The vocabulary and the design matrix X of the rows under one view.
+
+    vocabulary numbers every feature name that some row has, in sorted
+    order. X has one line per row: X[row, vocabulary[name]] is the row's
+    value of that feature, and every other cell is 0.
+
+    Each row's features are extracted once, into flat cells rather than
+    kept dicts: the name's provisional column, numbered in the order the
+    names are first met, and the value. Once the names are sorted, the cells
+    are scattered into X, each provisional column through its name's rank.
+    """
+    import numpy as np
+
+    provisional: dict[str, int] = {}
+    columns = array("i")
+    values = array("d")
+    row_ends = [0]
+    for text in rows:
+        features = text.features(view)
+        for name in features:
+            if name not in provisional:
+                provisional[name] = len(provisional)
+        columns.extend(map(provisional.__getitem__, features))
+        values.extend(features.values())
+        row_ends.append(len(values))
+    vocabulary = {name: idx for idx, name in enumerate(sorted(provisional))}
+    rank = np.array(list(map(vocabulary.__getitem__, provisional)), dtype=np.int32)
+
+    # X gets an anonymous mapping of its own, not a block of the malloc heap:
+    # its pages go back to the system when training returns, so where an
+    # earlier build left its matrix cannot make this one's peak memory a
+    # matrix larger
+    cells = len(rows) * len(vocabulary)
+    X = np.frombuffer(
+        mmap.mmap(-1, max(cells, 1) * 8), dtype=float, count=cells
+    ).reshape(len(rows), len(vocabulary))
+    flat_columns = np.frombuffer(columns, dtype=np.int32)
+    flat_values = np.frombuffer(values, dtype=float)
+    for row, (start, end) in enumerate(zip(row_ends, row_ends[1:])):
+        X[row, rank[flat_columns[start:end]]] = flat_values[start:end]
+    return vocabulary, X
 
 
 def train_classifier(
@@ -356,23 +416,8 @@ def train_classifier(
     # each sample is read as the screen reads a line, so the model learns the
     # features it will be scored on
     texts = [ScreenText(s.text) for s in samples]
-    vocab_names = sorted({name for i in train_idx for name in texts[i].features(view)})
-    vocabulary = {name: idx for idx, name in enumerate(vocab_names)}
-
-    # features are extracted again rather than kept from the vocabulary pass:
-    # holding every row's feature dict raises peak memory, so a ScreenText
-    # keeps only its tokens. X gets an anonymous mapping of its own, not a
-    # block of the malloc heap: its pages go back to the system when training
-    # returns, so where an earlier build left its matrix cannot make this
-    # one's peak memory a matrix larger
-    cells = len(train_idx) * len(vocabulary)
-    X = np.frombuffer(
-        mmap.mmap(-1, max(cells, 1) * 8), dtype=float, count=cells
-    ).reshape(len(train_idx), len(vocabulary))
+    vocabulary, X = _design_matrix([texts[i] for i in train_idx], view)
     y = np.array([labels[i] for i in train_idx])
-    for row, i in enumerate(train_idx):
-        for name, value in texts[i].features(view).items():
-            X[row, vocabulary[name]] = value
 
     def loss_grad(w_full):
         w = w_full[:-1]

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
 from ..errors import DiffMismatchError, SchemaError, UndefinedInputError
-from ..frontend.lexer import is_substantive, normal_form, split_lines, tokenize_line
+from ..frontend.lexer import is_substantive, is_substantive_line, normal_form, split_lines, tokenize_line
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import BleuReferences, bleu
 from .diffs import record_vulnerable_lines
@@ -75,7 +75,9 @@ def sample_candidate_negatives(
 ) -> list[LineSample]:
     """Uniform sample, without replacement, of min(n, pool size) substantive
     lines drawn from the non-vulnerable functions of a corpus: at most the
-    whole pool. Each line is tokenized once."""
+    whole pool. The pool holds each substantive line's raw text, judged
+    without tokenizing it; only the picked lines are tokenized, once each,
+    for their normal form."""
     if not is_strict_int(n) or n < 0:
         raise UndefinedInputError(f"the number of negatives to sample must be an int >= 0, got {n!r}")
     pool: list[tuple[str, int, str]] = []
@@ -83,13 +85,12 @@ def sample_candidate_negatives(
         if record.label != NON_VULNERABLE:
             continue
         for lineno, raw in enumerate(split_lines(record.source), start=1):
-            tokens = tokenize_line(raw)
-            if is_substantive(tokens):
-                pool.append((record.function_id, lineno, normal_form(tokens)))
+            if is_substantive_line(raw):
+                pool.append((record.function_id, lineno, raw))
     picked = random.Random(seed).sample(pool, min(n, len(pool)))
     return [
-        LineSample(text, LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
-        for function_id, lineno, text in picked
+        LineSample(normal_form(tokenize_line(raw)), LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
+        for function_id, lineno, raw in picked
     ]
 
 

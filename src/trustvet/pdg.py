@@ -249,15 +249,6 @@ def pdg_dumps(pdg: Pdg) -> str:
     return dumps_canonical(pdg_to_dict(pdg))
 
 
-def explanation_to_dict(expl: Explanation) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "function_id": expl.function_id,
-        "confidence": expl.confidence,
-        "entries": [{"line": line, "score": score} for line, score in expl.entries],
-    }
-
-
 def explanation_from_dict(document: dict) -> Explanation:
     what = "explanation document"
     check_schema_version(document, what)

@@ -19,10 +19,12 @@ obvious beats fast and shared.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import numpy as np
 
+from trustvet.corpus import NON_VULNERABLE
 from trustvet.errors import ImportSchemaError, UnsupportedConstructError
 from trustvet.frontend.lexer import (
     CHAR_LITERAL,
@@ -31,6 +33,7 @@ from trustvet.frontend.lexer import (
     TokenKind,
     c_keywords,
     normalize_line,
+    split_lines,
     tokenize_line,
 )
 from trustvet.frontend.parser import _EXIT
@@ -655,3 +658,35 @@ def oracle_score(clf, text: str) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+def oracle_design_matrix(texts, view: FeatureView) -> tuple[dict[str, int], np.ndarray]:
+    """Training's vocabulary and matrix as first built, in two passes over
+    the rows: one collects every feature name of each text's normal form and
+    numbers the names in sorted order; the other fills X, one line per text,
+    a cell at a time."""
+    names = sorted({name for text in texts for name in oracle_extract_features(view, normalize_line(text))})
+    vocabulary = {name: idx for idx, name in enumerate(names)}
+    X = np.zeros((len(texts), len(vocabulary)))
+    for row, text in enumerate(texts):
+        for name, value in oracle_extract_features(view, normalize_line(text)).items():
+            X[row, vocabulary[name]] = value
+    return vocabulary, X
+
+
+# --- line dataset ----------------------------------------------------------------------
+
+
+def oracle_candidate_negatives(records, n: int, seed: int) -> list[tuple[str, int, str]]:
+    """(function id, line, normal form) of each sampled negative, from the
+    pool first built by tokenizing every line of every clean function and
+    keeping those with a token other than a delimiter."""
+    pool = []
+    for record in records:
+        if record.label != NON_VULNERABLE:
+            continue
+        for lineno, raw in enumerate(split_lines(record.source), start=1):
+            tokens = tokenize_line(raw)
+            if any(t.kind is not TokenKind.PUNCT for t in tokens):
+                pool.append((record.function_id, lineno, " ".join(t.text for t in tokens)))
+    return random.Random(seed).sample(pool, min(n, len(pool)))

@@ -7,11 +7,12 @@ import math
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_extract_features, oracle_score
+from oracles import oracle_design_matrix, oracle_extract_features, oracle_score
 from trustvet.errors import AdapterError, DegenerateTrainingError, SchemaError, UndefinedInputError
 from trustvet.frontend.lexer import normalize_line, tokenize_line
 from trustvet.lineassess.classifier import (
@@ -21,6 +22,7 @@ from trustvet.lineassess.classifier import (
     LookupLineClassifier,
     ScreenText,
     TrainConfig,
+    _design_matrix,
     load_model,
     save_model,
     train_classifier,
@@ -115,6 +117,28 @@ class TestFeatureOracle:
         spaced = ScreenText("x=foo(y);")
         assert spaced.normalized() == "x = foo ( y ) ;"
         assert spaced.normalized() in vars(spaced).values()
+
+
+class TestDesignMatrixOracle:
+    """Training's one pass over the rows gives the vocabulary, in the same
+    order, and the matrix, cell for cell, that the two-pass build gave."""
+
+    def assert_matches(self, view, texts):
+        vocabulary, X = _design_matrix([ScreenText(text) for text in texts], view)
+        want_vocabulary, want_X = oracle_design_matrix(texts, view)
+        assert list(vocabulary.items()) == list(want_vocabulary.items())
+        assert X.dtype == want_X.dtype and np.array_equal(X, want_X)
+
+    @pytest.mark.parametrize("view", ALL_VIEWS)
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(line_texts.filter(normalize_line), max_size=12))
+    @example(texts=["y = x ;", "b = a ;", "y = x ;"])  # names met out of sorted order
+    def test_matrix_matches_the_two_pass_build(self, view, texts):
+        self.assert_matches(view, texts)
+
+    @pytest.mark.parametrize("view", ALL_VIEWS)
+    def test_training_samples(self, view):
+        self.assert_matches(view, [s.text for s in samples()])
 
 
 class TestTraining:
@@ -467,8 +491,8 @@ class TestAdapterBridge:
 
     def test_a_child_whose_output_ended_is_replaced(self, tmp_path):
         """A child that closes its output after one answer but lives on is
-        stopped, so the call after the failed one starts another child
-        rather than waiting out the timeout on this one."""
+        stopped, and the request it left unanswered goes to a new child at
+        once, rather than after the timeout."""
         mute = tmp_path / "mute.py"
         mute.write_text(
             "import json, os, sys, time\n"
@@ -479,11 +503,49 @@ class TestAdapterBridge:
             "time.sleep(60)\n"
         )
         clf = AdapterLineClassifier(command=(sys.executable, str(mute)), timeout=10.0)
+        children = []
         try:
-            for _ in range(2):
+            start = time.monotonic()
+            for _ in range(4):
                 assert clf.classify("x = 1;") == (1, 0.9)
+                children.append(clf._proc)
+            assert time.monotonic() - start < clf.timeout
+            assert len({child.pid for child in children}) == 4  # one answer each
+            assert all(child.poll() is not None for child in children[:-1])
+        finally:
+            clf.close()
+
+    @pytest.mark.parametrize("answers", [1, 2])
+    def test_no_request_is_lost_to_a_child_that_exits(self, data_dir, answers):
+        """Back-to-back calls to a stub that exits after each `answers`
+        answers: a request written to a child that is exiting goes to a new
+        child, so every call is answered."""
+        clf = AdapterLineClassifier(command=(*self.stub(data_dir), str(answers)), timeout=10.0)
+        try:
+            for call in range(10):
+                text, want = ("buf = fopen(path, m);", (0, 0.1)) if call % 2 else ("i = i + 1;", (1, 0.9))
+                assert clf.classify(text) == want, call
+        finally:
+            clf.close()
+
+    def test_a_child_that_never_answers_is_asked_once_more(self, tmp_path):
+        """A request whose child ends without answering is sent to one new
+        child; when that one ends too, the call fails rather than starting
+        child after child."""
+        started = tmp_path / "started"
+        quitter = tmp_path / "quitter.py"
+        quitter.write_text(
+            "import sys\n"
+            f"with open({str(started)!r}, 'a') as log:\n"
+            "    log.write('child\\n')\n"
+            "sys.stdin.readline()\n"
+        )
+        clf = AdapterLineClassifier(command=(sys.executable, str(quitter)), timeout=10.0)
+        try:
+            for call in (1, 2):
                 with pytest.raises(AdapterError, match="closed its output stream"):
                     clf.classify("x = 1;")
+                assert started.read_text().count("child") == 2 * call
         finally:
             clf.close()
 

@@ -6,8 +6,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_bleu
+from oracles import oracle_bleu, oracle_candidate_negatives
 from synth import diff_record, negative_record, worker_record
 from trustvet.corpus import CorpusRecord
 from trustvet.errors import DiffMismatchError, UndefinedInputError
@@ -122,6 +124,35 @@ class TestNegativeSampling:
         corpus = [worker_record("w", "pure", 0.9)] + pool
         _, counts = build_line_dataset(corpus, seed=0, neg_ratio=100)
         assert counts["candidate_negatives"] == len(lines)
+
+
+# clean-function lines: code, and lines that carry none (blank, comments,
+# delimiters, an unterminated comment or literal around them)
+POOL_LINES = st.lists(
+    st.sampled_from(
+        ("x = 1;", "return y;", "if (a) {", "}", "{", "", "   ", "// note", "/* c */", "/* open",
+         "*/", "( ) ;", '"s"', "'", "@", "\u00a0", "\tq++;", "a; // tail", "/* c */ b;")
+    ),
+    max_size=8,
+)
+
+
+class TestNegativeSampleOracle:
+    """The sample picks the lines, in the order, and with the texts that a
+    pool built by tokenizing every clean line gives: the pool's lines and
+    their order are the same, so random.sample picks alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bodies=st.lists(POOL_LINES, max_size=4), n=st.integers(0, 40), seed=st.integers(0, 3))
+    @example(bodies=[["// note", "x = 1;", "}", "/* c */", "return y;"]], n=1, seed=0)
+    def test_sample_matches_the_tokenized_pool(self, bodies, n, seed):
+        records = [negative_record(f"neg_{i}", body) for i, body in enumerate(bodies)]
+        records.insert(len(records) // 2, worker_record("w", "pure", 0.9))
+        got = sample_candidate_negatives(records, n, seed)
+        assert [(s.origin.function_id, s.origin.line, s.text) for s in got] == oracle_candidate_negatives(
+            records, n, seed
+        )
+        assert all(s.label is LineLabel.NON_VULNERABLE for s in got)
 
 
 class TestInputsThatCannotRun:
@@ -258,9 +289,10 @@ class TestBuildAndPersist:
         assert one != two
 
     def test_the_clean_pool_is_scanned_once(self, monkeypatch):
-        """Each line of a clean function and each listed line of a
-        vulnerable one is tokenized once, for both its screen and its text;
-        the BLEU screen then tokenizes each positive and each candidate."""
+        """The lines of a clean function are screened without tokenizing
+        them; each candidate picked from them and each listed line of a
+        vulnerable one is tokenized once, for its text, and the BLEU screen
+        then tokenizes each positive and each candidate."""
         calls = []
 
         def counting(raw):
@@ -271,10 +303,9 @@ class TestBuildAndPersist:
         monkeypatch.setattr(dataset, "tokenize_line", counting)
         corpus = self.corpus()
         _, counts = build_line_dataset(corpus, seed=5)
-        clean = sum(len(r.source.splitlines()) for r in corpus if not r.vul_lines)
         listed = sum(len(r.vul_lines) for r in corpus if r.vul_lines)
         screened = counts["vulnerable"] + counts["candidate_negatives"]
-        assert len(calls) == clean + listed + screened
+        assert len(calls) == listed + counts["candidate_negatives"] + screened
 
     def test_round_trip(self, tmp_path):
         samples, _ = build_line_dataset(self.corpus(), seed=5)

@@ -10,6 +10,7 @@ from trustvet.frontend.lexer import (
     TokenKind,
     c_keywords,
     extract_variables,
+    is_substantive,
     is_substantive_line,
     normalize_line,
     tokenize_line,
@@ -102,6 +103,15 @@ class TestExtractVariables:
         assert extract_variables("p->next = q;") == frozenset({"p", "next", "q"})
 
 
+# delimiters, which alone make no code, next to one piece of each other kind,
+# and what the scan skips or cannot close
+SUBSTANTIVE_PIECES = (
+    "(", ")", "{", "}", "[", "]", ";", ",", "x", "_1", "if", "0", ".5", ".", "->", "=", "~",
+    '"s"', '"open', "'c'", "'", '"', "/* c */", "/* open", "// tail", "*/",
+    "@", "$", "#", "\\", "`", "\u00a0", " ", "\t", "\n", "\f",
+)
+
+
 class TestSubstantive:
     @pytest.mark.parametrize("line", ["}", "   ", "", "// only a comment", "/* x */"])
     def test_noise_lines(self, line):
@@ -110,3 +120,15 @@ class TestSubstantive:
     @pytest.mark.parametrize("line", ["x = 1;", "return;", "if (a) {"])
     def test_code_lines(self, line):
         assert is_substantive_line(line)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(st.sampled_from(SUBSTANTIVE_PIECES), max_size=8).map("".join),
+        )
+    )
+    def test_agrees_with_the_tokens(self, text):
+        """The sample pool and record_vulnerable_lines judge a line without
+        tokenizing it, by the rule is_substantive applies to its tokens."""
+        assert is_substantive_line(text) == is_substantive(tokenize_line(text))

@@ -20,8 +20,6 @@ from trustvet.pdg import (
     build_weighted_pdg,
     check_schema_version,
     dumps_canonical,
-    explanation_from_dict,
-    explanation_to_dict,
     pdg_dumps,
 )
 
@@ -59,10 +57,6 @@ class TestExplanationValidation:
     def test_confidence_range(self):
         with pytest.raises(MalformedExplanationError):
             Explanation("f", 1.5, ((1, 0.2),))
-
-    def test_round_trip(self):
-        expl = Explanation("f", 0.75, ((1, 0.2), (3, 0.8)))
-        assert explanation_from_dict(explanation_to_dict(expl)) == expl
 
 
 class TestWeighting:
