@@ -63,6 +63,10 @@ class RunConfig:
         require_iou_cutoff(self.iou_threshold, "config field 'iou_threshold'")
         if self.neg_ratio < 0:
             raise SchemaError(f"config field 'neg_ratio': {self.neg_ratio!r} is negative")
+        for name in ("top_k", "bleu_order"):
+            value = getattr(self, name)
+            if value < 1:
+                raise SchemaError(f"config field {name!r}: {value!r} is below 1")
         if not 0.0 <= self.calibration_fraction < 1.0:
             raise SchemaError(
                 f"config field 'calibration_fraction': {self.calibration_fraction!r} is not in [0, 1)"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .bleu import bleu
+from .bleu import BleuReferences, bleu
 from .classifier import (
     ADAPTER_ENV_VAR,
     AdapterLineClassifier,
@@ -34,6 +34,7 @@ __all__ = [
     "ALL_VIEWS",
     "AdapterLineClassifier",
     "BenignVerdict",
+    "BleuReferences",
     "FeatureView",
     "LineClassifier",
     "LineLabel",

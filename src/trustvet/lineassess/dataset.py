@@ -38,7 +38,9 @@ class Origin:
 
 @dataclass(frozen=True)
 class LineSample:
-    """One normalized source line with a label and its provenance."""
+    """One source line with a label and its provenance. The text is the
+    line's normal form: its token texts joined by single spaces, none of
+    them empty or holding a space."""
 
     text: str
     label: LineLabel
@@ -102,12 +104,16 @@ def filter_negatives(
 ) -> list[LineSample]:
     """Keep candidates strictly below the BLEU threshold against the
     vulnerable set. Idempotent: filtering a filtered list changes nothing.
-    The vulnerable side is tabulated once and shared by every candidate."""
-    references = BleuReferences([tokenize_line(v.text) for v in vulnerable], max_order)
+    The vulnerable side is tabulated once and shared by every candidate.
+
+    A sample's text is a normal form, so splitting it at single spaces
+    gives its token texts without tokenizing it again. It must be
+    split(" "), not split(): some one-character tokens, such as U+00A0 or
+    U+3000, are white space to str.split."""
+    references = BleuReferences([v.text.split(" ") for v in vulnerable], max_order)
     kept: list[LineSample] = []
     for cand in candidates:
-        score = bleu(tokenize_line(cand.text), references, max_order)
-        if score < threshold:
+        if bleu(cand.text.split(" "), references) < threshold:
             kept.append(cand)
     return kept
 

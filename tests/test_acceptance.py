@@ -43,7 +43,7 @@ from trustvet.config import RunConfig
 from trustvet.corpus import save_corpus
 from trustvet.evaluate import calibrate_threshold, compute_metrics, run_evaluation
 from trustvet.frontend import pdg_from_source
-from trustvet.lineassess.bleu import bleu
+from trustvet.lineassess.bleu import BleuReferences, bleu
 from trustvet.lineassess.classifier import LookupLineClassifier, save_model
 from trustvet.lineassess.ensemble import benign_candidates, ensemble_vote
 from trustvet.pdg import SCHEMA_VERSION, WeightedPdg, build_weighted_pdg, dumps_canonical
@@ -156,9 +156,9 @@ def test_criterion_4_bleu_oracle():
             for _ in range(rng.randint(1, 4))
         ]
         order = rng.randint(1, 4)
-        worst = max(worst, abs(bleu(cand, refs, order) - oracle_bleu(cand, refs, order)))
-    identity = bleu(["x", "=", "y", ";"], [["x", "=", "y", ";"]])
-    disjoint = bleu(["a", "b"], [["c", "d"]])
+        worst = max(worst, abs(bleu(cand, BleuReferences(refs, order)) - oracle_bleu(cand, refs, order)))
+    identity = bleu(["x", "=", "y", ";"], BleuReferences([["x", "=", "y", ";"]]))
+    disjoint = bleu(["a", "b"], BleuReferences([["c", "d"]]))
     ok = worst <= 1e-9 and identity == 1.0 and disjoint <= 1e-6
     check(
         "criterion 4: BLEU matches the oracle",

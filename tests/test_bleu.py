@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_bleu
 from trustvet.errors import UndefinedInputError
+from trustvet.frontend.lexer import normalize_line, tokenize_line
 from trustvet.lineassess.bleu import BleuReferences, bleu
 
 TOKENS = ["x", "y", "z", "=", "+", "(", ")", ";", "if", "0", "1"]
@@ -21,40 +22,43 @@ def random_seq(rng, lo=1, hi=12):
 
 class TestKnownValues:
     def test_frozen_half(self):
-        got = bleu(["a", "b", "c", "d"], [["a", "b", "x", "d"]], max_order=2)
+        got = bleu(["a", "b", "c", "d"], BleuReferences([["a", "b", "x", "d"]], 2))
         assert got == pytest.approx(0.5, abs=1e-6)
 
     def test_identity_is_exactly_one(self):
         seq = ["if", "(", "x", ")", "{"]
-        assert bleu(seq, [seq]) == 1.0
+        assert bleu(seq, BleuReferences([seq])) == 1.0
 
     def test_disjoint_is_negligible(self):
-        assert bleu(["a", "b"], [["c", "d"]]) <= 1e-6
+        assert bleu(["a", "b"], BleuReferences([["c", "d"]])) <= 1e-6
 
     def test_no_references(self):
-        assert bleu(["a"], []) == 0.0
+        assert bleu(["a"], BleuReferences([])) == 0.0
 
     def test_empty_candidate_rejected(self):
         with pytest.raises(UndefinedInputError):
-            bleu([], [["a"]])
+            bleu([], BleuReferences([["a"]]))
 
     def test_short_candidate_skips_empty_orders(self):
         # a one-token candidate has no 2-grams; order 1 alone decides
-        assert bleu(["a"], [["a"]]) == pytest.approx(1.0, abs=1e-9)
+        assert bleu(["a"], BleuReferences([["a"]])) == pytest.approx(1.0, abs=1e-9)
 
     def test_brevity_penalty_punishes_short_candidates(self):
         full = ["a", "b", "c", "d"]
-        assert bleu(["a", "b"], [full]) < bleu(full, [full])
+        table = BleuReferences([full])
+        assert bleu(["a", "b"], table) < bleu(full, table)
 
     def test_closest_reference_length_breaks_toward_shorter(self):
         # candidate length 3: references of lengths 2 and 4 tie; 2 wins,
         # so the candidate is not short and there is no penalty
-        got = bleu(["a", "b", "c"], [["a", "b"], ["a", "b", "c", "d"]])
+        got = bleu(["a", "b", "c"], BleuReferences([["a", "b"], ["a", "b", "c", "d"]]))
         oracle = oracle_bleu(["a", "b", "c"], [["a", "b"], ["a", "b", "c", "d"]])
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_strings_and_tokens_agree(self):
-        assert bleu("x = y ;".split(), [["x", "=", "y", ";"]]) == 1.0
+        """A normal form split at single spaces is its token texts."""
+        tokens = [t.text for t in tokenize_line("x=y;")]
+        assert bleu(normalize_line("x=y;").split(" "), BleuReferences([tokens])) == 1.0
 
 
 class TestAgainstOracle:
@@ -63,7 +67,7 @@ class TestAgainstOracle:
         for _ in range(300):
             candidate = random_seq(rng)
             references = [random_seq(rng) for _ in range(rng.randint(1, 3))]
-            got = bleu(candidate, references)
+            got = bleu(candidate, BleuReferences(references))
             want = oracle_bleu(candidate, references)
             assert got == pytest.approx(want, abs=1e-9), (candidate, references)
 
@@ -77,7 +81,7 @@ class TestAgainstOracle:
     )
     @settings(max_examples=150, deadline=None)
     def test_bounded(self, candidate, references):
-        value = bleu(candidate, references)
+        value = bleu(candidate, BleuReferences(references))
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
@@ -99,8 +103,7 @@ class TestReferenceTable:
                 if (hi - lo) % 2 == 0:
                     candidates.append(random_seq(rng, (lo + hi) // 2, (lo + hi) // 2))
             for candidate in candidates:
-                got = bleu(candidate, table, max_order)
-                assert got == bleu(candidate, references, max_order), (candidate, references)
+                got = bleu(candidate, table)
                 assert got == oracle_bleu(candidate, references, max_order), (candidate, references)
 
     def test_equal_distance_tie_takes_the_shorter_length(self):
@@ -108,7 +111,7 @@ class TestReferenceTable:
         references = [["a", "b"], ["a", "b", "c", "d"], ["q"] * 9]
         table = BleuReferences(references, 2)
         assert table.closest_length(3) == 2
-        assert bleu(["a", "b", "c"], table, 2) == oracle_bleu(["a", "b", "c"], references, 2)
+        assert bleu(["a", "b", "c"], table) == oracle_bleu(["a", "b", "c"], references, 2)
 
     def test_closest_length_at_the_ends_and_on_a_hit(self):
         table = BleuReferences([["a"] * 3, ["a"] * 6, ["a"] * 6], 1)
@@ -121,15 +124,21 @@ class TestReferenceTable:
         assert table.best[0][("a",)] == 2
         assert table.best[1] == {("a", "a"): 1, ("a", "b"): 1, ("a", "c"): 1}
 
+    def test_order_beyond_every_reference_is_free(self):
+        """Tables stop at the longest reference, so an order of 10**5 builds
+        at once and scores as the candidate's own length does."""
+        rng = random.Random(77)
+        references = [random_seq(rng, 4, 4) for _ in range(50)]
+        huge = BleuReferences(references, 10**5)
+        assert len(huge.best) == 4
+        for candidate in (random_seq(rng, 1, 3), references[0], random_seq(rng, 5, 30)):
+            c = len(candidate)
+            got = bleu(candidate, huge)
+            assert got == bleu(candidate, BleuReferences(references, c)), candidate
+            assert got == oracle_bleu(candidate, references, c), candidate
+
     def test_empty_table_scores_zero(self):
         assert bleu(["a"], BleuReferences([], 4)) == 0.0
-
-    def test_mismatched_order_rejected(self):
-        table = BleuReferences([["a", "b"]], 2)
-        with pytest.raises(UndefinedInputError, match="max_order 2"):
-            bleu(["a", "b"], table, 4)
-        with pytest.raises(UndefinedInputError):
-            bleu(["a", "b"], table)
 
     def test_order_below_one_rejected(self):
         with pytest.raises(UndefinedInputError):

@@ -324,6 +324,16 @@ class TestPipeline:
         assert_clean_failure(result)
         assert "neg_ratio" in result.stderr
 
+    def test_bleu_order_below_one_is_refused(self, runner, pipeline, tmp_path):
+        out = tmp_path / "d.jsonl"
+        result = runner.invoke(
+            main,
+            ["ingest", "--corpus", str(pipeline["corpus"]), "--out", str(out), "--bleu-order", "0"],
+        )
+        assert_clean_failure(result)
+        assert "bleu_order" in result.stderr
+        assert not out.exists()
+
     def test_train_needs_both_classes(self, runner, tmp_path):
         records = [negative_record("only_neg", ["a = 1;", "b = a + 2;", "return b;"])]
         corpus = tmp_path / "neg.jsonl"
@@ -426,6 +436,17 @@ class TestEvaluateCommand:
         )
         assert_clean_failure(result)
         assert "not in [0, 1]" in result.stderr
+
+    def test_top_k_below_one_is_refused(self, runner, planted):
+        """With no suspicious line kept, every record would be skipped and
+        the run would still exit 0."""
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+             *EVAL_ARGS, "--top-k", "0"],
+        )
+        assert_clean_failure(result)
+        assert "top_k" in result.stderr
 
     def test_config_value_that_cannot_run(self, runner, planted, tmp_path):
         ini = tmp_path / "run.ini"

@@ -159,6 +159,9 @@ class TestValues:
             ("iou_threshold = 1.5", r"'iou_threshold': 1.5 is not in \[0, 1\]"),
             ("iou_threshold = -0.5", r"'iou_threshold': -0.5 is not in \[0, 1\]"),
             ("neg_ratio = -1", "'neg_ratio': -1.0 is negative"),
+            ("top_k = 0", "'top_k': 0 is below 1"),
+            ("top_k = -3", "'top_k': -3 is below 1"),
+            ("bleu_order = 0", "'bleu_order': 0 is below 1"),
         ],
     )
     def test_file_value_out_of_range_rejected(self, tmp_path, line, message):
@@ -171,6 +174,8 @@ class TestValues:
         assert RunConfig(iou_threshold=0.0).iou_threshold == 0.0
         assert RunConfig(iou_threshold=1.0).iou_threshold == 1.0
         assert RunConfig(neg_ratio=0.0).neg_ratio == 0.0
+        assert RunConfig(top_k=1).top_k == 1
+        assert RunConfig(bleu_order=1).bleu_order == 1
 
     def test_bounds_of_calibration_fraction(self):
         assert RunConfig(calibration_fraction=0.0).calibration_fraction == 0.0
@@ -181,6 +186,10 @@ class TestValues:
             merge_config(None, {"trust_threshold": float("nan")})
         with pytest.raises(SchemaError, match="data_rule_mode"):
             RunConfig(data_rule_mode="telepathic")
+        with pytest.raises(SchemaError, match="'top_k': 0 is below 1"):
+            merge_config(None, {"top_k": 0})
+        with pytest.raises(SchemaError, match="'bleu_order': 0 is below 1"):
+            RunConfig(bleu_order=0)
 
 
 class TestMerge:

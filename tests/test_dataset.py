@@ -270,6 +270,24 @@ class TestFilterAgainstOracle:
                 assert got == self.oracle_filter(candidates, vulnerable, threshold, max_order)
 
 
+    def test_tokens_that_str_split_cuts_at(self):
+        """U+00A0, \\x1c and U+3000 are one-character tokens but white space
+        to str.split; the screen must count them as the oracle does."""
+        origin = Origin("f", 1)
+        vulnerable = [
+            make_sample(raw, LineLabel.VULNERABLE, origin)
+            for raw in ("x\u3000y;", "buf\x1c[n] = 0;", "len\u00a0= 1;")
+        ]
+        candidates = [
+            make_sample(raw, LineLabel.NON_VULNERABLE, origin)
+            for raw in ("x y;", "x\u3000y;", "buf[n] = 0;", "len = 1;", "\u3000\x1c\u00a0")
+        ]
+        for max_order in (1, 2, 3, 4):
+            for threshold in (0.3, 0.5, 0.7):
+                got = filter_negatives(candidates, vulnerable, threshold, max_order)
+                assert got == self.oracle_filter(candidates, vulnerable, threshold, max_order)
+
+
 class TestBuildAndPersist:
     def corpus(self):
         positives = [worker_record(f"w{i}", "pure", 0.9) for i in range(3)]
@@ -292,7 +310,7 @@ class TestBuildAndPersist:
         """The lines of a clean function are screened without tokenizing
         them; each candidate picked from them and each listed line of a
         vulnerable one is tokenized once, for its text, and the BLEU screen
-        then tokenizes each positive and each candidate."""
+        reads those texts without tokenizing them again."""
         calls = []
 
         def counting(raw):
@@ -304,8 +322,7 @@ class TestBuildAndPersist:
         corpus = self.corpus()
         _, counts = build_line_dataset(corpus, seed=5)
         listed = sum(len(r.vul_lines) for r in corpus if r.vul_lines)
-        screened = counts["vulnerable"] + counts["candidate_negatives"]
-        assert len(calls) == listed + counts["candidate_negatives"] + screened
+        assert len(calls) == listed + counts["candidate_negatives"]
 
     def test_round_trip(self, tmp_path):
         samples, _ = build_line_dataset(self.corpus(), seed=5)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustvet.frontend.lexer import (
@@ -12,6 +12,7 @@ from trustvet.frontend.lexer import (
     extract_variables,
     is_substantive,
     is_substantive_line,
+    normal_form,
     normalize_line,
     tokenize_line,
 )
@@ -132,3 +133,26 @@ class TestSubstantive:
         """The sample pool and record_vulnerable_lines judge a line without
         tokenizing it, by the rule is_substantive applies to its tokens."""
         assert is_substantive_line(text) == is_substantive(tokenize_line(text))
+
+
+# one-character tokens that str.split would cut at, and numbers with a sign
+# or a leading dot
+NORMAL_FORM_PIECES = SUBSTANTIVE_PIECES + ("\x1c", "\u3000", "1e-9", "\u00e9", "\u00b2")
+
+
+class TestNormalForm:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(st.sampled_from(NORMAL_FORM_PIECES), max_size=8).map("".join),
+        )
+    )
+    def test_splits_at_single_spaces_into_its_tokens(self, text):
+        """The BLEU screen reads a sample's token texts by splitting its
+        normal form at single spaces, without tokenizing it again."""
+        tokens = tokenize_line(text)
+        assume(tokens)
+        texts = [t.text for t in tokens]
+        form = normal_form(tokens)
+        assert form.split(" ") == texts == [t.text for t in tokenize_line(form)]
