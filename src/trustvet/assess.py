@@ -18,12 +18,15 @@ accepts z when the variable's value can flow from y into z along Data
 edges. The connecting sequence itself may traverse edges of either kind.
 
 The relation is built once per assessment in O(lines + edges), whatever the
-number of candidates, targets or variables. One strongly-connected-component
-pass gives each line a bitset of what it can reach: a suspect bit and one
-bit per Data-edge variable held at a reachable suspect (transitive_flow mode
-adds one search over Data edges). Then one breadth-first search runs
-backwards from all targets at once and labels every line with its nearest
-target.
+number of candidates, targets or variables. One breadth-first search runs
+backwards from all targets at once and labels each line it meets with its
+nearest target; it stops at the end of the layer on which the last benign
+candidate is met. It tests only the edges it crosses, and most of those
+lead into a suspect that settles the edge by itself. The others read a
+bitset of what each line can reach: a suspect bit and one bit per Data-edge
+variable held at a reachable suspect, from one strongly-connected-component
+pass (transitive_flow mode adds one search over Data edges). That pass runs
+only when such an edge is crossed, and at most once.
 """
 
 from __future__ import annotations
@@ -101,31 +104,41 @@ class _Relation:
     it holds; reach[y] is the OR of the labels of every line reachable from
     y, y included, so an edge x->y is tested with a mask of reach[y]. One
     iterative Tarjan pass over the strongly connected components computes
-    reach, and nearest() runs one labelled BFS backwards from all targets at
-    once: O(lines + edges) each.
+    reach, at most once per relation and only when an edge needs it.
+
+    An edge into a suspect y needs no reach: a Control edge counts, and so
+    does a Data edge whose variable y holds, or any Data edge in
+    transitive_flow mode. Every other edge, and every edge into a benign
+    line, is tested with reach. edges() tests every edge; nearest() tests
+    only the edges its search crosses. Each is O(lines + edges).
     """
 
     def __init__(self, g: WeightedPdg, benign: frozenset[LineId], mode: str):
         self.g = g
         self.benign = benign
         self.mode = mode
+
+    @cached_property
+    def _labels(self) -> tuple[dict[LineId, int], dict[str | None, int]]:
+        """reach of every edge endpoint, and the bit of each Data-edge variable."""
         succ: defaultdict[LineId, list[LineId]] = defaultdict(list)
         bit: dict[str | None, int] = {}
-        for src, dst, kind, variable in g.pdg.edges:
+        for src, dst, kind, variable in self.g.pdg.edges:
             succ[src].append(dst)
             if kind is not DepKind.CONTROL and variable not in bit:
                 bit[variable] = 2 << len(bit)  # bit 0 is _SUSPECT
-        self._bit = bit
-        self._reach = self._reach_labels(succ)
+        return self._reach_labels(succ, bit), bit
 
-    def _reach_labels(self, succ: Mapping[LineId, list[LineId]]) -> dict[LineId, int]:
+    def _reach_labels(
+        self, succ: Mapping[LineId, list[LineId]], bit: Mapping[str | None, int]
+    ) -> dict[LineId, int]:
         """reach of every edge endpoint, from an iterative Tarjan pass.
 
         A line is on Tarjan's stack exactly while it is numbered and has no
         reach yet. Components come out sinks first, so each successor outside
         a component has its reach by the time the component is emitted.
         """
-        benign, line_vars, bit = self.benign, self.g.pdg.line_vars, self._bit
+        benign, line_vars = self.benign, self.g.pdg.line_vars
         number: dict[LineId, int] = {}
         low: dict[LineId, int] = {}
         reach: dict[LineId, int] = {}
@@ -174,7 +187,7 @@ class _Relation:
         for src, dst, kind, _variable in self.g.pdg.edges:
             if kind is DepKind.DATA:
                 into[dst].append(src)
-        marked = {line for line in self._reach if line not in self.benign}
+        marked = {line for line in self._labels[0] if line not in self.benign}
         stack = list(marked)
         while stack:
             for src in into.get(stack.pop(), ()):
@@ -183,21 +196,20 @@ class _Relation:
                     stack.append(src)
         return marked
 
+    def _counts(self, edge: PdgEdge) -> bool:
+        """Whether edge is a vulnerable dependency, read from reach."""
+        _src, dst, kind, variable = edge
+        reach, bit = self._labels
+        mask = reach[dst]
+        return bool(mask & _SUSPECT) and (
+            kind is DepKind.CONTROL
+            or bool(mask & bit[variable])
+            or (self.mode == TRANSITIVE_FLOW and dst in self._flow_to_suspect)
+        )
+
     def edges(self) -> tuple[PdgEdge, ...]:
         """The vulnerable edges, in graph order."""
-        reach, bit = self._reach, self._bit
-        flow = self.mode == TRANSITIVE_FLOW
-        out = []
-        for edge in self.g.pdg.edges:
-            _src, dst, kind, variable = edge
-            mask = reach[dst]
-            if mask & _SUSPECT and (
-                kind is DepKind.CONTROL
-                or mask & bit[variable]
-                or (flow and dst in self._flow_to_suspect)
-            ):
-                out.append(edge)
-        return tuple(out)
+        return tuple(edge for edge in self.g.pdg.edges if self._counts(edge))
 
     def nearest(self, lines: Iterable[LineId], targets: Iterable[LineId]) -> tuple[ReachRecord, ...]:
         """Closest target of each line: fewest hops, then heavier weight,
@@ -206,31 +218,46 @@ class _Relation:
         One BFS runs backwards from all targets over the vulnerable edges. A
         line first met on layer d takes the least (-weight, target) label of
         its successors on layer d - 1, because every target at its nearest
-        distance is reached through one of them.
+        distance is reached through one of them. The search stops at the end
+        of the layer on which the last of lines is met: a later label of that
+        layer can still win a tie. An edge is tested only when the search
+        crosses it.
         """
+        lines = tuple(lines)
         weights = self.g.weights
         label = {target: (-weights.get(target, 0.0), target) for target in targets}
-        into: defaultdict[LineId, list[LineId]] = defaultdict(list)
-        for src, dst, _kind, _variable in self.edges():
-            # self-loops never shorten a path and never count toward a distance
-            if src != dst:
-                into[dst].append(src)
         hops = dict.fromkeys(label, 0)
+        missing = set(lines).difference(hops)
+        into: defaultdict[LineId, list[PdgEdge]] = defaultdict(list)
+        for edge in self.g.pdg.edges:
+            into[edge[1]].append(edge)
+        benign, line_vars = self.benign, self.g.pdg.line_vars
+        flow = self.mode == TRANSITIVE_FLOW
         frontier = list(label)
         depth = 0
-        while frontier:
+        while missing and frontier:
             depth += 1
             layer = []
             for line in frontier:
                 key = label[line]
-                for prev in into.get(line, ()):
+                suspect = line not in benign
+                held = line_vars.get(line, ())
+                for edge in into.get(line, ()):
+                    prev, _line, kind, variable = edge
                     seen = hops.get(prev)
+                    # a self-loop leads back to its line, on an earlier
+                    # layer: it never shortens a path or counts toward one
+                    if seen is not None and (seen < depth or label[prev] <= key):
+                        continue
+                    if not (
+                        suspect and (kind is DepKind.CONTROL or flow or variable in held)
+                    ) and not self._counts(edge):
+                        continue
                     if seen is None:
                         hops[prev] = depth
-                        label[prev] = key
                         layer.append(prev)
-                    elif seen == depth and key < label[prev]:
-                        label[prev] = key
+                    label[prev] = key
+            missing.difference_update(layer)
             frontier = layer
         records = []
         for line in lines:

@@ -182,6 +182,20 @@ def _blank_literals(text: str) -> str:
 _FOREIGN_SPACE = re.compile(r"[^\S \t\r\n\f\v]")
 
 
+# the ASCII characters among them: the separators \x1c-\x1f
+_ASCII_FOREIGN_SPACE = tuple(c for c in map(chr, range(128)) if _FOREIGN_SPACE.match(c))
+
+
+def _any_foreign_space(text: str) -> bool:
+    """Whether text has white space that C does not have anywhere, in a
+    comment or literal too. It reads a long text of ASCII about ten times
+    faster than one search: where it is False, no line of text needs
+    _foreign_space."""
+    if text.isascii():
+        return any(space in text for space in _ASCII_FOREIGN_SPACE)
+    return _FOREIGN_SPACE.search(text) is not None
+
+
 def _foreign_space(text: str) -> str | None:
     """Why one line of code is refused when it has white space that C does
     not (U+00A0, say) outside a comment or literal; else None. The parser

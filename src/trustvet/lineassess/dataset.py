@@ -5,6 +5,10 @@ sampled from functions with no known vulnerability, then screened: any
 sampled line whose BLEU similarity to the vulnerable set reaches the
 threshold is discarded, because a near-copy of a vulnerable line teaches the
 classifier nothing and poisons the negative class.
+
+A line that the parser and the graph import refuse, for white space that C
+does not have (U+00A0, say) outside a comment or literal, yields no sample:
+no screen ever sees its text.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from typing import Iterable, Sequence
 
 from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
 from ..errors import DiffMismatchError, SchemaError, UndefinedInputError
-from ..frontend.lexer import is_substantive, is_substantive_line, normal_form, split_lines, tokenize_line
+from ..frontend.lexer import (
+    _any_foreign_space,
+    _foreign_space,
+    is_substantive,
+    is_substantive_line,
+    normal_form,
+    split_lines,
+    tokenize_line,
+)
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import BleuReferences, bleu
 from .diffs import record_vulnerable_lines
@@ -53,7 +65,7 @@ class LineSample:
 
 def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:
     """Positive samples for one vulnerable function, from the lines
-    record_vulnerable_lines names."""
+    record_vulnerable_lines names that are substantive and not refused."""
     if record.diff is None and not record.vul_lines:
         raise DiffMismatchError(
             f"record {record.function_id}: vulnerable but has neither diff nor vul_lines"
@@ -66,7 +78,10 @@ def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:
             raise DiffMismatchError(
                 f"record {record.function_id}: vulnerable line {line} is outside the source"
             )
-        tokens = tokenize_line(source_lines[line - 1])
+        raw = source_lines[line - 1]
+        if _foreign_space(raw):
+            continue
+        tokens = tokenize_line(raw)
         if is_substantive(tokens):
             out.append(LineSample(normal_form(tokens), LineLabel.VULNERABLE, Origin(record.function_id, line)))
     return out
@@ -77,17 +92,18 @@ def sample_candidate_negatives(
 ) -> list[LineSample]:
     """Uniform sample, without replacement, of min(n, pool size) substantive
     lines drawn from the non-vulnerable functions of a corpus: at most the
-    whole pool. The pool holds each substantive line's raw text, judged
-    without tokenizing it; only the picked lines are tokenized, once each,
-    for their normal form."""
+    whole pool. The pool holds each substantive, unrefused line's raw text,
+    judged without tokenizing it; only the picked lines are tokenized, once
+    each, for their normal form."""
     if not is_strict_int(n) or n < 0:
         raise UndefinedInputError(f"the number of negatives to sample must be an int >= 0, got {n!r}")
     pool: list[tuple[str, int, str]] = []
     for record in records:
         if record.label != NON_VULNERABLE:
             continue
+        screened = _any_foreign_space(record.source)
         for lineno, raw in enumerate(split_lines(record.source), start=1):
-            if is_substantive_line(raw):
+            if is_substantive_line(raw) and not (screened and _foreign_space(raw)):
                 pool.append((record.function_id, lineno, raw))
     picked = random.Random(seed).sample(pool, min(n, len(pool)))
     return [

@@ -680,13 +680,14 @@ def oracle_design_matrix(texts, view: FeatureView) -> tuple[dict[str, int], np.n
 def oracle_candidate_negatives(records, n: int, seed: int) -> list[tuple[str, int, str]]:
     """(function id, line, normal form) of each sampled negative, from the
     pool first built by tokenizing every line of every clean function and
-    keeping those with a token other than a delimiter."""
+    keeping those with a token other than a delimiter and no token that is
+    white space (U+00A0, say: the white space that the parser refuses)."""
     pool = []
     for record in records:
         if record.label != NON_VULNERABLE:
             continue
         for lineno, raw in enumerate(split_lines(record.source), start=1):
             tokens = tokenize_line(raw)
-            if any(t.kind is not TokenKind.PUNCT for t in tokens):
+            if any(t.kind is not TokenKind.PUNCT for t in tokens) and not any(t.text.isspace() for t in tokens):
                 pool.append((record.function_id, lineno, " ".join(t.text for t in tokens)))
     return random.Random(seed).sample(pool, min(n, len(pool)))

@@ -11,6 +11,7 @@ from synth import random_pdg
 
 from trustvet.assess import (
     ReachRecord,
+    _Relation,
     _score_with_records,
     assess_prediction,
     assessment_to_dict,
@@ -22,6 +23,7 @@ from trustvet.assess import (
     vulnerable_edges,
 )
 from trustvet.errors import ContractError, PipelineError, UnknownEdgeError
+from trustvet.frontend import import_raw_graph
 from trustvet.frontend.lexer import normalize_line
 from trustvet.lineassess.classifier import LookupLineClassifier
 from trustvet.pdg import DepKind, Explanation, Pdg, PdgEdge, build_weighted_pdg
@@ -306,6 +308,144 @@ def test_deep_chain_needs_no_recursion():
     assert assessment.records == (ReachRecord(line=1, distance=n - 1, target=n, target_score=0.75),)
     assert assessment.trust_score == pytest.approx(1.0 / (n - 1))
 
+
+
+def test_deep_chain_of_benign_lines_needs_no_recursion(monkeypatch):
+    # every line before the target is benign, so each crossed edge reads the
+    # reach labels: their Tarjan pass runs once along all 20,000 lines
+    n = 20_000
+    lines = range(1, n + 1)
+    pdg = Pdg.build(
+        "chain",
+        lines,
+        [PdgEdge(line, line + 1, DepKind.DATA, "v") for line in range(1, n)],
+        {line: f"v = step_{line} ( v ) ;" for line in lines},
+        {line: {"v"} for line in lines},
+    )
+    g = build_weighted_pdg(pdg, Explanation("chain", 0.5, ((1, 0.25), (n, 0.75))))
+    benign = frozenset(range(1, n))
+    builds = count_label_builds(monkeypatch)
+    assert reachability_distance(1, n, g, benign) == n - 1
+    assert builds == [1]
+    assert vulnerable_edges(g, benign) == pdg.edges
+
+
+def count_label_builds(monkeypatch) -> list[int]:
+    """A one-item list that counts the reach-label passes from now on."""
+    builds = [0]
+    build = _Relation._reach_labels
+
+    def counted(self, *args):
+        builds[0] += 1
+        return build(self, *args)
+
+    monkeypatch.setattr(_Relation, "_reach_labels", counted)
+    return builds
+
+
+class TestRelateOnDemand:
+    """nearest() searches only as far as its lines and reads the reach
+    labels only for an edge that the suspect rule cannot settle."""
+
+    def test_benign_target_whose_in_edges_reach_no_suspect(self):
+        # reachability_distance accepts a benign target: 1 -> 2 reaches no
+        # suspect, 3 -> 4 -> 5 does, through the suspect 5
+        pdg = Pdg.build(
+            "f",
+            [1, 2, 3, 4, 5],
+            [
+                PdgEdge(1, 2, DepKind.CONTROL),
+                PdgEdge(3, 4, DepKind.CONTROL),
+                PdgEdge(4, 5, DepKind.CONTROL),
+            ],
+            line_vars={n: set() for n in (1, 2, 3, 4, 5)},
+        )
+        g = build_weighted_pdg(pdg, Explanation("f", 0.5, ((1, 0.5), (5, 0.5))))
+        benign = frozenset({1, 2, 3, 4})
+        vulnerable = oracle_vulnerable_edges(pdg, benign)
+        for start, target in ((1, 2), (3, 4), (3, 5)):
+            want = oracle_distances(pdg, vulnerable, [start], [target])[(start, target)]
+            assert reachability_distance(start, target, g, benign) == want
+        assert math.isinf(reachability_distance(1, 2, g, benign))
+        assert reachability_distance(3, 4, g, benign) == 1
+
+    def test_a_tie_in_the_last_layer_is_decided_after_the_last_line_is_met(self):
+        # 5 is met on layer 2 first through 3, toward the lighter target 7,
+        # and later in the same layer through 4, toward the heavier 8
+        pdg = Pdg.build(
+            "f",
+            [1, 3, 4, 5, 7, 8],
+            [
+                PdgEdge(1, 7, DepKind.CONTROL),
+                PdgEdge(3, 7, DepKind.CONTROL),
+                PdgEdge(4, 8, DepKind.CONTROL),
+                PdgEdge(5, 3, DepKind.CONTROL),
+                PdgEdge(5, 4, DepKind.CONTROL),
+            ],
+            line_vars={n: set() for n in (1, 3, 4, 5, 7, 8)},
+        )
+        entries = ((7, 0.1), (8, 0.6), (1, 0.1), (5, 0.2))
+        expl = Explanation("f", 0.5, entries)
+        g = build_weighted_pdg(pdg, expl, normalize=False)
+        benign = frozenset({1, 5})
+        vulnerable = oracle_vulnerable_edges(pdg, benign)
+        _, records, _ = _score_with_records(expl, g, benign, "direct")
+        assert records == (
+            ReachRecord(line=1, distance=1, target=7, target_score=0.1),
+            ReachRecord(line=5, distance=2, target=8, target_score=0.6),
+        )
+        for record in records:
+            want = oracle_nearest(pdg, vulnerable, g.weights, benign, entries, record.line)
+            assert (record.distance, record.target, record.target_score) == want
+
+    def test_a_suspect_that_lacks_the_imported_variable(self):
+        # the exporter says x flows from line 2 into line 3, but line 3 holds
+        # only y, and nothing after it holds x: the edge does not count
+        doc = {
+            "function": "f",
+            "nodes": [
+                {"id": 1, "line": 2, "code": "x = read(src);"},
+                {"id": 2, "line": 3, "code": "sink(y);"},
+                {"id": 3, "line": 4, "code": "z = y;"},
+            ],
+            "edges": [
+                {"src": 1, "dst": 2, "kind": "DDG", "variable": "x"},
+                {"src": 2, "dst": 3, "kind": "DDG", "variable": "y"},
+            ],
+        }
+        pdg = import_raw_graph(doc).to_pdg()
+        assert "x" not in pdg.line_vars[3]
+        expl = Explanation("f", 0.5, ((2, 0.5), (3, 0.3), (4, 0.2)))
+        g = build_weighted_pdg(pdg, expl)
+        benign = frozenset({2})
+        assert vulnerable_edges(g, benign) == oracle_vulnerable_edges(pdg, benign) == (pdg.edges[1],)
+        assert math.isinf(nearest_non_benign(2, expl, g, benign).distance)
+        # in transitive_flow mode x may flow on into a suspect, so it counts
+        assert nearest_non_benign(2, expl, g, benign, "transitive_flow").distance == 1
+
+    def test_reach_labels_are_built_only_when_an_edge_needs_them(self, monkeypatch):
+        # 1 -> 2 -> 3 -> 4: data edges into 2 and 3 and a control edge
+        # into 4, and every line holds v. Only the edges into benign lines
+        # need the labels.
+        pdg = Pdg.build(
+            "f",
+            [1, 2, 3, 4],
+            [
+                PdgEdge(1, 2, DepKind.DATA, "v"),
+                PdgEdge(2, 3, DepKind.DATA, "v"),
+                PdgEdge(3, 4, DepKind.CONTROL),
+            ],
+            line_vars={1: {"v"}, 2: {"v"}, 3: {"v"}, 4: {"v"}},
+        )
+        expl = Explanation("f", 0.5, ((1, 0.4), (2, 0.3), (4, 0.3)))
+        g = build_weighted_pdg(pdg, expl)
+        builds = count_label_builds(monkeypatch)
+        assert nearest_non_benign(2, expl, g, frozenset({2})).distance == 2
+        assert builds == [0]
+        assert nearest_non_benign(1, expl, g, frozenset({1, 2, 3})).distance == 3
+        assert builds == [1]
+        assert reachability_distance(1, 4, g, frozenset({1, 2, 3})) == 3
+        assert builds == [2]  # once per relation, and one relation per query
 
 class TestTrustScore:
     def test_worked_example_value(self, weighted, benign, vrrp_explanation):

@@ -5,15 +5,19 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import (
     KIND_ENTRIES,
+    c_subset_function,
     lookup_ensemble,
     negative_record,
     nested_ifs,
@@ -22,7 +26,9 @@ from synth import (
     worker_record,
     worker_source,
 )
+from test_frontend_oracles import c_soup, function_shell, graph_docs, json_values
 import trustvet
+from trustvet.assess import DATA_RULE_MODES
 from trustvet.cli import EXIT_ERROR, EXIT_OK, EXIT_UNTRUSTWORTHY, MANIFEST_NAME, main
 from trustvet.corpus import save_corpus
 from trustvet.frontend.graphio import export_raw_graph
@@ -710,3 +716,68 @@ class TestMalformedArtifacts:
         result = runner.invoke(main, ["assess", *vrrp_args, "--config", str(path)])
         assert_clean_failure(result)
         assert "config file" in result.stderr
+
+
+# mostly well-formed explanations of f, so that most examples that parse
+# reach a verdict; lines 1-5 are the ones graph_docs places nodes on
+explanation_docs = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "schema_version": st.just("1.0.0"),
+            "function_id": st.just("f"),
+            "confidence": st.floats(0, 1),
+            "entries": st.lists(
+                st.fixed_dictionaries(
+                    {"line": st.integers(1, 5) | st.integers(1, 40), "score": st.floats(0, 1)}
+                ),
+                max_size=8,
+                unique_by=lambda entry: entry["line"],
+            ),
+        }
+    ),
+    json_values,
+)
+sources = st.one_of(
+    st.integers(0, 2**16).map(
+        lambda seed: c_subset_function(random.Random(seed), 30).replace("int fuzz(", "int f(", 1)
+    ),
+    c_soup,
+    c_soup.map(function_shell),
+)
+
+
+class TestAssessContract:
+    """Whatever its files hold, assess exits 0, 10 or 2, never 1 with a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        # one saved ensemble for every example; it flags some of the lines
+        # that the sources hold, so verdicts have benign and suspect lines
+        flagged = frozenset(
+            normalize_line(line) for v in "abcdex" for line in (f"return {v};", f"{v}++;", f"{v} = 1;")
+        )
+        models = [LookupLineClassifier(non_benign=flagged) for _ in range(3)]
+        return write_lookup_models(models, tmp_path_factory.mktemp("contract_models"))
+
+    def run(self, runner, models, tmp_path_factory, flag, content, explanation, mode):
+        work = tmp_path_factory.getbasetemp()
+        source = work / "contract_input"
+        source.write_text(content, encoding="utf-8")
+        expl = work / "contract_explanation.json"
+        expl.write_text(json.dumps(explanation), encoding="utf-8")
+        args = [flag, str(source), "--explanation", str(expl), "--models", str(models), "--mode", mode]
+        result = runner.invoke(main, ["assess", *args])
+        assert result.exit_code in (EXIT_OK, EXIT_ERROR, EXIT_UNTRUSTWORTHY), (result.output, result.exception)
+        if result.exit_code == EXIT_ERROR:
+            assert_clean_failure(result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sources, explanation_docs, st.sampled_from(DATA_RULE_MODES))
+    def test_source(self, runner, models, tmp_path_factory, source, explanation, mode):
+        self.run(runner, models, tmp_path_factory, "--source", source, explanation, mode)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graph_docs, json_values), explanation_docs, st.sampled_from(DATA_RULE_MODES))
+    def test_import_pdg(self, runner, models, tmp_path_factory, document, explanation, mode):
+        self.run(runner, models, tmp_path_factory, "--import-pdg", json.dumps(document), explanation, mode)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from oracles import oracle_bleu, oracle_candidate_negatives
 from synth import diff_record, negative_record, worker_record
 from trustvet.corpus import CorpusRecord
-from trustvet.errors import DiffMismatchError, UndefinedInputError
-from trustvet.frontend import lexer
+from trustvet.errors import DiffMismatchError, UndefinedInputError, UnsupportedConstructError
+from trustvet.frontend import lexer, pdg_from_source
 from trustvet.frontend.lexer import is_substantive_line, normalize_line, tokenize_line
 from trustvet.lineassess import dataset
 from trustvet.lineassess.dataset import (
@@ -131,7 +131,8 @@ class TestNegativeSampling:
 POOL_LINES = st.lists(
     st.sampled_from(
         ("x = 1;", "return y;", "if (a) {", "}", "{", "", "   ", "// note", "/* c */", "/* open",
-         "*/", "( ) ;", '"s"', "'", "@", "\u00a0", "\tq++;", "a; // tail", "/* c */ b;")
+         "*/", "( ) ;", '"s"', "'", "@", "\u00a0", "\tq++;", "a; // tail", "/* c */ b;",
+         "x\u00a0= 1;", "y = 2;\u3000", 's = "\u00a0";', "z = 3; // \u2028")
     ),
     max_size=8,
 )
@@ -185,6 +186,34 @@ class TestLineBreaks:
         clean = dataclasses.replace(negative_record("c", []), source=source)
         picked = sample_candidate_negatives([clean], 10, 0)
         assert sorted(s.origin.line for s in picked) == [1, 3, 5, 6]
+
+
+class TestForeignWhiteSpace:
+    """A line that the parser and the graph import refuse, for white space
+    that C does not have, yields no sample, as a non-substantive line does.
+    The same white space in a literal or comment is accepted."""
+
+    @staticmethod
+    def source(space):
+        return (
+            f"int f(int a)\n{{\n    a{space}= a + 1;\n    s = \"{space}\";\n"
+            f"    t = 2; // {space}\n    return a;\n}}\n"
+        )
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u3000", "\x1c"], ids=ascii)
+    def test_refused_lines_yield_no_sample(self, space):
+        source = self.source(space)
+        with pytest.raises(UnsupportedConstructError, match=r"line 3: white space U\+"):
+            pdg_from_source(source)
+        vulnerable = dataclasses.replace(worker_record("w", "pure", 0.9), source=source, vul_lines=(3, 6))
+        clean = dataclasses.replace(negative_record("c", []), source=source)
+        samples, counts = build_line_dataset([vulnerable, clean], seed=0, neg_ratio=5)
+        assert [(s.origin.line, s.text) for s in samples if s.label is LineLabel.VULNERABLE] == [
+            (6, "return a ;")
+        ]
+        assert counts["candidate_negatives"] == 4
+        picked = sample_candidate_negatives([clean], 10, 0)
+        assert sorted(s.origin.line for s in picked) == [1, 4, 5, 6]
 
 
 class TestNearDuplicateFilter:

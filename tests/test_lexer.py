@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustvet.frontend.lexer import (
+    _FOREIGN_SPACE,
     TokenKind,
+    _any_foreign_space,
     c_keywords,
     extract_variables,
     is_substantive,
@@ -156,3 +158,23 @@ class TestNormalForm:
         texts = [t.text for t in tokens]
         form = normal_form(tokens)
         assert form.split(" ") == texts == [t.text for t in tokenize_line(form)]
+
+
+class TestAnyForeignSpace:
+    """The quick test of a whole text agrees with one search for white space
+    that C does not have."""
+
+    def test_every_ascii_character(self):
+        for code in range(128):
+            text = f"x = {chr(code)};"
+            assert _any_foreign_space(text) == (_FOREIGN_SPACE.search(text) is not None), code
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(st.sampled_from(NORMAL_FORM_PIECES + ("\x1f", "\x85", "\u2028")), max_size=8).map("".join),
+        )
+    )
+    def test_any_text(self, text):
+        assert _any_foreign_space(text) == (_FOREIGN_SPACE.search(text) is not None)
