@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError, PipelineError, TrustvetError, UnknownEdgeError
-from .lineassess.ensemble import BenignVerdict, Screen, benign_candidates
+from .lineassess.ensemble import BenignVerdict, benign_candidates
 from .pdg import (
     DepKind,
     Explanation,
@@ -106,11 +106,9 @@ class _Relation:
     iterative Tarjan pass over the strongly connected components computes
     reach, at most once per relation and only when an edge needs it.
 
-    An edge into a suspect y needs no reach: a Control edge counts, and so
-    does a Data edge whose variable y holds, or any Data edge in
-    transitive_flow mode. Every other edge, and every edge into a benign
-    line, is tested with reach. edges() tests every edge; nearest() tests
-    only the edges its search crosses. Each is O(lines + edges).
+    One _counts decides every edge, for nearest() and for the module's
+    table-style functions alike. nearest() tests only the edges its search
+    crosses, in O(lines + edges).
     """
 
     def __init__(self, g: WeightedPdg, benign: frozenset[LineId], mode: str):
@@ -197,8 +195,15 @@ class _Relation:
         return marked
 
     def _counts(self, edge: PdgEdge) -> bool:
-        """Whether edge is a vulnerable dependency, read from reach."""
+        """Whether edge is a vulnerable dependency. An edge into a suspect y
+        is settled by y alone (reach[y] would agree: it has the suspect bit
+        and the bit of each variable y holds, and y flows to itself); any
+        other edge reads reach."""
         _src, dst, kind, variable = edge
+        if dst not in self.benign and (
+            kind is DepKind.CONTROL or self.mode == TRANSITIVE_FLOW or variable in self.g.pdg.line_vars.get(dst, ())
+        ):
+            return True
         reach, bit = self._labels
         mask = reach[dst]
         return bool(mask & _SUSPECT) and (
@@ -206,10 +211,6 @@ class _Relation:
             or bool(mask & bit[variable])
             or (self.mode == TRANSITIVE_FLOW and dst in self._flow_to_suspect)
         )
-
-    def edges(self) -> tuple[PdgEdge, ...]:
-        """The vulnerable edges, in graph order."""
-        return tuple(edge for edge in self.g.pdg.edges if self._counts(edge))
 
     def nearest(self, lines: Iterable[LineId], targets: Iterable[LineId]) -> tuple[ReachRecord, ...]:
         """Closest target of each line: fewest hops, then heavier weight,
@@ -220,8 +221,8 @@ class _Relation:
         its successors on layer d - 1, because every target at its nearest
         distance is reached through one of them. The search stops at the end
         of the layer on which the last of lines is met: a later label of that
-        layer can still win a tie. An edge is tested only when the search
-        crosses it.
+        layer can still win a tie. _counts tests an edge only when the
+        search crosses it.
         """
         lines = tuple(lines)
         weights = self.g.weights
@@ -231,8 +232,7 @@ class _Relation:
         into: defaultdict[LineId, list[PdgEdge]] = defaultdict(list)
         for edge in self.g.pdg.edges:
             into[edge[1]].append(edge)
-        benign, line_vars = self.benign, self.g.pdg.line_vars
-        flow = self.mode == TRANSITIVE_FLOW
+        counts = self._counts
         frontier = list(label)
         depth = 0
         while missing and frontier:
@@ -240,18 +240,14 @@ class _Relation:
             layer = []
             for line in frontier:
                 key = label[line]
-                suspect = line not in benign
-                held = line_vars.get(line, ())
                 for edge in into.get(line, ()):
-                    prev, _line, kind, variable = edge
+                    prev = edge[0]
                     seen = hops.get(prev)
                     # a self-loop leads back to its line, on an earlier
                     # layer: it never shortens a path or counts toward one
                     if seen is not None and (seen < depth or label[prev] <= key):
                         continue
-                    if not (
-                        suspect and (kind is DepKind.CONTROL or flow or variable in held)
-                    ) and not self._counts(edge):
+                    if not counts(edge):
                         continue
                     if seen is None:
                         hops[prev] = depth
@@ -276,7 +272,7 @@ def is_vulnerable_dependency(
     _check_mode(mode)
     if edge not in g.pdg.edges:
         raise UnknownEdgeError(f"edge {edge.src}->{edge.dst} ({edge.kind.value}) is not in the graph")
-    return edge in _Relation(g, benign, mode).edges()
+    return _Relation(g, benign, mode)._counts(edge)
 
 
 def vulnerable_edges(
@@ -284,7 +280,8 @@ def vulnerable_edges(
 ) -> tuple[PdgEdge, ...]:
     """All edges that pass the vulnerable-dependency predicate."""
     _check_mode(mode)
-    return _Relation(g, benign, mode).edges()
+    counts = _Relation(g, benign, mode)._counts
+    return tuple(edge for edge in g.pdg.edges if counts(edge))
 
 
 def reachability_distance(
@@ -361,7 +358,7 @@ def assess_prediction(
     threshold: float,
     normalize_weights: bool = True,
     mode: str = DIRECT,
-    memo: dict[str, Screen] | None = None,
+    memo: dict[str, BenignVerdict] | None = None,
 ) -> Assessment:
     """Full per-function pipeline: weights, votes, distances, verdict.
 

@@ -25,7 +25,7 @@ from .errors import SchemaError, TrustvetError
 from .evaluate import render_table, report_to_dict, run_evaluation
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
-from .lineassess.classifier import TrainConfig, load_model, save_model, train_classifier
+from .lineassess.classifier import LinearLineClassifier, TrainConfig, load_model, save_model, train_classifier
 from .lineassess.dataset import build_line_dataset, load_line_dataset, save_line_dataset
 from .lineassess.features import ALL_VIEWS
 from .pdg import (
@@ -80,11 +80,16 @@ def _resolve_config(config_path: str | None, **overrides) -> RunConfig:
 
 
 def save_ensemble(models, out_dir: str | Path) -> None:
+    """Write each member and a sorted manifest of their file names: a linear
+    member is named after its view unless an earlier member took that name,
+    any other member member_<i>.json, by its position i."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     members = []
-    for model in models:
-        name = f"{model.view.value}.json"
+    for i, model in enumerate(models):
+        name = f"{model.view.value}.json" if isinstance(model, LinearLineClassifier) else None
+        if name is None or name in members:
+            name = f"member_{i}.json"
         save_model(model, out / name)
         members.append(name)
     _write_json({"schema_version": SCHEMA_VERSION, "members": sorted(members)}, out / MANIFEST_NAME)

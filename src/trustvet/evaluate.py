@@ -34,7 +34,7 @@ from .errors import (
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
 from .lineassess.diffs import record_vulnerable_lines
-from .lineassess.ensemble import Screen
+from .lineassess.ensemble import BenignVerdict
 from .pdg import SCHEMA_VERSION, Explanation, LineId, Pdg, is_strict_int, json_number
 
 
@@ -252,7 +252,7 @@ def evaluate_record(
     record: CorpusRecord,
     ensemble: Sequence,
     config: RunConfig,
-    memo: dict[str, Screen] | None = None,
+    memo: dict[str, BenignVerdict] | None = None,
 ) -> RecordResult:
     """Tau-independent evaluation of one prediction; failures become skips.
 
@@ -353,7 +353,7 @@ def run_evaluation(
         taus = (config.iou_threshold,)
     for tau in taus:
         require_iou_cutoff(tau, "IoU cutoff")
-    memo: dict[str, Screen] = {}
+    memo: dict[str, BenignVerdict] = {}
     worker: Callable[[CorpusRecord], RecordResult] = lambda r: evaluate_record(
         r, ensemble, config, memo
     )

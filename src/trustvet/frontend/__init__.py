@@ -13,7 +13,6 @@ from .graphio import (
 from .lexer import (
     Token,
     TokenKind,
-    c_keywords,
     extract_variables,
     is_substantive_line,
     normalize_line,
@@ -36,7 +35,6 @@ __all__ = [
     "RawNode",
     "Token",
     "TokenKind",
-    "c_keywords",
     "export_raw_graph",
     "extract_variables",
     "import_raw_graph",

@@ -105,11 +105,6 @@ _FIXED_TOKENS.update((op, Token(TokenKind.OPERATOR, op)) for op in _OPERATORS)
 _FIXED_TOKENS.update((word, Token(TokenKind.KEYWORD, word)) for word in _KEYWORDS)
 
 
-def c_keywords() -> frozenset[str]:
-    """The C99 keywords."""
-    return _KEYWORDS
-
-
 def tokenize_line(text: str) -> list[Token]:
     """Tokenize one source line. Never raises.
 

@@ -483,7 +483,7 @@ def save_model(clf: LineClassifier, path: str | Path) -> None:
             "threshold": clf.threshold,
             "timeout": clf.timeout,
         }
-    else:  # pragma: no cover - defensive
+    else:
         raise SchemaError(f"cannot persist classifier of type {type(clf).__name__}")
     Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
 

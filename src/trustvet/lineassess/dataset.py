@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -152,7 +153,9 @@ def build_line_dataset(
     for record in records:
         if record.label == VULNERABLE:
             positives.extend(vulnerable_samples(record))
-    candidates = sample_candidate_negatives(records, math.ceil(neg_ratio * len(positives)), seed)
+    # a finite ratio can still overflow to inf; the sample is at most the pool
+    wanted = math.ceil(min(neg_ratio * len(positives), sys.maxsize))
+    candidates = sample_candidate_negatives(records, wanted, seed)
     negatives = filter_negatives(candidates, positives, bleu_threshold, bleu_order)
     counts = {
         "vulnerable": len(positives),

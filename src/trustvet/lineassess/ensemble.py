@@ -7,17 +7,17 @@ the graph dropped have no text to classify.
 
 Linear and lookup classifiers vote on the line text alone, so an ensemble
 made only of them can reuse a verdict for every line with the same text.
-benign_candidates takes a memo from text to (votes, benign) for that: a
-caller that screens many functions, such as run_evaluation, passes one memo
-for the whole run and so screens each distinct line text once. An ensemble
-with any other member (an adapter, a test stub) asks every member about
-every line. A text whose screening raises is never stored, so the error
+benign_candidates takes a memo from text to BenignVerdict for that, and
+every line with that text shares the one verdict: a caller that screens
+many functions, such as run_evaluation, passes one memo for the whole run
+and so screens each distinct line text once. An ensemble with any other
+member (an adapter, a test stub) asks every member about every line. A text whose screening raises is never stored, so the error
 still names the first failing line in explanation order.
 
 Every member still gets its own classify call, but one screen of one text
 hands them all the same ScreenText: the line is normalized and tokenized
 once for the whole ensemble. That object lives for one screen only: the
-memo stores the votes, never it.
+memo stores the verdict, never it.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .classifier import LinearLineClassifier, LookupLineClassifier, ScreenText
 # members whose votes depend on the line text alone
 _TEXT_ONLY = (LinearLineClassifier, LookupLineClassifier)
 
-# what a screen memo holds for one line text: the votes and the verdict
-Screen = tuple[tuple[int, ...], bool]
-
 
 def ensemble_vote(votes: Sequence[int]) -> int:
     """1 when the benign votes reach half of the ensemble."""
@@ -47,7 +44,6 @@ def ensemble_vote(votes: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class BenignVerdict:
-    line: LineId
     votes: tuple[int, ...]
     is_benign_candidate: bool
 
@@ -56,7 +52,7 @@ def benign_candidates(
     ensemble: Sequence,
     expl: Explanation,
     line_text: Mapping[LineId, str],
-    memo: dict[str, Screen] | None = None,
+    memo: dict[str, BenignVerdict] | None = None,
 ) -> dict[LineId, BenignVerdict]:
     """One verdict per explanation line resident in the graph.
 
@@ -77,18 +73,17 @@ def benign_candidates(
         text = line_text.get(line)
         if text is None:
             continue
-        screen = None if memo is None else memo.get(text)
-        if screen is None:
-            screen = _screen(ensemble, line, text)
+        verdict = None if memo is None else memo.get(text)
+        if verdict is None:
+            verdict = _screen(ensemble, line, text)
             if memo is not None:
-                memo[text] = screen
-        votes, benign = screen
-        verdicts[line] = BenignVerdict(line=line, votes=votes, is_benign_candidate=benign)
+                memo[text] = verdict
+        verdicts[line] = verdict
     return verdicts
 
 
-def _screen(ensemble: Sequence, line: LineId, text: str) -> Screen:
-    """Every member's vote on one line, and the majority verdict."""
+def _screen(ensemble: Sequence, line: LineId, text: str) -> BenignVerdict:
+    """Every member's vote on one line's text, and the majority verdict."""
     shared = ScreenText(text)
     votes = []
     for clf in ensemble:
@@ -96,4 +91,4 @@ def _screen(ensemble: Sequence, line: LineId, text: str) -> Screen:
             votes.append(clf.classify(shared)[0])
         except TrustvetError as exc:
             raise ClassificationError(line, str(exc)) from exc
-    return tuple(votes), ensemble_vote(votes) == 1
+    return BenignVerdict(tuple(votes), ensemble_vote(votes) == 1)

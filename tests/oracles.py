@@ -31,7 +31,6 @@ from trustvet.frontend.lexer import (
     STRING_LITERAL,
     Token,
     TokenKind,
-    c_keywords,
     normalize_line,
     split_lines,
     tokenize_line,
@@ -394,10 +393,23 @@ def _scan_string(text, i, quote):
     return n  # unterminated: consume to end of line
 
 
+# the C99 keywords but _Bool, _Complex and _Imaginary, spelled out here so
+# that a wrong table in the lexer cannot agree with this one
+ORACLE_C_KEYWORDS = frozenset(
+    {
+        "auto", "break", "case", "char", "const", "continue", "default", "do",
+        "double", "else", "enum", "extern", "float", "for", "goto", "if",
+        "inline", "int", "long", "register", "restrict", "return", "short",
+        "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
+        "unsigned", "void", "volatile", "while",
+    }
+)
+
+
 def oracle_tokenize_line(text):
     """The lexer's former scan, which tries every operator with startswith,
     longest first."""
-    keywords = c_keywords()
+    keywords = ORACLE_C_KEYWORDS
     tokens = []
     i = 0
     n = len(text)

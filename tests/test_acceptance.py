@@ -38,15 +38,15 @@ from trustvet.assess import (
     trust_score,
     vulnerable_edges,
 )
-from trustvet.cli import main
+from trustvet.cli import main, save_ensemble
 from trustvet.config import RunConfig
 from trustvet.corpus import save_corpus
 from trustvet.evaluate import calibrate_threshold, compute_metrics, run_evaluation
 from trustvet.frontend import pdg_from_source
 from trustvet.lineassess.bleu import BleuReferences, bleu
-from trustvet.lineassess.classifier import LookupLineClassifier, save_model
+from trustvet.lineassess.classifier import LookupLineClassifier
 from trustvet.lineassess.ensemble import benign_candidates, ensemble_vote
-from trustvet.pdg import SCHEMA_VERSION, WeightedPdg, build_weighted_pdg, dumps_canonical
+from trustvet.pdg import SCHEMA_VERSION, WeightedPdg, build_weighted_pdg
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -56,17 +56,6 @@ def check(name: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def write_lookup_models(texts: frozenset[str], out_dir) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    members = []
-    for i in range(3):
-        name = f"member_{i}.json"
-        save_model(LookupLineClassifier(non_benign=texts), out_dir / name)
-        members.append(name)
-    doc = {"schema_version": SCHEMA_VERSION, "members": members}
-    (out_dir / "manifest.json").write_text(dumps_canonical(doc), encoding="utf-8")
 
 
 def test_criterion_1_worked_example(vrrp_fixture, vrrp_explanation, vrrp_ensemble):
@@ -270,7 +259,7 @@ def test_criterion_8_latency(tmp_path, data_dir):
     expl_path = tmp_path / "expl.json"
     expl_path.write_text(json.dumps(explanation), encoding="utf-8")
     models = tmp_path / "models"
-    write_lookup_models(frozenset({pdg.line_text[deep]}), models)
+    save_ensemble([LookupLineClassifier(non_benign=frozenset({pdg.line_text[deep]})) for _ in range(3)], models)
 
     runner = CliRunner()
     args = [

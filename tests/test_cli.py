@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,17 +30,20 @@ from synth import (
 from test_frontend_oracles import c_soup, function_shell, graph_docs, json_values
 import trustvet
 from trustvet.assess import DATA_RULE_MODES
-from trustvet.cli import EXIT_ERROR, EXIT_OK, EXIT_UNTRUSTWORTHY, MANIFEST_NAME, main
+from trustvet.cli import EXIT_ERROR, EXIT_OK, EXIT_UNTRUSTWORTHY, MANIFEST_NAME, load_ensemble, main, save_ensemble
 from trustvet.corpus import save_corpus
+from trustvet.errors import SchemaError
 from trustvet.frontend.graphio import export_raw_graph
 from trustvet.frontend.lexer import normalize_line
 from trustvet.frontend.parser import parse_function
 from trustvet.lineassess.classifier import (
     ADAPTER_ENV_VAR,
     AdapterLineClassifier,
+    LinearLineClassifier,
     LookupLineClassifier,
     save_model,
 )
+from trustvet.lineassess.features import FeatureView
 from trustvet.pdg import SCHEMA_VERSION, dumps_canonical
 
 
@@ -48,24 +52,13 @@ def runner():
     return CliRunner()
 
 
-def write_lookup_models(models, out_dir: Path) -> Path:
-    """Persist an ensemble that save_ensemble cannot handle (no view field)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    members = []
-    for i, model in enumerate(models):
-        name = f"member_{i}.json"
-        save_model(model, out_dir / name)
-        members.append(name)
-    doc = {"schema_version": SCHEMA_VERSION, "members": members}
-    (out_dir / MANIFEST_NAME).write_text(dumps_canonical(doc), encoding="utf-8")
-    return out_dir
-
-
 @pytest.fixture(scope="module")
 def vrrp_models_dir(tmp_path_factory, vrrp_source):
     line7 = normalize_line(vrrp_source.splitlines()[6])
     models = [LookupLineClassifier(non_benign=frozenset({line7})) for _ in range(3)]
-    return write_lookup_models(models, tmp_path_factory.mktemp("vrrp_models"))
+    out = tmp_path_factory.mktemp("vrrp_models")
+    save_ensemble(models, out)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -354,14 +347,62 @@ class TestPipeline:
         assert "both classes" in train.stderr
 
 
+def linear(weight: float) -> LinearLineClassifier:
+    return LinearLineClassifier(
+        view=FeatureView.TOKEN_NGRAM, vocabulary={"x": 0}, weights=[weight], bias=0.0, seed=1
+    )
+
+
+class TestSaveEnsemble:
+    """save_ensemble writes any member list that load_ensemble reads: a
+    linear member is named after its view unless an earlier member took
+    that name, any other member by its position."""
+
+    def manifest(self, out: Path) -> list[str]:
+        return json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))["members"]
+
+    def test_lookup_members_are_named_by_position(self, tmp_path):
+        models = [LookupLineClassifier(non_benign=frozenset({f"x = {i} ;"})) for i in range(3)]
+        out = tmp_path / "models"
+        save_ensemble(models, out)
+        names = ["member_0.json", "member_1.json", "member_2.json"]
+        assert sorted(p.name for p in out.iterdir()) == [MANIFEST_NAME, *names]
+        manifest = dumps_canonical({"schema_version": SCHEMA_VERSION, "members": names})
+        assert (out / MANIFEST_NAME).read_text(encoding="utf-8") == manifest
+        for name, model in zip(names, models):
+            save_model(model, tmp_path / name)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert load_ensemble(out) == models
+
+    def test_an_adapter_member(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        lookup = LookupLineClassifier(non_benign=frozenset({"x = 1 ;"}))
+        save_ensemble([linear(1.0), AdapterLineClassifier(("scorer", "-q"), timeout=5.0), lookup], tmp_path)
+        assert self.manifest(tmp_path) == ["member_1.json", "member_2.json", "token_ngram.json"]
+        adapter, loaded_lookup, loaded_linear = load_ensemble(tmp_path)
+        assert (adapter.command, adapter.timeout) == (("scorer", "-q"), 5.0)
+        assert (loaded_lookup, loaded_linear) == (lookup, linear(1.0))
+
+    def test_two_linear_members_of_one_view(self, tmp_path):
+        first, second = linear(1.0), linear(2.0)
+        save_ensemble([first, second], tmp_path)
+        assert self.manifest(tmp_path) == ["member_1.json", "token_ngram.json"]
+        assert load_ensemble(tmp_path) == [second, first]
+
+    def test_a_foreign_member_is_refused(self, tmp_path):
+        with pytest.raises(SchemaError, match="cannot persist classifier of type object"):
+            save_ensemble([object()], tmp_path)
+        assert not (tmp_path / MANIFEST_NAME).exists()
+
+
 @pytest.fixture(scope="module")
 def planted(runner, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("planted_cli")
     records, expected = planted_corpus()
     corpus = tmp / "planted.jsonl"
     save_corpus(records, corpus)
-    models = write_lookup_models(lookup_ensemble(), tmp / "models")
-    return {"tmp": tmp, "corpus": corpus, "models": models, "expected": expected}
+    save_ensemble(lookup_ensemble(), tmp / "models")
+    return {"tmp": tmp, "corpus": corpus, "models": tmp / "models", "expected": expected}
 
 
 EVAL_ARGS = ["--trust-threshold", "0.25", "--conf-threshold", "0.5", "--iou-threshold", "0.5"]
@@ -505,6 +546,13 @@ def assert_clean_failure(result) -> None:
     assert result.exit_code == EXIT_ERROR, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
+
+
+def assert_contract(result) -> None:
+    """Exit 0, 10 or a clean 2: never 1 with a traceback."""
+    assert result.exit_code in (EXIT_OK, EXIT_ERROR, EXIT_UNTRUSTWORTHY), (result.output, result.exception)
+    if result.exit_code == EXIT_ERROR:
+        assert_clean_failure(result)
 
 
 class TestMalformedArtifacts:
@@ -757,8 +805,9 @@ class TestAssessContract:
         flagged = frozenset(
             normalize_line(line) for v in "abcdex" for line in (f"return {v};", f"{v}++;", f"{v} = 1;")
         )
-        models = [LookupLineClassifier(non_benign=flagged) for _ in range(3)]
-        return write_lookup_models(models, tmp_path_factory.mktemp("contract_models"))
+        out = tmp_path_factory.mktemp("contract_models")
+        save_ensemble([LookupLineClassifier(non_benign=flagged) for _ in range(3)], out)
+        return out
 
     def run(self, runner, models, tmp_path_factory, flag, content, explanation, mode):
         work = tmp_path_factory.getbasetemp()
@@ -767,10 +816,7 @@ class TestAssessContract:
         expl = work / "contract_explanation.json"
         expl.write_text(json.dumps(explanation), encoding="utf-8")
         args = [flag, str(source), "--explanation", str(expl), "--models", str(models), "--mode", mode]
-        result = runner.invoke(main, ["assess", *args])
-        assert result.exit_code in (EXIT_OK, EXIT_ERROR, EXIT_UNTRUSTWORTHY), (result.output, result.exception)
-        if result.exit_code == EXIT_ERROR:
-            assert_clean_failure(result)
+        assert_contract(runner.invoke(main, ["assess", *args]))
 
     @settings(max_examples=100, deadline=None)
     @given(sources, explanation_docs, st.sampled_from(DATA_RULE_MODES))
@@ -781,3 +827,145 @@ class TestAssessContract:
     @given(st.one_of(graph_docs, json_values), explanation_docs, st.sampled_from(DATA_RULE_MODES))
     def test_import_pdg(self, runner, models, tmp_path_factory, document, explanation, mode):
         self.run(runner, models, tmp_path_factory, "--import-pdg", json.dumps(document), explanation, mode)
+
+
+# numbers for flags and document fields: in range, out of range, not finite
+wild_numbers = st.one_of(
+    st.floats(0, 1),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 2.0, 1e308]),
+)
+record_docs = st.fixed_dictionaries(
+    {
+        "source": sources,
+        "label": st.sampled_from(["vulnerable", "non-vulnerable"]),
+        "vul_lines": st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    },
+    optional={
+        "explanation": st.lists(
+            st.fixed_dictionaries({"line": st.integers(1, 12), "score": wild_numbers}),
+            max_size=5,
+        ),
+        "confidence": wild_numbers,
+        "graph": graph_docs,
+    },
+)
+corpora = st.lists(record_docs, max_size=6).map(
+    lambda docs: [{**doc, "function_id": f"f{i}"} for i, doc in enumerate(docs)]
+)
+dataset_samples = st.fixed_dictionaries(
+    {
+        "text": st.sampled_from(["return a;", "strcpy(d, s);", "if (a > b) {", "a++;"])
+        | st.builds("{} = {};".format, st.sampled_from("abxy"), st.integers(0, 99)),
+        "label": st.sampled_from(["vulnerable", "non-vulnerable"]),
+        "function_id": st.just("f"),
+        "line": st.integers(1, 9),
+    }
+)
+datasets = st.lists(dataset_samples, min_size=2, max_size=8).map(
+    lambda samples: [{"schema_version": SCHEMA_VERSION, "kind": "line-dataset"}, *samples]
+)
+
+
+def flag_values(**flags):
+    """Strategy for an argument list that gives each flag sometimes, with a
+    value drawn from its strategy."""
+    return st.fixed_dictionaries({}, optional=flags).map(
+        lambda drawn: [part for flag, value in sorted(drawn.items()) for part in (f"--{flag}", str(value))]
+    )
+
+
+def replaced_somewhere(data, doc, value):
+    """doc with one value, at a path drawn from data, replaced by value."""
+    if not isinstance(doc, (dict, list)) or not doc or data.draw(st.integers(0, 3)) == 0:
+        return value
+    if isinstance(doc, dict):
+        key = data.draw(st.sampled_from(sorted(doc)))
+        return {**doc, key: replaced_somewhere(data, doc[key], value)}
+    i = data.draw(st.integers(0, len(doc) - 1))
+    return [*doc[:i], replaced_somewhere(data, doc[i], value), *doc[i + 1:]]
+
+
+def write_lines(path: Path, data, docs) -> Path:
+    """Write docs as JSON lines, half the time with one value anywhere in
+    them replaced by any JSON value or a wild number."""
+    if data.draw(st.booleans()):
+        docs = replaced_somewhere(data, docs, data.draw(st.one_of(json_values, wild_numbers)))
+    lines = docs if isinstance(docs, list) else [docs]
+    path.write_text("\n".join(json.dumps(doc) for doc in lines), encoding="utf-8")
+    return path
+
+
+class TestCommandContracts:
+    """Whatever their files and flags hold, ingest, train, evaluate and
+    report exit 0, 10 or 2, never 1 with a traceback; a model directory
+    that train writes loads in assess and scores a line."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("command_contracts")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        corpora,
+        flag_values(
+            seed=st.integers(-1, 9),
+            **{"neg-ratio": wild_numbers, "bleu-threshold": wild_numbers, "bleu-order": st.integers(-1, 6)},
+        ),
+    )
+    def test_ingest(self, runner, work, data, corpus, flags):
+        corpus_path = write_lines(work / "corpus.jsonl", data, corpus)
+        args = ["ingest", "--corpus", str(corpus_path), "--out", str(work / "dataset.jsonl")]
+        assert_contract(runner.invoke(main, [*args, *flags]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.data(),
+        datasets,
+        st.integers(0, 9),
+        flag_values(l2=wild_numbers, **{"max-iter": st.integers(-1, 30), "vote-threshold": wild_numbers}),
+    )
+    def test_train_and_assess(self, runner, work, vrrp_args, data, dataset, seed, flags):
+        dataset_path = write_lines(work / "train.jsonl", data, dataset)
+        models = work / "trained"
+        shutil.rmtree(models, ignore_errors=True)
+        args = ["train", "--dataset", str(dataset_path), "--out", str(models), "--seed", str(seed)]
+        result = runner.invoke(main, [*args, *flags])
+        assert_contract(result)
+        if result.exit_code == EXIT_OK:
+            judged = runner.invoke(main, ["assess", *vrrp_args[:4], "--models", str(models)])
+            assert judged.exit_code in (EXIT_OK, EXIT_UNTRUSTWORTHY), (judged.output, judged.exception)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.data(),
+        corpora,
+        flag_values(
+            seed=st.integers(-1, 9),
+            mode=st.sampled_from(DATA_RULE_MODES),
+            **{
+                "iou-threshold": wild_numbers,
+                "trust-threshold": wild_numbers,
+                "conf-threshold": wild_numbers,
+                "top-k": st.integers(-1, 12),
+            },
+        ),
+    )
+    def test_evaluate(self, runner, work, planted, data, corpus, flags):
+        corpus_path = write_lines(work / "predictions.jsonl", data, corpus)
+        args = ["evaluate", "--corpus", str(corpus_path), "--models", str(planted["models"])]
+        assert_contract(runner.invoke(main, [*args, *flags]))
+
+    @pytest.fixture(scope="class")
+    def report_doc(self, runner, work, planted):
+        out = work / "planted_report.json"
+        args = ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"])]
+        assert runner.invoke(main, [*args, *EVAL_ARGS, "--out", str(out)]).exit_code == EXIT_OK
+        return json.loads(out.read_text(encoding="utf-8"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_report(self, runner, work, report_doc, data):
+        report_path = write_lines(work / "report.json", data, report_doc)
+        assert_contract(runner.invoke(main, ["report", str(report_path)]))

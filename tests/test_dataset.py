@@ -124,6 +124,10 @@ class TestNegativeSampling:
         corpus = [worker_record("w", "pure", 0.9)] + pool
         _, counts = build_line_dataset(corpus, seed=0, neg_ratio=100)
         assert counts["candidate_negatives"] == len(lines)
+        # a ratio whose product with the positive count overflows to inf
+        _, counts = build_line_dataset(corpus, seed=0, neg_ratio=1e308)
+        assert counts["vulnerable"] > 1
+        assert counts["candidate_negatives"] == len(lines)
 
 
 # clean-function lines: code, and lines that carry none (blank, comments,

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ORACLE_C_KEYWORDS,
     oracle_clean_source,
     oracle_clean_source_literals_blanked,
     oracle_control_dependence,
@@ -160,6 +161,12 @@ class TestTokenizer:
     def test_first_character_classes(self, text):
         """Texts whose kinds turn on one character, which hypothesis rarely
         draws: non-ASCII letters and digits, dots, lone quotes, exponents."""
+        assert tokenize_line(text) == oracle_tokenize_line(text)
+
+    def test_every_keyword(self):
+        """Hypothesis rarely spells a keyword: each one, and an identifier
+        that starts with it, against the oracle's own keyword table."""
+        text = " ".join(f"{word} {word}_x" for word in sorted(ORACLE_C_KEYWORDS))
         assert tokenize_line(text) == oracle_tokenize_line(text)
 
 
