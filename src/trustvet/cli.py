@@ -25,7 +25,7 @@ from .errors import SchemaError, TrustvetError
 from .evaluate import render_table, report_to_dict, run_evaluation
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
-from .lineassess.classifier import LinearLineClassifier, TrainConfig, load_model, save_model, train_classifier
+from .lineassess.classifier import LinearLineClassifier, TrainConfig, load_model, model_to_dict, train_classifier
 from .lineassess.dataset import build_line_dataset, load_line_dataset, save_line_dataset
 from .lineassess.features import ALL_VIEWS
 from .pdg import (
@@ -82,17 +82,22 @@ def _resolve_config(config_path: str | None, **overrides) -> RunConfig:
 def save_ensemble(models, out_dir: str | Path) -> None:
     """Write each member and a sorted manifest of their file names: a linear
     member is named after its view unless an earlier member took that name,
-    any other member member_<i>.json, by its position i."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    members = []
+    any other member member_<i>.json, by its position i. An empty list, or
+    one with a member that cannot be persisted, is refused before anything
+    is written."""
+    documents: dict[str, dict] = {}  # of each member, by its file name
     for i, model in enumerate(models):
         name = f"{model.view.value}.json" if isinstance(model, LinearLineClassifier) else None
-        if name is None or name in members:
+        if name is None or name in documents:
             name = f"member_{i}.json"
-        save_model(model, out / name)
-        members.append(name)
-    _write_json({"schema_version": SCHEMA_VERSION, "members": sorted(members)}, out / MANIFEST_NAME)
+        documents[name] = model_to_dict(model)
+    if not documents:
+        raise SchemaError("an ensemble needs at least one member")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, doc in documents.items():
+        _write_json(doc, out / name)
+    _write_json({"schema_version": SCHEMA_VERSION, "members": sorted(documents)}, out / MANIFEST_NAME)
 
 
 def load_ensemble(path: str | Path, adapter_command: str | None = None):

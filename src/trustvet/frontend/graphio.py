@@ -41,25 +41,29 @@ def merge_line_nodes(raw: RawDepGraph) -> Pdg:
     headers produce them legitimately). From the node surfaces, a line takes
     the text of its longest code fragment (a parsed node carries its whole
     comment-free line, an imported one a substring of it at worst) and the
-    variables of all of them.
+    variables of all of them. A line takes its first node's surface, and
+    only a line with two or more distinct codes gets a {code: surface} dict.
     """
     line_of: dict[int, int] = {}
+    first: dict[int, RawNode] = {}  # of each line
     fragments: dict[int, dict[str, tuple[str, frozenset[str]]]] = {}  # code -> surface
     for node in raw.nodes:
-        line_of[node.node_id] = node.line
-        fragments.setdefault(node.line, {})[node.code] = node.surface
+        line = node.line
+        line_of[node.node_id] = line
+        seen = first.setdefault(line, node)
+        if seen.code != node.code:
+            fragments.setdefault(line, {seen.code: seen.surface})[node.code] = node.surface
 
     line_text: dict[int, str] = {}
     line_vars: dict[int, frozenset[str]] = {}
+    for line, node in first.items():
+        line_text[line], line_vars[line] = node.surface
     for line, surfaces in fragments.items():
-        if len(surfaces) == 1:  # every statement on the line has the same code
-            [(line_text[line], line_vars[line])] = surfaces.values()
-        else:
-            line_text[line] = surfaces[max(surfaces, key=len)][0]
-            line_vars[line] = frozenset().union(*(names for _, names in surfaces.values()))
+        line_text[line] = surfaces[max(surfaces, key=len)][0]
+        line_vars[line] = frozenset().union(*(names for _, names in surfaces.values()))
     return Pdg(
         function_id=raw.function_id,
-        nodes=frozenset(fragments),
+        nodes=frozenset(first),
         edges=_line_edges(raw, line_of),
         line_text=line_text,
         line_vars=line_vars,
@@ -73,16 +77,16 @@ merge_imported_nodes = merge_line_nodes
 def _line_edges(raw: RawDepGraph, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
     """Re-point statement edges at lines, deduplicated, in canonical order.
 
-    The raw edges are plain tuples. They are re-pointed, deduplicated and
-    sorted as plain tuples, in the order they come; the parser's come nearly
-    sorted, which the sort runs through fast. Only then is one PdgEdge made
-    for each line edge kept, so no edge is built twice.
+    Each raw edge, a plain tuple, is re-pointed straight into a PdgEdge;
+    equal PdgEdges hash and compare as equal tuples, so dict.fromkeys keeps
+    the first of each, and the kept ones sort as tuples. The parser's come
+    nearly sorted, which the sort runs through fast.
     """
-    edges = dict.fromkeys(
-        [(line_of[src], line_of[dst], kind, variable) for src, dst, kind, variable in raw.edges]
-    )
     new = tuple.__new__  # PdgEdge._make would add a Python frame for each edge
-    return tuple([new(PdgEdge, edge) for edge in sorted(edges)])
+    edges = dict.fromkeys(
+        [new(PdgEdge, (line_of[src], line_of[dst], kind, variable)) for src, dst, kind, variable in raw.edges]
+    )
+    return tuple(sorted(edges))
 
 
 @dataclass
@@ -126,7 +130,9 @@ def import_raw_graph(document: dict) -> ImportedGraph:
             refused = _foreign_space(code)
             if refused:
                 raise ImportSchemaError(f"graph export: node {node_id}: {refused}")
-            surfaces[code] = surface(tokenize_line(code))
+            tokens = tokenize_line(code)
+            kinds, texts = zip(*tokens) if tokens else ((), ())
+            surfaces[code] = surface(texts, kinds)
         nodes.append(RawNode(node_id, line, code, surfaces[code]))
 
     edges: list[RawEdge] = []

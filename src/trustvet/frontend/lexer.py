@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class TokenKind(Enum):
@@ -222,21 +222,22 @@ def extract_variables(text: str) -> frozenset[str]:
     names and plain variables both count: the set is the syntactic identifier
     surface of the line, not a dataflow use set.
     """
-    return _variables(tokenize_line(text))
+    tokens = tokenize_line(text)
+    kinds, texts = zip(*tokens) if tokens else ((), ())
+    return _variables(texts, kinds)
 
 
-def surface(tokens: list[Token]) -> tuple[str, frozenset[str]]:
-    """normalize_line and extract_variables of a line, from its tokens."""
-    return normal_form(tokens), _variables(tokens)
+def surface(texts: Sequence[str], kinds: Sequence[TokenKind]) -> tuple[str, frozenset[str]]:
+    """normalize_line and extract_variables of a line, from its tokens' texts
+    and kinds, two parallel sequences."""
+    return " ".join(texts), _variables(texts, kinds)
 
 
-def _variables(tokens: list[Token]) -> frozenset[str]:
-    names = set()
-    for t, nxt in zip(tokens, tokens[1:]):
-        if t.kind is _IDENTIFIER and nxt.text != "(":  # "(" is only ever a Punct token
-            names.add(t.text)
-    if tokens and tokens[-1].kind is _IDENTIFIER:
-        names.add(tokens[-1].text)
+def _variables(texts: Sequence[str], kinds: Sequence[TokenKind]) -> frozenset[str]:
+    # "(" is only ever a Punct token, so a text of "(" is the "(" token
+    names = {text for kind, text, nxt in zip(kinds, texts, texts[1:]) if kind is _IDENTIFIER and nxt != "("}
+    if kinds and kinds[-1] is _IDENTIFIER:
+        names.add(texts[-1])
     return frozenset(names)
 
 

@@ -10,8 +10,15 @@ subscripts; structural damage (unbalanced braces, truncated statements)
 raises ParseError. Failing loudly is deliberate: a partially parsed function
 would produce a silently wrong dependence graph.
 
-The recursive descent wires the statement CFG as it parses: each statement
-takes the CFG ends that flow into it and returns the ends that flow out.
+Each source line is tokenized once, and its tokens are unzipped into flat
+parallel lists of texts, kinds and source lines, with bounds, the index of
+each line's first token; no Token outlives its line. The recursive descent
+and its def/use scans read those lists and slices of them, and a node's line
+surface is lexer.surface of its line's slice. The descent wires the
+statement CFG as it parses: each statement takes the CFG ends that flow into
+it and returns the ends that flow out. Both analyses below make each edge
+once, in its final (src, dst, kind, variable) form, so the graph's edges are
+their two sorted lists, control first.
 The analysis is classical and intraprocedural:
   - control dependence from the post-dominator tree of the statement CFG,
     so code following an early-return branch is governed by the branch
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind
-from .lexer import Token, TokenKind, split_lines, surface, tokenize_line
+from .lexer import TokenKind, split_lines, surface, tokenize_line
 from .lexer import _blank_comments, _blank_literals, _foreign_space
 
 _EXIT = -1  # virtual CFG exit
@@ -142,13 +149,16 @@ def _clean_source(source: str) -> list[str]:
 
 
 # --- def/use extraction ------------------------------------------------------
+#
+# Each scan reads a token slice as two parallel lists, the tokens' texts and
+# their kinds, cut from the parser's flat lists.
 
 
-def _match_group(tokens: list[Token], i: int, open_text: str, close_text: str) -> int:
-    """Index just past the punct group opened at tokens[i]."""
+def _match_group(texts: list[str], i: int, open_text: str, close_text: str) -> int:
+    """Index just past the punct group opened at texts[i]."""
     depth = 0
-    for j in range(i, len(tokens)):
-        text = tokens[j].text
+    for j in range(i, len(texts)):
+        text = texts[j]
         if text == open_text:
             depth += 1
         elif text == close_text:
@@ -158,7 +168,9 @@ def _match_group(tokens: list[Token], i: int, open_text: str, close_text: str) -
     raise ParseError(f"unbalanced '{open_text}' in expression")
 
 
-def _scan_expr(tokens: list[Token], line: int, depth: int = 0) -> tuple[set[str], set[str]]:
+def _scan_expr(
+    texts: list[str], kinds: list[TokenKind], line: int, depth: int = 0
+) -> tuple[set[str], set[str]]:
     """Defs and uses of an expression token slice on source line `line`.
 
     An identifier chain (name plus subscripts/member accesses) followed by an
@@ -173,35 +185,34 @@ def _scan_expr(tokens: list[Token], line: int, depth: int = 0) -> tuple[set[str]
     defs: set[str] = set()
     uses: set[str] = set()
     i = 0
-    n = len(tokens)
+    n = len(texts)
     while i < n:
-        t = tokens[i]
-        if t.kind is not _IDENTIFIER:
+        if kinds[i] is not _IDENTIFIER:
             i += 1
             continue
-        prev = tokens[i - 1].text if i else None
+        prev = texts[i - 1] if i else None
         if prev in _MEMBER_OPS:
             i += 1  # member name, not a variable
             continue
-        if i + 1 < n and tokens[i + 1].text == "(":
+        if i + 1 < n and texts[i + 1] == "(":
             i += 1  # called-function name
             continue
-        name = t.text
+        name = texts[i]
         # swallow the postfix chain: subscripts contribute uses, member names vanish
         j = i + 1
         while j < n:
-            text = tokens[j].text
+            text = texts[j]
             if text == "[":
-                end = _match_group(tokens, j, "[", "]")
-                d2, u2 = _scan_expr(tokens[j + 1 : end - 1], line, depth + 1)
+                end = _match_group(texts, j, "[", "]")
+                d2, u2 = _scan_expr(texts[j + 1 : end - 1], kinds[j + 1 : end - 1], line, depth + 1)
                 defs |= d2
                 uses |= u2
                 j = end
-            elif text in _MEMBER_OPS and j + 1 < n and tokens[j + 1].kind is _IDENTIFIER:
+            elif text in _MEMBER_OPS and j + 1 < n and kinds[j + 1] is _IDENTIFIER:
                 j += 2
             else:
                 break
-        after = tokens[j].text if j < n else None
+        after = texts[j] if j < n else None
         if after in _ASSIGN_OPS:
             defs.add(name)
             if after != "=":
@@ -221,92 +232,96 @@ def _scan_expr(tokens: list[Token], line: int, depth: int = 0) -> tuple[set[str]
     return defs, uses
 
 
-def _split_top_level(tokens: list[Token], sep_text: str) -> list[list[Token]]:
-    parts: list[list[Token]] = [[]]
+def _split_top_level(texts: list[str], sep_text: str, start: int = 0) -> list[tuple[int, int]]:
+    """Index ranges [a, b) of texts[start:] cut at each top-level sep_text."""
+    parts: list[tuple[int, int]] = []
     depth = 0
-    for t in tokens:
-        if t.text in _OPENERS:
+    for i in range(start, len(texts)):
+        text = texts[i]
+        if text in _OPENERS:
             depth += 1
-        elif t.text in _CLOSERS:
+        elif text in _CLOSERS:
             depth -= 1
-        elif t.text == sep_text and depth == 0:
-            parts.append([])
-            continue
-        parts[-1].append(t)
+        elif text == sep_text and depth == 0:
+            parts.append((start, i))
+            start = i + 1
+    parts.append((start, len(texts)))
     return parts
 
 
-def _typedef_declarator(tokens: list[Token], i: int) -> int:
-    """Index of the name when tokens[i:] starts IDENT '*'* IDENT, a typedef'd
-    type, its stars and a declared name; else -1."""
-    n = len(tokens)
-    if i >= n or tokens[i].kind is not _IDENTIFIER:
+def _typedef_declarator(texts: list[str], kinds: list[TokenKind], i: int) -> int:
+    """Index of the name when the tokens from i on start IDENT '*'* IDENT, a
+    typedef'd type, its stars and a declared name; else -1."""
+    n = len(texts)
+    if i >= n or kinds[i] is not _IDENTIFIER:
         return -1
     j = i + 1
-    while j < n and tokens[j].text == "*":
+    while j < n and texts[j] == "*":
         j += 1
-    return j if j < n and tokens[j].kind is _IDENTIFIER else -1
+    return j if j < n and kinds[j] is _IDENTIFIER else -1
 
 
-def _is_declaration(tokens: list[Token]) -> bool:
-    if tokens and tokens[0].kind is _KEYWORD and tokens[0].text in _TYPE_KEYWORDS:
+def _is_declaration(texts: list[str], kinds: list[TokenKind]) -> bool:
+    if texts and kinds[0] is _KEYWORD and texts[0] in _TYPE_KEYWORDS:
         return True
     # typedef'd type, its name followed by '=' ',' '[' or statement end
-    j = _typedef_declarator(tokens, 0)
-    return j >= 0 and (j + 1 == len(tokens) or tokens[j + 1].text in {"=", ",", "["})
+    j = _typedef_declarator(texts, kinds, 0)
+    return j >= 0 and (j + 1 == len(texts) or texts[j + 1] in {"=", ",", "["})
 
 
-def _scan_decl(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
+def _scan_decl(texts: list[str], kinds: list[TokenKind], line: int) -> tuple[set[str], set[str]]:
     """Defs and uses of a declaration (leading type stripped, then one
     declarator per top-level comma)."""
     i = 0
-    n = len(tokens)
-    while i < n and tokens[i].kind is _KEYWORD and tokens[i].text in _TYPE_KEYWORDS:
-        if tokens[i].text in {"struct", "union", "enum"} and i + 1 < n and tokens[i + 1].kind is _IDENTIFIER:
+    n = len(texts)
+    while i < n and kinds[i] is _KEYWORD and texts[i] in _TYPE_KEYWORDS:
+        if texts[i] in {"struct", "union", "enum"} and i + 1 < n and kinds[i + 1] is _IDENTIFIER:
             i += 2
         else:
             i += 1
-    if _typedef_declarator(tokens, i) >= 0:
+    if _typedef_declarator(texts, kinds, i) >= 0:
         i += 1  # typedef'd type name
     defs: set[str] = set()
     uses: set[str] = set()
-    for declarator in _split_top_level(tokens[i:], ","):
+    for a, b in _split_top_level(texts, ",", i):
+        declarator, declarator_kinds = texts[a:b], kinds[a:b]
         k = 0
-        m = len(declarator)
-        while k < m and declarator[k].text == "*":
+        m = b - a
+        while k < m and declarator[k] == "*":
             k += 1
-        if k >= m or declarator[k].kind is not _IDENTIFIER:
+        if k >= m or declarator_kinds[k] is not _IDENTIFIER:
             continue
-        defs.add(declarator[k].text)
+        defs.add(declarator[k])
         k += 1
-        while k < m and declarator[k].text == "[":
+        while k < m and declarator[k] == "[":
             end = _match_group(declarator, k, "[", "]")
-            _, u2 = _scan_expr(declarator[k + 1 : end - 1], line, 1)
+            _, u2 = _scan_expr(declarator[k + 1 : end - 1], declarator_kinds[k + 1 : end - 1], line, 1)
             uses |= u2
             k = end
-        if k < m and declarator[k].text == "=":
-            d2, u2 = _scan_expr(declarator[k + 1 :], line)
+        if k < m and declarator[k] == "=":
+            d2, u2 = _scan_expr(declarator[k + 1 :], declarator_kinds[k + 1 :], line)
             defs |= d2
             uses |= u2
     return defs, uses
 
 
-def _scan_simple(tokens: list[Token], line: int) -> tuple[set[str], set[str]]:
+def _scan_simple(texts: list[str], kinds: list[TokenKind], line: int) -> tuple[set[str], set[str]]:
     """Defs and uses of a declaration or an expression statement."""
-    return (_scan_decl if _is_declaration(tokens) else _scan_expr)(tokens, line)
+    return (_scan_decl if _is_declaration(texts, kinds) else _scan_expr)(texts, kinds, line)
 
 
 # --- recursive-descent statement parser, wiring the CFG as it descends -------
 
 
 class _Parser:
-    """Walks the token stream as three parallel lists: each token's text
-    (with _END appended), its source line, and the token."""
+    """Walks the function's tokens as three parallel lists: each token's text
+    (with _END appended), its kind and its source line. No Token is kept: a
+    statement's scan gets slices of the text and kind lists."""
 
-    def __init__(self, texts: list[str], lines: list[int], tokens: list[Token], start: int):
+    def __init__(self, texts: list[str], kinds: list[TokenKind], lines: list[int], start: int):
         self.texts = texts
+        self.kinds = kinds
         self.lines = lines
-        self.tokens = tokens
         self.i = start
         self.stmts: list[_Stmt] = []
         self.depth = 0  # parse_statement calls currently open
@@ -330,8 +345,9 @@ class _Parser:
         self.preds[sid] = set()
         return sid
 
-    def collect_until_semicolon(self) -> tuple[int, list[Token]]:
-        """Tokens of one simple statement, excluding the terminating ';'."""
+    def collect_until_semicolon(self) -> tuple[int, list[str], list[TokenKind]]:
+        """First line, texts and kinds of one simple statement, excluding the
+        terminating ';'."""
         texts = self.texts
         start = i = self.i
         depth = 0
@@ -348,11 +364,11 @@ class _Parser:
                     raise ParseError(f"line {self.lines[start]}: statement is missing its ';'")
                 elif depth == 0:
                     self.i = i + 1
-                    return self.lines[start], self.tokens[start:i]
+                    return self.lines[start], texts[start:i], self.kinds[start:i]
             i += 1
 
-    def collect_paren_group(self) -> list[Token]:
-        """Contents of a parenthesized group, excluding the parens."""
+    def collect_paren_group(self) -> tuple[list[str], list[TokenKind]]:
+        """Texts and kinds of a parenthesized group, excluding the parens."""
         self.expect_punct("(")
         texts = self.texts
         start = i = self.i
@@ -365,7 +381,7 @@ class _Parser:
                 depth -= 1
                 if depth == 0:
                     self.i = i + 1
-                    return self.tokens[start:i]
+                    return texts[start:i], self.kinds[start:i]
             elif text == _END:
                 raise ParseError(f"line {self.lines[start - 1]}: unbalanced '(' ")
             i += 1
@@ -416,8 +432,7 @@ class _Parser:
             raise UnsupportedConstructError(f"'{text}' statements are not supported", line)
         if text == "if":
             self.i += 1
-            cond_toks = self.collect_paren_group()
-            cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+            cond = self.make_stmt(line, *_scan_expr(*self.collect_paren_group(), line))
             self.connect(ends, cond)
             out = self.parse_statement([cond])
             if self.texts[self.i] == "else":
@@ -426,30 +441,30 @@ class _Parser:
             return out + [cond]
         if text == "while":
             self.i += 1
-            cond_toks = self.collect_paren_group()
-            cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+            cond = self.make_stmt(line, *_scan_expr(*self.collect_paren_group(), line))
             self.connect(ends, cond)
             self.connect(self.parse_statement([cond]), cond)
             return [cond]
         if text == "for":
             self.i += 1
-            parts = _split_top_level(self.collect_paren_group(), ";")
+            texts, kinds = self.collect_paren_group()
+            parts = _split_top_level(texts, ";")
             if len(parts) != 3:
                 raise UnsupportedConstructError(
                     "for header must have exactly two ';' separators", line
                 )
-            init_toks, cond_toks, step_toks = parts
-            if not cond_toks:
+            (a, b), (c, d), (e, f) = parts
+            if c == d:
                 raise UnsupportedConstructError(
                     "for loops without a condition are not supported", line
                 )
-            if init_toks:
-                init = self.make_stmt(line, *_scan_simple(init_toks, line))
+            if a < b:
+                init = self.make_stmt(line, *_scan_simple(texts[a:b], kinds[a:b], line))
                 self.connect(ends, init)
                 ends = [init]
-            cond = self.make_stmt(line, *_scan_expr(cond_toks, line))
+            cond = self.make_stmt(line, *_scan_expr(texts[c:d], kinds[c:d], line))
             self.connect(ends, cond)
-            step = self.make_stmt(line, *_scan_expr(step_toks, line)) if step_toks else None
+            step = self.make_stmt(line, *_scan_expr(texts[e:f], kinds[e:f], line)) if e < f else None
             body_ends = self.parse_statement([cond])
             if step is not None:
                 self.connect(body_ends, step)
@@ -457,16 +472,16 @@ class _Parser:
             self.connect(body_ends, cond)
             return [cond]
         if text == "return":
-            first_line, toks = self.collect_until_semicolon()
-            _, uses = _scan_expr(toks[1:], first_line)  # skip the keyword
+            first_line, texts, kinds = self.collect_until_semicolon()
+            _, uses = _scan_expr(texts[1:], kinds[1:], first_line)  # skip the keyword
             stmt = self.make_stmt(first_line, set(), uses)
             self.connect(ends, stmt)
             self.connect([stmt], _EXIT)
             return []
         if text == "else":
             raise ParseError(f"line {line}: 'else' without a matching 'if'")
-        first_line, toks = self.collect_until_semicolon()
-        stmt = self.make_stmt(first_line, *_scan_simple(toks, first_line))
+        first_line, texts, kinds = self.collect_until_semicolon()
+        stmt = self.make_stmt(first_line, *_scan_simple(texts, kinds, first_line))
         self.connect(ends, stmt)
         return [stmt]
 
@@ -517,11 +532,19 @@ def _immediate_post_dominators(
 
 def _control_dependence(
     stmts: list[_Stmt], succ: dict[int, set[int]], preds: dict[int, set[int]]
-) -> set[tuple[int, int]]:
-    """Pairs (predicate sid, dependent sid) via the classic post-dominance
-    frontier walk."""
+) -> list[RawEdge]:
+    """Control edges (predicate sid, dependent sid, CONTROL, None) via the
+    classic post-dominance frontier walk.
+
+    Each edge is found once. The walk from a's successor s visits the
+    statements that post-dominate s and do not strictly post-dominate a. A
+    statement on the walks from two successors would post-dominate both, and
+    a has two at most, so it would post-dominate a and be a itself; every
+    path out of a would then come back to a, and none would reach _EXIT,
+    which the wiring gives every statement a path to.
+    """
     ipdom = _immediate_post_dominators(succ, preds)
-    deps: set[tuple[int, int]] = set()
+    deps: list[RawEdge] = []
     for stmt in stmts:
         a = stmt.sid
         succs = succ[a]
@@ -533,7 +556,7 @@ def _control_dependence(
             seen: set[int] = set()
             while runner != stop and runner != _EXIT and runner not in seen:
                 seen.add(runner)
-                deps.add((a, runner))
+                deps.append((a, runner, _CONTROL, None))
                 nxt = ipdom.get(runner)
                 if nxt is None:
                     break
@@ -562,8 +585,9 @@ def _postorder(root: int, edges: dict[int, set[int]]) -> list[int]:
 
 def _reaching_definitions(
     stmts: list[_Stmt], succ: dict[int, set[int]], preds: dict[int, set[int]]
-) -> set[tuple[int, int, str]]:
-    """Def-use chains as (def sid, use sid, variable); sids are 0..n-1.
+) -> list[RawEdge]:
+    """Def-use chains as data edges (def sid, use sid, DATA, variable); sids
+    are 0..n-1.
 
     Bit k of a set stands for the definition made by statement def_sid[k];
     mask[v] holds the bits of every definition of v, which any statement
@@ -575,6 +599,10 @@ def _reaching_definitions(
     The scan only ever goes back from u to h along an edge u -> h with
     h <= u, so a statement whose sid lies in no such [h, u] is evaluated
     exactly once.
+
+    Each chain is made once: a statement's uses are a set, and the bits of
+    one variable's definitions reaching it stand for distinct statements,
+    since a statement makes one bit for each variable it defines.
     """
     def_sid: list[int] = []
     mask: dict[str, int] = {}
@@ -619,7 +647,7 @@ def _reaching_definitions(
                     if nxt < resume:  # a back edge: settle the loop first
                         resume = nxt
         sid = resume
-    chains: set[tuple[int, int, str]] = set()
+    chains: list[RawEdge] = []
     for s in stmts:
         reaching = in_sets[s.sid]
         if not reaching:
@@ -628,7 +656,7 @@ def _reaching_definitions(
             bits = reaching & mask.get(v, 0)
             while bits:
                 low = bits & -bits
-                chains.add((def_sid[low.bit_length() - 1], s.sid, v))
+                chains.append((def_sid[low.bit_length() - 1], s.sid, _DATA, v))
                 bits ^= low
     return chains
 
@@ -649,30 +677,24 @@ def _body_start(texts: list[str]) -> int:
     raise ParseError("no function body found (missing '{')")
 
 
-def _signature_info(tokens: list[Token], first_line: int) -> tuple[str, list[str]]:
+def _signature_info(texts: list[str], kinds: list[TokenKind], first_line: int) -> tuple[str, list[str]]:
     """Function name and parameter names of the signature's tokens."""
-    if not tokens:
+    if not texts:
         raise ParseError("empty function signature")
-    open_idx = None
-    for idx, tok in enumerate(tokens):
-        if tok.text == "(":
-            open_idx = idx
-            break
-    if open_idx is None or open_idx == 0:
+    if "(" not in texts or texts[0] == "(":
         raise ParseError(f"line {first_line}: signature has no parameter list")
-    name_tok = tokens[open_idx - 1]
-    if name_tok.kind is not _IDENTIFIER:
+    open_idx = texts.index("(")
+    if kinds[open_idx - 1] is not _IDENTIFIER:
         raise ParseError(f"line {first_line}: cannot find the function name in the signature")
-    end_idx = _match_group(tokens, open_idx, "(", ")")
+    end_idx = _match_group(texts, open_idx, "(", ")")
     params: list[str] = []
-    inner = tokens[open_idx + 1 : end_idx - 1]
-    for part in _split_top_level(inner, ","):
-        idents = [t.text for t in part if t.kind is _IDENTIFIER]
-        if not part or (len(part) == 1 and part[0].kind is _KEYWORD and part[0].text == "void"):
+    for a, b in _split_top_level(texts[: end_idx - 1], ",", open_idx + 1):
+        if b - a == 1 and kinds[a] is _KEYWORD and texts[a] == "void":
             continue
+        idents = [texts[k] for k in range(a, b) if kinds[k] is _IDENTIFIER]
         if idents:
             params.append(idents[-1])
-    return name_tok.text, params
+    return texts[open_idx - 1], params
 
 
 # --- entry point ---------------------------------------------------------------
@@ -680,11 +702,15 @@ def _signature_info(tokens: list[Token], first_line: int) -> tuple[str, list[str
 
 @dataclass
 class _Cfg:
-    """A parsed function's statements and their control-flow graph."""
+    """A parsed function's statements and their control-flow graph, and its
+    tokens as parallel text and kind lists; the tokens of cleaned line k
+    (1-based) are those from bounds[k - 1] up to bounds[k]."""
 
     name: str
     cleaned: list[str]
-    tokens: list[list[Token]]  # of each cleaned line
+    texts: list[str]
+    kinds: list[TokenKind]
+    bounds: list[int]
     stmts: list[_Stmt]
     succ: dict[int, set[int]]
     preds: dict[int, set[int]]
@@ -692,23 +718,32 @@ class _Cfg:
 
 def _build_cfg(source: str) -> _Cfg:
     cleaned = _clean_source(source)
-    tokens = [tokenize_line(text) for text in cleaned]
-    stream = [tok for line in tokens for tok in line]
-    if not stream:
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    lines: list[int] = []
+    bounds = [0]
+    for lineno, text in enumerate(cleaned, start=1):
+        tokens = tokenize_line(text)
+        if tokens:
+            line_kinds, line_texts = zip(*tokens)  # no Token outlives its line
+            kinds += line_kinds
+            texts += line_texts
+            lines += [lineno] * len(tokens)
+        bounds.append(len(texts))
+    if not texts:
         raise ParseError("no tokens in source")
-    lines = [lineno for lineno, line in enumerate(tokens, start=1) for _ in line]
-    texts = [tok.text for tok in stream]
 
     body_start = _body_start(texts)
-    name, params = _signature_info(stream[:body_start], lines[0])
+    name, params = _signature_info(texts[:body_start], kinds[:body_start], lines[0])
 
     texts.append(_END)
-    parser = _Parser(texts, lines, stream, body_start)
+    parser = _Parser(texts, kinds, lines, body_start)
     entry = parser.make_stmt(lines[0], set(params), set())
     parser.connect(parser.parse_block([entry]), _EXIT)
     if any(text != ";" for text in texts[parser.i : -1]):  # texts ends in _END
         raise ParseError(f"line {lines[parser.i]}: unexpected tokens after the function body")
-    return _Cfg(name, cleaned, tokens, parser.stmts, parser.succ, parser.preds)
+    del texts[-1]
+    return _Cfg(name, cleaned, texts, kinds, bounds, parser.stmts, parser.succ, parser.preds)
 
 
 def parse_function(source: str) -> RawDepGraph:
@@ -720,10 +755,12 @@ def parse_function(source: str) -> RawDepGraph:
     # a node carries its whole source line, so an export/import round trip gives
     # the same line surface: str.strip drops only white space the tokenizer
     # skips too, as _clean_source refuses any other outside a literal
+    texts, kinds, bounds = cfg.texts, cfg.kinds, cfg.bounds
     parts = {}
     for line in {s.line for s in cfg.stmts}:
-        parts[line] = cfg.cleaned[line - 1].strip(), surface(cfg.tokens[line - 1])
+        a, b = bounds[line - 1], bounds[line]
+        parts[line] = cfg.cleaned[line - 1].strip(), surface(texts[a:b], kinds[a:b])
     nodes = [RawNode(s.sid, s.line, *parts[s.line]) for s in cfg.stmts]
-    edges = [(a, w, _CONTROL, None) for a, w in sorted(control)]
-    edges += [(d, u, _DATA, v) for d, u, v in sorted(chains)]
-    return RawDepGraph(function_id=cfg.name, nodes=nodes, edges=edges)
+    control.sort()
+    chains.sort()
+    return RawDepGraph(function_id=cfg.name, nodes=nodes, edges=control + chains)

@@ -457,6 +457,12 @@ def train_classifier(
 
 
 def save_model(clf: LineClassifier, path: str | Path) -> None:
+    Path(path).write_text(dumps_canonical(model_to_dict(clf)), encoding="utf-8")
+
+
+def model_to_dict(clf: LineClassifier) -> dict:
+    """The document save_model writes for clf; SchemaError for a classifier
+    that cannot be persisted."""
     if isinstance(clf, LinearLineClassifier):
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -485,7 +491,7 @@ def save_model(clf: LineClassifier, path: str | Path) -> None:
         }
     else:
         raise SchemaError(f"cannot persist classifier of type {type(clf).__name__}")
-    Path(path).write_text(dumps_canonical(doc), encoding="utf-8")
+    return doc
 
 
 def _finite_number(value: object, what: str) -> float:

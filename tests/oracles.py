@@ -8,8 +8,10 @@ against its earlier fixed-point versions: full post-dominator sets
 intersected until stable, and reaching definitions over sets of
 (variable, statement) pairs; the tokenizer against its earlier scan, which
 tried every operator in turn, and the source cleaner against its earlier
-per-character state machine; the line merge's edge step against its earlier
-version, which deduplicated on a hand-built key tuple; the feature views
+per-character state machine; a line's surface is read off the oracle's
+tokens; the line merge's edge step against its earlier version, which
+deduplicated on a hand-built key tuple, and its line texts against the
+rule it states; the feature views
 against their earlier extractors, which tokenized the line themselves and
 built every feature name as an f-string, and a linear score against the sum
 it was first written as, each weight found through the vocabulary. Slow and
@@ -459,6 +461,19 @@ def oracle_tokenize_line(text):
     return tokens
 
 
+def oracle_line_surface(code):
+    """A line's surface from its definition, on the oracle's tokens: the
+    token texts joined by single spaces, and the identifiers whose next
+    token is not the "(" punctuation."""
+    tokens = oracle_tokenize_line(code)
+    names = set()
+    for i, tok in enumerate(tokens):
+        called = i + 1 < len(tokens) and tokens[i + 1] == Token(TokenKind.PUNCT, "(")
+        if tok.kind is TokenKind.IDENTIFIER and not called:
+            names.add(tok.text)
+    return " ".join(tok.text for tok in tokens), frozenset(names)
+
+
 def oracle_clean_source(source: str) -> list[str]:
     """The parser's former per-character cleaner: blank out block comments
     (which may span lines) and reject preprocessor lines, returning the
@@ -606,6 +621,21 @@ def oracle_line_edges(raw, line_of: dict[int, int]) -> tuple[PdgEdge, ...]:
         edges.append(PdgEdge(key[0], key[1], edge.kind, edge.variable))
     edges.sort(key=PdgEdge.sort_key)
     return tuple(edges)
+
+
+def oracle_merged_lines(nodes) -> tuple[dict[int, str], dict[int, frozenset[str]]]:
+    """Each line's text and variables by the merge's definition: the text
+    of the first of the line's longest codes, in node order, and the union
+    of the variables of all its nodes."""
+    by_line: dict[int, list] = {}
+    for node in nodes:
+        by_line.setdefault(node.line, []).append(node)
+    text, names = {}, {}
+    for line, members in by_line.items():
+        longest = max(len(node.code) for node in members)
+        text[line] = next(node.surface[0] for node in members if len(node.code) == longest)
+        names[line] = frozenset(name for node in members for name in node.surface[1])
+    return text, names
 
 
 # --- feature views -------------------------------------------------------------------

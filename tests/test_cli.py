@@ -394,6 +394,20 @@ class TestSaveEnsemble:
             save_ensemble([object()], tmp_path)
         assert not (tmp_path / MANIFEST_NAME).exists()
 
+    def test_an_empty_list_is_refused(self, tmp_path):
+        """load_ensemble refuses a manifest with no members, so none is written."""
+        out = tmp_path / "models"
+        with pytest.raises(SchemaError, match="at least one member"):
+            save_ensemble([], out)
+        assert not out.exists()
+
+    def test_a_foreign_member_after_others_writes_nothing(self, tmp_path):
+        out = tmp_path / "models"
+        members = [linear(1.0), LookupLineClassifier(non_benign=frozenset({"x = 1 ;"})), object()]
+        with pytest.raises(SchemaError, match="cannot persist classifier of type object"):
+            save_ensemble(members, out)
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def planted(runner, tmp_path_factory):

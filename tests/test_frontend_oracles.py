@@ -19,6 +19,7 @@ from oracles import (
     oracle_clean_source_literals_blanked,
     oracle_control_dependence,
     oracle_immediate_pdom,
+    oracle_line_surface,
     oracle_post_dominators,
     oracle_reaching_definitions,
     oracle_tokenize_line,
@@ -33,7 +34,6 @@ from trustvet.frontend import (
     pdg_from_source,
     tokenize_line,
 )
-from trustvet.frontend.lexer import surface
 from trustvet.frontend.parser import (
     _build_cfg,
     _clean_source,
@@ -66,6 +66,24 @@ def counted_reaching_definitions(cfg):
     return _reaching_definitions(cfg.stmts, cfg.succ, CountingPreds(cfg.preds)), reads
 
 
+def control_pairs(edges):
+    """The (predicate, dependent) pairs of _control_dependence's edges, after
+    checking that each edge is (a, w, CONTROL, None) and is made once."""
+    assert all(kind is DepKind.CONTROL and variable is None for _, _, kind, variable in edges)
+    pairs = {(a, w) for a, w, _, _ in edges}
+    assert len(pairs) == len(edges)
+    return pairs
+
+
+def def_use_triples(chains):
+    """The (def, use, variable) triples of _reaching_definitions' edges, after
+    checking that each edge is (d, u, DATA, v) and is made once."""
+    assert all(kind is DepKind.DATA and isinstance(v, str) for _, _, kind, v in chains)
+    triples = {(d, u, v) for d, u, _, v in chains}
+    assert len(triples) == len(chains)
+    return triples
+
+
 class TestDependenceAnalyses:
     @settings(max_examples=150, deadline=None)
     @given(seeds, sizes)
@@ -78,17 +96,15 @@ class TestDependenceAnalyses:
     @given(seeds, sizes)
     def test_control_pairs(self, seed, size):
         cfg = random_cfg(seed, size)
-        assert _control_dependence(cfg.stmts, cfg.succ, cfg.preds) == oracle_control_dependence(
-            cfg.stmts, cfg.succ
-        )
+        edges = _control_dependence(cfg.stmts, cfg.succ, cfg.preds)
+        assert control_pairs(edges) == oracle_control_dependence(cfg.stmts, cfg.succ)
 
     @settings(max_examples=150, deadline=None)
     @given(seeds, sizes)
     def test_def_use_chains(self, seed, size):
         cfg = random_cfg(seed, size)
-        assert _reaching_definitions(cfg.stmts, cfg.succ, cfg.preds) == oracle_reaching_definitions(
-            cfg.stmts, cfg.succ
-        )
+        chains = _reaching_definitions(cfg.stmts, cfg.succ, cfg.preds)
+        assert def_use_triples(chains) == oracle_reaching_definitions(cfg.stmts, cfg.succ)
 
     def test_loop_free_statements_are_evaluated_once(self):
         """Without a loop every CFG edge runs up the sids, so one scan in
@@ -102,7 +118,7 @@ class TestDependenceAnalyses:
             loop_free += 1
             cfg = _build_cfg(source)
             chains, reads = counted_reaching_definitions(cfg)
-            assert chains == oracle_reaching_definitions(cfg.stmts, cfg.succ)
+            assert def_use_triples(chains) == oracle_reaching_definitions(cfg.stmts, cfg.succ)
             assert reads == Counter(s.sid for s in cfg.stmts)
         assert loop_free > 50
 
@@ -122,7 +138,7 @@ class TestDependenceAnalyses:
                 continue
             looping += 1
             chains, reads = counted_reaching_definitions(cfg)
-            assert chains == oracle_reaching_definitions(cfg.stmts, cfg.succ)
+            assert def_use_triples(chains) == oracle_reaching_definitions(cfg.stmts, cfg.succ)
             outside = [s.sid for s in cfg.stmts if not any(h <= s.sid <= u for h, u in loops)]
             assert {sid: reads[sid] for sid in outside} == dict.fromkeys(outside, 1)
         assert looping > 100
@@ -224,6 +240,14 @@ def round_trip(source: str):
     return import_raw_graph(export_raw_graph(parse_function(source))).to_pdg()
 
 
+def assert_oracle_surfaces(raw) -> None:
+    """Each node of a parsed graph, and of that graph exported and imported
+    again, carries the oracle's surface of its code."""
+    imported = import_raw_graph(export_raw_graph(raw)).graph
+    for node in raw.nodes + imported.nodes:
+        assert node.surface == oracle_line_surface(node.code)
+
+
 class TestSourceAndImportAgree:
     """A parsed function and its exported graph give the same line-level
     graph: both mergers read line text and variables from the node code."""
@@ -247,16 +271,22 @@ class TestSourceAndImportAgree:
     @given(seeds, sizes)
     def test_parsed_nodes_carry_the_surface_of_their_code(self, seed, size):
         raw = parse_function(c_subset_function(random.Random(seed), size))
-        assert all(node.surface == surface(tokenize_line(node.code)) for node in raw.nodes)
+        assert_oracle_surfaces(raw)
 
     @settings(max_examples=300, deadline=None)
     @given(c_soup.map(function_shell))
     def test_soup_nodes_carry_the_surface_of_their_code(self, source):
+        """Every line of the soup, imported as a node's code, and every node
+        of a soup function that parses, carries the oracle's surface."""
+        lines = source.split("\n")
+        nodes = [{"id": i, "line": i, "code": code} for i, code in enumerate(lines, start=1)]
+        imported = import_raw_graph({"function": "f", "nodes": nodes, "edges": []}).graph
+        assert [node.surface for node in imported.nodes] == list(map(oracle_line_surface, lines))
         try:
             raw = parse_function(source)
         except TrustvetError:
             return
-        assert all(node.surface == surface(tokenize_line(node.code)) for node in raw.nodes)
+        assert_oracle_surfaces(raw)
 
     def test_comment_spanning_lines_leaves_no_text(self):
         source = function_shell("    int x = a; /* start\n    note */ int y = x + 1;\n    return y;")

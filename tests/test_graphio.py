@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trustvet.frontend
-from oracles import oracle_line_edges
+from oracles import oracle_line_edges, oracle_line_surface, oracle_merged_lines
 from synth import c_subset_function
 from trustvet.errors import ImportSchemaError, UnsupportedConstructError
 from trustvet.frontend import (
@@ -23,7 +23,7 @@ from trustvet.frontend import (
     pdg_from_source,
 )
 from trustvet.frontend.graphio import _line_edges, merge_line_nodes
-from trustvet.frontend.lexer import surface, tokenize_line
+from trustvet.frontend.lexer import tokenize_line
 from trustvet.frontend.parser import RawDepGraph, RawNode
 from trustvet.pdg import DepKind, PdgEdge
 
@@ -172,7 +172,7 @@ class TestRoundTrip:
 
 
 def raw_node(node_id: int, line: int, code: str) -> RawNode:
-    return RawNode(node_id, line, code, surface(tokenize_line(code)))
+    return RawNode(node_id, line, code, oracle_line_surface(code))
 
 
 def random_raw_graph(rng: random.Random) -> tuple[RawDepGraph, dict[int, int]]:
@@ -206,6 +206,19 @@ class TestLineEdgesOracle:
         assert _line_edges(raw, line_of) == oracle_line_edges(raw, line_of)
 
 
+class TestMergedLinesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_a_line_takes_its_first_longest_code(self, seed):
+        """Codes repeat on a line and tie in length ("c ;" and "d ;")."""
+        rng = random.Random(seed)
+        codes = ["a = 1 ;", "b = a ;", "f ( a ) ;", "c ;", "d ;", "p -> q = r ;"]
+        nodes = [raw_node(sid, rng.randint(1, 4), rng.choice(codes)) for sid in range(rng.randint(1, 12))]
+        pdg = merge_line_nodes(RawDepGraph("f", nodes, []))
+        assert pdg.nodes == frozenset(node.line for node in nodes)
+        assert (pdg.line_text, pdg.line_vars) == oracle_merged_lines(nodes)
+
+
 class TestEachLineOnce:
     """The parser gives each node its line surface from the tokens it
     parsed, so pdg_from_source tokenizes each source line exactly once."""
@@ -237,7 +250,7 @@ class TestEachLineOnce:
         source = 'int f(int a)\n{\n    s = "\u00a0";\n    t = "open\u00a0\n    ;\n    return a;\n}\n'
         raw = parse_function(source)
         assert [node.code for node in raw.nodes[1:3]] == ['s = "\u00a0";', 't = "open']
-        assert all(node.surface == surface(tokenize_line(node.code)) for node in raw.nodes)
+        assert all(node.surface == oracle_line_surface(node.code) for node in raw.nodes)
         assert pdg_from_source(source) == import_raw_graph(export_raw_graph(raw)).to_pdg()
 
 
