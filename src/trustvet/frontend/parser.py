@@ -1,10 +1,12 @@
 """Parse one self-contained C-like function into a raw dependence graph.
 
-Supported statement forms: declarations, assignments, expression/call
-statements, if/else, while, for (with a condition), return, and nested
-blocks. Anything else (preprocessor lines, do/switch/goto/break/continue,
-for loops without a condition, white space other than C's, such as U+00A0,
-outside a comment or literal) raises UnsupportedConstructError naming the
+Supported statement forms: declarations whose declarators are each
+'*'* name with optional subscripts and initializer, assignments,
+expression/call statements, if/else, while, for (with a condition), return,
+and nested blocks. Anything else (preprocessor lines, do/switch/goto/break/
+continue, for loops without a condition, declarators such as "(*cb)(int)",
+"(a)" or a struct body, white space other than C's, such as U+00A0, outside
+a comment or literal) raises UnsupportedConstructError naming the
 offending line, and so does nesting deeper than MAX_NESTING statements or
 subscripts; structural damage (unbalanced braces, truncated statements)
 raises ParseError. Failing loudly is deliberate: a partially parsed function
@@ -70,6 +72,8 @@ _TYPE_KEYWORDS = {
     "unsigned", "const", "volatile", "static", "extern", "register", "auto",
     "inline", "restrict", "struct", "union", "enum",
 }
+_TAG_KEYWORDS = {"struct", "union", "enum"}
+_DECLARED = {"=", ",", "["}  # what follows the name a leading typedef'd type declares
 _UNSUPPORTED_KEYWORDS = {
     "do", "switch", "case", "default", "goto", "break", "continue", "typedef",
 }
@@ -249,48 +253,42 @@ def _split_top_level(texts: list[str], sep_text: str, start: int = 0) -> list[tu
     return parts
 
 
-def _typedef_declarator(texts: list[str], kinds: list[TokenKind], i: int) -> int:
-    """Index of the name when the tokens from i on start IDENT '*'* IDENT, a
-    typedef'd type, its stars and a declared name; else -1."""
+def _scan_simple(texts: list[str], kinds: list[TokenKind], line: int) -> tuple[set[str], set[str]]:
+    """Defs and uses of a declaration or an expression statement.
+
+    One pass finds where the declarators start: past the type keywords (with
+    a struct, union or enum tag) and a typedef'd name, IDENT '*'* IDENT.
+    First in the statement, that name also needs '=', ',', '[' or the end
+    after the declared name; declarators at index 0 make an expression. A
+    non-empty declarator other than '*'* name, subscripts and initializer
+    raises UnsupportedConstructError rather than lose its name.
+    """
     n = len(texts)
-    if i >= n or kinds[i] is not _IDENTIFIER:
-        return -1
-    j = i + 1
-    while j < n and texts[j] == "*":
-        j += 1
-    return j if j < n and kinds[j] is _IDENTIFIER else -1
-
-
-def _is_declaration(texts: list[str], kinds: list[TokenKind]) -> bool:
-    if texts and kinds[0] is _KEYWORD and texts[0] in _TYPE_KEYWORDS:
-        return True
-    # typedef'd type, its name followed by '=' ',' '[' or statement end
-    j = _typedef_declarator(texts, kinds, 0)
-    return j >= 0 and (j + 1 == len(texts) or texts[j + 1] in {"=", ",", "["})
-
-
-def _scan_decl(texts: list[str], kinds: list[TokenKind], line: int) -> tuple[set[str], set[str]]:
-    """Defs and uses of a declaration (leading type stripped, then one
-    declarator per top-level comma)."""
     i = 0
-    n = len(texts)
     while i < n and kinds[i] is _KEYWORD and texts[i] in _TYPE_KEYWORDS:
-        if texts[i] in {"struct", "union", "enum"} and i + 1 < n and kinds[i + 1] is _IDENTIFIER:
-            i += 2
-        else:
+        i += 2 if texts[i] in _TAG_KEYWORDS and i + 1 < n and kinds[i + 1] is _IDENTIFIER else 1
+    if i < n and kinds[i] is _IDENTIFIER:
+        j = i + 1
+        while j < n and texts[j] == "*":
+            j += 1
+        if j < n and kinds[j] is _IDENTIFIER and (i or j + 1 == n or texts[j + 1] in _DECLARED):
             i += 1
-    if _typedef_declarator(texts, kinds, i) >= 0:
-        i += 1  # typedef'd type name
+    if not i:
+        return _scan_expr(texts, kinds, line)
     defs: set[str] = set()
     uses: set[str] = set()
     for a, b in _split_top_level(texts, ",", i):
+        if a == b:
+            continue  # no declarator, as in "struct s;"
         declarator, declarator_kinds = texts[a:b], kinds[a:b]
         k = 0
         m = b - a
         while k < m and declarator[k] == "*":
             k += 1
-        if k >= m or declarator_kinds[k] is not _IDENTIFIER:
-            continue
+        if k == m or declarator_kinds[k] is not _IDENTIFIER:
+            raise UnsupportedConstructError(
+                f"declarator '{' '.join(declarator)}' does not start '*'* name", line
+            )
         defs.add(declarator[k])
         k += 1
         while k < m and declarator[k] == "[":
@@ -303,11 +301,6 @@ def _scan_decl(texts: list[str], kinds: list[TokenKind], line: int) -> tuple[set
             defs |= d2
             uses |= u2
     return defs, uses
-
-
-def _scan_simple(texts: list[str], kinds: list[TokenKind], line: int) -> tuple[set[str], set[str]]:
-    """Defs and uses of a declaration or an expression statement."""
-    return (_scan_decl if _is_declaration(texts, kinds) else _scan_expr)(texts, kinds, line)
 
 
 # --- recursive-descent statement parser, wiring the CFG as it descends -------
@@ -542,6 +535,11 @@ def _control_dependence(
     a has two at most, so it would post-dominate a and be a itself; every
     path out of a would then come back to a, and none would reach _EXIT,
     which the wiring gives every statement a path to.
+
+    The walk needs no guard: stop = ipdom[a] post-dominates each successor
+    of a, or is it, so the walk up the tree meets it. A construct leaving a
+    statement with no path to _EXIT (a goto or a for (;;)) would make it
+    raise KeyError rather than silently cut the walk.
     """
     ipdom = _immediate_post_dominators(succ, preds)
     deps: list[RawEdge] = []
@@ -550,17 +548,11 @@ def _control_dependence(
         succs = succ[a]
         if len(succs) < 2:
             continue
-        stop = ipdom.get(a)
-        for s in succs:
-            runner = s
-            seen: set[int] = set()
-            while runner != stop and runner != _EXIT and runner not in seen:
-                seen.add(runner)
+        stop = ipdom[a]
+        for runner in succs:
+            while runner != stop:
                 deps.append((a, runner, _CONTROL, None))
-                nxt = ipdom.get(runner)
-                if nxt is None:
-                    break
-                runner = nxt
+                runner = ipdom[runner]
     return deps
 
 

@@ -401,7 +401,8 @@ def train_classifier(
             f"{sorted({s.label.value for s in samples})}"
         )
 
-    # deterministic stratified held-out split
+    # deterministic stratified held-out split; it holds out fewer than all of
+    # each class, so both classes stay in training
     rng = random.Random(hyper.seed)
     heldout: set[int] = set()
     for cls in (0.0, 1.0):
@@ -409,9 +410,6 @@ def train_classifier(
         rng.shuffle(idxs)
         heldout.update(idxs[: int(len(idxs) * _HELDOUT_FRACTION)])
     train_idx = [i for i in range(len(labels)) if i not in heldout]
-    if len({labels[i] for i in train_idx}) < 2:
-        train_idx = list(range(len(labels)))  # tiny dataset: train on everything
-        heldout = set()
 
     # each sample is read as the screen reads a line, so the model learns the
     # features it will be scored on

@@ -203,6 +203,8 @@ def load_line_dataset(path: str | Path) -> list[LineSample]:
         text, function_id, line = doc.get("text"), doc.get("function_id"), doc.get("line")
         if not isinstance(text, str) or not isinstance(function_id, str) or not is_strict_int(line):
             raise SchemaError(f"{path}:{idx}: text and function_id must be strings, line an int")
+        if not text:
+            raise SchemaError(f"{path}:{idx}: empty line sample")
         try:
             label = LineLabel(doc.get("label"))
         except ValueError as exc:

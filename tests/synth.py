@@ -269,6 +269,52 @@ def c_subset_function(rng: random.Random, max_statements: int = 40) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DECLARATOR_FORMS = (
+    "int *{a} = &{b};",
+    "unsigned long {a}[{b}][{c}];",
+    "int {a} = {b}, *{c}, {d}[2] = {{0}};",
+    "char **{a}, *{b} = {c}[{d}[{a}]];",
+    "int {a} = g({b}, {c}), {d};",
+    "struct node *{a} = {b}->next;",
+    "struct node {a};",
+    "struct {a};",
+    "const size_t {a} = {b} + sizeof({c});",
+    "buf_t *{a}, {b} = {c};",
+    "T {a}[{b}];",
+    "{a} = {b}++ + --{c};",
+    "++{a};",
+    "{a}--;",
+    "{a} = g({b}).{c};",
+    "{a} = g({b})[{c}].{d};",
+    "{a} * {b} + {c};",
+    "{a}[{b}[{c}]] = {d}[{a}];",
+    "p->{a}.f[{b}] -= {c};",
+)
+
+
+def c_declarator_function(rng: random.Random, max_statements: int = 30) -> str:
+    """A random function of declarators and def/use forms that
+    c_subset_function leaves out: pointer, array, struct and typedef'd
+    declarations, prefix and postfix ++/--, members after a call or a
+    subscript, and conditions with nested parentheses."""
+    lines = ["int decl(int a, int b)", "{"]
+    for _ in range(rng.randint(1, max_statements)):
+        a, b, c, d = (rng.choice(_VAR_POOL) for _ in range(4))
+        roll = rng.random()
+        if roll < 0.15:
+            lines.append(f"    if ((({a}) > ({b})) && g(({c}))) {{")
+        elif roll < 0.25:
+            lines.append(f"    while (({a} = next({b}))) {{")
+        else:
+            lines.append("    " + rng.choice(_DECLARATOR_FORMS).format(a=a, b=b, c=c, d=d))
+            continue
+        lines.append("        " + rng.choice(_DECLARATOR_FORMS).format(a=b, b=c, c=d, d=a))
+        lines.append("    }")
+    lines.append(f"    return {rng.choice(_VAR_POOL)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def nested_ifs(depth: int) -> str:
     """A function whose body is `depth` nested braced ifs."""
     return "int f(int a)\n{\n" + "if (a) {\n" * depth + "x = 1;\n" + "}\n" * depth + "}\n"

@@ -114,6 +114,11 @@ class TestReachability:
         with pytest.raises(ContractError):
             reachability_distance(1, 42, weighted, benign)
 
+    def test_nearest_start_must_be_benign(self, weighted, benign, vrrp_explanation):
+        with pytest.raises(ContractError) as err:
+            nearest_non_benign(7, vrrp_explanation, weighted, benign)
+        assert str(err.value) == "line 7 is not a benign candidate"
+
     def test_nearest_target_for_each_benign_line(self, weighted, benign, vrrp_explanation):
         for line, distance in ((1, 2), (3, 1)):
             record = nearest_non_benign(line, vrrp_explanation, weighted, benign)

@@ -348,6 +348,12 @@ class TestPersistence:
         again = load_model(path, adapter_command="arg-scorer")
         assert again.command == ("env-scorer",)
 
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(SchemaError) as err:
+            load_model(path)
+        assert str(err.value) == f"model file not found: {path}"
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"kind": "alien"}')

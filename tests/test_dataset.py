@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import oracle_bleu, oracle_candidate_negatives
 from synth import diff_record, negative_record, worker_record
 from trustvet.corpus import CorpusRecord
-from trustvet.errors import DiffMismatchError, UndefinedInputError, UnsupportedConstructError
+from trustvet.errors import DiffMismatchError, SchemaError, UndefinedInputError, UnsupportedConstructError
 from trustvet.frontend import lexer, pdg_from_source
 from trustvet.frontend.lexer import is_substantive_line, normalize_line, tokenize_line
 from trustvet.lineassess import dataset
@@ -369,3 +369,28 @@ class TestBuildAndPersist:
         save_line_dataset(samples, a)
         save_line_dataset(samples, b)
         assert a.read_bytes() == b.read_bytes()
+
+    HEADER = '{"kind": "line-dataset", "schema_version": "1.0.0"}'
+    SAMPLE = '{"function_id": "f", "label": "vulnerable", "line": 3, "text": "x = 1 ;"}'
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(f"{self.HEADER}\n\n{self.SAMPLE}\n  \n")
+        assert load_line_dataset(path) == [
+            LineSample("x = 1 ;", LineLabel.VULNERABLE, Origin("f", 3))
+        ]
+
+    @pytest.mark.parametrize(
+        "header,sample,where,message",
+        [
+            ('{"kind": "corpus", "schema_version": "1.0.0"}', SAMPLE, "", "not a line dataset"),
+            (HEADER, SAMPLE.replace('"x = 1 ;"', '""'), ":2", "empty line sample"),
+        ],
+        ids=["another-kind", "empty-text"],
+    )
+    def test_malformed_files_rejected(self, tmp_path, header, sample, where, message):
+        path = tmp_path / "lines.jsonl"
+        path.write_text(f"{header}\n{sample}\n")
+        with pytest.raises(SchemaError) as err:
+            load_line_dataset(path)
+        assert str(err.value) == f"{path}{where}: {message}"

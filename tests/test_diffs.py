@@ -36,6 +36,23 @@ class TestExtraction:
         diff = "@@ -2,2 +2,1 @@\n-{\n-    x = n;\n+{ x = n;\n"
         assert extract_vulnerable_lines(SOURCE, diff) == frozenset({3})
 
+    def test_file_headers_around_a_hunk_are_skipped(self):
+        """The ---/+++ preamble comes before the first hunk, and a
+        "diff --git" line ends the hunk: the next file's lines are not
+        checked against this source."""
+        diff = (
+            "diff --git a/f.c b/f.c\n"
+            "--- a/f.c\n"
+            "+++ b/f.c\n"
+            "@@ -4,1 +4,1 @@\n"
+            "-    y = copy(x, n);\n"
+            "+    y = copy_safe(x, n);\n"
+            "diff --git a/g.c b/g.c\n"
+            "--- a/g.c\n"
+            "-    not in this source;\n"
+        )
+        assert extract_vulnerable_lines(SOURCE, diff) == frozenset({4})
+
     def test_multiple_hunks(self):
         diff = (
             "@@ -3,1 +3,1 @@\n"

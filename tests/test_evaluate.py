@@ -243,6 +243,16 @@ class TestEvaluateRecord:
         result = evaluate_record(bare, lookup_ensemble(), self.config())
         assert result.skipped == "no-ground-truth"
 
+    def test_diff_that_does_not_match_the_source_is_skipped(self):
+        record = worker_record("w", "focus", 0.8)
+        mismatched = dataclasses.replace(
+            record, vul_lines=(), diff="@@ -4,1 +4,1 @@\n-    y = 2;\n+    y = 3;\n"
+        )
+        result = evaluate_record(mismatched, lookup_ensemble(), self.config())
+        assert result.skipped == (
+            "ground-truth: deleted line 4 does not match the source: '    y = 2;' vs '    y = x + 1;'"
+        )
+
     def test_listed_lines_win_over_the_diff(self):
         """Evaluation scores against the lines ingest trains on."""
         record = dataclasses.replace(

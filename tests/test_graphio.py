@@ -56,6 +56,19 @@ class TestImport:
         assert pdg.line_text[2] == "x = read ( src ) ;"
         assert pdg.line_vars[2] == frozenset({"x", "src"})
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"nodes": {}}, "graph export: 'nodes' and 'edges' must be arrays"),
+            ({"edges": [3]}, "graph export: edge is not an object: 3"),
+        ],
+        ids=["nodes-not-an-array", "edge-not-an-object"],
+    )
+    def test_malformed_arrays_rejected(self, change, message):
+        with pytest.raises(ImportSchemaError) as err:
+            import_raw_graph({**sample_doc(), **change})
+        assert str(err.value) == message
+
     def test_unknown_edge_kinds_dropped_and_counted(self):
         doc = sample_doc()
         doc["edges"].append({"src": 10, "dst": 11, "kind": "AST"})

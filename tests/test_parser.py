@@ -7,7 +7,7 @@ import pytest
 from synth import nested_ifs, nested_subscripts
 from trustvet.errors import ParseError, UnsupportedConstructError
 from trustvet.frontend import parse_function, pdg_from_source
-from trustvet.frontend.parser import MAX_NESTING
+from trustvet.frontend.parser import MAX_NESTING, _build_cfg
 from trustvet.pdg import DepKind, pdg_dumps
 
 
@@ -136,6 +136,51 @@ class TestDeclarationsAndWrites:
         assert (3, 4, DepKind.DATA, "x") in edges
 
 
+class TestDefUse:
+    """Each statement's (defs, uses), read from the statement CFG; the
+    function's entry, which defines its parameters, is statement 0."""
+
+    @pytest.mark.parametrize(
+        "statement,defs,uses",
+        [
+            # declarations: type keywords, a struct tag or a typedef'd name
+            ("int *p = &n;", {"p"}, {"n"}),
+            ("unsigned long d[n][m];", {"d"}, {"m", "n"}),
+            ("int a = n, *b, c[2] = {0};", {"a", "b", "c"}, {"n"}),
+            ("int v = g(a, b), w;", {"v", "w"}, {"a", "b"}),
+            ("char **pp, *q = s[i[j]];", {"pp", "q"}, {"s", "i", "j"}),
+            ("struct node *p = q->next;", {"p"}, {"q"}),
+            ("struct node n;", {"n"}, set()),
+            ("struct node;", set(), set()),
+            ("enum colour c = RED;", {"c"}, {"RED"}),
+            ("size_t len = strlen(s);", {"len"}, {"s"}),
+            ("buf_t *b, c = d;", {"b", "c"}, {"d"}),
+            ("T t[k];", {"t"}, {"k"}),
+            ("T **t;", {"t"}, set()),
+            ("const T t = u;", {"t"}, {"u"}),
+            # a typedef'd name first needs '=' ',' '[' or the end after its name
+            ("a * b;", {"b"}, set()),
+            ("a * b + c;", set(), {"a", "b", "c"}),
+            ("a b(c);", set(), {"a", "c"}),
+            # expressions
+            ("x = y++ + --z;", {"x", "y", "z"}, {"y", "z"}),
+            ("++i;", {"i"}, {"i"}),
+            ("x = g(y).m;", {"x"}, {"y"}),
+            ("x = g(y)[i].m;", {"x"}, {"y", "i"}),
+            ("x = (p).m + q->r.s;", {"x"}, {"p", "q"}),
+            ("a[b[c]] = d[e];", {"a"}, {"b", "c", "d", "e"}),
+            ("a[i++] = 0;", {"a", "i"}, {"i"}),
+            ("p->f.g[k] -= v;", {"p"}, {"p", "k", "v"}),
+            # conditions, with nested parentheses
+            ("if (((a) > (b)) && g((c))) ;", set(), {"a", "b", "c"}),
+            ("while ((x = next(x))) ;", {"x"}, {"x"}),
+        ],
+    )
+    def test_statement(self, statement, defs, uses):
+        stmts = _build_cfg(f"void f(void)\n{{\n    {statement}\n}}\n").stmts
+        assert [(s.defs, s.uses) for s in stmts[1:]] == [(defs, uses)]
+
+
 class TestWorkedExampleShape:
     def test_native_parse_contains_the_six_stated_edges(self, vrrp_native):
         edges = edge_set(vrrp_native)
@@ -176,6 +221,26 @@ class TestRejections:
         assert needle in str(err.value)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "statement,declarator",
+        [
+            ("int (*cb)(int) = on_event;", "( * cb ) ( int ) = on_event"),
+            ("struct s { int a; } x;", "{ int a ; } x"),
+            ("enum { A } e;", "{ A } e"),
+            ("int (a) = 1;", "( a ) = 1"),
+            ("int *;", "*"),
+            ("char *const p = on_event;", "* const p = on_event"),
+        ],
+    )
+    def test_declarators_other_than_a_name_rejected(self, statement, declarator):
+        """Such a declarator used to vanish with its name, so the first one
+        dropped the data edge from line 3's on_event into line 4."""
+        source = f"void f(void)\n{{\n    on_event = pick();\n    {statement}\n}}\n"
+        message = f"line 4: declarator '{declarator}' does not start '*'* name"
+        with pytest.raises(UnsupportedConstructError) as err:
+            parse_function(source)
+        assert str(err.value) == message
+
     def test_preprocessor_rejected(self):
         with pytest.raises(UnsupportedConstructError):
             parse_function("#define X 1\nvoid f(void)\n{\n}\n")
@@ -215,6 +280,24 @@ class TestRejections:
         source = "void f(void)\n{\n    for (;;) {\n    }\n}\n"
         with pytest.raises(UnsupportedConstructError):
             parse_function(source)
+
+    @pytest.mark.parametrize(
+        "body,error,message",
+        [
+            ("    for (a; a) x = 1;\n}\n", UnsupportedConstructError,
+             "line 3: for header must have exactly two ';' separators"),
+            ("    a[1) = 2;\n}\n", ParseError, "unbalanced '[' in expression"),
+            ("    if (a)\n", ParseError, "expected a statement but reached end of input"),
+            ("    if", ParseError, "expected '(' but reached end of input"),
+            ("    if (a", ParseError, "line 3: unbalanced '(' "),
+        ],
+        ids=["for-header", "bracket-closed-by-paren", "ends-after-if", "ends-at-if", "ends-in-a-condition"],
+    )
+    def test_malformed_statements(self, body, error, message):
+        with pytest.raises(error) as err:
+            parse_function(f"void f(int a)\n{{\n{body}")
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_truncated_body(self):
         with pytest.raises(ParseError):

@@ -20,6 +20,7 @@ from trustvet.pdg import (
     build_weighted_pdg,
     check_schema_version,
     dumps_canonical,
+    json_number,
     pdg_dumps,
 )
 
@@ -118,6 +119,11 @@ class TestSerialization:
     def test_major_version_rejected(self):
         with pytest.raises(SchemaError):
             check_schema_version({"schema_version": "2.0.0"}, "doc")
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(SchemaError) as err:
+            json_number(10**400, "score")
+        assert str(err.value) == f"score {10**400} is out of range"
 
     def test_missing_version_rejected(self):
         with pytest.raises(SchemaError):
