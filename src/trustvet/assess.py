@@ -383,10 +383,7 @@ def assess_prediction(
     except TrustvetError as exc:
         raise PipelineError("line-assessment", exc) from exc
     benign = frozenset(line for line, v in verdicts.items() if v.is_benign_candidate)
-    try:
-        score, records, degenerate = _score_with_records(expl, g, benign, mode)
-    except TrustvetError as exc:
-        raise PipelineError("dependency-assessment", exc) from exc
+    score, records, degenerate = _score_with_records(expl, g, benign, mode)
     if degenerate:
         warnings.append("no resident explanation line is a benign candidate")
     verdict = UNTRUSTWORTHY if score < threshold else TRUSTWORTHY

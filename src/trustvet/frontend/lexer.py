@@ -78,6 +78,8 @@ _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NUMBER_START = frozenset("0123456789.")
 # First characters of the pieces outside the fixed table that are not Punct.
 _CODE_START = _WORD_START | _NUMBER_START | frozenset("\"'")
+# First characters that start a word or a number whatever follows them.
+_WORD_OR_DIGIT_START = _WORD_START | frozenset("0123456789")
 _IDENTIFIER, _LITERAL, _PUNCT = TokenKind.IDENTIFIER, TokenKind.LITERAL, TokenKind.PUNCT
 _STRING_TOKEN = Token(_LITERAL, STRING_LITERAL)
 _CHAR_TOKEN = Token(_LITERAL, CHAR_LITERAL)
@@ -245,10 +247,15 @@ def is_substantive_line(text: str) -> bool:
     """True for lines that carry code: not blank, not comment-only, and not
     made of delimiters alone (braces, parens, commas, semicolons).
 
-    Equal to is_substantive(tokenize_line(text)), but it builds no Token:
-    each piece of the scan is judged by the fixed table and the
-    first-character sets that tokenize_line takes its kind from, and the
-    scan stops at the first piece of code."""
+    Equal to is_substantive(tokenize_line(text)), but it builds no Token.
+    A line whose first character after the tokenizer's white space is an
+    ASCII letter, a digit or "_" starts with an identifier, a keyword or a
+    number, so it is code without a scan. Any other line is scanned: each
+    piece is judged by the fixed table and the first-character sets that
+    tokenize_line takes its kind from, and the scan stops at the first
+    piece of code."""
+    if text.lstrip(" \t\r\n\f\v")[:1] in _WORD_OR_DIGIT_START:
+        return True
     fixed = _FIXED_TOKENS
     for match in _TOKEN.finditer(text):
         piece = match[1]

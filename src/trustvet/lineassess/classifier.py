@@ -19,12 +19,14 @@ Every score lies in [0, 1], so a vote threshold outside it would make a
 classifier vote alike on every line: each kind refuses one when it is built,
 by the rule TrainConfig and load_model share.
 
-Each classify takes the raw line text and reads it through a ScreenText, a
-str equal to that text which normalizes and tokenizes it once. An ensemble
-screening one line hands every member the same ScreenText, so the line is
-tokenized once for all of them; given a plain str, a classifier wraps it in
-one of its own. Training reads each sample through a ScreenText too, so a
-model learns exactly the features a screen will score it on.
+Each classify takes the raw line text and reads it through a ScreenText
+(features.py), a str equal to that text which normalizes and tokenizes it
+once. An ensemble screening one line hands every member the same
+ScreenText, so the line is tokenized once for all of them; given a plain
+str, a classifier wraps it in one of its own. Training reads each sample
+through the ScreenText its LineSample holds, so a model learns exactly the
+features a screen will score it on, and the three views of one build share
+one tokenization of each sample.
 
 Models persist as versioned JSON documents; bytes are identical across runs
 with the same inputs and seed.
@@ -39,6 +41,7 @@ import os
 import queue
 import random
 import subprocess
+import sys
 import threading
 import time
 from array import array
@@ -52,7 +55,6 @@ from ..errors import (
     SchemaError,
     UndefinedInputError,
 )
-from ..frontend.lexer import Token, normal_form, tokenize_line
 from ..pdg import (
     SCHEMA_VERSION,
     check_schema_version,
@@ -62,51 +64,14 @@ from ..pdg import (
     read_json_object,
 )
 from .dataset import LineLabel, LineSample
-from .features import FeatureView, extract_features
+from .features import FeatureView, ScreenText
 
 ADAPTER_ENV_VAR = "TRUSTVET_ADAPTER"
 ADAPTER_TIMEOUT = 5.0
 
 
-_NO_CODE = "cannot classify an empty or comment-only line"
 _HELDOUT_FRACTION = 0.10  # of each class, kept out of training to measure accuracy
-
-
-class ScreenText(str):
-    """One line text as every member of one screen sees it.
-
-    It equals the raw text, so a member that knows nothing of it sees an
-    ordinary string. The classifiers here read its normal form and its
-    features from it: the line is normalized and tokenized once, on the
-    first member's call. An ensemble makes one per screened text and drops
-    it with the screen, so nothing outlives that screen.
-    """
-
-    # the normal form once known, or "" when it is the text itself (a normal
-    # form is never empty): an equal copy would hold the text twice, and self
-    # a reference cycle that only the cyclic collector frees
-    _normalized: str | None = None
-    _tokens: list[Token] | None = None  # tokenize_line(normalized), once known
-
-    def normalized(self) -> str:
-        """normalize_line of the text; an empty or comment-only line raises."""
-        if self._normalized is None:
-            tokens = tokenize_line(self)
-            normalized = normal_form(tokens)
-            if not normalized:
-                raise UndefinedInputError(_NO_CODE)
-            if normalized == self:
-                self._tokens = tokens  # tokenize_line is a pure function of its string
-                normalized = ""
-            self._normalized = normalized
-        return self._normalized or self
-
-    def features(self, view: FeatureView) -> dict[str, float]:
-        """extract_features(view, self.normalized()) from the kept tokens."""
-        normalized = self.normalized()
-        if self._tokens is None:
-            self._tokens = tokenize_line(normalized)
-        return extract_features(view, normalized, self._tokens)
+_MAX_L2 = sys.float_info.max / 2  # the largest l2 whose double is finite
 
 
 def _shared(text: str) -> ScreenText:
@@ -133,8 +98,11 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
-            raise UndefinedInputError(f"l2 must be finite and at least 0, not {self.l2!r}")
+        # the gradient's 2 * l2 * w must stay finite, or the first step is NaN
+        if not 0.0 <= self.l2 <= _MAX_L2:  # also false for NaN
+            raise UndefinedInputError(
+                f"l2 must be at least 0 and at most {_MAX_L2!r}, not {self.l2!r}"
+            )
         if self.max_iter < 1:
             raise UndefinedInputError(f"max_iter must be at least 1, not {self.max_iter!r}")
         _check_threshold(self.threshold)
@@ -344,14 +312,15 @@ def _design_matrix(rows: Sequence[ScreenText], view: FeatureView):
     Each row's features are extracted once, into flat cells rather than
     kept dicts: the name's provisional column, numbered in the order the
     names are first met, and the value. Once the names are sorted, the cells
-    are scattered into X, each provisional column through its name's rank.
+    are scattered into X in one assignment, each provisional column through
+    its name's rank; a row's names are distinct, so no cell is written twice.
     """
     import numpy as np
 
     provisional: dict[str, int] = {}
     columns = array("i")
     values = array("d")
-    row_ends = [0]
+    lengths = array("i")
     for text in rows:
         features = text.features(view)
         for name in features:
@@ -359,7 +328,7 @@ def _design_matrix(rows: Sequence[ScreenText], view: FeatureView):
                 provisional[name] = len(provisional)
         columns.extend(map(provisional.__getitem__, features))
         values.extend(features.values())
-        row_ends.append(len(values))
+        lengths.append(len(features))
     vocabulary = {name: idx for idx, name in enumerate(sorted(provisional))}
     rank = np.array(list(map(vocabulary.__getitem__, provisional)), dtype=np.int32)
 
@@ -371,10 +340,8 @@ def _design_matrix(rows: Sequence[ScreenText], view: FeatureView):
     X = np.frombuffer(
         mmap.mmap(-1, max(cells, 1) * 8), dtype=float, count=cells
     ).reshape(len(rows), len(vocabulary))
-    flat_columns = np.frombuffer(columns, dtype=np.int32)
-    flat_values = np.frombuffer(values, dtype=float)
-    for row, (start, end) in enumerate(zip(row_ends, row_ends[1:])):
-        X[row, rank[flat_columns[start:end]]] = flat_values[start:end]
+    row_of = np.repeat(np.arange(len(rows)), np.frombuffer(lengths, dtype=np.int32))
+    X[row_of, rank[np.frombuffer(columns, dtype=np.int32)]] = np.frombuffer(values, dtype=float)
     return vocabulary, X
 
 
@@ -386,8 +353,10 @@ def train_classifier(
     Label 1 means non-vulnerable (benign). The split, the vocabulary order,
     and the optimizer are all deterministic functions of the inputs and the
     seed, so retraining reproduces the model byte for byte. Each sample is
-    read through a ScreenText, so one with no code (comment-only) raises
-    UndefinedInputError, as classifying it would.
+    read through its text's ScreenText, so one with no code (comment-only)
+    raises UndefinedInputError, as classifying it would. A LineSample's
+    text is one already: a build that trains every view on one sample list,
+    held-out check included, tokenizes each sample once.
     """
     import numpy as np
     from scipy.optimize import minimize
@@ -413,7 +382,7 @@ def train_classifier(
 
     # each sample is read as the screen reads a line, so the model learns the
     # features it will be scored on
-    texts = [ScreenText(s.text) for s in samples]
+    texts = [_shared(s.text) for s in samples]
     vocabulary, X = _design_matrix([texts[i] for i in train_idx], view)
     y = np.array([labels[i] for i in train_idx])
 

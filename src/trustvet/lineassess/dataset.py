@@ -36,6 +36,7 @@ from ..frontend.lexer import (
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import BleuReferences, bleu
 from .diffs import record_vulnerable_lines
+from .features import ScreenText
 
 
 class LineLabel(Enum):
@@ -53,7 +54,11 @@ class Origin:
 class LineSample:
     """One source line with a label and its provenance. The text is the
     line's normal form: its token texts joined by single spaces, none of
-    them empty or holding a space."""
+    them empty or holding a space.
+
+    A plain str text is wrapped in a ScreenText, which equals it: it keeps
+    the line's tokens once they are read, so every view of a model build
+    reads one tokenization of the sample."""
 
     text: str
     label: LineLabel
@@ -62,6 +67,8 @@ class LineSample:
     def __post_init__(self):
         if not self.text:
             raise SchemaError(f"{self.origin}: empty line sample")
+        if not isinstance(self.text, ScreenText):
+            object.__setattr__(self, "text", ScreenText(self.text))
 
 
 def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:

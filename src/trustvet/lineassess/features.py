@@ -9,8 +9,9 @@ trains one linear classifier per view so their errors stay decorrelated:
 
 extract_features is the one definition of each view, for training and
 scoring alike, and the one place a line without its tokens is tokenized. A
-ScreenText passes the tokens it holds, so a screen tokenizes each line once
-for all of its members, and training each sample once.
+ScreenText passes the tokens it holds: a screen tokenizes each line once for
+all of its members, and a model build each sample once for all three views,
+because every LineSample's text is a ScreenText.
 
 Each view counts into a plain dict, feats[key] = get(key, 0.0) + 1.0, with
 keys built by concatenation, so a key's first occurrence fixes its place in
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ..frontend.lexer import Token, TokenKind, tokenize_line
+from ..errors import UndefinedInputError
+from ..frontend.lexer import Token, TokenKind, normal_form, tokenize_line
 
 
 class FeatureView(Enum):
@@ -35,6 +37,8 @@ class FeatureView(Enum):
 ALL_VIEWS = (FeatureView.TOKEN_NGRAM, FeatureView.CHAR_NGRAM, FeatureView.SYNTAX_SHAPE)
 
 _CHAR_ORDERS = ((3, "3:"), (4, "4:"), (5, "5:"))  # each gram order and its key prefix
+
+_NO_CODE = "cannot classify an empty or comment-only line"
 
 
 def _token_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
@@ -98,3 +102,41 @@ def extract_features(
     if tokens is None:
         tokens = tokenize_line(text)
     return _EXTRACTORS[view](text, tokens)
+
+
+class ScreenText(str):
+    """One line text as every reader of it sees it.
+
+    It equals the raw text, so a reader that knows nothing of it sees an
+    ordinary string. The classifiers read its normal form and its features
+    from it: the line is normalized and tokenized once, on the first call.
+    An ensemble makes one per screened text and drops it with the screen. A
+    LineSample's text is one, and lives as long as its sample, so every view
+    a model build trains, and its held-out check, read one tokenization.
+    """
+
+    # the normal form once known, or "" when it is the text itself (a normal
+    # form is never empty): an equal copy would hold the text twice, and self
+    # a reference cycle that only the cyclic collector frees
+    _normalized: str | None = None
+    _tokens: list[Token] | None = None  # tokenize_line(normalized), once known
+
+    def normalized(self) -> str:
+        """normalize_line of the text; an empty or comment-only line raises."""
+        if self._normalized is None:
+            tokens = tokenize_line(self)
+            normalized = normal_form(tokens)
+            if not normalized:
+                raise UndefinedInputError(_NO_CODE)
+            if normalized == self:
+                self._tokens = tokens  # tokenize_line is a pure function of its string
+                normalized = ""
+            self._normalized = normalized
+        return self._normalized or self
+
+    def features(self, view: FeatureView) -> dict[str, float]:
+        """extract_features(view, self.normalized()) from the kept tokens."""
+        normalized = self.normalized()
+        if self._tokens is None:
+            self._tokens = tokenize_line(normalized)
+        return extract_features(view, normalized, self._tokens)

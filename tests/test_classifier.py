@@ -133,6 +133,7 @@ class TestDesignMatrixOracle:
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(line_texts.filter(normalize_line), max_size=12))
     @example(texts=["y = x ;", "b = a ;", "y = x ;"])  # names met out of sorted order
+    @example(texts=["y = x ;", "x", "b = a ;"])  # "x" has no char gram: a row with no cell
     def test_matrix_matches_the_two_pass_build(self, view, texts):
         self.assert_matches(view, texts)
 
@@ -165,6 +166,31 @@ class TestTraining:
         assert [TrainConfig(threshold=bound).threshold for bound in (0, 1)] == [0, 1]
         with pytest.raises(UndefinedInputError, match="threshold"):
             TrainConfig(threshold=threshold)
+
+    @pytest.mark.parametrize("l2", [9e307, 1e308, sys.float_info.max])
+    def test_l2_whose_double_overflows_rejected(self, l2):
+        """The gradient's 2 * l2 * w would be inf * 0 = NaN at the zero start,
+        and L-BFGS would stop there and keep an all-zero model; the largest
+        l2 whose double is finite is accepted."""
+        assert TrainConfig(l2=sys.float_info.max / 2).l2 == sys.float_info.max / 2
+        with pytest.raises(UndefinedInputError, match="l2"):
+            TrainConfig(l2=l2)
+
+    def test_each_sample_is_tokenized_once_for_every_view(self, monkeypatch):
+        """A LineSample keeps its text's tokens, so the three views of one
+        build and their held-out checks read one tokenization per sample."""
+        built = [LineSample(normalize_line(s.text), s.label, s.origin) for s in samples()]
+        module = sys.modules[ScreenText.__module__]
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize_line(text)
+
+        monkeypatch.setattr(module, "tokenize_line", counting)
+        for view in ALL_VIEWS:
+            train_classifier(built, view, TrainConfig(seed=3))
+        assert sorted(calls) == sorted(s.text for s in built)
 
     def test_single_class_rejected(self):
         only_benign = [s for s in samples() if s.label is LineLabel.NON_VULNERABLE]

@@ -680,6 +680,7 @@ class TestMalformedArtifacts:
             ("--l2", "nan", "l2"),
             ("--l2", "inf", "l2"),
             ("--l2", "-1", "l2"),
+            ("--l2", "1e308", "l2"),
             ("--max-iter", "0", "max_iter"),
             ("--max-iter", "-5", "max_iter"),
         ],
@@ -687,7 +688,7 @@ class TestMalformedArtifacts:
     def test_train_settings_no_model_can_use(self, runner, pipeline, tmp_path, flag, value, field):
         """Each would save models that assess refuses (a threshold that is not
         finite or lies outside [0, 1]) or that are garbage (all-zero or 4e153
-        weights)."""
+        weights; an l2 whose double overflows makes the first gradient NaN)."""
         out = tmp_path / "m"
         result = runner.invoke(
             main, ["train", "--dataset", str(pipeline["dataset"]), "--out", str(out), "--seed", "3", flag, value]

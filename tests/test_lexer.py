@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trustvet.frontend.lexer import (
@@ -132,6 +132,15 @@ class TestSubstantive:
             st.lists(st.sampled_from(SUBSTANTIVE_PIECES), max_size=8).map("".join),
         )
     )
+    @example("\tx = 1;")  # the fast path: a letter after the tokenizer's white space
+    @example("\u00a0x = 1;")  # white space the tokenizer reads as a Punct token
+    @example("\u3000x = 1;")
+    @example("\u00e9;")  # a letter and a digit, but not ASCII ones: Punct tokens
+    @example("\u00b2;")
+    @example("1;")
+    @example("_x;")
+    @example(".5")
+    @example("}")
     def test_agrees_with_the_tokens(self, text):
         """The sample pool and record_vulnerable_lines judge a line without
         tokenizing it, by the rule is_substantive applies to its tokens."""
