@@ -33,6 +33,7 @@ from .errors import (
 )
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
+from .frontend.lexer import LineTable
 from .lineassess.diffs import record_vulnerable_lines
 from .lineassess.ensemble import BenignVerdict
 from .pdg import SCHEMA_VERSION, Explanation, LineId, Pdg, is_strict_int, json_number
@@ -242,10 +243,10 @@ class EvaluationReport:
     skipped: Mapping[str, int]
 
 
-def _record_pdg(record: CorpusRecord) -> Pdg:
+def _record_pdg(record: CorpusRecord, table: LineTable | None) -> Pdg:
     if record.graph is not None:
-        return import_raw_graph(record.graph).to_pdg()
-    return pdg_from_source(record.source, function_id=record.function_id)
+        return import_raw_graph(record.graph, table).to_pdg()
+    return pdg_from_source(record.source, function_id=record.function_id, table=table)
 
 
 def evaluate_record(
@@ -253,10 +254,17 @@ def evaluate_record(
     ensemble: Sequence,
     config: RunConfig,
     memo: dict[str, BenignVerdict] | None = None,
+    table: LineTable | None = None,
 ) -> RecordResult:
     """Tau-independent evaluation of one prediction; failures become skips.
 
-    memo is the ensemble's screen memo, passed on to assess_prediction.
+    The first failure names the skip: the explanation, then the graph, then
+    the ground truth, which is checked against the source as ingest checks
+    it, so a listed line the source does not have is a ground-truth skip.
+
+    memo is the ensemble's screen memo, passed on to assess_prediction, and
+    table the lexer.LineTable the record's parse or graph import reads its
+    lines through (a fresh one when None). Neither changes the result.
     """
 
     def skip(reason: str) -> RecordResult:
@@ -278,15 +286,15 @@ def evaluate_record(
     except TrustvetError as exc:
         return skip(f"explanation: {exc}")
     try:
+        pdg = _record_pdg(record, table)
+    except TrustvetError as exc:
+        return skip(f"graph: {exc}")
+    try:
         truth = record_vulnerable_lines(record)
     except TrustvetError as exc:
         return skip(f"ground-truth: {exc}")
     if not truth:
         return skip("no-ground-truth")
-    try:
-        pdg = _record_pdg(record)
-    except TrustvetError as exc:
-        return skip(f"graph: {exc}")
     try:
         assessment = assess_prediction(
             expl,
@@ -346,16 +354,20 @@ def run_evaluation(
     on the remainder; with both thresholds pinned every usable record is
     evaluated directly. Every record, in every worker thread, shares one
     screen memo, so a text-only ensemble screens each distinct line text
-    once per call. A cutoff outside [0, 1] raises SchemaError before any
-    record is screened.
+    once per call, and one line table, so each distinct code line is
+    tokenized once per call, by every parse and graph import. Two threads
+    may both tokenize a line neither has stored yet; they store the same
+    entry. A cutoff outside [0, 1] raises SchemaError before any record is
+    screened.
     """
     if taus is None:
         taus = (config.iou_threshold,)
     for tau in taus:
         require_iou_cutoff(tau, "IoU cutoff")
     memo: dict[str, BenignVerdict] = {}
+    table: LineTable = {}
     worker: Callable[[CorpusRecord], RecordResult] = lambda r: evaluate_record(
-        r, ensemble, config, memo
+        r, ensemble, config, memo, table
     )
     workers = config.workers or 1
     if workers > 1 and len(records) > 1:

@@ -11,6 +11,7 @@ from .graphio import (
     merge_line_nodes,
 )
 from .lexer import (
+    LineTable,
     Token,
     TokenKind,
     extract_variables,
@@ -21,9 +22,12 @@ from .lexer import (
 from .parser import RawDepGraph, RawNode, parse_function
 
 
-def pdg_from_source(source: str, function_id: str | None = None) -> Pdg:
-    """Parse source and merge to a line-level Pdg in one step."""
-    raw = parse_function(source)
+def pdg_from_source(
+    source: str, function_id: str | None = None, table: LineTable | None = None
+) -> Pdg:
+    """Parse source and merge to a line-level Pdg in one step; table, when
+    given, is the lexer.LineTable parse_function reads lines through."""
+    raw = parse_function(source, table)
     if function_id is not None:
         raw.function_id = function_id
     return merge_line_nodes(raw)

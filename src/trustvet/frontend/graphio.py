@@ -21,6 +21,10 @@ on a node is an error naming the node, because line identity is what
 everything downstream keys on. So is a node whose code has white space that
 C does not (U+00A0, say) outside a comment or literal, which the parser
 refuses too. import_raw_graph is the one check of such a document.
+
+import_raw_graph reads each distinct code once, through a lexer.LineTable
+that it may share with the parses and imports of one run: a code the table
+holds has passed that check, so only a new code is checked and tokenized.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
-from .lexer import _foreign_space, surface, tokenize_line
+from .lexer import LineTable, _foreign_space, line_entry
 from .parser import RawDepGraph, RawEdge, RawNode
 
 
@@ -98,8 +102,13 @@ class ImportedGraph:
         return merge_imported_nodes(self.graph)
 
 
-def import_raw_graph(document: dict) -> ImportedGraph:
-    """Read an external graph export (schema above) into a RawDepGraph."""
+def import_raw_graph(document: dict, table: LineTable | None = None) -> ImportedGraph:
+    """Read an external graph export (schema above) into a RawDepGraph.
+
+    table, when given, is a lexer.LineTable shared with other parses and
+    imports; the graph is the same with or without it."""
+    if table is None:
+        table = {}
     if not isinstance(document, dict):
         raise ImportSchemaError("graph export must be a JSON object")
     function_id = document.get("function")
@@ -112,7 +121,6 @@ def import_raw_graph(document: dict) -> ImportedGraph:
 
     nodes: list[RawNode] = []
     known: set[int] = set()
-    surfaces: dict[str, tuple[str, frozenset[str]]] = {}  # of each distinct code
     for entry in raw_nodes:
         if not isinstance(entry, dict) or not is_strict_int(entry.get("id")):
             raise ImportSchemaError(f"graph export: node without integer 'id': {entry!r}")
@@ -126,14 +134,13 @@ def import_raw_graph(document: dict) -> ImportedGraph:
         code = entry.get("code", "")
         if not isinstance(code, str):
             raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
-        if code not in surfaces:
+        found = table.get(code)
+        if found is None:
             refused = _foreign_space(code)
             if refused:
                 raise ImportSchemaError(f"graph export: node {node_id}: {refused}")
-            tokens = tokenize_line(code)
-            kinds, texts = zip(*tokens) if tokens else ((), ())
-            surfaces[code] = surface(texts, kinds)
-        nodes.append(RawNode(node_id, line, code, surfaces[code]))
+            found = line_entry(code, table)
+        nodes.append(RawNode(node_id, line, code, found[2]))
 
     edges: list[RawEdge] = []
     messages: list[str] = []

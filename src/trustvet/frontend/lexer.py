@@ -13,6 +13,13 @@ a digit or "." a number, a quote a literal, and anything else is one Punct
 character. The fixed table holds one token each for C's punctuation, its
 operators and the C99 keywords; it is built at import from constants here,
 so the package reads no data file.
+
+A line's tokens depend on its text alone, so a LineTable maps each code line
+already read to its LineEntry: its token texts and kinds and its surface.
+The parser and the graph import take one; run_evaluation shares one table
+across its corpus, so a line that many records repeat ("}", "return 0;") is
+tokenized once per run. A table holds at most LINE_TABLE_LIMIT entries, and
+the package keeps none of its own between calls.
 """
 
 from __future__ import annotations
@@ -134,6 +141,26 @@ def tokenize_line(text: str) -> list[Token]:
                 tok = Token(_PUNCT, piece)
         tokens.append(tok)
     return tokens
+
+
+# One line's tokens, as parallel tuples of texts and kinds, and its surface.
+LineEntry = tuple[tuple[str, ...], tuple[TokenKind, ...], tuple[str, frozenset[str]]]
+# code line -> its entry; one table is shared by the parses and imports of a run
+LineTable = dict[str, LineEntry]
+# Entries a table holds at most: about 13 MB at some 800 bytes each.
+LINE_TABLE_LIMIT = 1 << 14
+
+
+def line_entry(text: str, table: LineTable) -> LineEntry:
+    """text's LineEntry, stored in table unless it is already full; entries
+    never leave a table. text must have passed _foreign_space, since the
+    graph import checks a code only when its table does not hold it."""
+    tokens = tokenize_line(text)
+    kinds, texts = zip(*tokens) if tokens else ((), ())
+    entry = texts, kinds, surface(texts, kinds)
+    if len(table) < LINE_TABLE_LIMIT:
+        table[text] = entry
+    return entry
 
 
 def split_lines(text: str) -> list[str]:

@@ -12,11 +12,13 @@ subscripts; structural damage (unbalanced braces, truncated statements)
 raises ParseError. Failing loudly is deliberate: a partially parsed function
 would produce a silently wrong dependence graph.
 
-Each source line is tokenized once, and its tokens are unzipped into flat
-parallel lists of texts, kinds and source lines, with bounds, the index of
-each line's first token; no Token outlives its line. The recursive descent
+Each distinct cleaned line is read once, through a lexer.LineTable: its
+entry holds its token texts and kinds, and its surface. A caller may pass a
+table shared with other parses and imports; else each parse has its own.
+The entries' texts and kinds are joined into flat parallel lists of texts,
+kinds and source lines; no Token outlives its line. The recursive descent
 and its def/use scans read those lists and slices of them, and a node's line
-surface is lexer.surface of its line's slice. The descent wires the
+surface is its line's entry's. The descent wires the
 statement CFG as it parses: each statement takes the CFG ends that flow into
 it and returns the ends that flow out. Both analyses below make each edge
 once, in its final (src, dst, kind, variable) form, so the graph's edges are
@@ -55,8 +57,8 @@ from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind
-from .lexer import TokenKind, split_lines, surface, tokenize_line
-from .lexer import _blank_comments, _blank_literals, _foreign_space
+from .lexer import LineEntry, LineTable, TokenKind, line_entry, split_lines
+from .lexer import _any_foreign_space, _blank_comments, _blank_literals, _foreign_space
 
 _EXIT = -1  # virtual CFG exit
 
@@ -134,7 +136,13 @@ def _clean_source(source: str) -> list[str]:
     """Blank out comments (block comments may span lines) and reject
     preprocessor lines, any other '#', and white space that C does not
     have (U+00A0, say), outside a literal, returning the cleaned source line
-    by line; literals are returned as they are."""
+    by line; literals are returned as they are.
+
+    A source with no '/', no '#' and no foreign white space has nothing to
+    blank or refuse, so it is returned as split_lines gives it, with no
+    per-line work; any other is cleaned line by line."""
+    if "/" not in source and "#" not in source and not _any_foreign_space(source):
+        return split_lines(source)
     cleaned: list[str] = []
     in_block = False
     for lineno, line in enumerate(split_lines(source), start=1):
@@ -695,33 +703,37 @@ def _signature_info(texts: list[str], kinds: list[TokenKind], first_line: int) -
 @dataclass
 class _Cfg:
     """A parsed function's statements and their control-flow graph, and its
-    tokens as parallel text and kind lists; the tokens of cleaned line k
-    (1-based) are those from bounds[k - 1] up to bounds[k]."""
+    tokens as parallel text and kind lists; entries[k - 1] is cleaned line
+    k's LineEntry (1-based k)."""
 
     name: str
     cleaned: list[str]
     texts: list[str]
     kinds: list[TokenKind]
-    bounds: list[int]
+    entries: list[LineEntry]
     stmts: list[_Stmt]
     succ: dict[int, set[int]]
     preds: dict[int, set[int]]
 
 
-def _build_cfg(source: str) -> _Cfg:
+def _build_cfg(source: str, table: LineTable | None = None) -> _Cfg:
+    """Clean, tokenize and parse source, reading each cleaned line once
+    through table (a fresh one when None)."""
+    if table is None:
+        table = {}
     cleaned = _clean_source(source)
     texts: list[str] = []
     kinds: list[TokenKind] = []
     lines: list[int] = []
-    bounds = [0]
+    entries: list[LineEntry] = []
     for lineno, text in enumerate(cleaned, start=1):
-        tokens = tokenize_line(text)
-        if tokens:
-            line_kinds, line_texts = zip(*tokens)  # no Token outlives its line
-            kinds += line_kinds
+        found = table.get(text) or line_entry(text, table)  # an entry, a 3-tuple, is true
+        entries.append(found)
+        line_texts = found[0]
+        if line_texts:
             texts += line_texts
-            lines += [lineno] * len(tokens)
-        bounds.append(len(texts))
+            kinds += found[1]
+            lines += [lineno] * len(line_texts)
     if not texts:
         raise ParseError("no tokens in source")
 
@@ -735,23 +747,25 @@ def _build_cfg(source: str) -> _Cfg:
     if any(text != ";" for text in texts[parser.i : -1]):  # texts ends in _END
         raise ParseError(f"line {lines[parser.i]}: unexpected tokens after the function body")
     del texts[-1]
-    return _Cfg(name, cleaned, texts, kinds, bounds, parser.stmts, parser.succ, parser.preds)
+    return _Cfg(name, cleaned, texts, kinds, entries, parser.stmts, parser.succ, parser.preds)
 
 
-def parse_function(source: str) -> RawDepGraph:
-    """Parse one function and return its statement-level dependence graph."""
-    cfg = _build_cfg(source)
+def parse_function(source: str, table: LineTable | None = None) -> RawDepGraph:
+    """Parse one function and return its statement-level dependence graph.
+
+    table, when given, is a lexer.LineTable shared with other parses and
+    imports; the graph is the same with or without it."""
+    cfg = _build_cfg(source, table)
     control = _control_dependence(cfg.stmts, cfg.succ, cfg.preds)
     chains = _reaching_definitions(cfg.stmts, cfg.succ, cfg.preds)
 
     # a node carries its whole source line, so an export/import round trip gives
     # the same line surface: str.strip drops only white space the tokenizer
     # skips too, as _clean_source refuses any other outside a literal
-    texts, kinds, bounds = cfg.texts, cfg.kinds, cfg.bounds
+    cleaned, entries = cfg.cleaned, cfg.entries
     parts = {}
     for line in {s.line for s in cfg.stmts}:
-        a, b = bounds[line - 1], bounds[line]
-        parts[line] = cfg.cleaned[line - 1].strip(), surface(texts[a:b], kinds[a:b])
+        parts[line] = cleaned[line - 1].strip(), entries[line - 1][2]
     nodes = [RawNode(s.sid, s.line, *parts[s.line]) for s in cfg.stmts]
     control.sort()
     chains.sort()

@@ -82,10 +82,6 @@ def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:
     source_lines = split_lines(record.source)
     out: list[LineSample] = []
     for line in sorted(lines):
-        if line > len(source_lines):
-            raise DiffMismatchError(
-                f"record {record.function_id}: vulnerable line {line} is outside the source"
-            )
         raw = source_lines[line - 1]
         if _foreign_space(raw):
             continue

@@ -8,6 +8,8 @@ wrong source fails loudly instead of yielding wrong line numbers.
 
 A corpus record names its vulnerable lines one way for every reader:
 a non-empty vul_lines list wins, else the lines recovered from its diff.
+Either way each line must be one of the source's, so ingest refuses such a
+record and evaluate skips it for the same reason.
 """
 
 from __future__ import annotations
@@ -68,8 +70,15 @@ def extract_vulnerable_lines(before_source: str, diff: str) -> frozenset[int]:
 
 def record_vulnerable_lines(record: CorpusRecord) -> frozenset[int]:
     """A record's vulnerable lines: its non-empty vul_lines, else the lines
-    its diff deleted or modified, else none."""
+    its diff deleted or modified, else none. A vul_lines entry that is not a
+    line of the source raises DiffMismatchError, as a diff line does."""
     if record.vul_lines:
+        count = len(split_lines(record.source))
+        for line in sorted(record.vul_lines):
+            if not 1 <= line <= count:
+                raise DiffMismatchError(
+                    f"record {record.function_id}: vulnerable line {line} is outside the source"
+                )
         return frozenset(record.vul_lines)
     if record.diff is not None:
         return extract_vulnerable_lines(record.source, record.diff)

@@ -543,7 +543,9 @@ def oracle_clean_source_literals_blanked(source: str) -> list[str]:
     scan also builds a copy of each line whose literal contents are blanked,
     and both '#' checks read that copy, so a '#' inside a string or character
     literal (printf("#%d", a)) is accepted. The cleaned lines it returns are
-    the former reference's, literals kept as they are."""
+    the former reference's, literals kept as they are. It also holds the
+    parser's later rule: white space by str.isspace other than " \t\r\n\f\v"
+    is refused in that copy, after the '#' checks."""
     lines = [line[:-1] if line[-1:] == "\r" else line for line in source.split("\n")][: -1 if source[-1:] in ("", "\n") else None]
     cleaned: list[str] = []
     in_block = False
@@ -598,6 +600,11 @@ def oracle_clean_source_literals_blanked(source: str) -> list[str]:
             raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
         if "#" in masked:
             raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
+        foreign = [ch for ch in masked if ch.isspace() and ch not in " \t\r\n\f\v"]
+        if foreign:
+            raise UnsupportedConstructError(
+                f"white space U+{ord(foreign[0]):04X} outside a comment or literal", lineno
+            )
         cleaned.append(text)
     return cleaned
 

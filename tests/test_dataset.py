@@ -77,6 +77,14 @@ class TestPositives:
         with pytest.raises(DiffMismatchError):
             vulnerable_samples(bad)
 
+    @pytest.mark.parametrize("bad", [0, 99])
+    def test_line_outside_the_source_named(self, bad):
+        """Line 0 is no line of the source either; it is refused, not read
+        as the last line."""
+        record = dataclasses.replace(worker_record("w", "pure", 0.9), vul_lines=(bad, 6))
+        with pytest.raises(DiffMismatchError, match=f"record w: vulnerable line {bad} is outside the source"):
+            vulnerable_samples(record)
+
     def test_record_without_ground_truth_rejected(self):
         record = worker_record("w", "pure", 0.9)
         bare = CorpusRecord(

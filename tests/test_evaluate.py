@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from synth import (
     synthetic_corpus,
     worker_record,
 )
+from trustvet import evaluate
 from trustvet.config import RunConfig
 from trustvet.corpus import record_from_dict, record_to_dict
 from trustvet.errors import (
@@ -39,6 +41,8 @@ from trustvet.evaluate import (
     run_evaluation,
     select_suspicious,
 )
+from trustvet.frontend import graphio, lexer, parser
+from trustvet.frontend.parser import _clean_source
 from trustvet.pdg import Explanation, dumps_canonical, read_json_object
 
 
@@ -331,6 +335,18 @@ class TestRunEvaluation:
         parallel = run_evaluation(records, lookup_ensemble(), config_parallel)
         assert report_to_dict(serial) == report_to_dict(parallel)
 
+    def test_vulnerable_line_outside_the_source_is_a_ground_truth_skip(self):
+        """evaluate reads vul_lines by ingest's rule: a line the source does
+        not have is refused, not scored."""
+        records, _ = planted_corpus()
+        outside = dataclasses.replace(records[0], function_id="outside", vul_lines=(6, 99))
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5)
+        result = evaluate_record(outside, lookup_ensemble(), config)
+        assert result.skipped == "ground-truth: record outside: vulnerable line 99 is outside the source"
+        report = run_evaluation(records + [outside], lookup_ensemble(), config)
+        assert report.skipped == {"ground-truth": 1}
+        assert report.taus[0].evaluated == 10
+
     def test_skipped_records_counted_not_evaluated(self):
         records, _ = planted_corpus()
         broken = dataclasses.replace(
@@ -405,3 +421,45 @@ class TestRunEvaluation:
         assert render_table(doc) == render_table(read_json_object(dumps_canonical(doc), "report"))
         table = render_table(doc)
         assert "trust" in table and "naive" in table and "0.800" in table
+
+
+class TestLineTable:
+    """One run_evaluation shares one line table across its records: each
+    distinct cleaned line is tokenized once, and a full table changes no
+    bytes of the report."""
+
+    def test_each_distinct_line_is_tokenized_once_per_run(self, monkeypatch):
+        ensemble = lookup_ensemble()  # which parses a probe function
+        calls = Counter()
+        tokenize = lexer.tokenize_line
+
+        def counting(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        for module in (lexer, parser, graphio):
+            if hasattr(module, "tokenize_line"):
+                monkeypatch.setattr(module, "tokenize_line", counting)
+        records, _ = planted_corpus()
+        run_evaluation(records, ensemble, RunConfig(seed=0))
+        lines = set().union(*(_clean_source(r.source) for r in records))
+        assert len(lines) < sum(len(_clean_source(r.source)) for r in records)
+        assert calls == Counter(lines)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_full_table_changes_no_report(self, monkeypatch, workers):
+        records, _ = planted_corpus()
+        config = RunConfig(trust_threshold=0.25, conf_threshold=0.5, workers=workers)
+        want = dumps_canonical(report_to_dict(run_evaluation(records, lookup_ensemble(), config)))
+        tables = []
+
+        def recording(record, ensemble, config, memo=None, table=None):
+            tables.append(table)
+            return evaluate_record(record, ensemble, config, memo, table)
+
+        monkeypatch.setattr(lexer, "LINE_TABLE_LIMIT", 3)
+        monkeypatch.setattr(evaluate, "evaluate_record", recording)
+        got = dumps_canonical(report_to_dict(run_evaluation(records, lookup_ensemble(), config)))
+        assert got == want
+        assert len(tables) == len(records) and all(table is tables[0] for table in tables)
+        assert len(tables[0]) == 3

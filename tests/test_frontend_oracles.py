@@ -212,6 +212,12 @@ class TestSourceCleaning:
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(c_soup, c_soup.map(function_shell)))
     @example('int f(int a)\n{\n    printf("#%d", a);\n    c = \'#\';\n}\n')
+    @example("int f(int a)\n{\n    a = a\x1c+ 1;\n}\n")  # foreign space, no '/' or '#'
+    @example('int f(int a)\n{\n    s = "\u00a0";\n    t = \'\u3000\';\n}\n')
+    @example("int f(int a)\r\n{\r\n    a = 1;\r\n}\r\n")
+    @example("int f(int a)\n{\n    a = 1;\n}")  # no final newline
+    @example('int f(int a)\n{\n    s = "#";\n}\n')  # '#' only inside a literal
+    @example("int f(int a)\n{\n    a = a / 2;\n}\n")  # '/' only as a division
     def test_matches_the_character_scan(self, source):
         assert cleaned_or_error(_clean_source, source) == cleaned_or_error(
             oracle_clean_source_literals_blanked, source
@@ -222,7 +228,8 @@ class TestSourceCleaning:
     @example('int f(int a)\n{\n    printf("#%d", a);\n}\n')
     def test_former_scan_differs_only_on_hash_in_literals(self, source):
         """The former reference rejected a '#' inside a literal; that is
-        the only place the corrected one may disagree with it."""
+        the only place the corrected one may disagree with it on C_PIECES,
+        which hold no white space that only the corrected one refuses."""
         former = cleaned_or_error(oracle_clean_source, source)
         corrected = cleaned_or_error(oracle_clean_source_literals_blanked, source)
         if former == corrected:
@@ -234,6 +241,17 @@ class TestSourceCleaning:
             assert corrected == [line.replace("$", "#") for line in unhashed]
         else:  # a later line has a '#' outside any literal
             assert corrected[2] > former[2]
+
+
+def pdg_or_error(build, table):
+    """build(table)'s Pdg, or the type and message of its TrustvetError."""
+    try:
+        return build(table)
+    except TrustvetError as exc:
+        return type(exc), str(exc)
+
+
+synth_sources = seeds.map(lambda seed: c_subset_function(random.Random(seed), 12))
 
 
 def round_trip(source: str):
@@ -287,6 +305,23 @@ class TestSourceAndImportAgree:
         except TrustvetError:
             return
         assert_oracle_surfaces(raw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(synth_sources, c_soup.map(function_shell), c_soup), min_size=2, max_size=6))
+    def test_a_shared_line_table_changes_no_graph(self, sources):
+        """Parses and imports that share one line table give each source
+        the Pdg, or the error, they give with a table of their own: the
+        parse of the source, and the import of its lines as node codes."""
+        shared = {}
+        for source in sources:
+            nodes = [{"id": i, "line": i, "code": code} for i, code in enumerate(source.split("\n"), start=1)]
+            document = {"function": "f", "nodes": nodes, "edges": []}
+            builds = (
+                lambda table: pdg_from_source(source, table=table),
+                lambda table: import_raw_graph(document, table).to_pdg(),
+            )
+            for build in builds:
+                assert pdg_or_error(build, shared) == pdg_or_error(build, None)
 
     def test_comment_spanning_lines_leaves_no_text(self):
         source = function_shell("    int x = a; /* start\n    note */ int y = x + 1;\n    return y;")

@@ -24,7 +24,7 @@ from trustvet.frontend import (
 )
 from trustvet.frontend.graphio import _line_edges, merge_line_nodes
 from trustvet.frontend.lexer import tokenize_line
-from trustvet.frontend.parser import RawDepGraph, RawNode
+from trustvet.frontend.parser import RawDepGraph, RawNode, _clean_source
 from trustvet.pdg import DepKind, PdgEdge
 
 
@@ -233,22 +233,54 @@ class TestMergedLinesOracle:
 
 
 class TestEachLineOnce:
-    """The parser gives each node its line surface from the tokens it
-    parsed, so pdg_from_source tokenizes each source line exactly once."""
+    """The parser gives each node its line surface from the entry it read
+    its line's tokens from, so pdg_from_source tokenizes each distinct
+    cleaned line exactly once, and an import that shares the parse's line
+    table tokenizes only the codes the parse did not read."""
 
-    def test_each_source_line_is_tokenized_once(self, monkeypatch, vrrp_source):
-        calls = []
+    @staticmethod
+    def count_tokenizations(monkeypatch) -> Counter:
+        calls = Counter()
 
         def counting(text):
-            calls.append(text)
+            calls[text] += 1
             return tokenize_line(text)
 
         for module in (lexer, parser, graphio):
-            monkeypatch.setattr(module, "tokenize_line", counting)
-        for source in (vrrp_source, c_subset_function(random.Random(3), 40)):
+            if hasattr(module, "tokenize_line"):
+                monkeypatch.setattr(module, "tokenize_line", counting)
+        return calls
+
+    def test_each_distinct_line_is_tokenized_once(self, monkeypatch, vrrp_source):
+        calls = self.count_tokenizations(monkeypatch)
+        repeated = "int f(int a)\n{\n    a = a + 1;\n    a = a + 1;\n    return a;\n}\n"
+        assert repeated.count("    a = a + 1;\n") == 2
+        for source in (vrrp_source, repeated, c_subset_function(random.Random(3), 40)):
             calls.clear()
             pdg_from_source(source)
-            assert source.endswith("\n") and len(calls) == source.count("\n")
+            assert calls == Counter(set(_clean_source(source)))
+
+    def test_parse_and_import_share_a_table(self, monkeypatch):
+        """An imported node whose code is a line the parse read takes that
+        line's entry's surface, and its code is not tokenized again."""
+        table = {}
+        parse_function("int f(int src)\n{\nx = read(src);\nreturn x;\n}\n", table)
+        calls = self.count_tokenizations(monkeypatch)
+        imported = import_raw_graph(sample_doc(), table).graph
+        assert imported.nodes[0].surface is table["x = read(src);"][2]
+        assert calls == Counter(["if (x) {", "sink(x);"])
+        assert [node.surface for node in imported.nodes] == [oracle_line_surface(n.code) for n in imported.nodes]
+
+    def test_a_no_break_space_code_is_refused_after_a_parse(self):
+        """The parse stores only lines that passed the white-space rule, so
+        an import through its table still checks a code it has not seen."""
+        table = {}
+        parse_function('int f(int a)\n{\n    s = "\u00a0";\n    a = 1;\n}\n', table)
+        doc = sample_doc()
+        doc["nodes"][1]["code"] = "\u00a0a = 1;"
+        with pytest.raises(ImportSchemaError, match=r"node 11: white space U\+00A0"):
+            import_raw_graph(doc, table)
+        assert "\u00a0a = 1;" not in table
 
     def test_a_no_break_space_before_code_is_refused(self):
         """str.strip drops U+00A0, which the tokenizer reads as a character,
