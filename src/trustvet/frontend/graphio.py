@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
-from .lexer import LineTable, _foreign_space, line_entry
+from .lexer import LineTable, foreign_space, line_entry
 from .parser import RawDepGraph, RawEdge, RawNode
 
 
@@ -136,7 +136,7 @@ def import_raw_graph(document: dict, table: LineTable | None = None) -> Imported
             raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
         found = table.get(code)
         if found is None:
-            refused = _foreign_space(code)
+            refused = foreign_space(code)
             if refused:
                 raise ImportSchemaError(f"graph export: node {node_id}: {refused}")
             found = line_entry(code, table)

@@ -1,18 +1,25 @@
-"""Line-level lexing for a C-like language.
+"""Line-level lexing for a C-like language: the one reader of code text.
 
-The tokenizer is total: any byte sequence produces a token list. Unknown
-characters become single-character Punct tokens rather than errors, because
-downstream consumers (line normalization, n-gram features, variable
-extraction) must cope with arbitrary source lines.
+scan_line decides how a line is tokenized. It gives a line's tokens as two
+parallel tuples, their texts and their kinds, the one format that the
+parser, the graph import, the normal form and the feature views read;
+tokenize_line gives the same tokens as Token tuples. The scan is total: an
+unknown character becomes a one-character Punct token rather than an error,
+because line normalization, n-gram features and variable extraction must
+cope with arbitrary source lines. One regex findall scans a line: each
+match is the text of one token, or empty for white space and comments. A
+token's kind is that of the fixed table for its text, or else comes from its
+first character, by the same ASCII classes the pattern matches on: a letter
+or "_" starts an identifier, a digit or "." a number, a quote a literal, and
+anything else is one Punct character. The fixed table holds C's
+punctuation, its operators and the C99 keywords; it is built at import from
+constants here, so the package reads no data file.
 
-A line is scanned by one regex findall: each match is the text of one token,
-or empty for white space and comments. A token's kind is that of the fixed
-table for its text, or else comes from its first character, by the same
-ASCII classes the pattern matches on: a letter or "_" starts an identifier,
-a digit or "." a number, a quote a literal, and anything else is one Punct
-character. The fixed table holds one token each for C's punctuation, its
-operators and the C99 keywords; it is built at import from constants here,
-so the package reads no data file.
+code_lines decides which text of a source is code. It blanks every comment,
+a block comment that spans lines included, and names each line with white
+space that C does not have (U+00A0, say) outside a comment or literal. The
+parser, ingest and the diff reader all take a source's lines from it, so
+none of them reads comment text as code.
 
 A line's tokens depend on its text alone, so a LineTable maps each code line
 already read to its LineEntry: its token texts and kinds and its surface.
@@ -50,10 +57,10 @@ STRING_LITERAL = "STR"
 CHAR_LITERAL = "CHR"
 
 # C's lexical rules, once. Comments and string/char literals are shared by
-# the tokenizer and by the parser's comment blanking (_blank_comments), so
-# the two cannot disagree on where a comment starts or a literal ends. A
-# literal runs to its closing quote, skipping backslash escapes, or to the
-# end of the text; an unterminated "/*" runs to the end of the text.
+# the tokenizer and by code_lines, so the two cannot disagree on where a
+# comment starts or a literal ends. A literal runs to its closing quote,
+# skipping backslash escapes, or to the end of the text; an unterminated
+# "/*" runs to the end of the text.
 _LINE_COMMENT = r"//.*"
 _BLOCK_COMMENT = r"/\*.*?\*/"
 _OPEN_COMMENT = r"/\*.*"
@@ -88,11 +95,6 @@ _CODE_START = _WORD_START | _NUMBER_START | frozenset("\"'")
 # First characters that start a word or a number whatever follows them.
 _WORD_OR_DIGIT_START = _WORD_START | frozenset("0123456789")
 _IDENTIFIER, _LITERAL, _PUNCT = TokenKind.IDENTIFIER, TokenKind.LITERAL, TokenKind.PUNCT
-_STRING_TOKEN = Token(_LITERAL, STRING_LITERAL)
-_CHAR_TOKEN = Token(_LITERAL, CHAR_LITERAL)
-# Makes a Token in C: Token(kind, text) runs the NamedTuple's __new__, a
-# Python frame, for each identifier and number.
-_tuple_new = tuple.__new__
 
 # Comments to blank (group 1 is an open "/*") and literals to keep as they are.
 _COMMENT_OR_LITERAL = re.compile(
@@ -107,40 +109,47 @@ _KEYWORDS = frozenset(
     " union unsigned void volatile while".split()
 )
 
-# Operators, keywords and C punctuation by their text. Tokens are immutable,
-# so one of each is shared.
-_FIXED_TOKENS = {p: Token(TokenKind.PUNCT, p) for p in "(){}[];,"}
-_FIXED_TOKENS.update((op, Token(TokenKind.OPERATOR, op)) for op in _OPERATORS)
-_FIXED_TOKENS.update((word, Token(TokenKind.KEYWORD, word)) for word in _KEYWORDS)
+# The kinds of operators, keywords and C punctuation, by their text.
+_FIXED_KINDS = dict.fromkeys("(){}[];,", TokenKind.PUNCT)
+_FIXED_KINDS.update(dict.fromkeys(_OPERATORS, TokenKind.OPERATOR))
+_FIXED_KINDS.update(dict.fromkeys(_KEYWORDS, TokenKind.KEYWORD))
 
 
-def tokenize_line(text: str) -> list[Token]:
-    """Tokenize one source line. Never raises.
+def scan_line(text: str) -> tuple[tuple[str, ...], tuple[TokenKind, ...]]:
+    """One source line's token texts and kinds, two parallel tuples. Never raises.
 
     Comments are dropped ("//" to end of line; "/* ... */" inline, and an
     unterminated "/*" swallows the rest of the line). String and character
     literals collapse to fixed placeholder tokens.
     """
-    fixed = _FIXED_TOKENS
-    tokens: list[Token] = []
+    fixed = _FIXED_KINDS
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
     for piece in _TOKEN.findall(text):
         if not piece:
             continue  # white space or a comment
-        tok = fixed.get(piece)
-        if tok is None:
+        kind = fixed.get(piece)
+        if kind is None:
             first = piece[0]
             if first in _WORD_START:
-                tok = _tuple_new(Token, (_IDENTIFIER, piece))
+                kind = _IDENTIFIER
             elif first in _NUMBER_START:
-                tok = _tuple_new(Token, (_LITERAL, piece))
+                kind = _LITERAL
             elif first == '"':
-                tok = _STRING_TOKEN
+                piece, kind = STRING_LITERAL, _LITERAL
             elif first == "'":
-                tok = _CHAR_TOKEN
+                piece, kind = CHAR_LITERAL, _LITERAL
             else:
-                tok = Token(_PUNCT, piece)
-        tokens.append(tok)
-    return tokens
+                kind = _PUNCT
+        texts.append(piece)
+        kinds.append(kind)
+    return tuple(texts), tuple(kinds)
+
+
+def tokenize_line(text: str) -> list[Token]:
+    """scan_line's tokens as Token tuples."""
+    texts, kinds = scan_line(text)
+    return list(map(Token, kinds, texts))
 
 
 # One line's tokens, as parallel tuples of texts and kinds, and its surface.
@@ -153,10 +162,9 @@ LINE_TABLE_LIMIT = 1 << 14
 
 def line_entry(text: str, table: LineTable) -> LineEntry:
     """text's LineEntry, stored in table unless it is already full; entries
-    never leave a table. text must have passed _foreign_space, since the
+    never leave a table. text must have passed foreign_space, since the
     graph import checks a code only when its table does not hold it."""
-    tokens = tokenize_line(text)
-    kinds, texts = zip(*tokens) if tokens else ((), ())
+    texts, kinds = scan_line(text)
     entry = texts, kinds, surface(texts, kinds)
     if len(table) < LINE_TABLE_LIMIT:
         table[text] = entry
@@ -195,7 +203,7 @@ def _blank_comments(line: str, in_block: bool) -> tuple[str, bool]:
     return "".join(out), in_block
 
 
-def _blank_literals(text: str) -> str:
+def blank_literals(text: str) -> str:
     """text, already free of comments, with the contents of each string and
     character literal replaced by spaces; the opening quote is kept."""
     return _STRING_OR_CHAR.sub(lambda m: m[0][0] + " " * (len(m[0]) - 1), text)
@@ -214,25 +222,41 @@ def _any_foreign_space(text: str) -> bool:
     """Whether text has white space that C does not have anywhere, in a
     comment or literal too. It reads a long text of ASCII about ten times
     faster than one search: where it is False, no line of text needs
-    _foreign_space."""
+    foreign_space."""
     if text.isascii():
         return any(space in text for space in _ASCII_FOREIGN_SPACE)
     return _FOREIGN_SPACE.search(text) is not None
 
 
-def _foreign_space(text: str) -> str | None:
+def foreign_space(text: str) -> str | None:
     """Why one line of code is refused when it has white space that C does
-    not (U+00A0, say) outside a comment or literal; else None. The parser
+    not (U+00A0, say) outside a comment or literal; else None. code_lines
     and the graph import both hold code to this rule."""
     if not _FOREIGN_SPACE.search(text):
         return None
-    space = _FOREIGN_SPACE.search(_blank_literals(_blank_comments(text, False)[0]))
+    space = _FOREIGN_SPACE.search(blank_literals(_blank_comments(text, False)[0]))
     return f"white space U+{ord(space[0]):04X} outside a comment or literal" if space else None
 
 
-def normal_form(tokens: list[Token]) -> str:
-    """The canonical form of a tokenized line: token texts joined by single spaces."""
-    return " ".join([t.text for t in tokens])
+def code_lines(source: str) -> tuple[list[str], dict[int, str]]:
+    """split_lines of source with each comment character blanked, a block
+    comment that spans lines included, and foreign_space's reason for each
+    line it refuses, by 1-based number. A source with no '/' and no foreign
+    white space takes no per-line work."""
+    lines = split_lines(source)
+    screened = _any_foreign_space(source)
+    refused: dict[int, str] = {}
+    if "/" not in source and not screened:
+        return lines, refused
+    in_block = False
+    for index, line in enumerate(lines):
+        line, in_block = _blank_comments(line, in_block)
+        lines[index] = line
+        if screened:
+            reason = foreign_space(line)
+            if reason:
+                refused[index + 1] = reason
+    return lines, refused
 
 
 def normalize_line(text: str) -> str:
@@ -241,7 +265,7 @@ def normalize_line(text: str) -> str:
     Comments disappear and literals collapse as a consequence of
     tokenization.
     """
-    return normal_form(tokenize_line(text))
+    return " ".join(scan_line(text)[0])
 
 
 def extract_variables(text: str) -> frozenset[str]:
@@ -251,9 +275,7 @@ def extract_variables(text: str) -> frozenset[str]:
     names and plain variables both count: the set is the syntactic identifier
     surface of the line, not a dataflow use set.
     """
-    tokens = tokenize_line(text)
-    kinds, texts = zip(*tokens) if tokens else ((), ())
-    return _variables(texts, kinds)
+    return _variables(*scan_line(text))
 
 
 def surface(texts: Sequence[str], kinds: Sequence[TokenKind]) -> tuple[str, frozenset[str]]:
@@ -274,25 +296,20 @@ def is_substantive_line(text: str) -> bool:
     """True for lines that carry code: not blank, not comment-only, and not
     made of delimiters alone (braces, parens, commas, semicolons).
 
-    Equal to is_substantive(tokenize_line(text)), but it builds no Token.
-    A line whose first character after the tokenizer's white space is an
-    ASCII letter, a digit or "_" starts with an identifier, a keyword or a
-    number, so it is code without a scan. Any other line is scanned: each
-    piece is judged by the fixed table and the first-character sets that
-    tokenize_line takes its kind from, and the scan stops at the first
+    True when one of scan_line's kinds of text is not Punct, but it keeps
+    no token. A line whose first character after the tokenizer's white
+    space is an ASCII letter, a digit or "_" starts with an identifier, a
+    keyword or a number, so it is code without a scan. Any other line is
+    scanned: each piece is judged by the fixed table and the first-character
+    sets that scan_line takes its kind from, and the scan stops at the first
     piece of code."""
     if text.lstrip(" \t\r\n\f\v")[:1] in _WORD_OR_DIGIT_START:
         return True
-    fixed = _FIXED_TOKENS
+    fixed = _FIXED_KINDS
     for match in _TOKEN.finditer(text):
         piece = match[1]
         if piece:
-            tok = fixed.get(piece)
-            if (piece[0] in _CODE_START) if tok is None else (tok.kind is not _PUNCT):
+            kind = fixed.get(piece)
+            if (piece[0] in _CODE_START) if kind is None else (kind is not _PUNCT):
                 return True
     return False
-
-
-def is_substantive(tokens: list[Token]) -> bool:
-    """is_substantive_line of a line, from its tokens."""
-    return any(t.kind is not _PUNCT for t in tokens)

@@ -16,7 +16,7 @@ Each distinct cleaned line is read once, through a lexer.LineTable: its
 entry holds its token texts and kinds, and its surface. A caller may pass a
 table shared with other parses and imports; else each parse has its own.
 The entries' texts and kinds are joined into flat parallel lists of texts,
-kinds and source lines; no Token outlives its line. The recursive descent
+kinds and source lines. The recursive descent
 and its def/use scans read those lists and slices of them, and a node's line
 surface is its line's entry's. The descent wires the
 statement CFG as it parses: each statement takes the CFG ends that flow into
@@ -57,8 +57,7 @@ from dataclasses import dataclass
 
 from ..errors import ParseError, UnsupportedConstructError
 from ..pdg import DepKind
-from .lexer import LineEntry, LineTable, TokenKind, line_entry, split_lines
-from .lexer import _any_foreign_space, _blank_comments, _blank_literals, _foreign_space
+from .lexer import LineEntry, LineTable, TokenKind, blank_literals, code_lines, line_entry
 
 _EXIT = -1  # virtual CFG exit
 
@@ -133,30 +132,21 @@ class _Stmt:
 
 
 def _clean_source(source: str) -> list[str]:
-    """Blank out comments (block comments may span lines) and reject
-    preprocessor lines, any other '#', and white space that C does not
-    have (U+00A0, say), outside a literal, returning the cleaned source line
-    by line; literals are returned as they are.
-
-    A source with no '/', no '#' and no foreign white space has nothing to
-    blank or refuse, so it is returned as split_lines gives it, with no
-    per-line work; any other is cleaned line by line."""
-    if "/" not in source and "#" not in source and not _any_foreign_space(source):
-        return split_lines(source)
-    cleaned: list[str] = []
-    in_block = False
-    for lineno, line in enumerate(split_lines(source), start=1):
-        text, in_block = _blank_comments(line, in_block)
-        if "#" in text:
-            code = _blank_literals(text)
-            if code.lstrip().startswith("#"):
-                raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
-            if "#" in code:
-                raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
-        refused = _foreign_space(text)
-        if refused:
-            raise UnsupportedConstructError(refused, lineno)
-        cleaned.append(text)
+    """lexer.code_lines of source, comments blanked, with its refusals
+    raised, and preprocessor lines and any other '#' outside a comment or
+    literal rejected too. The first bad line wins, and on one line '#' comes
+    before white space."""
+    cleaned, refused = code_lines(source)
+    if "#" in source or refused:
+        for lineno, text in enumerate(cleaned, start=1):
+            if "#" in text:
+                code = blank_literals(text)
+                if code.lstrip().startswith("#"):
+                    raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
+                if "#" in code:
+                    raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
+            if lineno in refused:
+                raise UnsupportedConstructError(refused[lineno], lineno)
     return cleaned
 
 
@@ -316,8 +306,8 @@ def _scan_simple(texts: list[str], kinds: list[TokenKind], line: int) -> tuple[s
 
 class _Parser:
     """Walks the function's tokens as three parallel lists: each token's text
-    (with _END appended), its kind and its source line. No Token is kept: a
-    statement's scan gets slices of the text and kind lists."""
+    (with _END appended), its kind and its source line. A statement's scan
+    gets slices of the text and kind lists."""
 
     def __init__(self, texts: list[str], kinds: list[TokenKind], lines: list[int], start: int):
         self.texts = texts
@@ -702,14 +692,11 @@ def _signature_info(texts: list[str], kinds: list[TokenKind], first_line: int) -
 
 @dataclass
 class _Cfg:
-    """A parsed function's statements and their control-flow graph, and its
-    tokens as parallel text and kind lists; entries[k - 1] is cleaned line
-    k's LineEntry (1-based k)."""
+    """A parsed function's statements and their control-flow graph;
+    entries[k - 1] is cleaned line k's LineEntry (1-based k)."""
 
     name: str
     cleaned: list[str]
-    texts: list[str]
-    kinds: list[TokenKind]
     entries: list[LineEntry]
     stmts: list[_Stmt]
     succ: dict[int, set[int]]
@@ -746,8 +733,7 @@ def _build_cfg(source: str, table: LineTable | None = None) -> _Cfg:
     parser.connect(parser.parse_block([entry]), _EXIT)
     if any(text != ";" for text in texts[parser.i : -1]):  # texts ends in _END
         raise ParseError(f"line {lines[parser.i]}: unexpected tokens after the function body")
-    del texts[-1]
-    return _Cfg(name, cleaned, texts, kinds, entries, parser.stmts, parser.succ, parser.preds)
+    return _Cfg(name, cleaned, entries, parser.stmts, parser.succ, parser.preds)
 
 
 def parse_function(source: str, table: LineTable | None = None) -> RawDepGraph:

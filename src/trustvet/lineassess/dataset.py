@@ -6,9 +6,10 @@ sampled line whose BLEU similarity to the vulnerable set reaches the
 threshold is discarded, because a near-copy of a vulnerable line teaches the
 classifier nothing and poisons the negative class.
 
-A line that the parser and the graph import refuse, for white space that C
-does not have (U+00A0, say) outside a comment or literal, yields no sample:
-no screen ever sees its text.
+Both read a source's lines through the lexer's code_lines, as the parser
+does: comments are blanked, a block comment that spans lines included, and
+a line refused for white space that C does not have (U+00A0, say) outside a
+comment or literal yields no sample: no screen ever sees its text.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from typing import Iterable, Sequence
 
 from ..corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
 from ..errors import DiffMismatchError, SchemaError, UndefinedInputError
-from ..frontend.lexer import (
-    _any_foreign_space,
-    _foreign_space,
-    is_substantive,
-    is_substantive_line,
-    normal_form,
-    split_lines,
-    tokenize_line,
-)
+from ..frontend.lexer import code_lines, is_substantive_line, normalize_line
 from ..pdg import SCHEMA_VERSION, check_schema_version, is_strict_int, read_json_object
 from .bleu import BleuReferences, bleu
 from .diffs import record_vulnerable_lines
@@ -73,22 +66,18 @@ class LineSample:
 
 def vulnerable_samples(record: CorpusRecord) -> list[LineSample]:
     """Positive samples for one vulnerable function, from the lines
-    record_vulnerable_lines names that are substantive and not refused."""
+    record_vulnerable_lines names whose code is substantive and unrefused."""
     if record.diff is None and not record.vul_lines:
         raise DiffMismatchError(
             f"record {record.function_id}: vulnerable but has neither diff nor vul_lines"
         )
     lines = record_vulnerable_lines(record)
-    source_lines = split_lines(record.source)
-    out: list[LineSample] = []
-    for line in sorted(lines):
-        raw = source_lines[line - 1]
-        if _foreign_space(raw):
-            continue
-        tokens = tokenize_line(raw)
-        if is_substantive(tokens):
-            out.append(LineSample(normal_form(tokens), LineLabel.VULNERABLE, Origin(record.function_id, line)))
-    return out
+    code, refused = code_lines(record.source)
+    return [
+        LineSample(normalize_line(code[line - 1]), LineLabel.VULNERABLE, Origin(record.function_id, line))
+        for line in sorted(lines)
+        if line not in refused and is_substantive_line(code[line - 1])
+    ]
 
 
 def sample_candidate_negatives(
@@ -96,7 +85,7 @@ def sample_candidate_negatives(
 ) -> list[LineSample]:
     """Uniform sample, without replacement, of min(n, pool size) substantive
     lines drawn from the non-vulnerable functions of a corpus: at most the
-    whole pool. The pool holds each substantive, unrefused line's raw text,
+    whole pool. The pool holds each substantive, unrefused line's code,
     judged without tokenizing it; only the picked lines are tokenized, once
     each, for their normal form."""
     if not is_strict_int(n) or n < 0:
@@ -105,14 +94,14 @@ def sample_candidate_negatives(
     for record in records:
         if record.label != NON_VULNERABLE:
             continue
-        screened = _any_foreign_space(record.source)
-        for lineno, raw in enumerate(split_lines(record.source), start=1):
-            if is_substantive_line(raw) and not (screened and _foreign_space(raw)):
-                pool.append((record.function_id, lineno, raw))
+        code, refused = code_lines(record.source)
+        for lineno, text in enumerate(code, start=1):
+            if is_substantive_line(text) and lineno not in refused:
+                pool.append((record.function_id, lineno, text))
     picked = random.Random(seed).sample(pool, min(n, len(pool)))
     return [
-        LineSample(normal_form(tokenize_line(raw)), LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
-        for function_id, lineno, raw in picked
+        LineSample(normalize_line(text), LineLabel.NON_VULNERABLE, Origin(function_id, lineno))
+        for function_id, lineno, text in picked
     ]
 
 

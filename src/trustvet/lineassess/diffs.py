@@ -2,9 +2,11 @@
 
 Lines the fix deleted or modified appear as '-' lines in hunks; their
 pre-change line numbers are the vulnerable lines, after screening out lines
-that carry no code (blanks, comments, lone delimiters). Context and '-'
-lines are checked against the pre-change source, so a diff paired with the
-wrong source fails loudly instead of yielding wrong line numbers.
+that carry no code (blanks, comments, lone delimiters), judged on the lexer's
+code_lines, so no line of a block comment that spans lines carries code.
+Context and '-' lines are checked against the source as it is, so a diff
+paired with the wrong source fails loudly instead of yielding wrong line
+numbers.
 
 A corpus record names its vulnerable lines one way for every reader:
 a non-empty vul_lines list wins, else the lines recovered from its diff.
@@ -18,14 +20,15 @@ import re
 
 from ..corpus import CorpusRecord
 from ..errors import DiffMismatchError
-from ..frontend.lexer import is_substantive_line, split_lines
+from ..frontend.lexer import code_lines, is_substantive_line, split_lines
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
 def extract_vulnerable_lines(before_source: str, diff: str) -> frozenset[int]:
-    """Pre-change line numbers of substantive deleted/modified lines."""
+    """Pre-change line numbers of deleted/modified lines with substantive code."""
     source_lines = split_lines(before_source)
+    code = code_lines(before_source)[0]
 
     def check(old_lineno: int, content: str, what: str) -> None:
         if old_lineno < 1 or old_lineno > len(source_lines):
@@ -54,7 +57,7 @@ def extract_vulnerable_lines(before_source: str, diff: str) -> frozenset[int]:
         if raw.startswith("-"):
             content = raw[1:]
             check(old_lineno, content, "deleted")
-            if is_substantive_line(content):
+            if is_substantive_line(code[old_lineno - 1]):
                 vulnerable.add(old_lineno)
             old_lineno += 1
         elif raw.startswith("+"):

@@ -7,11 +7,13 @@ trains one linear classifier per view so their errors stay decorrelated:
     char_ngram    character 3-5-grams of the normalized line
     syntax_shape  token-kind uni/bigrams, a length feature, keyword flags
 
-extract_features is the one definition of each view, for training and
-scoring alike, and the one place a line without its tokens is tokenized. A
-ScreenText passes the tokens it holds: a screen tokenizes each line once for
-all of its members, and a model build each sample once for all three views,
-because every LineSample's text is a ScreenText.
+Each view reads a line as its text and its tokens, in the lexer's one
+format: scan_line's parallel tuples of token texts and kinds. Its extractor
+is the one definition of the view, for training and scoring alike.
+extract_features scans the line it is given; a ScreenText hands the views
+the tokens it holds, so a screen tokenizes each line once for all of its
+members, and a model build each sample once for all three views, because
+every LineSample's text is a ScreenText.
 
 Each view counts into a plain dict, feats[key] = get(key, 0.0) + 1.0, with
 keys built by concatenation, so a key's first occurrence fixes its place in
@@ -25,7 +27,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ..errors import UndefinedInputError
-from ..frontend.lexer import Token, TokenKind, normal_form, tokenize_line
+from ..frontend.lexer import TokenKind, scan_line
 
 
 class FeatureView(Enum):
@@ -40,9 +42,11 @@ _CHAR_ORDERS = ((3, "3:"), (4, "4:"), (5, "5:"))  # each gram order and its key 
 
 _NO_CODE = "cannot classify an empty or comment-only line"
 
+Texts = tuple[str, ...]  # a line's token texts, as scan_line gives them
+Kinds = tuple[TokenKind, ...]  # and their kinds
 
-def _token_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
-    texts = [t.text for t in tokens]
+
+def _token_ngram_features(text: str, texts: Texts, kinds: Kinds) -> dict[str, float]:
     feats: dict[str, float] = {}
     get = feats.get
     for t in texts:
@@ -54,7 +58,7 @@ def _token_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
     return feats
 
 
-def _char_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
+def _char_ngram_features(text: str, texts: Texts, kinds: Kinds) -> dict[str, float]:
     feats: dict[str, float] = {}
     get = feats.get
     for order, prefix in _CHAR_ORDERS:
@@ -64,23 +68,23 @@ def _char_ngram_features(text: str, tokens: list[Token]) -> dict[str, float]:
     return feats
 
 
-def _syntax_shape_features(text: str, tokens: list[Token]) -> dict[str, float]:
+def _syntax_shape_features(text: str, texts: Texts, kinds: Kinds) -> dict[str, float]:
     # a kind's _value_ is its text: Enum's value property and its hash, which
     # a {kind: text} table would call, both run Python code per token
-    kinds = [t.kind._value_ for t in tokens]
+    names = [k._value_ for k in kinds]
     feats: dict[str, float] = {}
     get = feats.get
-    for k in kinds:
+    for k in names:
         key = "k1:" + k
         feats[key] = get(key, 0.0) + 1.0
-    for a, b in zip(kinds, kinds[1:]):
+    for a, b in zip(names, names[1:]):
         key = "k2:" + a + " " + b
         feats[key] = get(key, 0.0) + 1.0
-    for t in tokens:
-        if t.kind is TokenKind.KEYWORD:
-            feats["kw:" + t.text] = 1.0
+    for t, k in zip(texts, kinds):
+        if k is TokenKind.KEYWORD:
+            feats["kw:" + t] = 1.0
     feats["len"] = len(text) / 80.0
-    feats["ntok"] = len(tokens) / 16.0
+    feats["ntok"] = len(texts) / 16.0
     return feats
 
 
@@ -91,17 +95,9 @@ _EXTRACTORS = {
 }
 
 
-def extract_features(
-    view: FeatureView, text: str, tokens: list[Token] | None = None
-) -> dict[str, float]:
-    """Named sparse features of a normalized line under one view.
-
-    tokens, when given, must be tokenize_line(text); without them the line
-    is tokenized here. Views that need no tokens ignore them.
-    """
-    if tokens is None:
-        tokens = tokenize_line(text)
-    return _EXTRACTORS[view](text, tokens)
+def extract_features(view: FeatureView, text: str) -> dict[str, float]:
+    """Named sparse features of a normalized line under one view."""
+    return _EXTRACTORS[view](text, *scan_line(text))
 
 
 class ScreenText(str):
@@ -119,17 +115,17 @@ class ScreenText(str):
     # form is never empty): an equal copy would hold the text twice, and self
     # a reference cycle that only the cyclic collector frees
     _normalized: str | None = None
-    _tokens: list[Token] | None = None  # tokenize_line(normalized), once known
+    _tokens: tuple[Texts, Kinds] | None = None  # scan_line(normalized), once known
 
     def normalized(self) -> str:
         """normalize_line of the text; an empty or comment-only line raises."""
         if self._normalized is None:
-            tokens = tokenize_line(self)
-            normalized = normal_form(tokens)
+            tokens = scan_line(self)
+            normalized = " ".join(tokens[0])
             if not normalized:
                 raise UndefinedInputError(_NO_CODE)
             if normalized == self:
-                self._tokens = tokens  # tokenize_line is a pure function of its string
+                self._tokens = tokens  # scan_line is a pure function of its string
                 normalized = ""
             self._normalized = normalized
         return self._normalized or self
@@ -138,5 +134,5 @@ class ScreenText(str):
         """extract_features(view, self.normalized()) from the kept tokens."""
         normalized = self.normalized()
         if self._tokens is None:
-            self._tokens = tokenize_line(normalized)
-        return extract_features(view, normalized, self._tokens)
+            self._tokens = scan_line(normalized)
+        return _EXTRACTORS[view](normalized, *self._tokens)

@@ -85,7 +85,8 @@ class Pdg:
 
 @dataclass(frozen=True)
 class Explanation:
-    """Per-line importance scores a prediction model assigned to a function."""
+    """Per-line importance scores a prediction model assigned to a function;
+    each score and their sum, which build_weighted_pdg divides by, is finite."""
 
     function_id: str
     confidence: float
@@ -93,6 +94,7 @@ class Explanation:
 
     def __post_init__(self):
         seen = set()
+        total = 0.0
         for line, score in self.entries:
             if not is_strict_int(line) or line < 1:
                 raise MalformedExplanationError(
@@ -107,6 +109,9 @@ class Explanation:
                 raise MalformedExplanationError(
                     f"{self.function_id}: score {score!r} at line {line} is not finite and non-negative"
                 )
+            total += score
+        if not math.isfinite(total):
+            raise MalformedExplanationError(f"{self.function_id}: the scores sum beyond the float range")
         if not (0.0 <= self.confidence <= 1.0):
             raise MalformedExplanationError(
                 f"{self.function_id}: confidence {self.confidence!r} outside [0, 1]"

@@ -34,7 +34,6 @@ from trustvet.frontend.lexer import (
     Token,
     TokenKind,
     normalize_line,
-    split_lines,
     tokenize_line,
 )
 from trustvet.frontend.parser import _EXIT
@@ -538,18 +537,15 @@ def oracle_clean_source(source: str) -> list[str]:
     return cleaned
 
 
-def oracle_clean_source_literals_blanked(source: str) -> list[str]:
-    """oracle_clean_source with its '#' fault corrected. The per-character
-    scan also builds a copy of each line whose literal contents are blanked,
-    and both '#' checks read that copy, so a '#' inside a string or character
-    literal (printf("#%d", a)) is accepted. The cleaned lines it returns are
-    the former reference's, literals kept as they are. It also holds the
-    parser's later rule: white space by str.isspace other than " \t\r\n\f\v"
-    is refused in that copy, after the '#' checks."""
+def oracle_code_lines(source: str) -> list[tuple[str, str]]:
+    """Each line of source, cut as split_lines cuts it, with its comments
+    blanked by a per-character scan, block comments spanning lines; and a
+    copy of it whose literal contents are blanked too. The blanked line
+    keeps its literals as they are."""
     lines = [line[:-1] if line[-1:] == "\r" else line for line in source.split("\n")][: -1 if source[-1:] in ("", "\n") else None]
-    cleaned: list[str] = []
+    blanked: list[tuple[str, str]] = []
     in_block = False
-    for lineno, line in enumerate(lines, start=1):
+    for line in lines:
         out: list[str] = []
         code: list[str] = []  # out, with literal contents blanked
         i = 0
@@ -595,7 +591,20 @@ def oracle_clean_source_literals_blanked(source: str) -> list[str]:
             out.append(ch)
             code.append(ch)
             i += 1
-        text, masked = "".join(out), "".join(code)
+        blanked.append(("".join(out), "".join(code)))
+    return blanked
+
+
+def oracle_clean_source_literals_blanked(source: str) -> list[str]:
+    """oracle_clean_source with its '#' fault corrected. Both '#' checks
+    read oracle_code_lines' copy of each line whose literal contents are
+    blanked, so a '#' inside a string or character literal (printf("#%d",
+    a)) is accepted. The cleaned lines it returns are the former
+    reference's, literals kept as they are. It also holds the parser's later
+    rule: white space by str.isspace other than " \t\r\n\f\v" is refused
+    in that copy, after the '#' checks."""
+    cleaned: list[str] = []
+    for lineno, (text, masked) in enumerate(oracle_code_lines(source), start=1):
         if masked.lstrip().startswith("#"):
             raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
         if "#" in masked:
@@ -728,15 +737,16 @@ def oracle_design_matrix(texts, view: FeatureView) -> tuple[dict[str, int], np.n
 
 def oracle_candidate_negatives(records, n: int, seed: int) -> list[tuple[str, int, str]]:
     """(function id, line, normal form) of each sampled negative, from the
-    pool first built by tokenizing every line of every clean function and
-    keeping those with a token other than a delimiter and no token that is
-    white space (U+00A0, say: the white space that the parser refuses)."""
+    pool first built by tokenizing every line of every clean function, its
+    comments blanked by oracle_code_lines, and keeping those with a token
+    other than a delimiter and no token that is white space (U+00A0, say:
+    the white space that the parser refuses)."""
     pool = []
     for record in records:
         if record.label != NON_VULNERABLE:
             continue
-        for lineno, raw in enumerate(split_lines(record.source), start=1):
-            tokens = tokenize_line(raw)
+        for lineno, (text, _) in enumerate(oracle_code_lines(record.source), start=1):
+            tokens = tokenize_line(text)
             if any(t.kind is not TokenKind.PUNCT for t in tokens) and not any(t.text.isspace() for t in tokens):
                 pool.append((record.function_id, lineno, " ".join(t.text for t in tokens)))
     return random.Random(seed).sample(pool, min(n, len(pool)))

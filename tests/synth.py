@@ -17,6 +17,7 @@ for any record built from the template.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from trustvet.corpus import NON_VULNERABLE, VULNERABLE, CorpusRecord
@@ -169,6 +170,20 @@ def diff_record() -> CorpusRecord:
         confidence=None,
         graph=None,
     )
+
+
+def commented_record() -> CorpusRecord:
+    """A vulnerable record whose fix diff deletes a block comment that spans
+    lines 3-5, keeps line 6 and deletes line 7: only line 7 carries code."""
+    source = (
+        "void f(char *buf)\n{\n    /*\n     * frees the buffer twice\n     */\n"
+        "    free(buf);\n    free(buf);\n}\n"
+    )
+    diff = (
+        "@@ -3,5 +3,1 @@\n-    /*\n-     * frees the buffer twice\n-     */\n"
+        "     free(buf);\n-    free(buf);\n"
+    )
+    return dataclasses.replace(diff_record(), function_id="commented", source=source, diff=diff)
 
 
 # --- random graphs ----------------------------------------------------------------

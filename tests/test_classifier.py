@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_design_matrix, oracle_extract_features, oracle_score
 from trustvet.errors import AdapterError, DegenerateTrainingError, SchemaError, UndefinedInputError
-from trustvet.frontend.lexer import normalize_line, tokenize_line
+from trustvet.frontend.lexer import normalize_line, scan_line
 from trustvet.lineassess.classifier import (
     ADAPTER_ENV_VAR,
     AdapterLineClassifier,
@@ -91,7 +91,6 @@ class TestFeatureOracle:
     def test_views_match_the_earlier_extractors(self, view, text):
         want = list(oracle_extract_features(view, text).items())
         assert list(extract_features(view, text).items()) == want
-        assert list(extract_features(view, text, tokenize_line(text)).items()) == want
 
     @pytest.mark.parametrize("view", ALL_VIEWS)
     @settings(max_examples=300, deadline=None)
@@ -185,9 +184,9 @@ class TestTraining:
 
         def counting(text):
             calls.append(text)
-            return tokenize_line(text)
+            return scan_line(text)
 
-        monkeypatch.setattr(module, "tokenize_line", counting)
+        monkeypatch.setattr(module, "scan_line", counting)
         for view in ALL_VIEWS:
             train_classifier(built, view, TrainConfig(seed=3))
         assert sorted(calls) == sorted(s.text for s in built)

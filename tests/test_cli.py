@@ -188,6 +188,24 @@ class TestAssessCommand:
         assert result.exit_code == EXIT_ERROR
         assert "not valid JSON" in result.stderr
 
+    def test_explanation_whose_scores_overflow(self, runner, vrrp_args, data_dir, tmp_path):
+        """Two finite scores that sum to inf would weigh every line 0.0."""
+        doc = json.loads((data_dir / "vrrp_explanation.json").read_text(encoding="utf-8"))
+        doc["entries"] = [{"line": 3, "score": 1e308}, {"line": 4, "score": 1e308}]
+        path = tmp_path / "expl.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["assess", *vrrp_args]
+        args[args.index("--explanation") + 1] = str(path)
+        result = runner.invoke(main, args)
+        assert_clean_failure(result)
+        assert "the scores sum beyond the float range" in result.stderr
+
+    def test_out_into_a_missing_directory(self, runner, vrrp_args, tmp_path):
+        out = tmp_path / "absent" / "verdict.json"
+        result = runner.invoke(main, ["assess", *vrrp_args, "--out", str(out)])
+        assert_clean_failure(result)
+        assert not out.parent.exists()
+
     def test_missing_models_path(self, runner, vrrp_args, tmp_path):
         args = ["assess", *vrrp_args]
         args[args.index("--models") + 1] = str(tmp_path / "absent")

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from synth import worker_record
+from synth import diff_record, worker_record
 from trustvet.corpus import load_corpus, record_from_dict, record_to_dict, save_corpus
 from trustvet.errors import SchemaError
 
@@ -19,6 +20,17 @@ class TestRecordFromDict:
     def test_round_trip(self):
         record = worker_record("w", "focus", 0.8)
         assert record_from_dict(record_to_dict(record), "test") == record
+
+    def test_round_trip_with_diff_and_graph(self):
+        graph = {"function": "diffed", "nodes": [{"id": 1, "line": 4, "code": "y = copy(x, n);"}], "edges": []}
+        record = dataclasses.replace(diff_record(), graph=graph)
+        doc = record_to_dict(record)
+        assert doc["diff"] == record.diff and doc["graph"] == record.graph
+        assert record_from_dict(doc, "test") == record
+
+    def test_no_explanation_to_read(self):
+        with pytest.raises(SchemaError, match="record diffed: no explanation/confidence"):
+            diff_record().to_explanation()
 
     def test_integer_confidence_becomes_float(self):
         record = record_from_dict({**good_doc(), "confidence": 1}, "test")

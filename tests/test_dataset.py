@@ -10,12 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_bleu, oracle_candidate_negatives
-from synth import diff_record, negative_record, worker_record
+from synth import commented_record, diff_record, negative_record, worker_record
 from trustvet.corpus import CorpusRecord
 from trustvet.errors import DiffMismatchError, SchemaError, UndefinedInputError, UnsupportedConstructError
 from trustvet.frontend import lexer, pdg_from_source
 from trustvet.frontend.lexer import is_substantive_line, normalize_line, tokenize_line
-from trustvet.lineassess import dataset
 from trustvet.lineassess.dataset import (
     LineLabel,
     LineSample,
@@ -61,6 +60,12 @@ class TestPositives:
         samples = vulnerable_samples(record)
         assert [s.origin.line for s in samples] == [3]
         assert samples[0].text == "x = n ;"
+
+    @pytest.mark.parametrize("vul_lines", [(), (3, 4, 5, 7)])
+    def test_a_block_comment_spanning_lines_yields_no_positive(self, vul_lines):
+        """Its body and its closing line carry no code, from the diff or listed."""
+        record = dataclasses.replace(commented_record(), vul_lines=vul_lines)
+        assert [(s.origin.line, s.text) for s in vulnerable_samples(record)] == [(7, "free ( buf ) ;")]
 
     def test_out_of_range_line_rejected(self):
         record = worker_record("w", "pure", 0.9)
@@ -137,6 +142,13 @@ class TestNegativeSampling:
         assert counts["vulnerable"] > 1
         assert counts["candidate_negatives"] == len(lines)
 
+    def test_a_block_comment_spanning_lines_yields_no_negative(self):
+        clean = dataclasses.replace(commented_record(), label="non-vulnerable", diff=None)
+        picked = sample_candidate_negatives([clean], 10, 0)
+        assert sorted((s.origin.line, s.text) for s in picked) == [
+            (1, "void f ( char * buf )"), (6, "free ( buf ) ;"), (7, "free ( buf ) ;")
+        ]
+
 
 # clean-function lines: code, and lines that carry none (blank, comments,
 # delimiters, an unterminated comment or literal around them)
@@ -158,6 +170,7 @@ class TestNegativeSampleOracle:
     @settings(max_examples=200, deadline=None)
     @given(bodies=st.lists(POOL_LINES, max_size=4), n=st.integers(0, 40), seed=st.integers(0, 3))
     @example(bodies=[["// note", "x = 1;", "}", "/* c */", "return y;"]], n=1, seed=0)
+    @example(bodies=[["x = 1;", "/* open", "return y;", "\u00a0", "*/ q = 2;", "y = 2;"]], n=40, seed=0)
     def test_sample_matches_the_tokenized_pool(self, bodies, n, seed):
         records = [negative_record(f"neg_{i}", body) for i, body in enumerate(bodies)]
         records.insert(len(records) // 2, worker_record("w", "pure", 0.9))
@@ -349,17 +362,17 @@ class TestBuildAndPersist:
 
     def test_the_clean_pool_is_scanned_once(self, monkeypatch):
         """The lines of a clean function are screened without tokenizing
-        them; each candidate picked from them and each listed line of a
-        vulnerable one is tokenized once, for its text, and the BLEU screen
-        reads those texts without tokenizing them again."""
+        them; each candidate picked from them and each substantive listed
+        line of a vulnerable one is tokenized once, for its text, and the
+        BLEU screen reads those texts without tokenizing them again."""
         calls = []
+        scan = lexer.scan_line
 
         def counting(raw):
             calls.append(raw)
-            return tokenize_line(raw)
+            return scan(raw)
 
-        monkeypatch.setattr(lexer, "tokenize_line", counting)
-        monkeypatch.setattr(dataset, "tokenize_line", counting)
+        monkeypatch.setattr(lexer, "scan_line", counting)
         corpus = self.corpus()
         _, counts = build_line_dataset(corpus, seed=5)
         listed = sum(len(r.vul_lines) for r in corpus if r.vul_lines)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from synth import commented_record
 from trustvet.errors import DiffMismatchError
+from trustvet.frontend import pdg_from_source
 from trustvet.lineassess.diffs import extract_vulnerable_lines
 
 SOURCE = (
@@ -67,6 +69,13 @@ class TestExtraction:
     def test_pure_addition_yields_nothing(self):
         diff = "@@ -3,0 +3,1 @@\n+    assert(n > 0);\n"
         assert extract_vulnerable_lines(SOURCE, diff) == frozenset()
+
+    def test_a_deleted_block_comment_carries_no_code(self):
+        """The body and the closing line of a block comment that spans lines
+        are judged as the parser reads them, as blank, not as code."""
+        record = commented_record()
+        assert extract_vulnerable_lines(record.source, record.diff) == frozenset({7})
+        assert pdg_from_source(record.source).nodes == frozenset({1, 6, 7})
 
     def test_no_newline_marker_skipped(self):
         diff = "@@ -5,1 +5,1 @@\n-    return y;\n+    return y + 1;\n\\ No newline at end of file\n"

@@ -388,9 +388,9 @@ class TestSharedScreen:
         assert [list(answers) for answers in zip(*(r.answers for r in recorders))] == want
 
     def count_tokenizations(self, monkeypatch) -> Counter:
-        """Count tokenize_line calls, normalize_line's included."""
+        """Count scan_line calls, normalize_line's included."""
         calls: Counter = Counter()
-        tokenize = lexer.tokenize_line
+        tokenize = lexer.scan_line
 
         def counted(text):
             calls[text] += 1
@@ -398,8 +398,8 @@ class TestSharedScreen:
 
         # in each module that holds the name, wherever ScreenText lives
         for module in (lexer, classifier, features):
-            if hasattr(module, "tokenize_line"):
-                monkeypatch.setattr(module, "tokenize_line", counted)
+            if hasattr(module, "scan_line"):
+                monkeypatch.setattr(module, "scan_line", counted)
         return calls
 
     def test_a_text_in_normal_form_is_tokenized_once(self, monkeypatch):

@@ -87,6 +87,10 @@ class TestMetrics:
         assert m.f1 == pytest.approx(0.8, abs=1e-12)
         assert m.gmean == pytest.approx(math.sqrt(0.75), abs=1e-12)
 
+    def test_lengths_must_match(self):
+        with pytest.raises(UndefinedInputError, match="truth and predictions differ in length"):
+            compute_metrics([True, False], [True])
+
     def test_zero_denominators_are_none(self):
         m = compute_metrics([False, False], [False, False])
         assert m.precision is None and m.sensitivity is None
@@ -125,6 +129,10 @@ class TestAuc:
 
     def test_single_class_is_none(self):
         assert rank_auc([0.1, 0.2], [True, True]) is None
+
+    def test_lengths_must_match(self):
+        with pytest.raises(UndefinedInputError, match="scores and labels differ in length"):
+            rank_auc([0.1, 0.2], [True])
 
     def test_matches_pair_counting_oracle(self):
         rng = random.Random(42)
@@ -203,6 +211,10 @@ class TestCalibration:
         result = calibrate_threshold(scores, labels)
         assert result.threshold == 1.5  # the only midpoint
 
+    def test_lengths_must_match(self):
+        with pytest.raises(UndefinedInputError, match="scores and labels differ in length"):
+            calibrate_threshold([0.1, 0.2, 0.3], [True, False])
+
     def test_single_distinct_score_is_degenerate(self):
         result = calibrate_threshold([0.5, 0.5, 0.5], [True, False, True])
         assert result.degenerate
@@ -272,6 +284,7 @@ class TestEvaluateRecord:
             {"explanation": ((True, 0.5), (6, 0.5))},
             {"explanation": (([6], 0.5),)},
             {"confidence": 1.5},
+            {"explanation": ((6, 1e308), (7, 1e308))},
         ],
     )
     def test_malformed_explanation_is_skipped(self, change):
@@ -431,15 +444,15 @@ class TestLineTable:
     def test_each_distinct_line_is_tokenized_once_per_run(self, monkeypatch):
         ensemble = lookup_ensemble()  # which parses a probe function
         calls = Counter()
-        tokenize = lexer.tokenize_line
+        tokenize = lexer.scan_line
 
         def counting(text):
             calls[text] += 1
             return tokenize(text)
 
         for module in (lexer, parser, graphio):
-            if hasattr(module, "tokenize_line"):
-                monkeypatch.setattr(module, "tokenize_line", counting)
+            if hasattr(module, "scan_line"):
+                monkeypatch.setattr(module, "scan_line", counting)
         records, _ = planted_corpus()
         run_evaluation(records, ensemble, RunConfig(seed=0))
         lines = set().union(*(_clean_source(r.source) for r in records))

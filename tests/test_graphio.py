@@ -23,7 +23,7 @@ from trustvet.frontend import (
     pdg_from_source,
 )
 from trustvet.frontend.graphio import _line_edges, merge_line_nodes
-from trustvet.frontend.lexer import tokenize_line
+from trustvet.frontend.lexer import scan_line
 from trustvet.frontend.parser import RawDepGraph, RawNode, _clean_source
 from trustvet.pdg import DepKind, PdgEdge
 
@@ -244,11 +244,11 @@ class TestEachLineOnce:
 
         def counting(text):
             calls[text] += 1
-            return tokenize_line(text)
+            return scan_line(text)
 
         for module in (lexer, parser, graphio):
-            if hasattr(module, "tokenize_line"):
-                monkeypatch.setattr(module, "tokenize_line", counting)
+            if hasattr(module, "scan_line"):
+                monkeypatch.setattr(module, "scan_line", counting)
         return calls
 
     def test_each_distinct_line_is_tokenized_once(self, monkeypatch, vrrp_source):

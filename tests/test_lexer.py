@@ -11,9 +11,7 @@ from trustvet.frontend.lexer import (
     TokenKind,
     _any_foreign_space,
     extract_variables,
-    is_substantive,
     is_substantive_line,
-    normal_form,
     normalize_line,
     tokenize_line,
 )
@@ -21,6 +19,16 @@ from trustvet.frontend.lexer import (
 
 def kinds_and_texts(line):
     return [(t.kind, t.text) for t in tokenize_line(line)]
+
+
+def is_substantive(tokens):
+    """A line's tokens carry code when one of them is not Punct."""
+    return any(t.kind is not TokenKind.PUNCT for t in tokens)
+
+
+def normal_form(tokens):
+    """A line's token texts joined by single spaces."""
+    return " ".join(t.text for t in tokens)
 
 
 class TestTokenize:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -58,6 +59,16 @@ class TestExplanationValidation:
     def test_confidence_range(self):
         with pytest.raises(MalformedExplanationError):
             Explanation("f", 1.5, ((1, 0.2),))
+
+    def test_scores_whose_sum_overflows_rejected(self, vrrp_fixture):
+        """build_weighted_pdg divides by the scores' sum: an inf sum would
+        weigh every line 0.0. Two scores that sum to the largest float are
+        accepted, and their weights sum to 1."""
+        with pytest.raises(MalformedExplanationError, match="^f: the scores sum beyond the float range$"):
+            Explanation("f", 0.5, ((3, 1e308), (4, 1e308)))
+        half = sys.float_info.max / 2
+        expl = Explanation(vrrp_fixture.function_id, 0.5, ((3, half), (4, half)))
+        assert build_weighted_pdg(vrrp_fixture, expl).weights == {3: 0.5, 4: 0.5}
 
 
 class TestWeighting:
