@@ -8,6 +8,12 @@ plain success), 10 for an untrustworthy verdict, and 2 for any error.
 
 Every artifact is canonical JSON with no timestamps, so identical inputs
 produce byte-identical outputs.
+
+A process runs one command, so this module imports only what assess and
+load_ensemble run: the frontend, assess, config and the classifiers.
+ingest, train, evaluate and report import the corpus, dataset and evaluate
+modules inside their own bodies, and a one-prediction assess never loads
+them.
 """
 
 from __future__ import annotations
@@ -20,13 +26,10 @@ import click
 
 from .assess import DATA_RULE_MODES, UNTRUSTWORTHY, assess_prediction, assessment_to_dict, render_assessment
 from .config import RunConfig, config_from_file, merge_config
-from .corpus import load_corpus
 from .errors import SchemaError, TrustvetError
-from .evaluate import render_table, report_to_dict, run_evaluation
 from .frontend import pdg_from_source
 from .frontend.graphio import import_raw_graph
 from .lineassess.classifier import LinearLineClassifier, TrainConfig, load_model, model_to_dict, train_classifier
-from .lineassess.dataset import build_line_dataset, load_line_dataset, save_line_dataset
 from .lineassess.features import ALL_VIEWS
 from .pdg import (
     SCHEMA_VERSION,
@@ -140,6 +143,9 @@ def main() -> None:
 @_handle_errors
 def ingest(corpus_path, out_path, config_path, seed, neg_ratio, bleu_threshold, bleu_order):
     """Build the labeled line dataset from a corpus of functions."""
+    from .corpus import load_corpus
+    from .lineassess.dataset import build_line_dataset, save_line_dataset
+
     config = _resolve_config(
         config_path,
         seed=seed,
@@ -170,6 +176,8 @@ def ingest(corpus_path, out_path, config_path, seed, neg_ratio, bleu_threshold, 
 @_handle_errors
 def train(dataset_path, out_dir, seed, l2, max_iter, vote_threshold):
     """Fit one linear classifier per feature view and save the ensemble."""
+    from .lineassess.dataset import load_line_dataset
+
     samples = load_line_dataset(dataset_path)
     hyper = TrainConfig(seed=seed, l2=l2, max_iter=max_iter, threshold=vote_threshold)
     models = []
@@ -255,6 +263,9 @@ def assess(source_path, graph_path, explanation_path, models_path, config_path,
 def evaluate(corpus_path, models_path, config_path, iou_threshold, iou_sweep,
              trust_threshold, conf_threshold, top_k, seed, workers, normalize, mode, out_path):
     """Score every prediction in a corpus against its ground truth."""
+    from .corpus import load_corpus
+    from .evaluate import render_table, report_to_dict, run_evaluation
+
     config = _resolve_config(
         config_path,
         iou_threshold=iou_threshold,
@@ -289,6 +300,8 @@ def evaluate(corpus_path, models_path, config_path, iou_threshold, iou_sweep,
 @_handle_errors
 def report(report_path):
     """Re-render a saved evaluation report as a table."""
+    from .evaluate import render_table
+
     doc = _load_json(report_path)
     check_schema_version(doc, "evaluation report")
     click.echo(render_table(doc), nl=False)

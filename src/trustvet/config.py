@@ -3,12 +3,12 @@
 One flat dataclass covers every tunable the command-line tools accept. A
 config can round-trip through an INI file ([run] section) without loss, and
 values merge with a fixed precedence: explicit flags beat the file, the
-file beats the built-in defaults.
+file beats the built-in defaults. configparser is imported by the two file
+functions alone, so a run without a config file does not load it.
 """
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 import os
@@ -120,6 +120,8 @@ def _format_value(value: Any) -> str:
 
 def config_from_file(path: str | Path) -> RunConfig:
     """Load a RunConfig from an INI file's [run] section."""
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(str(path), encoding="utf-8")
@@ -139,6 +141,8 @@ def config_from_file(path: str | Path) -> RunConfig:
 
 def config_to_file(config: RunConfig, path: str | Path) -> None:
     """Write every field, None included, so the file round-trips exactly."""
+    import configparser
+
     parser = configparser.ConfigParser()
     parser.add_section(_SECTION)
     for f in dataclasses.fields(RunConfig):

@@ -16,10 +16,12 @@ punctuation, its operators and the C99 keywords; it is built at import from
 constants here, so the package reads no data file.
 
 code_lines decides which text of a source is code. It blanks every comment,
-a block comment that spans lines included, and names each line with white
-space that C does not have (U+00A0, say) outside a comment or literal. The
-parser, ingest and the diff reader all take a source's lines from it, so
-none of them reads comment text as code.
+a block comment that spans lines included, and a "//" comment whose line
+ends in a backslash on through the next line, as C's line splice makes it
+(a backslash at the end of code or inside a literal splices nothing). It
+names each line with white space that C does not have (U+00A0, say)
+outside a comment or literal. The parser, ingest and the diff reader all
+take a source's lines from it, so none of them reads comment text as code.
 
 A line's tokens depend on its text alone, so a LineTable maps each code line
 already read to its LineEntry: its token texts and kinds and its surface.
@@ -179,28 +181,36 @@ def split_lines(text: str) -> list[str]:
     return [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")] if text else []
 
 
-def _blank_comments(line: str, in_block: bool) -> tuple[str, bool]:
+def _blank_comments(line: str, open_comment: str) -> tuple[str, str]:
     """Replace each comment character on one line with a space, so columns
-    are kept, and leave literals as they are. in_block says whether a "/*"
-    from an earlier line is still open; the second result says whether one
-    is open at the end of this line."""
-    if not in_block and "/" not in line:
-        return line, False
+    are kept, and leave literals as they are. open_comment says which
+    comment from an earlier line is still open: "/*", "//" for a line
+    comment whose line ended in a backslash, which splices the next line
+    onto it as in C, or "" for none; the second result says which is open
+    at the end of this line."""
+    if open_comment == "//":
+        return " " * len(line), "//" if line.endswith("\\") else ""
+    if not open_comment and "/" not in line:
+        return line, ""
     start = 0
-    if in_block:
+    if open_comment:
         close = line.find("*/")
         if close < 0:
-            return " " * len(line), True
-        start, in_block = close + 2, False
+            return " " * len(line), "/*"
+        start, open_comment = close + 2, ""
     out = [" " * start]
     for m in _COMMENT_OR_LITERAL.finditer(line, start):
         out.append(line[start : m.start()])
         piece = m.group()
         out.append(piece if piece[0] in "\"'" else " " * len(piece))
-        in_block = m.lastindex is not None
+        # a comment still open at the end of the line is the last piece
+        if m.lastindex is not None:
+            open_comment = "/*"
+        elif piece.startswith("//") and piece.endswith("\\"):
+            open_comment = "//"
         start = m.end()
     out.append(line[start:])
-    return "".join(out), in_block
+    return "".join(out), open_comment
 
 
 def blank_literals(text: str) -> str:
@@ -234,23 +244,24 @@ def foreign_space(text: str) -> str | None:
     and the graph import both hold code to this rule."""
     if not _FOREIGN_SPACE.search(text):
         return None
-    space = _FOREIGN_SPACE.search(blank_literals(_blank_comments(text, False)[0]))
+    space = _FOREIGN_SPACE.search(blank_literals(_blank_comments(text, "")[0]))
     return f"white space U+{ord(space[0]):04X} outside a comment or literal" if space else None
 
 
 def code_lines(source: str) -> tuple[list[str], dict[int, str]]:
-    """split_lines of source with each comment character blanked, a block
-    comment that spans lines included, and foreign_space's reason for each
-    line it refuses, by 1-based number. A source with no '/' and no foreign
-    white space takes no per-line work."""
+    """split_lines of source with each comment character blanked, a comment
+    that spans lines included (a block comment, or a line comment whose
+    lines end in a backslash), and foreign_space's reason for each line it
+    refuses, by 1-based number. A source with no '/' and no foreign white
+    space takes no per-line work."""
     lines = split_lines(source)
     screened = _any_foreign_space(source)
     refused: dict[int, str] = {}
     if "/" not in source and not screened:
         return lines, refused
-    in_block = False
+    open_comment = ""
     for index, line in enumerate(lines):
-        line, in_block = _blank_comments(line, in_block)
+        line, open_comment = _blank_comments(line, open_comment)
         lines[index] = line
         if screened:
             reason = foreign_space(line)

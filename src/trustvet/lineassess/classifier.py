@@ -30,6 +30,10 @@ one tokenization of each sample.
 
 Models persist as versioned JSON documents; bytes are identical across runs
 with the same inputs and seed.
+
+What only training or an adapter runs is imported where it runs: numpy,
+scipy and the dataset module in training, subprocess and queue in the
+adapter's methods. Loading and scoring a linear model imports none of them.
 """
 
 from __future__ import annotations
@@ -38,16 +42,14 @@ import json
 import math
 import mmap
 import os
-import queue
 import random
-import subprocess
 import sys
 import threading
 import time
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import (
     AdapterError,
@@ -63,8 +65,10 @@ from ..pdg import (
     json_number,
     read_json_object,
 )
-from .dataset import LineLabel, LineSample
 from .features import FeatureView, ScreenText
+
+if TYPE_CHECKING:
+    from .dataset import LineSample
 
 ADAPTER_ENV_VAR = "TRUSTVET_ADAPTER"
 ADAPTER_TIMEOUT = 5.0
@@ -190,11 +194,14 @@ class AdapterLineClassifier:
         self.threshold = _check_threshold(threshold)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._queue: queue.Queue = queue.Queue()  # the lines the current child wrote
+        self._queue: queue.Queue | None = None  # the lines the current child wrote
         self._lock = threading.Lock()
         self._next_id = 0
 
     def _ensure_started(self) -> None:
+        import queue
+        import subprocess
+
         if self._proc is not None:
             if self._proc.poll() is None:
                 return
@@ -235,6 +242,8 @@ class AdapterLineClassifier:
         output ends before it answers, the result is None, or on the last
         try an AdapterError, and the child is closed: the next request
         starts another."""
+        import queue
+
         self._ensure_started()
         assert self._proc is not None and self._proc.stdin is not None
         self._next_id += 1
@@ -282,6 +291,8 @@ class AdapterLineClassifier:
         output at end of file."""
         if self._proc is None:
             return
+        import subprocess
+
         if self._proc.poll() is None:
             self._proc.terminate()
             try:
@@ -361,6 +372,8 @@ def train_classifier(
     import numpy as np
     from scipy.optimize import minimize
     from scipy.special import expit
+
+    from .dataset import LineLabel
 
     hyper = hyper or TrainConfig()
     labels = [1.0 if s.label is LineLabel.NON_VULNERABLE else 0.0 for s in samples]

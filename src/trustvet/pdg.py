@@ -34,6 +34,23 @@ def is_strict_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value: object) -> bool:
+    """math.isfinite, but False where it raises: for an int beyond the float
+    range, and for what is not a real number (a str, None)."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _shown(value: object) -> str:
+    """value for an error message: its repr, but an int beyond the float
+    range by its size, since its digits can pass the limit of int to str."""
+    if is_strict_int(value) and not _is_finite(value):
+        return f"<int of {value.bit_length()} bits>"
+    return repr(value)
+
+
 class DepKind(str, Enum):
     CONTROL = "control"
     DATA = "data"
@@ -105,16 +122,16 @@ class Explanation:
                     f"{self.function_id}: duplicate line {line} in explanation"
                 )
             seen.add(line)
-            if not math.isfinite(score) or score < 0.0:
+            if not _is_finite(score) or score < 0.0:
                 raise MalformedExplanationError(
-                    f"{self.function_id}: score {score!r} at line {line} is not finite and non-negative"
+                    f"{self.function_id}: score {_shown(score)} at line {line} is not finite and non-negative"
                 )
             total += score
         if not math.isfinite(total):
             raise MalformedExplanationError(f"{self.function_id}: the scores sum beyond the float range")
-        if not (0.0 <= self.confidence <= 1.0):
+        if not (_is_finite(self.confidence) and 0.0 <= self.confidence <= 1.0):
             raise MalformedExplanationError(
-                f"{self.function_id}: confidence {self.confidence!r} outside [0, 1]"
+                f"{self.function_id}: confidence {_shown(self.confidence)} outside [0, 1]"
             )
 
 

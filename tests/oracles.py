@@ -476,15 +476,17 @@ def oracle_line_surface(code):
 def oracle_clean_source(source: str) -> list[str]:
     """The parser's former per-character cleaner: blank out block comments
     (which may span lines) and reject preprocessor lines, returning the
-    cleaned source line by line."""
+    cleaned source line by line. It has since taken C's line splice: a
+    '//' comment whose line ends in a backslash runs on through the next
+    line, as in oracle_code_lines."""
     lines = [line[:-1] if line[-1:] == "\r" else line for line in source.split("\n")][: -1 if source[-1:] in ("", "\n") else None]
     cleaned: list[list[str]] = []
     in_block = False
+    in_line_comment = False  # spliced on from the line before
     for lineno, line in enumerate(lines, start=1):
         out: list[str] = []
         i = 0
         n = len(line)
-        in_line_comment = False
         while i < n:
             ch = line[i]
             if in_block:
@@ -527,6 +529,7 @@ def oracle_clean_source(source: str) -> list[str]:
                 continue
             out.append(ch)
             i += 1
+        in_line_comment = in_line_comment and line.endswith("\\")
         text = "".join(out)
         stripped = text.lstrip()
         if stripped.startswith("#"):
@@ -539,18 +542,19 @@ def oracle_clean_source(source: str) -> list[str]:
 
 def oracle_code_lines(source: str) -> list[tuple[str, str]]:
     """Each line of source, cut as split_lines cuts it, with its comments
-    blanked by a per-character scan, block comments spanning lines; and a
-    copy of it whose literal contents are blanked too. The blanked line
-    keeps its literals as they are."""
+    blanked by a per-character scan, block comments spanning lines, and a
+    '//' comment running on through each next line while its lines end in
+    a backslash (C's line splice); and a copy of it whose literal contents
+    are blanked too. The blanked line keeps its literals as they are."""
     lines = [line[:-1] if line[-1:] == "\r" else line for line in source.split("\n")][: -1 if source[-1:] in ("", "\n") else None]
     blanked: list[tuple[str, str]] = []
     in_block = False
+    in_line_comment = False  # spliced on from the line before
     for line in lines:
         out: list[str] = []
         code: list[str] = []  # out, with literal contents blanked
         i = 0
         n = len(line)
-        in_line_comment = False
         while i < n:
             ch = line[i]
             if in_block or in_line_comment:
@@ -591,6 +595,7 @@ def oracle_code_lines(source: str) -> list[tuple[str, str]]:
             out.append(ch)
             code.append(ch)
             i += 1
+        in_line_comment = in_line_comment and line.endswith("\\")
         blanked.append(("".join(out), "".join(code)))
     return blanked
 

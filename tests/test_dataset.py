@@ -401,6 +401,12 @@ class TestBuildAndPersist:
             LineSample("x = 1 ;", LineLabel.VULNERABLE, Origin("f", 3))
         ]
 
+    def test_an_empty_text_is_refused_from_python_too(self):
+        """LineSample itself refuses an empty text, naming its origin, as
+        load_line_dataset refuses one in a file."""
+        with pytest.raises(SchemaError, match=r"^Origin\(function_id='f', line=3\): empty line sample$"):
+            LineSample("", LineLabel.VULNERABLE, Origin("f", 3))
+
     @pytest.mark.parametrize(
         "header,sample,where,message",
         [

@@ -218,6 +218,8 @@ class TestSourceCleaning:
     @example("int f(int a)\n{\n    a = 1;\n}")  # no final newline
     @example('int f(int a)\n{\n    s = "#";\n}\n')  # '#' only inside a literal
     @example("int f(int a)\n{\n    a = a / 2;\n}\n")  # '/' only as a division
+    # a '//' comment spliced on through two lines, the second with a '#'
+    @example("int f(int a)\n{\n    a = 1; // one \\\n    two \\\r\n    #three\n    a = 2;\n}\n")
     def test_matches_the_character_scan(self, source):
         assert cleaned_or_error(_clean_source, source) == cleaned_or_error(
             oracle_clean_source_literals_blanked, source

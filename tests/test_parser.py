@@ -346,6 +346,11 @@ FORM_FEED_SOURCE = "int f(int a)\n{\n  a = a + 1;\n\f\n  strcpy(d, s);\n  return
 NON_NEWLINE_BREAKS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+def function_lines(*body: str) -> list[str]:
+    """The lines of int f(int x) around body, and an empty last one."""
+    return ["int f(int x)", "{", *body, "}", ""]
+
+
 class TestLineBreaks:
     """Lines end at "\n" only, as git, editors and an explanation count them."""
 
@@ -359,6 +364,16 @@ class TestLineBreaks:
         lines = vrrp_source.split("\n")
         lines[1] += f" /* one{char}two */"
         assert pdg_from_source("\n".join(lines)) == pdg_from_source(vrrp_source)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_line_comment_ending_in_a_backslash_runs_on(self, newline):
+        """C splices a line that ends in a backslash onto the next one, so
+        the comment covers y = 2;, and through a second backslash z = 3;."""
+        spliced = function_lines("x = 1; // a \\", "y = 2;")
+        assert sorted(n.line for n in parse_function(newline.join(spliced)).nodes) == [1, 3]
+        twice = function_lines("x = 1; // a \\", "y = 2; \\", "z = 3;", "return x;")
+        raw = parse_function(newline.join(twice))
+        assert [(n.line, n.code) for n in raw.nodes] == [(1, "int f(int x)"), (3, "x = 1;"), (6, "return x;")]
 
     def test_crlf_and_lf_give_the_same_graph(self, vrrp_source):
         for source in (vrrp_source, FORM_FEED_SOURCE):

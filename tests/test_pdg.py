@@ -60,6 +60,25 @@ class TestExplanationValidation:
         with pytest.raises(MalformedExplanationError):
             Explanation("f", 1.5, ((1, 0.2),))
 
+    # an int beyond the float range, past the limit of int to str too, and
+    # values that math.isfinite cannot read
+    NOT_FINITE_NUMBERS = [10**400, -(10**5000), "0.5", None, 1j]
+    NOT_FINITE_IDS = ["int-beyond-float", "int-beyond-str", "str", "none", "complex"]
+
+    @pytest.mark.parametrize("score", NOT_FINITE_NUMBERS, ids=NOT_FINITE_IDS)
+    def test_score_that_is_no_finite_number_names_its_line(self, score):
+        with pytest.raises(MalformedExplanationError, match=r"^f: score .* at line 2 is not finite and non-negative$"):
+            Explanation("f", 0.5, ((1, 0.1), (2, score)))
+
+    @pytest.mark.parametrize("confidence", NOT_FINITE_NUMBERS, ids=NOT_FINITE_IDS)
+    def test_confidence_that_is_no_finite_number_rejected(self, confidence):
+        with pytest.raises(MalformedExplanationError, match=r"^f: confidence .* outside \[0, 1\]$"):
+            Explanation("f", confidence, ((1, 0.1),))
+
+    def test_an_int_beyond_the_float_range_is_shown_by_its_size(self):
+        with pytest.raises(MalformedExplanationError, match=r"^f: score <int of 1329 bits> at line 1 "):
+            Explanation("f", 0.5, ((1, 10**400),))
+
     def test_scores_whose_sum_overflows_rejected(self, vrrp_fixture):
         """build_weighted_pdg divides by the scores' sum: an inf sum would
         weigh every line 0.0. Two scores that sum to the largest float are
