@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from .collector import nogc
 from .errors import ContractError, PipelineError, TrustvetError, UnknownEdgeError
 from .lineassess.ensemble import BenignVerdict, benign_candidates
 from .pdg import (
@@ -351,6 +352,7 @@ def _contribution(weight: float, record: ReachRecord) -> float:
     return (weight + (record.target_score or 0.0)) / record.distance
 
 
+@nogc
 def assess_prediction(
     expl: Explanation,
     pdg: Pdg,
@@ -363,7 +365,8 @@ def assess_prediction(
     """Full per-function pipeline: weights, votes, distances, verdict.
 
     memo is the ensemble's screen memo (see benign_candidates), shared by
-    callers that assess many functions with one ensemble.
+    callers that assess many functions with one ensemble. Runs with the
+    cyclic garbage collector off (collector.nogc).
     """
     _check_mode(mode)
     warnings: list[str] = []

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .assess import assess_prediction
+from .collector import nogc
 from .config import RunConfig, require_iou_cutoff
 from .corpus import CorpusRecord
 from .errors import (
@@ -341,6 +342,7 @@ def _pick_threshold(
     return result.threshold, result.degenerate
 
 
+@nogc
 def run_evaluation(
     records: Sequence[CorpusRecord],
     ensemble: Sequence,
@@ -358,7 +360,9 @@ def run_evaluation(
     tokenized once per call, by every parse and graph import. Two threads
     may both tokenize a line neither has stored yet; they store the same
     entry. A cutoff outside [0, 1] raises SchemaError before any record is
-    screened.
+    screened. The whole call runs with the cyclic garbage collector off
+    (collector.nogc), so the caller's other threads run with it off too
+    until the call returns.
     """
     if taus is None:
         taus = (config.iou_threshold,)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..collector import nogc
 from ..pdg import Pdg
 from .graphio import (
     ImportedGraph,
@@ -22,11 +23,13 @@ from .lexer import (
 from .parser import RawDepGraph, RawNode, parse_function
 
 
+@nogc
 def pdg_from_source(
     source: str, function_id: str | None = None, table: LineTable | None = None
 ) -> Pdg:
     """Parse source and merge to a line-level Pdg in one step; table, when
-    given, is the lexer.LineTable parse_function reads lines through."""
+    given, is the lexer.LineTable parse_function reads lines through. Runs
+    with the cyclic garbage collector off (collector.nogc)."""
     raw = parse_function(source, table)
     if function_id is not None:
         raw.function_id = function_id

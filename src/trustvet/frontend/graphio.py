@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..collector import nogc
 from ..errors import ImportSchemaError
 from ..pdg import DepKind, Pdg, PdgEdge, is_strict_int
 from .lexer import LineTable, foreign_space, line_entry
@@ -98,15 +99,20 @@ class ImportedGraph:
     graph: RawDepGraph
     messages: tuple[str, ...]  # one per dropped edge
 
+    @nogc
     def to_pdg(self) -> Pdg:
+        """The graph merged to lines, with the cyclic garbage collector off
+        (collector.nogc)."""
         return merge_imported_nodes(self.graph)
 
 
+@nogc
 def import_raw_graph(document: dict, table: LineTable | None = None) -> ImportedGraph:
     """Read an external graph export (schema above) into a RawDepGraph.
 
     table, when given, is a lexer.LineTable shared with other parses and
-    imports; the graph is the same with or without it."""
+    imports; the graph is the same with or without it. Runs with the cyclic
+    garbage collector off (collector.nogc)."""
     if table is None:
         table = {}
     if not isinstance(document, dict):

@@ -134,10 +134,12 @@ class _Stmt:
 def _clean_source(source: str) -> list[str]:
     """lexer.code_lines of source, comments blanked, with its refusals
     raised, and preprocessor lines and any other '#' outside a comment or
-    literal rejected too. The first bad line wins, and on one line '#' comes
-    before white space."""
+    literal rejected too, as is a line whose code ends in a backslash after
+    trailing spaces and tabs: C would splice the next line onto it. The
+    first bad line wins, and on one line '#' comes before white space, and
+    white space before the splice."""
     cleaned, refused = code_lines(source)
-    if "#" in source or refused:
+    if "#" in source or "\\" in source or refused:
         for lineno, text in enumerate(cleaned, start=1):
             if "#" in text:
                 code = blank_literals(text)
@@ -147,6 +149,8 @@ def _clean_source(source: str) -> list[str]:
                     raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
             if lineno in refused:
                 raise UnsupportedConstructError(refused[lineno], lineno)
+            if text.rstrip(" \t").endswith("\\"):
+                raise UnsupportedConstructError("line splice ('\\' at the end of a line) is not supported", lineno)
     return cleaned
 
 

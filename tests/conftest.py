@@ -1,7 +1,9 @@
-"""Shared fixtures: the worked-example function, its graph, its explanation."""
+"""Shared fixtures: the worked-example function, its graph, its explanation;
+and a guard that fails any test leaving the cyclic garbage collector off."""
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -12,6 +14,18 @@ from trustvet.lineassess.classifier import LookupLineClassifier
 from trustvet.pdg import explanation_from_dict
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fails a test that found the cyclic garbage collector on and left it
+    off, as a paused call that forgot to restore it would (trustvet.collector),
+    and turns it back on for the tests after it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled and not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector off")
 
 
 @pytest.fixture(scope="session")

@@ -473,12 +473,17 @@ def oracle_line_surface(code):
     return " ".join(tok.text for tok in tokens), frozenset(names)
 
 
+SPLICE = "line splice ('\\' at the end of a line) is not supported"
+
+
 def oracle_clean_source(source: str) -> list[str]:
     """The parser's former per-character cleaner: blank out block comments
     (which may span lines) and reject preprocessor lines, returning the
     cleaned source line by line. It has since taken C's line splice: a
     '//' comment whose line ends in a backslash runs on through the next
-    line, as in oracle_code_lines."""
+    line, as in oracle_code_lines, and a cleaned line that ends in a
+    backslash, after trailing spaces and tabs, is refused after the '#'
+    checks."""
     lines = [line[:-1] if line[-1:] == "\r" else line for line in source.split("\n")][: -1 if source[-1:] in ("", "\n") else None]
     cleaned: list[list[str]] = []
     in_block = False
@@ -536,6 +541,8 @@ def oracle_clean_source(source: str) -> list[str]:
             raise UnsupportedConstructError("preprocessor directives are not supported", lineno)
         if "#" in text:
             raise UnsupportedConstructError("'#' outside a comment or literal", lineno)
+        if text.rstrip(" \t").endswith("\\"):
+            raise UnsupportedConstructError(SPLICE, lineno)
         cleaned.append(text)
     return cleaned
 
@@ -606,8 +613,9 @@ def oracle_clean_source_literals_blanked(source: str) -> list[str]:
     blanked, so a '#' inside a string or character literal (printf("#%d",
     a)) is accepted. The cleaned lines it returns are the former
     reference's, literals kept as they are. It also holds the parser's later
-    rule: white space by str.isspace other than " \t\r\n\f\v" is refused
-    in that copy, after the '#' checks."""
+    rules: white space by str.isspace other than " \t\r\n\f\v" is refused
+    in that copy, after the '#' checks, and then a cleaned line that ends
+    in a backslash, after trailing spaces and tabs, as a line splice."""
     cleaned: list[str] = []
     for lineno, (text, masked) in enumerate(oracle_code_lines(source), start=1):
         if masked.lstrip().startswith("#"):
@@ -619,6 +627,8 @@ def oracle_clean_source_literals_blanked(source: str) -> list[str]:
             raise UnsupportedConstructError(
                 f"white space U+{ord(foreign[0]):04X} outside a comment or literal", lineno
             )
+        if text.rstrip(" \t").endswith("\\"):
+            raise UnsupportedConstructError(SPLICE, lineno)
         cleaned.append(text)
     return cleaned
 

@@ -588,6 +588,10 @@ class TestAdapterBridge:
         with pytest.raises(UndefinedInputError, match="timeout"):
             AdapterLineClassifier(self.stub(data_dir), timeout=timeout)
 
+    def test_empty_command_rejected(self):
+        with pytest.raises(AdapterError, match="adapter command is empty"):
+            AdapterLineClassifier([])
+
     def test_missing_command_fails_loudly(self):
         clf = AdapterLineClassifier(command=("definitely-not-a-binary-7f3a",))
         with pytest.raises(AdapterError):

@@ -247,6 +247,12 @@ class TestEvaluateRecord:
         result = evaluate_record(broken, lookup_ensemble(), self.config())
         assert result.skipped is not None and result.skipped.startswith("graph")
 
+    def test_a_line_splice_is_a_graph_skip(self):
+        record = worker_record("w", "focus", 0.8)
+        spliced = dataclasses.replace(record, source="int f(int x)\n{\nx = 1; \\\ny = 2;\n}\n")
+        result = evaluate_record(spliced, lookup_ensemble(), self.config())
+        assert result.skipped == "graph: line 3: line splice ('\\' at the end of a line) is not supported"
+
     def test_missing_explanation_is_skipped(self):
         record = worker_record("w", "focus", 0.8)
         silent = dataclasses.replace(record, explanation=None)

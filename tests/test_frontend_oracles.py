@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ORACLE_C_KEYWORDS,
+    SPLICE,
     oracle_clean_source,
     oracle_clean_source_literals_blanked,
     oracle_control_dependence,
@@ -220,6 +221,8 @@ class TestSourceCleaning:
     @example("int f(int a)\n{\n    a = a / 2;\n}\n")  # '/' only as a division
     # a '//' comment spliced on through two lines, the second with a '#'
     @example("int f(int a)\n{\n    a = 1; // one \\\n    two \\\r\n    #three\n    a = 2;\n}\n")
+    # a splice after code, with a trailing tab, and one in a '//' comment that stays accepted
+    @example("int f(int a)\n{\n    a = 1; // one \\\n    two\n    a = 2; \\\t\n    b = 3;\n}\n")
     def test_matches_the_character_scan(self, source):
         assert cleaned_or_error(_clean_source, source) == cleaned_or_error(
             oracle_clean_source_literals_blanked, source
@@ -228,10 +231,12 @@ class TestSourceCleaning:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(c_soup, c_soup.map(function_shell)))
     @example('int f(int a)\n{\n    printf("#%d", a);\n}\n')
+    @example('int f(int a)\n{\n    s = "#\\\n}\n')  # a '#' in a literal that a splice ends
     def test_former_scan_differs_only_on_hash_in_literals(self, source):
         """The former reference rejected a '#' inside a literal; that is
         the only place the corrected one may disagree with it on C_PIECES,
-        which hold no white space that only the corrected one refuses."""
+        which hold no white space that only the corrected one refuses. Past
+        that '#', the corrected one may refuse the same line's splice."""
         former = cleaned_or_error(oracle_clean_source, source)
         corrected = cleaned_or_error(oracle_clean_source_literals_blanked, source)
         if former == corrected:
@@ -241,8 +246,8 @@ class TestSourceCleaning:
         if isinstance(corrected, list):  # "$" is not in C_PIECES
             unhashed = oracle_clean_source(source.replace("#", "$"))
             assert corrected == [line.replace("$", "#") for line in unhashed]
-        else:  # a later line has a '#' outside any literal
-            assert corrected[2] > former[2]
+        else:  # a later line has a '#' outside any literal, or this one a splice
+            assert corrected[2] > former[2] or SPLICE in corrected[1]
 
 
 def pdg_or_error(build, table):

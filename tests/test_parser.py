@@ -241,6 +241,15 @@ class TestRejections:
             parse_function(source)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("ending", ["\\", "\\ \t"], ids=["bare", "trailing-blanks"])
+    def test_a_splice_after_code_rejected(self, ending):
+        """Read as a token, the backslash took y = 2; into line 3's
+        statement, and line 4 and the definition of y were lost."""
+        source = f"int f(int x)\n{{\nx = 1; {ending}\ny = 2;\n}}\n"
+        with pytest.raises(UnsupportedConstructError) as err:
+            parse_function(source)
+        assert str(err.value) == "line 3: line splice ('\\' at the end of a line) is not supported"
+
     def test_preprocessor_rejected(self):
         with pytest.raises(UnsupportedConstructError):
             parse_function("#define X 1\nvoid f(void)\n{\n}\n")

@@ -139,3 +139,26 @@ def test_a_fresh_interpreter_resolves_names_and_submodules_on_first_use():
         "True trustvet.lineassess.classifier",
         "False False False",
     ]
+
+
+def test_an_unknown_submodule_is_no_attribute_and_a_missing_import_is_raised(tmp_path, monkeypatch):
+    """In this process: a name that is no submodule is an AttributeError,
+    but a submodule that exists and fails to import one of its own
+    dependencies raises that ModuleNotFoundError."""
+    with pytest.raises(AttributeError, match="module 'trustvet' has no attribute 'no_such_module'"):
+        trustvet.no_such_module
+    package = tmp_path / "lazy_probe"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from trustvet import lazy\n__all__ = []\n__getattr__, __dir__ = lazy.package_attributes(__name__, {})\n"
+    )
+    (package / "broken.py").write_text("import lazy_probe_missing_dependency\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        probe = importlib.import_module("lazy_probe")
+        with pytest.raises(ModuleNotFoundError) as missing:
+            probe.broken
+        assert missing.value.name == "lazy_probe_missing_dependency"
+    finally:
+        for name in ("lazy_probe", "lazy_probe.broken"):
+            sys.modules.pop(name, None)
