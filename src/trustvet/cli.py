@@ -57,9 +57,7 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except TrustvetError as exc:
-            _fail(str(exc))
-        except OSError as exc:
+        except (TrustvetError, OSError) as exc:
             _fail(str(exc))
 
     return wrapper
@@ -125,6 +123,8 @@ def _close_ensemble(ensemble) -> None:
 
 
 # --- commands ---------------------------------------------------------------------
+# An option that sets a value takes its RunConfig (or, in train, TrainConfig)
+# field's name as its Python name, so a command passes them on as they come.
 
 
 @click.group()
@@ -141,18 +141,12 @@ def main() -> None:
 @click.option("--bleu-threshold", type=float, default=None)
 @click.option("--bleu-order", type=int, default=None)
 @_handle_errors
-def ingest(corpus_path, out_path, config_path, seed, neg_ratio, bleu_threshold, bleu_order):
+def ingest(corpus_path, out_path, config_path, **overrides):
     """Build the labeled line dataset from a corpus of functions."""
     from .corpus import load_corpus
     from .lineassess.dataset import build_line_dataset, save_line_dataset
 
-    config = _resolve_config(
-        config_path,
-        seed=seed,
-        neg_ratio=neg_ratio,
-        bleu_threshold=bleu_threshold,
-        bleu_order=bleu_order,
-    )
+    config = _resolve_config(config_path, **overrides)
     records = load_corpus(corpus_path)
     samples, counts = build_line_dataset(
         records,
@@ -172,14 +166,14 @@ def ingest(corpus_path, out_path, config_path, seed, neg_ratio, bleu_threshold, 
 @click.option("--seed", type=int, required=True, help="Training seed; runs with the same seed match byte for byte.")
 @click.option("--l2", type=float, default=TrainConfig.l2, show_default=True)
 @click.option("--max-iter", type=int, default=TrainConfig.max_iter, show_default=True)
-@click.option("--vote-threshold", type=float, default=TrainConfig.threshold, show_default=True)
+@click.option("--vote-threshold", "threshold", type=float, default=TrainConfig.threshold, show_default=True)
 @_handle_errors
-def train(dataset_path, out_dir, seed, l2, max_iter, vote_threshold):
+def train(dataset_path, out_dir, **settings):
     """Fit one linear classifier per feature view and save the ensemble."""
     from .lineassess.dataset import load_line_dataset
 
     samples = load_line_dataset(dataset_path)
-    hyper = TrainConfig(seed=seed, l2=l2, max_iter=max_iter, threshold=vote_threshold)
+    hyper = TrainConfig(**settings)
     models = []
     for view in ALL_VIEWS:
         model = train_classifier(samples, view, hyper)
@@ -197,24 +191,19 @@ def train(dataset_path, out_dir, seed, l2, max_iter, vote_threshold):
 @click.option("--explanation", "explanation_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--models", "models_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--threshold", type=float, default=None, help="Trust cutoff (overrides config).")
-@click.option("--normalize/--no-normalize", "normalize", default=None,
+@click.option("--threshold", "trust_threshold", type=float, default=None, help="Trust cutoff (overrides config).")
+@click.option("--normalize/--no-normalize", "normalize_weights", default=None,
               help="Rescale explanation weights to sum to one.")
-@click.option("--mode", type=click.Choice(DATA_RULE_MODES), default=None)
+@click.option("--mode", "data_rule_mode", type=click.Choice(DATA_RULE_MODES), default=None)
 @click.option("--function", "function_id", default=None, help="Function id when parsing source.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Also write the assessment as JSON.")
 @_handle_errors
 def assess(source_path, graph_path, explanation_path, models_path, config_path,
-           threshold, normalize, mode, function_id, out_path):
+           function_id, out_path, **overrides):
     """Judge one prediction; exit 0 when trustworthy, 10 when not."""
     if (source_path is None) == (graph_path is None):
         _fail("give exactly one of --source or --import-pdg")
-    config = _resolve_config(
-        config_path,
-        trust_threshold=threshold,
-        normalize_weights=normalize,
-        data_rule_mode=mode,
-    )
+    config = _resolve_config(config_path, **overrides)
     if graph_path is not None:
         imported = import_raw_graph(_load_json(graph_path))
         for message in imported.messages:
@@ -256,27 +245,16 @@ def assess(source_path, graph_path, explanation_path, models_path, config_path,
 @click.option("--top-k", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=int, default=None)
-@click.option("--normalize/--no-normalize", "normalize", default=None)
-@click.option("--mode", type=click.Choice(DATA_RULE_MODES), default=None)
+@click.option("--normalize/--no-normalize", "normalize_weights", default=None)
+@click.option("--mode", "data_rule_mode", type=click.Choice(DATA_RULE_MODES), default=None)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Write the full report as JSON.")
 @_handle_errors
-def evaluate(corpus_path, models_path, config_path, iou_threshold, iou_sweep,
-             trust_threshold, conf_threshold, top_k, seed, workers, normalize, mode, out_path):
+def evaluate(corpus_path, models_path, config_path, iou_sweep, out_path, **overrides):
     """Score every prediction in a corpus against its ground truth."""
     from .corpus import load_corpus
     from .evaluate import render_table, report_to_dict, run_evaluation
 
-    config = _resolve_config(
-        config_path,
-        iou_threshold=iou_threshold,
-        trust_threshold=trust_threshold,
-        conf_threshold=conf_threshold,
-        top_k=top_k,
-        seed=seed,
-        workers=workers,
-        normalize_weights=normalize,
-        data_rule_mode=mode,
-    )
+    config = _resolve_config(config_path, **overrides)
     taus = None
     if iou_sweep:
         try:

@@ -3,8 +3,8 @@
 One flat dataclass covers every tunable the command-line tools accept. A
 config can round-trip through an INI file ([run] section) without loss, and
 values merge with a fixed precedence: explicit flags beat the file, the
-file beats the built-in defaults. configparser is imported by the two file
-functions alone, so a run without a config file does not load it.
+file beats the built-in defaults. configparser is imported only by the
+code that reads or writes a file, so a run without one does not load it.
 """
 
 from __future__ import annotations
@@ -93,20 +93,17 @@ _FIELD_TYPES: dict[str, type] = {
 
 
 def _parse_value(name: str, raw: str) -> Any:
+    import configparser
+
     raw = raw.strip()
     if name in _OPTIONAL and raw.lower() == _NONE:
         return None
     kind = _FIELD_TYPES[name]
     try:
         if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise SchemaError(f"config field {name!r}: cannot parse {raw!r}") from exc
 
 

@@ -212,16 +212,18 @@ def naive_baseline(confidence: float, threshold: float) -> bool:
 
 @dataclass(frozen=True)
 class RecordResult:
-    """Everything tau-independent about one evaluated prediction."""
+    """Everything tau-independent about one evaluated prediction. Every
+    field after function_id defaults to a skipped record's value, so a skip
+    is RecordResult(function_id, reason)."""
 
     function_id: str
-    skipped: str | None
-    trust_score: float | None
-    confidence: float | None
-    iou: float | None
-    suspicious: tuple[LineId, ...]
-    truth: tuple[LineId, ...]
-    degenerate: bool
+    skipped: str | None = None
+    trust_score: float | None = None
+    confidence: float | None = None
+    iou: float | None = None
+    suspicious: tuple[LineId, ...] = ()
+    truth: tuple[LineId, ...] = ()
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -259,44 +261,27 @@ def evaluate_record(
 ) -> RecordResult:
     """Tau-independent evaluation of one prediction; failures become skips.
 
-    The first failure names the skip: the explanation, then the graph, then
-    the ground truth, which is checked against the source as ingest checks
-    it, so a listed line the source does not have is a ground-truth skip.
+    The first failure names the skip, in the order the steps run: the
+    explanation, the graph, the ground truth (checked against the source as
+    ingest checks it, so a listed line the source does not have is a
+    ground-truth skip) and the assessment.
 
     memo is the ensemble's screen memo, passed on to assess_prediction, and
     table the lexer.LineTable the record's parse or graph import reads its
     lines through (a fresh one when None). Neither changes the result.
     """
-
-    def skip(reason: str) -> RecordResult:
-        return RecordResult(
-            function_id=record.function_id,
-            skipped=reason,
-            trust_score=None,
-            confidence=None,
-            iou=None,
-            suspicious=(),
-            truth=(),
-            degenerate=False,
-        )
-
     if record.explanation is None or record.confidence is None:
-        return skip("no-explanation")
+        return RecordResult(record.function_id, "no-explanation")
+    stage = "explanation"  # the step under way, which names its failure
     try:
         expl = record.to_explanation()
-    except TrustvetError as exc:
-        return skip(f"explanation: {exc}")
-    try:
+        stage = "graph"
         pdg = _record_pdg(record, table)
-    except TrustvetError as exc:
-        return skip(f"graph: {exc}")
-    try:
+        stage = "ground-truth"
         truth = record_vulnerable_lines(record)
-    except TrustvetError as exc:
-        return skip(f"ground-truth: {exc}")
-    if not truth:
-        return skip("no-ground-truth")
-    try:
+        if not truth:
+            return RecordResult(record.function_id, "no-ground-truth")
+        stage = "assessment"
         assessment = assess_prediction(
             expl,
             pdg,
@@ -307,15 +292,13 @@ def evaluate_record(
             memo=memo,
         )
     except TrustvetError as exc:
-        return skip(f"assessment: {exc}")
+        return RecordResult(record.function_id, f"{stage}: {exc}")
     suspicious = select_suspicious(expl, config.top_k, resident=pdg.nodes)
-    value = iou(suspicious, truth)
     return RecordResult(
         function_id=record.function_id,
-        skipped=None,
         trust_score=assessment.trust_score,
         confidence=record.confidence,
-        iou=value,
+        iou=iou(suspicious, truth),
         suspicious=tuple(sorted(suspicious)),
         truth=tuple(sorted(truth)),
         degenerate=assessment.degenerate,

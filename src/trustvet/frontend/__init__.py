@@ -8,7 +8,6 @@ from .graphio import (
     ImportedGraph,
     export_raw_graph,
     import_raw_graph,
-    merge_imported_nodes,
     merge_line_nodes,
 )
 from .lexer import (
@@ -46,7 +45,6 @@ __all__ = [
     "extract_variables",
     "import_raw_graph",
     "is_substantive_line",
-    "merge_imported_nodes",
     "merge_line_nodes",
     "normalize_line",
     "parse_function",

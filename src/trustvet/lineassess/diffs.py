@@ -6,7 +6,12 @@ that carry no code (blanks, comments, lone delimiters), judged on the lexer's
 code_lines, so no line of a block comment that spans lines carries code.
 Context and '-' lines are checked against the source as it is, so a diff
 paired with the wrong source fails loudly instead of yielding wrong line
-numbers.
+numbers. Each hunk is read by its header's counts (an omitted count is 1),
+so a line after them is a file header or other preamble, and is skipped. A
+line within them must be a '-', '+' or ' ' line, a blank line (context
+whose space was stripped) or a '\\ No newline' marker; any other line, a
+next '@@' header included, raises DiffMismatchError naming the hunk. A diff
+that ends within a hunk is read up to its end.
 
 A corpus record names its vulnerable lines one way for every reader:
 a non-empty vul_lines list wins, else the lines recovered from its diff.
@@ -42,32 +47,33 @@ def extract_vulnerable_lines(before_source: str, diff: str) -> frozenset[int]:
             )
 
     vulnerable: set[int] = set()
-    old_lineno = None
-    in_hunk = False
+    header = ""
+    old_lineno = old_left = new_left = 0  # old_left, new_left: what the hunk still counts
     for raw in split_lines(diff):
-        match = _HUNK_RE.match(raw)
-        if match is not None:
-            old_lineno = int(match.group(1))
-            in_hunk = True
+        if not (old_left or new_left):
+            match = _HUNK_RE.match(raw)
+            if match is not None:  # else a file header or other preamble
+                header = match.group(0)
+                old_lineno = int(match.group(1))
+                old_left, new_left = (int(n or 1) for n in match.group(2, 4))
             continue
-        if not in_hunk:
-            continue  # file headers and other preamble
-        if raw.startswith("\\"):
+        kind = raw[:1] or " "  # a blank line is context whose space was stripped
+        if kind == "\\":
             continue  # "\ No newline at end of file"
-        if raw.startswith("-"):
-            content = raw[1:]
-            check(old_lineno, content, "deleted")
-            if is_substantive_line(code[old_lineno - 1]):
+        old_side, new_side = kind in "- ", kind in "+ "
+        if kind not in "-+ " or (old_side and not old_left) or (new_side and not new_left):
+            raise DiffMismatchError(
+                f"hunk {header!r} still counts {old_left} old and {new_left} new line(s), "
+                f"not {raw!r}"
+            )
+        if old_side:
+            check(old_lineno, raw[1:], "deleted" if kind == "-" else "context")
+            if kind == "-" and is_substantive_line(code[old_lineno - 1]):
                 vulnerable.add(old_lineno)
             old_lineno += 1
-        elif raw.startswith("+"):
-            continue  # added lines have no pre-change number
-        elif raw.startswith(" ") or raw == "":
-            content = raw[1:] if raw else ""
-            check(old_lineno, content, "context")
-            old_lineno += 1
-        else:
-            in_hunk = False  # e.g. the next "diff --git" header
+            old_left -= 1
+        if new_side:
+            new_left -= 1
     return frozenset(vulnerable)
 
 

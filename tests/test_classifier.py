@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
 import sys
 import time
 
@@ -579,6 +580,75 @@ class TestAdapterBridge:
                 assert started.read_text().count("child") == 2 * call
         finally:
             clf.close()
+
+    class BrokenStdin:
+        """A child's input whose writes fail, as a pipe whose reader has
+        gone does; closing it closes the real pipe, then raises when
+        close_fails is set."""
+
+        def __init__(self, pipe, close_fails=False):
+            self.pipe = pipe
+            self.close_fails = close_fails
+
+        def write(self, data):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def close(self):
+            self.pipe.close()
+            if self.close_fails:
+                raise BrokenPipeError(32, "Broken pipe")
+
+    def broken_children(self, monkeypatch, close_fails=False):
+        """Start every child with a BrokenStdin; the list gets each one."""
+        started = []
+        real = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            proc = real(*args, **kwargs)
+            proc.stdin = self.BrokenStdin(proc.stdin, close_fails)
+            started.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        return started
+
+    def test_a_failed_write_is_sent_once_more_to_a_new_child(self, data_dir):
+        clf = AdapterLineClassifier(command=self.stub(data_dir), timeout=10.0)
+        try:
+            assert clf.classify("i = i + 1;") == (1, 0.9)
+            first = clf._proc
+            first.stdin = self.BrokenStdin(first.stdin)
+            assert clf.classify("buf = fopen(path, m);") == (0, 0.1)
+            assert clf._proc is not first
+            assert first.poll() is not None and first.stdin.pipe.closed
+        finally:
+            clf.close()
+
+    def test_a_second_failed_write_fails_the_call(self, data_dir, monkeypatch):
+        started = self.broken_children(monkeypatch)
+        clf = AdapterLineClassifier(command=self.stub(data_dir), timeout=10.0)
+        try:
+            with pytest.raises(AdapterError, match=r"^adapter pipe failed: \[Errno 32\] Broken pipe$"):
+                clf.classify("x = 1;")
+        finally:
+            clf.close()
+        assert len(started) == 2
+        assert all(proc.poll() is not None and proc.stdin.pipe.closed for proc in started)
+
+    def test_close_is_quiet_when_the_input_close_fails(self, data_dir, monkeypatch):
+        started = self.broken_children(monkeypatch, close_fails=True)
+        clf = AdapterLineClassifier(command=self.stub(data_dir), timeout=10.0)
+        clf._ensure_started()
+        clf.close()
+        assert started[0].poll() is not None and started[0].stdin.pipe.closed
+
+    def test_close_before_any_child_is_quiet(self, data_dir):
+        clf = AdapterLineClassifier(command=self.stub(data_dir))
+        clf.close()
+        assert clf._proc is None
 
     @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf, 1e300])
     def test_unusable_timeout_rejected(self, data_dir, timeout):

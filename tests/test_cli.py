@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from test_frontend_oracles import c_soup, function_shell, graph_docs, json_value
 import trustvet
 from trustvet.assess import DATA_RULE_MODES
 from trustvet.cli import EXIT_ERROR, EXIT_OK, EXIT_UNTRUSTWORTHY, MANIFEST_NAME, load_ensemble, main, save_ensemble
+from trustvet.config import RunConfig
 from trustvet.corpus import save_corpus
 from trustvet.errors import SchemaError
 from trustvet.frontend.graphio import export_raw_graph
@@ -41,6 +43,7 @@ from trustvet.lineassess.classifier import (
     AdapterLineClassifier,
     LinearLineClassifier,
     LookupLineClassifier,
+    TrainConfig,
     save_model,
 )
 from trustvet.lineassess.features import FeatureView
@@ -1002,3 +1005,27 @@ class TestCommandContracts:
     def test_report(self, runner, work, report_doc, data):
         report_path = write_lines(work / "report.json", data, report_doc)
         assert_contract(runner.invoke(main, ["report", str(report_path)]))
+
+
+class TestOptionNames:
+    """Each option that sets a value takes its config field's name as its
+    Python name, and reaches the config by it: a renamed field fails here,
+    not in a user's run with "unknown config overrides"."""
+
+    OWN_INPUTS = {
+        "ingest": {"corpus_path", "out_path", "config_path"},
+        "assess": {"source_path", "graph_path", "explanation_path", "models_path", "config_path",
+                   "function_id", "out_path"},
+        "evaluate": {"corpus_path", "models_path", "config_path", "iou_sweep", "out_path"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(OWN_INPUTS))
+    def test_every_run_setting_is_a_run_config_field(self, command):
+        names = {param.name for param in main.commands[command].params}
+        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        assert names - fields == self.OWN_INPUTS[command]
+        assert names & fields  # the command has settings at all
+
+    def test_every_train_setting_is_a_train_config_field(self):
+        names = {param.name for param in main.commands["train"].params}
+        assert names - {"dataset_path", "out_dir"} == {field.name for field in dataclasses.fields(TrainConfig)}

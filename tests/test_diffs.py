@@ -81,6 +81,51 @@ class TestExtraction:
         diff = "@@ -5,1 +5,1 @@\n-    return y;\n+    return y + 1;\n\\ No newline at end of file\n"
         assert extract_vulnerable_lines(SOURCE, diff) == frozenset({5})
 
+    def test_no_newline_marker_within_a_hunk_skipped(self):
+        """The marker after a '-' line, where the old file's end had no
+        newline, counts for neither side."""
+        diff = "@@ -5,1 +5,1 @@\n-    return y;\n\\ No newline at end of file\n+    return y + 1;\n"
+        assert extract_vulnerable_lines(SOURCE, diff) == frozenset({5})
+
+
+class TestHunkCounts:
+    """A hunk is read by its header's counts: a line after them belongs to
+    no hunk, and is a file header or preamble."""
+
+    SOURCE = "int f(int a)\n{\na = 1;\nreturn a;\n}\n"
+    DIFF = "@@ -3,1 +3,1 @@\n-a = 1;\n+a = 2;\n"
+
+    @pytest.mark.parametrize("tail", ["", "\n", "--- a/y.c\n+++ b/y.c\n"], ids=["bare", "blank", "headers"])
+    def test_a_line_after_the_counts_is_outside_the_hunk(self, tail):
+        assert extract_vulnerable_lines(self.SOURCE, self.DIFF + tail) == frozenset({3})
+
+    def test_a_blank_line_inside_a_hunk_is_context(self):
+        source = "int f(int a)\n{\n\na = 1;\n}\n"
+        diff = "@@ -3,2 +3,2 @@\n\n-a = 1;\n+a = 2;\n"
+        assert extract_vulnerable_lines(source, diff) == frozenset({4})
+
+    def test_an_omitted_count_is_one(self):
+        diff = "@@ -3 +3 @@\n-a = 1;\n+a = 2;\n\n"
+        assert extract_vulnerable_lines(self.SOURCE, diff) == frozenset({3})
+
+    def test_a_header_while_a_hunk_counts_lines_raises(self):
+        diff = "@@ -3,2 +3,2 @@\n-a = 1;\n+a = 2;\n@@ -4,1 +4,1 @@\n-return a;\n+return 0;\n"
+        with pytest.raises(DiffMismatchError, match=r"hunk '@@ -3,2 \+3,2 @@' still counts 1 old and 1 new"):
+            extract_vulnerable_lines(self.SOURCE, diff)
+
+    @pytest.mark.parametrize(
+        "diff",
+        [
+            "@@ -3,1 +3,2 @@\n-a = 1;\ndiff --git a/y.c b/y.c\n",  # a line of no kind
+            "@@ -3,0 +3,1 @@\n-a = 1;\n+a = 2;\n",  # a deleted line the header does not count
+            "@@ -3,1 +3,0 @@\n+a = 2;\n-a = 1;\n",  # an added line the header does not count
+        ],
+        ids=["no-kind", "uncounted-deletion", "uncounted-addition"],
+    )
+    def test_a_line_the_hunk_cannot_hold_raises(self, diff):
+        with pytest.raises(DiffMismatchError, match=r"hunk '@@ -3,. \+3,. @@' still counts"):
+            extract_vulnerable_lines(self.SOURCE, diff)
+
 
 class TestMismatches:
     def test_removed_line_must_match_source(self):

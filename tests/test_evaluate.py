@@ -23,12 +23,14 @@ from trustvet import evaluate
 from trustvet.config import RunConfig
 from trustvet.corpus import record_from_dict, record_to_dict
 from trustvet.errors import (
+    AdapterError,
     CalibrationError,
     SchemaError,
     UndefinedGroundTruthError,
     UndefinedInputError,
 )
 from trustvet.evaluate import (
+    RecordResult,
     calibrate_threshold,
     compute_metrics,
     evaluate_record,
@@ -297,6 +299,38 @@ class TestEvaluateRecord:
         record = dataclasses.replace(worker_record("w", "focus", 0.8), **change)
         result = evaluate_record(record, lookup_ensemble(), self.config())
         assert result.skipped is not None and result.skipped.startswith("explanation: ")
+
+    # one fault per stage that can fail, in the order the stages run
+    FAULTS = (
+        ("explanation", {"explanation": ((True, 0.5), (6, 0.5))}),
+        ("graph", {"source": "void f(void)\n{\n    goto out;\n}\n"}),
+        ("ground-truth", {"vul_lines": (99,)}),
+    )
+
+    @pytest.mark.parametrize("first", range(len(FAULTS) + 1))
+    def test_the_first_failing_stage_names_the_skip(self, first):
+        """A record with the faults of every stage from `first` on, and an
+        ensemble that cannot classify, is skipped by its first fault, and
+        every other field holds a skip's value."""
+
+        class Broken:
+            def classify(self, text):
+                raise AdapterError("adapter pipe failed: gone")
+
+        record = worker_record("w", "focus", 0.8)
+        for _, change in self.FAULTS[first:]:
+            record = dataclasses.replace(record, **change)
+        result = evaluate_record(record, [Broken()], self.config())
+        stage = (*(name for name, _ in self.FAULTS), "assessment")[first]
+        assert result == RecordResult("w", result.skipped)
+        assert result.skipped.startswith(f"{stage}: ")
+        if stage == "assessment":
+            assert result.skipped == "assessment: stage 'line-assessment': line 4: adapter pipe failed: gone"
+
+    def test_no_ground_truth_comes_before_the_assessment(self):
+        record = dataclasses.replace(worker_record("w", "focus", 0.8), vul_lines=())
+        result = evaluate_record(record, [object()], self.config())
+        assert result == RecordResult("w", "no-ground-truth")
 
 
 class TestRunEvaluation:
