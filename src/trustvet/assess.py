@@ -119,12 +119,21 @@ class _Relation:
 
     @cached_property
     def _labels(self) -> tuple[dict[LineId, int], dict[str | None, int]]:
-        """reach of every edge endpoint, and the bit of each Data-edge variable."""
-        succ: defaultdict[LineId, list[LineId]] = defaultdict(list)
+        """reach of every edge endpoint, and the bit of each Data-edge variable.
+
+        The successor lists take plain appends; a line's list is looked up
+        only where the edges' src changes, once per line on sorted edges."""
+        succ: dict[LineId, list[LineId]] = {}
         bit: dict[str | None, int] = {}
+        control, last = DepKind.CONTROL, None
         for src, dst, kind, variable in self.g.pdg.edges:
-            succ[src].append(dst)
-            if kind is not DepKind.CONTROL and variable not in bit:
+            if src != last:
+                children = succ.get(src)
+                if children is None:
+                    children = succ[src] = []
+                last = src
+            children.append(dst)
+            if kind is not control and variable not in bit:
                 bit[variable] = 2 << len(bit)  # bit 0 is _SUSPECT
         return self._reach_labels(succ, bit), bit
 
@@ -134,49 +143,62 @@ class _Relation:
         """reach of every edge endpoint, from an iterative Tarjan pass.
 
         A line is on Tarjan's stack exactly while it is numbered and has no
-        reach yet. Components come out sinks first, so each successor outside
-        a component has its reach by the time the component is emitted.
+        reach yet. Components come out sinks first, so a successor outside
+        the visited line's component has its reach when the line meets it,
+        and a successor on the stack is in that component. So each line
+        gathers, in one pass over its successors, its own label and the
+        reach of every successor already done; a line hands what it
+        gathered to its parent in the depth-first tree, which is in its
+        component unless the line heads one, and then the line's reach is
+        what it gathered. The visited line keeps its number, low link,
+        gathered bits, stack depth and child iterator in locals, which a
+        descent pushes onto work; each child's number is looked up once.
         """
         benign, line_vars = self.benign, self.g.pdg.line_vars
         number: dict[LineId, int] = {}
-        low: dict[LineId, int] = {}
         reach: dict[LineId, int] = {}
         stack: list[LineId] = []
+        work: list[tuple] = []
         for root in succ:
             if root in number:
                 continue
-            number[root] = low[root] = len(number)
+            line, children = root, iter(succ[root])
+            low = own = number[root] = len(number)
+            depth = len(stack)
             stack.append(root)
-            work = [(root, iter(succ[root]))]
-            while work:
-                line, children = work[-1]
+            bits = 0
+            while True:
                 for child in children:
-                    if child not in number:
-                        number[child] = low[child] = len(number)
+                    seen = number.get(child)
+                    if seen is None:
+                        work.append((line, children, low, own, depth, bits))
+                        line, children = child, iter(succ.get(child, ()))
+                        low = own = number[child] = len(number)
+                        depth = len(stack)
                         stack.append(child)
-                        work.append((child, iter(succ.get(child, ()))))
+                        bits = 0
                         break
-                    if child not in reach and number[child] < low[line]:
-                        low[line] = number[child]
+                    done = reach.get(child)
+                    if done is not None:
+                        bits |= done
+                    elif seen < low:
+                        low = seen
                 else:
-                    work.pop()
-                    if work and low[line] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[line]
-                    if low[line] != number[line]:
-                        continue
-                    members = [stack.pop()]
-                    while members[-1] != line:
-                        members.append(stack.pop())
-                    bits = 0
-                    for member in members:
-                        if member not in benign:
-                            bits |= _SUSPECT
-                            for variable in line_vars.get(member, ()):
-                                bits |= bit.get(variable, 0)
-                        for child in succ.get(member, ()):
-                            bits |= reach.get(child, 0)
-                    for member in members:
-                        reach[member] = bits
+                    if line not in benign:
+                        bits |= _SUSPECT
+                        for variable in line_vars.get(line, ()):
+                            bits |= bit.get(variable, 0)
+                    if low == own:  # line heads a component: it and every line above it
+                        for member in stack[depth:]:
+                            reach[member] = bits
+                        del stack[depth:]
+                    if not work:
+                        break
+                    inner, gathered = low, bits
+                    line, children, low, own, depth, bits = work.pop()
+                    bits |= gathered
+                    if inner < low:
+                        low = inner
         return reach
 
     @cached_property

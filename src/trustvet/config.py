@@ -3,8 +3,10 @@
 One flat dataclass covers every tunable the command-line tools accept. A
 config can round-trip through an INI file ([run] section) without loss, and
 values merge with a fixed precedence: explicit flags beat the file, the
-file beats the built-in defaults. configparser is imported only by the
-code that reads or writes a file, so a run without one does not load it.
+file beats the built-in defaults. Values in a file are literal: the
+parsers have no interpolation, so a % is read and written as it stands.
+configparser is imported only by the code that reads or writes a file, so
+a run without one does not load it.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def config_from_file(path: str | Path) -> RunConfig:
     """Load a RunConfig from an INI file's [run] section."""
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(str(path), encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -140,7 +142,7 @@ def config_to_file(config: RunConfig, path: str | Path) -> None:
     """Write every field, None included, so the file round-trips exactly."""
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.add_section(_SECTION)
     for f in dataclasses.fields(RunConfig):
         parser.set(_SECTION, f.name, _format_value(getattr(config, f.name)))

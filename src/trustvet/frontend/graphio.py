@@ -22,9 +22,15 @@ everything downstream keys on. So is a node whose code has white space that
 C does not (U+00A0, say) outside a comment or literal, which the parser
 refuses too. import_raw_graph is the one check of such a document.
 
-import_raw_graph reads each distinct code once, through a lexer.LineTable
-that it may share with the parses and imports of one run: a code the table
-holds has passed that check, so only a new code is checked and tokenized.
+import_raw_graph checks each element once, in one loop per array. An id,
+line, src or dst whose type is exactly int passes at once, and any other
+value goes through pdg.is_strict_int, so a bool or a float is refused and
+an int subclass accepted. One {node id: line} dict is also the set of known
+ids that each edge's ends are looked up in. Each distinct code is read once,
+through a lexer.LineTable that the import may share with the parses and
+imports of one run: the table holds only codes that are strings and passed
+the white-space rule, so a code's type and white space are checked, and the
+code tokenized, only when the table does not hold it.
 """
 
 from __future__ import annotations
@@ -110,9 +116,12 @@ class ImportedGraph:
 def import_raw_graph(document: dict, table: LineTable | None = None) -> ImportedGraph:
     """Read an external graph export (schema above) into a RawDepGraph.
 
-    table, when given, is a lexer.LineTable shared with other parses and
-    imports; the graph is the same with or without it. Runs with the cyclic
-    garbage collector off (collector.nogc)."""
+    Each node and edge is checked once, in the order the errors name it:
+    an id, line, src or dst of exact type int skips is_strict_int, and a
+    node's code is type-checked only when the line table does not hold it
+    (module docstring). table, when given, is a lexer.LineTable shared with
+    other parses and imports; the graph is the same with or without it.
+    Runs with the cyclic garbage collector off (collector.nogc)."""
     if table is None:
         table = {}
     if not isinstance(document, dict):
@@ -125,48 +134,62 @@ def import_raw_graph(document: dict, table: LineTable | None = None) -> Imported
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ImportSchemaError("graph export: 'nodes' and 'edges' must be arrays")
 
+    # each node's line by its id; its keys are the known ids
+    line_of: dict[int, int] = {}
     nodes: list[RawNode] = []
-    known: set[int] = set()
+    add_node, table_get = nodes.append, table.get
     for entry in raw_nodes:
-        if not isinstance(entry, dict) or not is_strict_int(entry.get("id")):
+        if not isinstance(entry, dict):
             raise ImportSchemaError(f"graph export: node without integer 'id': {entry!r}")
-        node_id = entry["id"]
-        if node_id in known:
+        node_id = entry.get("id")
+        if type(node_id) is not int and not is_strict_int(node_id):
+            raise ImportSchemaError(f"graph export: node without integer 'id': {entry!r}")
+        if node_id in line_of:
             raise ImportSchemaError(f"graph export: duplicate node id {node_id}")
-        known.add(node_id)
         line = entry.get("line")
-        if not is_strict_int(line) or line < 1:
+        if (type(line) is not int and not is_strict_int(line)) or line < 1:
             raise ImportSchemaError(f"graph export: node {node_id}: missing or bad 'line'")
+        line_of[node_id] = line
         code = entry.get("code", "")
-        if not isinstance(code, str):
-            raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
-        found = table.get(code)
+        try:
+            found = table_get(code)
+        except TypeError:  # an unhashable code, which is no str either
+            found = None
         if found is None:
+            # the table holds only codes that passed both checks
+            if not isinstance(code, str):
+                raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
             refused = foreign_space(code)
             if refused:
                 raise ImportSchemaError(f"graph export: node {node_id}: {refused}")
             found = line_entry(code, table)
-        nodes.append(RawNode(node_id, line, code, found[2]))
+        add_node(RawNode(node_id, line, code, found[2]))
 
     edges: list[RawEdge] = []
     messages: list[str] = []
+    add_edge, control, data = edges.append, DepKind.CONTROL, DepKind.DATA
     for entry in raw_edges:
         if not isinstance(entry, dict):
             raise ImportSchemaError(f"graph export: edge is not an object: {entry!r}")
         src, dst = entry.get("src"), entry.get("dst")
-        if not (is_strict_int(src) and is_strict_int(dst) and src in known and dst in known):
+        if not (
+            (type(src) is int or is_strict_int(src))
+            and (type(dst) is int or is_strict_int(dst))
+            and src in line_of
+            and dst in line_of
+        ):
             raise ImportSchemaError(
                 f"graph export: edge {src!r}->{dst!r} references an unknown node id"
             )
         kind = entry.get("kind")
         if kind == "CDG":
-            edges.append((src, dst, DepKind.CONTROL, None))
+            add_edge((src, dst, control, None))
         elif kind == "DDG":
             variable = entry.get("variable")
             if not isinstance(variable, str) or not variable:
                 messages.append(f"dropped DDG edge {src}->{dst}: no variable label")
                 continue
-            edges.append((src, dst, DepKind.DATA, variable))
+            add_edge((src, dst, data, variable))
         else:
             messages.append(f"dropped edge {src}->{dst} of unhandled kind {kind!r}")
     return ImportedGraph(

@@ -14,7 +14,9 @@ deduplicated on a hand-built key tuple, and its line texts against the
 rule it states; the feature views
 against their earlier extractors, which tokenized the line themselves and
 built every feature name as an f-string, and a linear score against the sum
-it was first written as, each weight found through the vocabulary. Slow and
+it was first written as, each weight found through the vocabulary; relate's
+reach labels against a breadth-first search from each line, and the graph
+import against its earlier form, which ran every check in full. Slow and
 obvious beats fast and shared.
 """
 
@@ -28,17 +30,21 @@ import numpy as np
 
 from trustvet.corpus import NON_VULNERABLE
 from trustvet.errors import ImportSchemaError, UnsupportedConstructError
+from trustvet.frontend.graphio import ImportedGraph
 from trustvet.frontend.lexer import (
     CHAR_LITERAL,
     STRING_LITERAL,
+    LineTable,
     Token,
     TokenKind,
+    foreign_space,
+    line_entry,
     normalize_line,
     tokenize_line,
 )
-from trustvet.frontend.parser import _EXIT
+from trustvet.frontend.parser import _EXIT, RawDepGraph, RawNode
 from trustvet.lineassess.features import FeatureView
-from trustvet.pdg import DepKind, Pdg, PdgEdge
+from trustvet.pdg import DepKind, Pdg, PdgEdge, is_strict_int
 
 EPSILON = 1e-9
 
@@ -185,6 +191,33 @@ def oracle_nearest(pdg: Pdg, vulnerable, weights, benign, entries, line):
         ):
             best = (d, t, w)
     return best
+
+
+def oracle_reach_labels(pdg: Pdg, benign) -> dict:
+    """What relate's reach labels encode, line by line: for each edge
+    endpoint y, a breadth-first search over successors from y (y included)
+    gives whether a suspect (a line not in benign) is reached, and the
+    Data-edge variables held at the suspects reached. Returns {y: (bool,
+    frozenset of variables)}."""
+    succ: dict = {}
+    for e in pdg.edges:
+        succ.setdefault(e.src, []).append(e.dst)
+    data_vars = {e.variable for e in pdg.edges if e.kind is DepKind.DATA}
+    out = {}
+    for start in {line for e in pdg.edges for line in (e.src, e.dst)}:
+        seen = {start}
+        queue = [start]
+        for line in queue:
+            for nxt in succ.get(line, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        suspects = [line for line in seen if line not in benign]
+        held = frozenset(
+            v for z in suspects for v in pdg.line_vars.get(z, ()) if v in data_vars
+        )
+        out[start] = (bool(suspects), held)
+    return out
 
 
 # --- metrics ---------------------------------------------------------------------
@@ -667,6 +700,75 @@ def oracle_merged_lines(nodes) -> tuple[dict[int, str], dict[int, frozenset[str]
         text[line] = next(node.surface[0] for node in members if len(node.code) == longest)
         names[line] = frozenset(name for node in members for name in node.surface[1])
     return text, names
+
+
+# --- graph import ----------------------------------------------------------------
+
+
+def oracle_import_raw_graph(document: dict, table: LineTable | None = None) -> ImportedGraph:
+    """The import as it was before its checks were inlined: is_strict_int on
+    every id, line, src and dst, a separate set of known ids, and the code
+    type checked on every node."""
+    if table is None:
+        table = {}
+    if not isinstance(document, dict):
+        raise ImportSchemaError("graph export must be a JSON object")
+    function_id = document.get("function")
+    if not isinstance(function_id, str) or not function_id:
+        raise ImportSchemaError("graph export: missing or empty 'function'")
+    raw_nodes = document.get("nodes")
+    raw_edges = document.get("edges")
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise ImportSchemaError("graph export: 'nodes' and 'edges' must be arrays")
+
+    nodes: list[RawNode] = []
+    known: set[int] = set()
+    for entry in raw_nodes:
+        if not isinstance(entry, dict) or not is_strict_int(entry.get("id")):
+            raise ImportSchemaError(f"graph export: node without integer 'id': {entry!r}")
+        node_id = entry["id"]
+        if node_id in known:
+            raise ImportSchemaError(f"graph export: duplicate node id {node_id}")
+        known.add(node_id)
+        line = entry.get("line")
+        if not is_strict_int(line) or line < 1:
+            raise ImportSchemaError(f"graph export: node {node_id}: missing or bad 'line'")
+        code = entry.get("code", "")
+        if not isinstance(code, str):
+            raise ImportSchemaError(f"graph export: node {node_id}: 'code' must be a string")
+        found = table.get(code)
+        if found is None:
+            refused = foreign_space(code)
+            if refused:
+                raise ImportSchemaError(f"graph export: node {node_id}: {refused}")
+            found = line_entry(code, table)
+        nodes.append(RawNode(node_id, line, code, found[2]))
+
+    edges: list = []
+    messages: list[str] = []
+    for entry in raw_edges:
+        if not isinstance(entry, dict):
+            raise ImportSchemaError(f"graph export: edge is not an object: {entry!r}")
+        src, dst = entry.get("src"), entry.get("dst")
+        if not (is_strict_int(src) and is_strict_int(dst) and src in known and dst in known):
+            raise ImportSchemaError(
+                f"graph export: edge {src!r}->{dst!r} references an unknown node id"
+            )
+        kind = entry.get("kind")
+        if kind == "CDG":
+            edges.append((src, dst, DepKind.CONTROL, None))
+        elif kind == "DDG":
+            variable = entry.get("variable")
+            if not isinstance(variable, str) or not variable:
+                messages.append(f"dropped DDG edge {src}->{dst}: no variable label")
+                continue
+            edges.append((src, dst, DepKind.DATA, variable))
+        else:
+            messages.append(f"dropped edge {src}->{dst} of unhandled kind {kind!r}")
+    return ImportedGraph(
+        graph=RawDepGraph(function_id=function_id, nodes=nodes, edges=edges),
+        messages=tuple(messages),
+    )
 
 
 # --- feature views -------------------------------------------------------------------

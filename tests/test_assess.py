@@ -6,10 +6,13 @@ import math
 import random
 
 import pytest
-from oracles import oracle_distances, oracle_nearest, oracle_vulnerable_edges
-from synth import random_pdg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_distances, oracle_nearest, oracle_reach_labels, oracle_vulnerable_edges
+from synth import c_subset_function, random_pdg
 
 from trustvet.assess import (
+    DATA_RULE_MODES,
     ReachRecord,
     _Relation,
     _score_with_records,
@@ -23,7 +26,7 @@ from trustvet.assess import (
     vulnerable_edges,
 )
 from trustvet.errors import ContractError, PipelineError, UnknownEdgeError
-from trustvet.frontend import import_raw_graph
+from trustvet.frontend import export_raw_graph, import_raw_graph, parse_function
 from trustvet.frontend.lexer import normalize_line
 from trustvet.lineassess.classifier import LookupLineClassifier
 from trustvet.pdg import DepKind, Explanation, Pdg, PdgEdge, build_weighted_pdg
@@ -294,6 +297,47 @@ class TestRelateAtScale:
             if not degenerate:
                 assert {r.line: (r.distance, r.target, r.target_score) for r in records} == want
         assert ties > 0
+
+
+def decoded_labels(pdg: Pdg, benign: frozenset, mode: str) -> dict:
+    """The relation's reach labels, each read through its own bit table as
+    oracle_reach_labels reports them: (a suspect is reached, the Data-edge
+    variables held at the suspects reached)."""
+    g = build_weighted_pdg(pdg, Explanation(pdg.function_id, 0.5, ()))
+    reach, bit = _Relation(g, benign, mode)._labels
+    return {
+        line: (bool(mask & 1), frozenset(v for v, b in bit.items() if mask & b))
+        for line, mask in reach.items()
+    }
+
+
+def random_benign(rng: random.Random, pdg: Pdg) -> frozenset:
+    share = rng.choice((0.0, 0.3, 0.6, 0.85, 1.0))
+    lines = sorted({line for e in pdg.edges for line in e[:2]} | pdg.nodes)
+    return frozenset(line for line in lines if rng.random() < share)
+
+
+class TestReachLabelsOracle:
+    """The one-pass Tarjan labels against a breadth-first search from each
+    edge endpoint, on rings joined by a DAG and on parsed functions that
+    went out through export and back through import."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(DATA_RULE_MODES))
+    def test_ringed_graphs(self, seed, mode):
+        rng = random.Random(seed)
+        pdg = ringed_pdg(rng)
+        benign = random_benign(rng, pdg)
+        assert decoded_labels(pdg, benign, mode) == oracle_reach_labels(pdg, benign)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(DATA_RULE_MODES))
+    def test_imported_functions(self, seed, mode):
+        rng = random.Random(seed)
+        raw = parse_function(c_subset_function(rng, 40))
+        pdg = import_raw_graph(export_raw_graph(raw)).to_pdg()
+        benign = random_benign(rng, pdg)
+        assert decoded_labels(pdg, benign, mode) == oracle_reach_labels(pdg, benign)
 
 
 def test_deep_chain_needs_no_recursion():

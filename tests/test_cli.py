@@ -238,6 +238,26 @@ class TestAssessCommand:
         assert result.exit_code == EXIT_UNTRUSTWORTHY, result.stderr
         assert "0.245000" in result.output
 
+    def test_config_value_with_a_percent_sign(self, runner, vrrp_args, data_dir, tmp_path, monkeypatch):
+        """Config values are literal: the adapter's command, with a % in
+        its path, reaches the child as written."""
+        monkeypatch.delenv(ADAPTER_ENV_VAR, raising=False)
+        model = tmp_path / "adapter.json"
+        save_model(AdapterLineClassifier(command=("no-such-scorer",), timeout=10.0), model)
+        stub = tmp_path / "50%" / "adapter_stub.py"
+        stub.parent.mkdir()
+        shutil.copy(data_dir / "adapter_stub.py", stub)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[run]\nadapter_endpoint = {sys.executable} {stub}\nnormalize_weights = false\n",
+            encoding="utf-8",
+        )
+        args = ["assess", *vrrp_args, "--config", str(ini), "--threshold", "0.25"]
+        args[args.index("--models") + 1] = str(model)
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_UNTRUSTWORTHY, result.stderr
+        assert "0.245000" in result.output
+
 
 @pytest.fixture(scope="module")
 def pipeline(runner, tmp_path_factory):

@@ -81,6 +81,19 @@ class TestFileRoundTrip:
         assert config.trust_threshold is None
         assert config.workers is None
 
+    def test_a_percent_sign_is_read_verbatim(self, tmp_path):
+        """Values are literal: no % interpolation, so %% is two characters."""
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nadapter_endpoint = python stub.py --rate 50% --tag %%(x)s\n", encoding="utf-8")
+        assert config_from_file(path).adapter_endpoint == "python stub.py --rate 50% --tag %%(x)s"
+
+    def test_a_percent_sign_round_trips(self, tmp_path):
+        config = RunConfig(adapter_endpoint="python stub.py --rate 50%")
+        path = tmp_path / "run.ini"
+        config_to_file(config, path)
+        assert "adapter_endpoint = python stub.py --rate 50%\n" in path.read_text(encoding="utf-8")
+        assert config_from_file(path) == config
+
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nseed = 9\n", encoding="utf-8")

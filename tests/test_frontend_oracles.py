@@ -476,6 +476,7 @@ class TestFailureContract:
     @example({"schema_version": "1.0.0", "function_id": "f", "confidence": 0.5, "entries": [{"line": 1, "score": "0.3"}]})
     @example({"schema_version": "1.0.0", "function_id": "f", "confidence": True, "entries": []})
     @example({"schema_version": "1.0.0", "function_id": [1], "confidence": 0.5, "entries": []})
+    @example({"schema_version": "1.0.0", "function_id": "f", "confidence": 0.5, "entries": {"line": 1}})
     def test_explanation_from_dict(self, document):
         expl = returns_or_raises(explanation_from_dict, document)
         if expl is not None:  # only a well-typed document loads

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trustvet.frontend
-from oracles import oracle_line_edges, oracle_line_surface, oracle_merged_lines
+from oracles import oracle_import_raw_graph, oracle_line_edges, oracle_line_surface, oracle_merged_lines
 from synth import c_subset_function
+from test_frontend_oracles import C_CHARACTERS, graph_docs, json_values
 from trustvet.errors import ImportSchemaError, UnsupportedConstructError
 from trustvet.frontend import (
     export_raw_graph,
@@ -61,8 +63,9 @@ class TestImport:
         [
             ({"nodes": {}}, "graph export: 'nodes' and 'edges' must be arrays"),
             ({"edges": [3]}, "graph export: edge is not an object: 3"),
+            ({"nodes": [3]}, "graph export: node without integer 'id': 3"),
         ],
-        ids=["nodes-not-an-array", "edge-not-an-object"],
+        ids=["nodes-not-an-array", "edge-not-an-object", "node-not-an-object"],
     )
     def test_malformed_arrays_rejected(self, change, message):
         with pytest.raises(ImportSchemaError) as err:
@@ -132,6 +135,32 @@ class TestImport:
         with pytest.raises(ImportSchemaError):
             import_raw_graph(doc)
 
+    @pytest.mark.parametrize("code", [[1], 7, None], ids=["list", "int", "null"])
+    def test_a_code_that_is_no_string_is_refused(self, code):
+        """Checked on a line-table miss; a list cannot even be looked up."""
+        doc = sample_doc()
+        doc["nodes"][1]["code"] = code
+        with pytest.raises(ImportSchemaError) as err:
+            import_raw_graph(doc)
+        assert str(err.value) == "graph export: node 11: 'code' must be a string"
+
+    def test_a_str_subclass_code_is_a_code(self):
+        doc = sample_doc()
+        doc["nodes"][1]["code"] = Code("if (x) {")
+        assert import_raw_graph(doc).to_pdg() == import_raw_graph(sample_doc()).to_pdg()
+
+    def test_int_subclass_ids_and_lines_are_accepted(self):
+        """An IntEnum member is an int: it fails the exact-int test and is
+        accepted by is_strict_int, as an id, a line and an edge end."""
+        doc = sample_doc()
+        doc["nodes"][0]["id"] = Small.TEN
+        doc["nodes"][0]["line"] = Small.TWO
+        doc["edges"][1]["dst"] = Small.TWELVE
+        imported = import_raw_graph(doc)
+        assert imported.graph == oracle_import_raw_graph(sample_doc()).graph
+        assert imported.graph.nodes[0].node_id is Small.TEN
+        assert imported.graph.edges[1][1] is Small.TWELVE
+
     def test_statements_merging_onto_one_line(self):
         doc = {
             "function": "f",
@@ -151,6 +180,86 @@ class TestImport:
         assert {(e.src, e.dst) for e in pdg.edges if e.src == e.dst} == {(2, 2)}
         # longest fragment names the line; variables are the union
         assert pdg.line_vars[2] == frozenset({"a", "b"})
+
+
+class Small(IntEnum):
+    ONE = 1
+    TWO = 2
+    TEN = 10
+    TWELVE = 12
+
+
+class Code(str):
+    """A str subclass: the import accepts it as a code."""
+
+
+# values an exporter might put where an int belongs; 0, 2**70 and
+# Small.ONE are ints to the import, and 0 is no line
+ODD_NUMBERS = (True, 1.0, "1", None, [1], 2**70, Small.ONE, 0)
+codes = st.text(alphabet=C_CHARACTERS, max_size=12)
+
+
+@st.composite
+def mutated_graph_docs(draw):
+    """A well-formed graph document with one fault or oddity: an odd number
+    in one id, line, src or dst; a node's code of another type, or of a str
+    subclass; one key dropped from the document, a node or an edge; or a
+    node id repeated."""
+    ids = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True))
+    nodes = [{"id": i, "line": draw(st.integers(1, 4)), "code": draw(codes)} for i in ids]
+    edges = [
+        {"src": draw(st.sampled_from(ids)), "dst": draw(st.sampled_from(ids)),
+         "kind": draw(st.sampled_from(["CDG", "DDG", "AST"])), "variable": draw(st.sampled_from(["a", "", 1]))}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    doc = {"function": "f", "nodes": nodes, "edges": edges}
+    entries = [("nodes", key) for key in ("id", "line")] + [("edges", key) for key in ("src", "dst")]
+    mutation = draw(st.sampled_from(["number", "code", "drop", "repeat"]))
+    if mutation == "number":
+        array, key = draw(st.sampled_from([e for e in entries if doc[e[0]]]))
+        draw(st.sampled_from(doc[array]))[key] = draw(st.sampled_from(ODD_NUMBERS))
+    elif mutation == "code":
+        draw(st.sampled_from(nodes))["code"] = draw(st.one_of(st.sampled_from(ODD_NUMBERS), codes.map(Code)))
+    elif mutation == "drop":
+        entry = draw(st.sampled_from([doc, *nodes, *edges]))
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    else:
+        draw(st.sampled_from(nodes))["id"] = draw(st.sampled_from(ids))
+    return doc
+
+
+def import_outcome(importer, document):
+    """The graph (its repr too, which tells an IntEnum from an int), the
+    messages and the line table an import leaves, or the type and text of
+    what it raised."""
+    table = {}
+    try:
+        imported = importer(document, table)
+    except Exception as error:
+        return type(error), str(error)
+    return repr(imported.graph), imported.graph, imported.messages, table
+
+
+class TestImportOracle:
+    """The import checks each element once, with an exact-int test ahead of
+    is_strict_int and the code type checked on a line-table miss only; its
+    earlier form, which checked everything in full, is the judge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(graph_docs, json_values, mutated_graph_docs()))
+    @example({"function": "f", "nodes": [{"id": True, "line": 1, "code": "a;"}], "edges": []})
+    @example(
+        {"function": "f", "nodes": [{"id": 1, "line": 1, "code": "a;"}], "edges": [{"src": 1.0, "dst": 1, "kind": "CDG"}]}
+    )
+    @example(
+        {
+            "function": "f",
+            "nodes": [{"id": Small.TWO, "line": Small.ONE, "code": "a = 1;"}],
+            "edges": [{"src": 2, "dst": Small.TWO, "kind": "DDG", "variable": "a"}],
+        }
+    )
+    def test_matches_the_full_checks(self, document):
+        assert import_outcome(import_raw_graph, document) == import_outcome(oracle_import_raw_graph, document)
 
 
 class TestRoundTrip:
