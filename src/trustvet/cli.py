@@ -4,25 +4,24 @@ Five subcommands cover the pipeline: ingest builds a labeled line dataset
 from a corpus, train fits the per-view line classifiers, assess judges one
 prediction, evaluate scores a corpus of predictions, and report re-renders
 a saved evaluation. Exit status is 0 for a trustworthy verdict (and for
-plain success), 10 for an untrustworthy verdict, and 2 for any error.
+plain success), 10 for an untrustworthy verdict, and 2 for any error; an
+error, a usage error included, prints one `error:` line on stderr.
 
 Every artifact is canonical JSON with no timestamps, so identical inputs
 produce byte-identical outputs.
 
 A process runs one command, so this module imports only what assess and
-load_ensemble run: the frontend, assess, config and the classifiers.
-ingest, train, evaluate and report import the corpus, dataset and evaluate
-modules inside their own bodies, and a one-prediction assess never loads
-them.
+load_ensemble run: argparse, the frontend, assess, config and the
+classifiers. ingest, train, evaluate and report import the corpus, dataset
+and evaluate modules inside their own bodies, and a one-prediction assess
+never loads them.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import sys
 from pathlib import Path
-
-import click
 
 from .assess import DATA_RULE_MODES, UNTRUSTWORTHY, assess_prediction, assessment_to_dict, render_assessment
 from .config import RunConfig, config_from_file, merge_config
@@ -47,20 +46,9 @@ EXIT_UNTRUSTWORTHY = 10
 MANIFEST_NAME = "manifest.json"
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_ERROR)
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (TrustvetError, OSError) as exc:
-            _fail(str(exc))
-
-    return wrapper
+class UsageError(TrustvetError):
+    """A command line that cannot run: an unknown or missing option, a value
+    that does not read as its type, or options that do not go together."""
 
 
 def _load_json(path: str | Path) -> dict:
@@ -123,25 +111,13 @@ def _close_ensemble(ensemble) -> None:
 
 
 # --- commands ---------------------------------------------------------------------
-# An option that sets a value takes its RunConfig (or, in train, TrainConfig)
-# field's name as its Python name, so a command passes them on as they come.
+# Each command takes its options as keyword arguments named by their
+# destinations. A setting's destination is its RunConfig (or, in train,
+# TrainConfig) field's name, so a command passes the settings on as they
+# come. Each command returns its exit status.
 
 
-@click.group()
-def main() -> None:
-    """Decide whether a vulnerability prediction deserves trust."""
-
-
-@main.command()
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=None, help="Sampling seed (overrides config).")
-@click.option("--neg-ratio", type=float, default=None, help="Negatives per positive.")
-@click.option("--bleu-threshold", type=float, default=None)
-@click.option("--bleu-order", type=int, default=None)
-@_handle_errors
-def ingest(corpus_path, out_path, config_path, **overrides):
+def ingest(corpus_path, out_path, config_path, **overrides) -> int:
     """Build the labeled line dataset from a corpus of functions."""
     from .corpus import load_corpus
     from .lineassess.dataset import build_line_dataset, save_line_dataset
@@ -157,18 +133,11 @@ def ingest(corpus_path, out_path, config_path, **overrides):
     )
     save_line_dataset(samples, out_path)
     summary = ", ".join(f"{key}={counts[key]}" for key in sorted(counts))
-    click.echo(f"wrote {len(samples)} samples to {out_path} ({summary})")
+    print(f"wrote {len(samples)} samples to {out_path} ({summary})")
+    return EXIT_OK
 
 
-@main.command()
-@click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, required=True, help="Training seed; runs with the same seed match byte for byte.")
-@click.option("--l2", type=float, default=TrainConfig.l2, show_default=True)
-@click.option("--max-iter", type=int, default=TrainConfig.max_iter, show_default=True)
-@click.option("--vote-threshold", "threshold", type=float, default=TrainConfig.threshold, show_default=True)
-@_handle_errors
-def train(dataset_path, out_dir, **settings):
+def train(dataset_path, out_dir, **settings) -> int:
     """Fit one linear classifier per feature view and save the ensemble."""
     from .lineassess.dataset import load_line_dataset
 
@@ -179,35 +148,24 @@ def train(dataset_path, out_dir, **settings):
         model = train_classifier(samples, view, hyper)
         models.append(model)
         held = "n/a" if model.heldout_accuracy is None else f"{model.heldout_accuracy:.3f}"
-        click.echo(f"trained {view.value}: {len(model.vocabulary)} features, held-out accuracy {held}")
+        print(f"trained {view.value}: {len(model.vocabulary)} features, held-out accuracy {held}", flush=True)
     save_ensemble(models, out_dir)
-    click.echo(f"wrote ensemble to {out_dir}")
+    print(f"wrote ensemble to {out_dir}")
+    return EXIT_OK
 
 
-@main.command()
-@click.option("--source", "source_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--import-pdg", "graph_path", type=click.Path(exists=True, dir_okay=False),
-              help="Load a dependence graph exported by another tool instead of parsing source.")
-@click.option("--explanation", "explanation_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--models", "models_path", required=True, type=click.Path(exists=True))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--threshold", "trust_threshold", type=float, default=None, help="Trust cutoff (overrides config).")
-@click.option("--normalize/--no-normalize", "normalize_weights", default=None,
-              help="Rescale explanation weights to sum to one.")
-@click.option("--mode", "data_rule_mode", type=click.Choice(DATA_RULE_MODES), default=None)
-@click.option("--function", "function_id", default=None, help="Function id when parsing source.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Also write the assessment as JSON.")
-@_handle_errors
 def assess(source_path, graph_path, explanation_path, models_path, config_path,
-           function_id, out_path, **overrides):
+           function_id, out_path, **overrides) -> int:
     """Judge one prediction; exit 0 when trustworthy, 10 when not."""
     if (source_path is None) == (graph_path is None):
-        _fail("give exactly one of --source or --import-pdg")
+        raise UsageError("give exactly one of --source or --import-pdg")
+    if function_id is not None and graph_path is not None:
+        raise UsageError("--function names a function parsed from --source; an imported graph names its own")
     config = _resolve_config(config_path, **overrides)
     if graph_path is not None:
         imported = import_raw_graph(_load_json(graph_path))
         for message in imported.messages:
-            click.echo(f"note: {message}", err=True)
+            print(f"note: {message}", file=sys.stderr)
         pdg = imported.to_pdg()
     else:
         text = decode_utf8(Path(source_path).read_bytes(), source_path)
@@ -229,38 +187,22 @@ def assess(source_path, graph_path, explanation_path, models_path, config_path,
     doc = assessment_to_dict(assessment, assessment.graph)
     if out_path:
         _write_json(doc, out_path)
-    click.echo(render_assessment(doc), nl=False)
-    sys.exit(EXIT_UNTRUSTWORTHY if assessment.verdict == UNTRUSTWORTHY else EXIT_OK)
+    print(render_assessment(doc), end="")
+    return EXIT_UNTRUSTWORTHY if assessment.verdict == UNTRUSTWORTHY else EXIT_OK
 
 
-@main.command()
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--models", "models_path", required=True, type=click.Path(exists=True))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--iou-threshold", type=float, default=None)
-@click.option("--iou-sweep", "iou_sweep", default=None,
-              help="Comma-separated cutoffs to evaluate, e.g. 0.1,0.3,0.5.")
-@click.option("--trust-threshold", type=float, default=None)
-@click.option("--conf-threshold", type=float, default=None)
-@click.option("--top-k", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--normalize/--no-normalize", "normalize_weights", default=None)
-@click.option("--mode", "data_rule_mode", type=click.Choice(DATA_RULE_MODES), default=None)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Write the full report as JSON.")
-@_handle_errors
-def evaluate(corpus_path, models_path, config_path, iou_sweep, out_path, **overrides):
+def evaluate(corpus_path, models_path, config_path, iou_sweep, out_path, **overrides) -> int:
     """Score every prediction in a corpus against its ground truth."""
     from .corpus import load_corpus
     from .evaluate import render_table, report_to_dict, run_evaluation
 
     config = _resolve_config(config_path, **overrides)
     taus = None
-    if iou_sweep:
+    if iou_sweep is not None:
         try:
             taus = tuple(float(part) for part in iou_sweep.split(","))
         except ValueError:
-            _fail(f"bad --iou-sweep value: {iou_sweep!r}")
+            raise UsageError(f"bad --iou-sweep value: {iou_sweep!r}") from None
     records = load_corpus(corpus_path)
     ensemble = load_ensemble(models_path, config.adapter_endpoint)
     try:
@@ -270,20 +212,130 @@ def evaluate(corpus_path, models_path, config_path, iou_sweep, out_path, **overr
     doc = report_to_dict(report)
     if out_path:
         _write_json(doc, out_path)
-    click.echo(render_table(doc), nl=False)
+    print(render_table(doc), end="")
+    return EXIT_OK
 
 
-@main.command()
-@click.argument("report_path", type=click.Path(exists=True, dir_okay=False))
-@_handle_errors
-def report(report_path):
+def report(report_path) -> int:
     """Re-render a saved evaluation report as a table."""
     from .evaluate import render_table
 
     doc = _load_json(report_path)
     check_schema_version(doc, "evaluation report")
-    click.echo(render_table(doc), nl=False)
+    print(render_table(doc), end="")
+    return EXIT_OK
+
+
+# --- the command line -------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a UsageError, which main prints as it prints
+    every other error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _path(exists: bool = False, file_ok: bool = True, dir_ok: bool = True):
+    """An argparse type that checks a path as the command line is read,
+    before any work: that it exists, or that it is not a file or not a
+    directory."""
+
+    def check(text: str) -> str:
+        path = Path(text)
+        if exists and not path.exists():
+            raise argparse.ArgumentTypeError(f"{text!r} does not exist")
+        if not file_ok and path.is_file():
+            raise argparse.ArgumentTypeError(f"{text!r} is a file")
+        if not dir_ok and path.is_dir():
+            raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+        return text
+
+    return check
+
+
+_INPUT_FILE = _path(exists=True, dir_ok=False)
+_OUTPUT_FILE = _path(dir_ok=False)
+_SHOW_DEFAULT = "(default: %(default)s)"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The trustvet command line: a subcommand per command function, whose
+    options' destinations are its parameters and whose `command` default is
+    the function."""
+    parser = _Parser(prog="trustvet", description="Decide whether a vulnerability prediction deserves trust.",
+                     allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def options_of(command):
+        sub = commands.add_parser(command.__name__, help=command.__doc__, description=command.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(command=command)
+        return sub.add_argument
+
+    option = options_of(ingest)
+    option("--corpus", dest="corpus_path", required=True, type=_INPUT_FILE)
+    option("--out", dest="out_path", required=True, type=_OUTPUT_FILE)
+    option("--config", dest="config_path", type=_INPUT_FILE)
+    option("--seed", type=int, help="Sampling seed (overrides config).")
+    option("--neg-ratio", type=float, help="Negatives per positive.")
+    option("--bleu-threshold", type=float)
+    option("--bleu-order", type=int)
+
+    option = options_of(train)
+    option("--dataset", dest="dataset_path", required=True, type=_INPUT_FILE)
+    option("--out", dest="out_dir", required=True, type=_path(file_ok=False))
+    option("--seed", type=int, required=True, help="Training seed; runs with the same seed match byte for byte.")
+    option("--l2", type=float, default=TrainConfig.l2, help=_SHOW_DEFAULT)
+    option("--max-iter", type=int, default=TrainConfig.max_iter, help=_SHOW_DEFAULT)
+    option("--vote-threshold", dest="threshold", type=float, default=TrainConfig.threshold, help=_SHOW_DEFAULT)
+
+    option = options_of(assess)
+    option("--source", dest="source_path", type=_INPUT_FILE)
+    option("--import-pdg", dest="graph_path", type=_INPUT_FILE,
+           help="Load a dependence graph exported by another tool instead of parsing source.")
+    option("--explanation", dest="explanation_path", required=True, type=_INPUT_FILE)
+    option("--models", dest="models_path", required=True, type=_path(exists=True))
+    option("--config", dest="config_path", type=_INPUT_FILE)
+    option("--threshold", dest="trust_threshold", type=float, help="Trust cutoff (overrides config).")
+    option("--normalize", dest="normalize_weights", action=argparse.BooleanOptionalAction,
+           help="Rescale explanation weights to sum to one.")
+    option("--mode", dest="data_rule_mode", choices=DATA_RULE_MODES)
+    option("--function", dest="function_id", help="Function id when parsing source.")
+    option("--out", dest="out_path", type=_OUTPUT_FILE, help="Also write the assessment as JSON.")
+
+    option = options_of(evaluate)
+    option("--corpus", dest="corpus_path", required=True, type=_INPUT_FILE)
+    option("--models", dest="models_path", required=True, type=_path(exists=True))
+    option("--config", dest="config_path", type=_INPUT_FILE)
+    option("--iou-threshold", type=float)
+    option("--iou-sweep", help="Comma-separated cutoffs to evaluate, e.g. 0.1,0.3,0.5.")
+    option("--trust-threshold", type=float)
+    option("--conf-threshold", type=float)
+    option("--top-k", type=int)
+    option("--seed", type=int)
+    option("--workers", type=int)
+    option("--normalize", dest="normalize_weights", action=argparse.BooleanOptionalAction)
+    option("--mode", dest="data_rule_mode", choices=DATA_RULE_MODES)
+    option("--out", dest="out_path", type=_OUTPUT_FILE, help="Write the full report as JSON.")
+
+    option = options_of(report)
+    option("report_path", type=_INPUT_FILE)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command that argv (by default the process's arguments) names,
+    and return its exit status: 0, 10, or 2 after one `error:` line on
+    stderr. `--help` prints the help and exits 0, as argparse does."""
+    try:
+        settings = vars(build_parser().parse_args(argv))
+        return settings.pop("command")(**settings)
+    except (TrustvetError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

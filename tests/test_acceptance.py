@@ -14,8 +14,7 @@ import math
 import random
 import time
 
-from click.testing import CliRunner
-
+from clirun import CliRunner
 from oracles import (
     oracle_best_threshold,
     oracle_bleu,

@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clirun import CliRunner
 from synth import (
     KIND_ENTRIES,
     c_subset_function,
@@ -31,7 +31,16 @@ from synth import (
 from test_frontend_oracles import c_soup, function_shell, graph_docs, json_values
 import trustvet
 from trustvet.assess import DATA_RULE_MODES
-from trustvet.cli import EXIT_ERROR, EXIT_OK, EXIT_UNTRUSTWORTHY, MANIFEST_NAME, load_ensemble, main, save_ensemble
+from trustvet.cli import (
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_UNTRUSTWORTHY,
+    MANIFEST_NAME,
+    build_parser,
+    load_ensemble,
+    main,
+    save_ensemble,
+)
 from trustvet.config import RunConfig
 from trustvet.corpus import save_corpus
 from trustvet.errors import SchemaError
@@ -155,6 +164,26 @@ class TestAssessCommand:
             outputs.append((result.stdout, out.read_bytes()))
         assert outputs[0] == outputs[1]
         assert b'"trust_score": 0.245' in outputs[0][1]
+
+    def test_function_names_the_assessment(self, runner, vrrp_args, data_dir, tmp_path):
+        explanation = json.loads((data_dir / "vrrp_explanation.json").read_text(encoding="utf-8"))
+        explanation["function_id"] = "f"
+        path = tmp_path / "explanation.json"
+        path.write_text(json.dumps(explanation), encoding="utf-8")
+        args = ["assess", *vrrp_args, "--function", "f"]
+        args[args.index("--explanation") + 1] = str(path)
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_UNTRUSTWORTHY, result.stderr
+        assert result.stdout.startswith("function: f\n")
+
+    def test_function_with_an_imported_graph_is_refused(self, runner, vrrp_args, data_dir):
+        """An imported graph names its own function, so --function would go
+        unused; it is refused rather than ignored."""
+        graph = str(data_dir / "vrrp_graph.json")
+        result = runner.invoke(main, ["assess", "--import-pdg", graph, *vrrp_args[2:], "--function", "zzz"])
+        assert_clean_failure(result)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert "--function" in result.stderr
 
     def test_config_file_sets_threshold(self, runner, vrrp_args, tmp_path):
         ini = tmp_path / "run.ini"
@@ -512,6 +541,17 @@ class TestEvaluateCommand:
         assert result.exit_code == EXIT_ERROR
         assert "bad --iou-sweep" in result.stderr
 
+    def test_an_empty_sweep_is_refused(self, runner, planted):
+        """An empty --iou-sweep names no cutoff, so it must not fall back to
+        --iou-threshold."""
+        result = runner.invoke(
+            main,
+            ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+             *EVAL_ARGS, "--iou-sweep", ""],
+        )
+        assert_clean_failure(result)
+        assert result.stderr == "error: bad --iou-sweep value: ''\n"
+
     @pytest.mark.parametrize("sweep", ["nan", "0.5,inf"])
     def test_sweep_value_that_cannot_run(self, runner, planted, sweep):
         """float() reads nan and inf; a cutoff must pass the rule every float
@@ -538,6 +578,17 @@ class TestEvaluateCommand:
         )
         assert_clean_failure(result)
         assert "not in [0, 1]" in result.stderr
+
+    def test_a_value_that_starts_with_a_dash_is_joined_to_its_flag(self, runner, planted):
+        """A token that starts with `-` and is not a plain negative number,
+        such as -1e-05 on Python 3.10 and 3.11, reads as an option, so it is
+        written --flag=value; -0.00001 is the same float in a form that
+        stands on its own."""
+        args = ["evaluate", "--corpus", str(planted["corpus"]), "--models", str(planted["models"]),
+                "--trust-threshold", "0.25", "--iou-threshold", "0.5"]
+        joined = runner.invoke(main, [*args, "--conf-threshold=-1e-05"])
+        assert joined.exit_code == EXIT_OK, joined.stderr
+        assert joined.stdout == runner.invoke(main, [*args, "--conf-threshold", "-0.00001"]).stdout
 
     def test_top_k_below_one_is_refused(self, runner, planted):
         """With no suspicious line kept, every record would be skipped and
@@ -608,6 +659,50 @@ def assert_contract(result) -> None:
     assert result.exit_code in (EXIT_OK, EXIT_ERROR, EXIT_UNTRUSTWORTHY), (result.output, result.exception)
     if result.exit_code == EXIT_ERROR:
         assert_clean_failure(result)
+
+
+class TestUsageErrors:
+    """A command line that cannot run ends as every other error does: exit
+    2 and one `error:` line, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ingest", "--out", "dataset.jsonl"],
+            ["ingest", "--corpus", "absent.jsonl", "--out", "dataset.jsonl"],
+            ["ingest", "--corpus", ".", "--out", "dataset.jsonl"],
+            ["train", "--dataset", "given.jsonl", "--out", "given.jsonl", "--seed", "1"],
+            ["ingest", "--corpus", "given.jsonl", "--out", "dataset.jsonl", "--bogus"],
+            ["assess", "--source", "given.jsonl", "--explanation", "given.jsonl", "--models", ".", "--norm"],
+            ["evaluate", "--corpus", "given.jsonl", "--models", ".", "--top-k", "x", "--out", "report.json"],
+            [],
+            ["train", "--dataset", "given.jsonl", "--out", "models", "--seed", "1", "--l2", "-inf"],
+        ],
+        ids=[
+            "missing-required-option", "corpus-does-not-exist", "corpus-is-a-directory", "train-out-is-a-file",
+            "unknown-option", "abbreviated-option", "int-option-not-an-int", "no-command", "dash-value-apart",
+        ],
+    )
+    def test_one_error_line_and_nothing_written(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "given.jsonl").write_text("", encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert_clean_failure(result)
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["given.jsonl"]
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "assess", "evaluate", "report"])
+    def test_help_exits_0(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == EXIT_OK and result.exception is None
+        assert result.stdout.startswith(f"usage: trustvet {command} ")
+
+    def test_train_help_shows_the_defaults(self, runner):
+        shown = " ".join(runner.invoke(main, ["train", "--help"]).stdout.split())
+        hyper = TrainConfig()
+        for option, default in [("--l2 L2", hyper.l2), ("--max-iter MAX_ITER", hyper.max_iter),
+                                ("--vote-threshold THRESHOLD", hyper.threshold)]:
+            assert f"{option} (default: {default})" in shown
 
 
 class TestMalformedArtifacts:
@@ -925,9 +1020,11 @@ datasets = st.lists(dataset_samples, min_size=2, max_size=8).map(
 
 def flag_values(**flags):
     """Strategy for an argument list that gives each flag sometimes, with a
-    value drawn from its strategy."""
+    value drawn from its strategy, joined as --flag=value so that a value
+    such as -inf or -1e-05 reaches the command rather than reading as an
+    option."""
     return st.fixed_dictionaries({}, optional=flags).map(
-        lambda drawn: [part for flag, value in sorted(drawn.items()) for part in (f"--{flag}", str(value))]
+        lambda drawn: [f"--{flag}={value}" for flag, value in sorted(drawn.items())]
     )
 
 
@@ -1029,7 +1126,7 @@ class TestCommandContracts:
 
 class TestOptionNames:
     """Each option that sets a value takes its config field's name as its
-    Python name, and reaches the config by it: a renamed field fails here,
+    destination, and reaches the config by it: a renamed field fails here,
     not in a user's run with "unknown config overrides"."""
 
     OWN_INPUTS = {
@@ -1038,14 +1135,25 @@ class TestOptionNames:
                    "function_id", "out_path"},
         "evaluate": {"corpus_path", "models_path", "config_path", "iou_sweep", "out_path"},
     }
+    # each command's required options, with values that pass their path checks
+    REQUIRED = {
+        "ingest": ["--corpus", __file__, "--out", "absent.jsonl"],
+        "train": ["--dataset", __file__, "--out", "absent", "--seed", "1"],
+        "assess": ["--explanation", __file__, "--models", __file__],
+        "evaluate": ["--corpus", __file__, "--models", __file__],
+    }
+
+    def destinations(self, command):
+        """The destination of every option of command, as parse_args sets them."""
+        return set(vars(build_parser().parse_args([command, *self.REQUIRED[command]]))) - {"command"}
 
     @pytest.mark.parametrize("command", sorted(OWN_INPUTS))
     def test_every_run_setting_is_a_run_config_field(self, command):
-        names = {param.name for param in main.commands[command].params}
+        names = self.destinations(command)
         fields = {field.name for field in dataclasses.fields(RunConfig)}
         assert names - fields == self.OWN_INPUTS[command]
         assert names & fields  # the command has settings at all
 
     def test_every_train_setting_is_a_train_config_field(self):
-        names = {param.name for param in main.commands["train"].params}
+        names = self.destinations("train")
         assert names - {"dataset_path", "out_dir"} == {field.name for field in dataclasses.fields(TrainConfig)}

@@ -8,8 +8,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from clirun import CliRunner
 from synth import lookup_ensemble, planted_corpus
 from trustvet import assess_prediction
 from trustvet.cli import EXIT_OK, EXIT_UNTRUSTWORTHY, main, save_ensemble
